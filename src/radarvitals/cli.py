@@ -243,15 +243,16 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _COMMANDS[args.command](args)
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 4
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -32,6 +32,14 @@ class RVCFormatError(DataError):
     """Malformed measurement container."""
 
 
+def check_finite(samples: np.ndarray, source: object) -> None:
+    """Raise ``DataError`` naming the first non-finite [l, k, m] sample."""
+    finite = np.isfinite(samples)
+    if not finite.all():
+        bad = [int(i) for i in np.argwhere(~finite)[0]]
+        raise DataError(f"{source}: sample {bad} is {samples[tuple(bad)]}, not finite")
+
+
 def write_container(
     cube: MeasurementCube,
     path: str | os.PathLike,
@@ -106,6 +114,7 @@ def read_container(path: str | os.PathLike) -> MeasurementCube:
         .reshape(l, cfg.k, m)
         .copy()
     )
+    check_finite(samples, path)
     if "slow_time" not in entries:
         raise RVCFormatError(f"{path}: header lacks the slow_time vector")
     slow_time = np.array([float(v) for v in entries["slow_time"].split(",")])

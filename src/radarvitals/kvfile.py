@@ -28,6 +28,21 @@ def parse_kv(text: str) -> dict[str, str]:
 
 
 def format_kv(entries: dict[str, str]) -> str:
+    """Serialize entries so that ``parse_kv`` reads back exactly the same.
+
+    Raises ``ValueError`` naming the key of the first entry the format
+    cannot carry: a key that is not one whitespace-free token without
+    ``#``, or a value that is empty, has leading or trailing whitespace,
+    or contains ``#`` or a line break.
+    """
+    for key, value in entries.items():
+        if key.split() != [key] or "#" in key:
+            raise ValueError(f"kv key {key!r} must be one token without whitespace or '#'")
+        if value.splitlines() != [value] or value != value.strip() or "#" in value:
+            raise ValueError(
+                f"kv value of {key!r} cannot be stored: {value!r} is empty, has "
+                "leading or trailing whitespace, or contains '#' or a line break"
+            )
     return "".join(f"{key} {value}\n" for key, value in entries.items())
 
 

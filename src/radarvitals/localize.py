@@ -20,6 +20,9 @@ from scipy import ndimage
 from .core import PolarLocation, RadarConfig
 
 _DENOM_FLOOR = np.finfo(np.float64).tiny
+# ranges per scan GEMM; bounds the (block, n_t, n_noise) working set to a
+# few MB on the default grid
+_RANGE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -142,10 +145,15 @@ def stacked_covariance_eigenvalues(
     acc = np.zeros((2 * dim, 2 * dim))
     for li in idx:
         rows = _slice_rows(samples[li], spec)
-        backward = rows[:, ::-1].conj()
         fwd = np.concatenate([rows.real, rows.imag], axis=1)
-        bwd = np.concatenate([backward.real, backward.imag], axis=1)
-        acc += fwd.T @ fwd + bwd.T @ bwd
+        acc += fwd.T @ fwd
+    # The backward slice [Re; -Im] of the reversed slice is the forward one
+    # under a signed permutation, bwd = fwd[:, perm] * sign, so its summed
+    # outer products are acc[perm][:, perm] * sign sign^T, exactly.
+    rev = np.arange(dim)[::-1]
+    perm = np.concatenate([rev, dim + rev])
+    sign = np.repeat([1.0, -1.0], dim)
+    acc += np.outer(sign, sign) * acc[np.ix_(perm, perm)]
     covm = acc / (2 * len(idx) * spec.n_slices(k, m))
     return np.ascontiguousarray(np.linalg.eigvalsh(covm)[::-1])
 
@@ -212,30 +220,42 @@ def music_spectrum(
     window positions spanning a fifth of the carrier frequency, so scanning
     against the first window skews the apparent angle outward by roughly
     half the fractional bandwidth; centering removes that skew.
+
+    The steering entry a(d, theta)[m, k] = r_d[k] * b_theta[m, k] separates
+    into a range factor r_d[k] = exp(-2j pi f_k 2d / c) and an angle factor
+    b_theta[m, k] = exp(-2j pi f_k sin(theta) x_m / c). The channels are
+    contracted once per angle, U[k, theta] = sum_m conj(b_theta[m, k])
+    V_n[(m, k)], and the scan is then one GEMM conj(R) @ U per block of
+    ranges, so only n_t w_m w_k + n_d w_k exponentials are evaluated per call.
     """
     dim = cov.r_hat.shape[0]
     if p_sub >= dim:
         raise ValueError(f"signal subspace order {p_sub} must be < {dim}")
     if p_sub < 1:
         raise ValueError("signal subspace order must be >= 1")
-    v_n = cov.eig_basis[:, p_sub:]
     w_k, w_m = cov.spec.w_k, cov.spec.w_m
+    # rows of the basis are stacked column-wise: index m * w_k + k
+    v_n = cov.eig_basis[:, p_sub:].reshape(w_m, w_k, dim - p_sub)
     k_off = (cfg.k - w_k) / 2 if centered else 0.0
     m_off = (cfg.m_r * cfg.m_t - w_m) / 2 if centered else 0.0
     delta_f = cfg.b / cfg.k
     freqs = cfg.f0 + delta_f * (k_off + np.arange(w_k))
     chan = cfg.delta * (m_off + np.arange(w_m))
     d_axis, theta_axis = grid.axes()
-    sin_t = np.sin(theta_axis)
-    values = np.empty((d_axis.size, theta_axis.size))
-    coeff = -2j * np.pi / cfg.c
-    for i, d in enumerate(d_axis):
-        path = 2.0 * d + sin_t[:, None] * chan[None, :]  # (n_t, w_m)
-        phase = freqs[None, None, :] * path[:, :, None]  # (n_t, w_m, w_k)
-        a = np.exp(coeff * phase).reshape(theta_axis.size, w_m * w_k)
-        g = a.conj() @ v_n  # rows are a^H V_n
-        denom = np.einsum("ij,ij->i", g, g.conj()).real
-        values[i] = 1.0 / np.maximum(denom, _DENOM_FLOOR)
+    n_d, n_t = d_axis.size, theta_axis.size
+    # conj(exp(-2j pi f p / c)) = exp(+2j pi f p / c)
+    coeff = 2j * np.pi / cfg.c
+    path_t = np.sin(theta_axis)[:, None] * chan[None, :]  # (n_t, w_m)
+    b_conj = np.exp(coeff * (freqs[:, None, None] * path_t[None, :, :]))  # (w_k, n_t, w_m)
+    u = (b_conj @ v_n.transpose(1, 0, 2)).reshape(w_k, -1)  # (w_k, n_t * n_noise)
+    r_conj = np.exp(coeff * np.outer(2.0 * d_axis, freqs))  # (n_d, w_k)
+    values = np.empty((n_d, n_t))
+    for start in range(0, n_d, _RANGE_BLOCK):
+        stop = min(start + _RANGE_BLOCK, n_d)
+        g = (r_conj[start:stop] @ u).reshape(stop - start, n_t, -1)  # a^H V_n
+        g_ri = g.view(np.float64)  # interleaved (re, im): squares sum to |g|^2
+        denom = np.einsum("ijk,ijk->ij", g_ri, g_ri)
+        values[start:stop] = 1.0 / np.maximum(denom, _DENOM_FLOOR)
     return PseudoSpectrum(d_axis, theta_axis, values)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core import ConfigError, DerivedParams, RadarConfig, derive_params, polar_to_cartesian
-from .dataio import read_container
+from .dataio import check_finite, read_container
 from .localize import (
     DetectionSet,
     GridSpec,
@@ -184,7 +184,11 @@ def run_pipeline(
     Deterministic for a fixed (recording, config): segments are processed
     in order and the spectrum accumulation follows that order.
     """
-    cube = source if isinstance(source, MeasurementCube) else read_container(source)
+    if isinstance(source, MeasurementCube):
+        cube = source
+        check_finite(cube.samples, "recording")
+    else:
+        cube = read_container(source)  # checks the samples itself
     cfg = cube.config
     derived = derive_params(cfg)
     config.validate(cfg, derived)

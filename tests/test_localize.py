@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radarvitals as rv
 from helpers import breather, location_errors, m16_scene, scene_of, small_config
@@ -190,6 +191,55 @@ def test_music_subspace_validation(walabot):
         rv.music_spectrum(cov, 0, rv.GridSpec(), small_config(k=10))
 
 
+def _music_reference(cov, p_sub, grid, cfg, centered):
+    """1 / ||V_n^H vec a||^2 per cell from an explicitly built steering vector."""
+    w_k, w_m = cov.spec.w_k, cov.spec.w_m
+    v_n = cov.eig_basis[:, p_sub:]
+    k_off = (cfg.k - w_k) / 2 if centered else 0.0
+    m_off = (cfg.m_r * cfg.m_t - w_m) / 2 if centered else 0.0
+    freqs = cfg.f0 + cfg.b / cfg.k * (k_off + np.arange(w_k))
+    chan = cfg.delta * (m_off + np.arange(w_m))
+    d_axis, theta_axis = grid.axes()
+    values = np.empty((d_axis.size, theta_axis.size))
+    for i, d in enumerate(d_axis):
+        for j, theta in enumerate(theta_axis):
+            a = np.exp(-2j * np.pi / cfg.c * np.outer(freqs, 2 * d + np.sin(theta) * chan))
+            g = v_n.conj().T @ a.ravel(order="F")
+            values[i, j] = 1.0 / np.vdot(g, g).real
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(3, 9),
+    w_m=st.integers(1, 3),
+    n_d=st.sampled_from([1, 7, 31, 45]),
+    centered=st.booleans(),
+    data=st.data(),
+)
+def test_music_spectrum_matches_per_cell_reference(k, w_m, n_d, centered, data):
+    cfg = small_config(k=k, n=2 * k)
+    w_k = data.draw(st.integers(2 if w_m == 1 else 1, k), label="w_k")
+    p_sub = data.draw(st.integers(1, w_k * w_m - 1), label="p_sub")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    samples = _random_samples(np.random.default_rng(seed), 3, k, cfg.m_r * cfg.m_t)
+    cov = rv.smoothed_covariance(samples, rv.SmoothingSpec(w_k, w_m), 3)
+    grid = rv.GridSpec(d_max=0.1 * (n_d - 1), d_step=0.1, theta_max=0.3, theta_step=0.1)
+    assert grid.shape() == (n_d, 7)
+    spec = rv.music_spectrum(cov, p_sub, grid, cfg, centered=centered)
+    expected = _music_reference(cov, p_sub, grid, cfg, centered)
+    np.testing.assert_allclose(spec.values, expected, rtol=1e-9, atol=0)
+
+
+def test_music_spectrum_repeat_calls_bit_identical(walabot):
+    cube = rv.simulate(scene_of([breather(2.0, 20.0)], l=264, noise_std=0.1, seed=4), walabot)
+    seg = rv.segment(rv.sma_filter(cube, 64), 200).segments[0]
+    cov = rv.smoothed_covariance(seg.samples, rv.SmoothingSpec(38, 2), 10)
+    first = rv.music_spectrum(cov, 15, rv.GridSpec(), walabot)
+    second = rv.music_spectrum(cov, 15, rv.GridSpec(), walabot)
+    assert first.values.tobytes() == second.values.tobytes()
+
+
 def test_accumulate_identities():
     d_axis = np.arange(3.0)
     t_axis = np.arange(2.0)
@@ -275,3 +325,26 @@ def test_stacked_eigenvalues_pairing(walabot):
     assert lam.shape == (2 * 38 * 3,)
     assert lam[0] / lam[1] < 1.05
     assert np.all(np.diff(lam) <= 1e-12 * lam[0])
+
+
+def test_stacked_eigenvalues_match_two_gemm_reference():
+    # the backward term derived from the forward sums by a signed
+    # permutation equals the explicitly stacked backward slices
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        k, m, l = int(rng.integers(2, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        spec = rv.SmoothingSpec(int(rng.integers(1, k + 1)), int(rng.integers(1, m + 1)))
+        n_cov = int(rng.integers(1, l + 1))
+        samples = _random_samples(rng, l, k, m)
+        dim = spec.w_k * spec.w_m
+        acc = np.zeros((2 * dim, 2 * dim))
+        idx = rv.localize.snapshot_indices(l, n_cov)
+        for li in idx:
+            rows = rv.localize._slice_rows(samples[li], spec)
+            backward = rows[:, ::-1].conj()
+            for x in (rows, backward):
+                stacked = np.concatenate([x.real, x.imag], axis=1)
+                acc += stacked.T @ stacked
+        expected = np.linalg.eigvalsh(acc / (2 * len(idx) * spec.n_slices(k, m)))[::-1]
+        lam = rv.stacked_covariance_eigenvalues(samples, spec, n_cov)
+        np.testing.assert_allclose(lam, expected, rtol=0, atol=1e-13 * expected[0])

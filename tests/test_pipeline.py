@@ -1,5 +1,11 @@
+import csv
+import io
+import string
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import radarvitals as rv
 from radarvitals.cli import main
@@ -25,6 +31,38 @@ def test_kv_parse_and_format():
         parse_kv("a 1\na 2\n")
     with pytest.raises(ValueError, match="key value"):
         parse_kv("loner\n")
+
+
+_KV_KEYS = st.one_of(st.text(max_size=6), st.text(string.ascii_lowercase + "._#", min_size=1))
+_KV_VALUES = st.one_of(
+    st.text(max_size=10),
+    st.text(string.printable, min_size=1, max_size=10),
+    st.from_regex(r"[!-\"$-~]([ -\"$-~]*[!-\"$-~])?", fullmatch=True),
+)
+
+
+@given(st.dictionaries(_KV_KEYS, _KV_VALUES, max_size=4))
+def test_kv_format_is_exact_or_raises(entries):
+    # a dict is representable exactly when its plain "key value" lines
+    # parse back to it; format_kv must write those and reject the rest
+    plain = "".join(f"{key} {value}\n" for key, value in entries.items())
+    try:
+        representable = parse_kv(plain) == entries
+    except ValueError:
+        representable = False
+    if representable:
+        assert parse_kv(format_kv(entries)) == entries
+    else:
+        with pytest.raises(ValueError) as err:
+            format_kv(entries)
+        assert any(repr(key) in str(err.value) for key in entries)
+
+
+def test_container_meta_must_be_representable(tmp_path):
+    cube = rv.simulate(scene_of([], l=2), rv.walabot_config(10.0))
+    for value in ("a#b", "two\nlines", "", " padded"):
+        with pytest.raises(ValueError, match="meta.id"):
+            rv.write_container(cube, tmp_path / "m.rvc", meta={"id": value})
 
 
 def test_kv_file_roundtrip(tmp_path):
@@ -56,6 +94,42 @@ def test_pipeline_config_validation(walabot, derived):
         rv.PipelineConfig(p_sub=76).validate(walabot, derived)
     with pytest.raises(rv.ConfigError):
         rv.PipelineConfig(w_k_music=200).validate(walabot, derived)
+
+
+def test_m16_golden_output(walabot):
+    # pinned from the per-cell steering scan; the separable scan must give
+    # the same detections, labels, counts and breathing estimates
+    golden = Path(__file__).parent / "golden"
+    result = run_pipeline(rv.simulate(m16_scene(seed=7), walabot))
+    got = list(csv.DictReader(io.StringIO(detections_csv(result))))
+    expected = list(csv.DictReader(open(golden / "m16_seed7_detections.csv", encoding="utf-8")))
+    exact = ["segment", "p_hat", "track", "d_m", "theta_rad", "x_m", "y_m"]
+    assert [[r[c] for c in exact] for r in got] == [[r[c] for c in exact] for r in expected]
+    np.testing.assert_allclose(
+        [float(r["value"]) for r in got], [float(r["value"]) for r in expected], rtol=1e-9
+    )
+    assert breathing_csv(result) == (golden / "m16_seed7_breathing.csv").read_text(encoding="utf-8")
+
+
+def test_non_finite_sample_is_rejected_at_entry(tmp_path, walabot):
+    cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=200), walabot)
+    cube.samples[123, 4, 5] = np.nan
+    with pytest.raises(rv.DataError, match=r"\[123, 4, 5\]"):
+        run_pipeline(cube)
+    path = tmp_path / "nan.rvc"
+    rv.write_container(cube, path)
+    with pytest.raises(rv.DataError, match=r"\[123, 4, 5\]"):
+        rv.read_container(path)
+    assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+
+
+def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(rv.pipeline, "run_pipeline", fail)
+    assert main(["detect", "--in", str(tmp_path / "x.rvc"),
+                 "--out", str(tmp_path / "o.csv")]) == 4
 
 
 def test_empty_room_yields_no_tracks(walabot):
