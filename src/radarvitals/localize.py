@@ -23,6 +23,8 @@ _DENOM_FLOOR = np.finfo(np.float64).tiny
 # ranges per scan GEMM; bounds the (block, n_t, n_noise) working set to a
 # few MB on the default grid
 _RANGE_BLOCK = 32
+# Veltkamp splitting constant 2**27 + 1 for error-free float64 products
+_SPLIT = 134217729.0
 
 
 @dataclass(frozen=True)
@@ -158,6 +160,34 @@ def stacked_covariance_eigenvalues(
     return np.ascontiguousarray(np.linalg.eigvalsh(covm)[::-1])
 
 
+def _two_product(a: np.ndarray, b: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """a * b as an unevaluated sum p + e that is exact (Dekker)."""
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = _SPLIT * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _phase_turns(freqs: np.ndarray, path: np.ndarray, c: float) -> np.ndarray:
+    """freqs * path / c in turns, reduced into [-1/2, 1/2].
+
+    The carrier puts the unreduced phase at hundreds of turns, where one
+    rounding of the product already costs ~1e-13 rad. Near a null of the
+    noise projection that error is amplified by 1 / ||V_n^H a||, so the
+    product and the division are carried exactly past the integer part and
+    only the reduced fraction is rounded.
+    """
+    prod, prod_err = _two_product(freqs, path)
+    q = prod / c
+    qc, qc_err = _two_product(q, c)
+    rest = (((prod - qc) - qc_err) + prod_err) / c
+    return (q - np.rint(q)) + rest
+
+
 def steering_matrix(
     d: float, theta: float, w_k: int, w_m: int, cfg: RadarConfig
 ) -> np.ndarray:
@@ -244,11 +274,12 @@ def music_spectrum(
     d_axis, theta_axis = grid.axes()
     n_d, n_t = d_axis.size, theta_axis.size
     # conj(exp(-2j pi f p / c)) = exp(+2j pi f p / c)
-    coeff = 2j * np.pi / cfg.c
     path_t = np.sin(theta_axis)[:, None] * chan[None, :]  # (n_t, w_m)
-    b_conj = np.exp(coeff * (freqs[:, None, None] * path_t[None, :, :]))  # (w_k, n_t, w_m)
+    turns_t = _phase_turns(freqs[:, None, None], path_t[None, :, :], cfg.c)
+    b_conj = np.exp(2j * np.pi * turns_t)  # (w_k, n_t, w_m)
     u = (b_conj @ v_n.transpose(1, 0, 2)).reshape(w_k, -1)  # (w_k, n_t * n_noise)
-    r_conj = np.exp(coeff * np.outer(2.0 * d_axis, freqs))  # (n_d, w_k)
+    turns_d = _phase_turns(2.0 * d_axis[:, None], freqs[None, :], cfg.c)
+    r_conj = np.exp(2j * np.pi * turns_d)  # (n_d, w_k)
     values = np.empty((n_d, n_t))
     for start in range(0, n_d, _RANGE_BLOCK):
         stop = min(start + _RANGE_BLOCK, n_d)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,21 +194,47 @@ def test_music_subspace_validation(walabot):
 
 
 def _music_reference(cov, p_sub, grid, cfg, centered):
-    """1 / ||V_n^H vec a||^2 per cell from an explicitly built steering vector."""
+    """1 / ||V_n^H vec a||^2 per cell from an explicitly built steering vector.
+
+    Each phase f (2 d + sin(theta) x) / c is taken in exact rational
+    arithmetic and reduced to its fractional turn before rounding. A float
+    phase of hundreds of turns is off by ~1e-13 rad, which near a deep null
+    of the noise projection moves the value by more than 1e-9 relative.
+    """
     w_k, w_m = cov.spec.w_k, cov.spec.w_m
     v_n = cov.eig_basis[:, p_sub:]
     k_off = (cfg.k - w_k) / 2 if centered else 0.0
     m_off = (cfg.m_r * cfg.m_t - w_m) / 2 if centered else 0.0
-    freqs = cfg.f0 + cfg.b / cfg.k * (k_off + np.arange(w_k))
-    chan = cfg.delta * (m_off + np.arange(w_m))
+    freqs = [Fraction(f) for f in cfg.f0 + cfg.b / cfg.k * (k_off + np.arange(w_k))]
+    chan = [Fraction(x) for x in cfg.delta * (m_off + np.arange(w_m))]
+    c = Fraction(cfg.c)
     d_axis, theta_axis = grid.axes()
     values = np.empty((d_axis.size, theta_axis.size))
+    turns = np.empty((w_k, w_m))
     for i, d in enumerate(d_axis):
         for j, theta in enumerate(theta_axis):
-            a = np.exp(-2j * np.pi / cfg.c * np.outer(freqs, 2 * d + np.sin(theta) * chan))
+            sin_t = Fraction(float(np.sin(theta)))
+            for m, x in enumerate(chan):
+                path = 2 * Fraction(d) + sin_t * x
+                for k, f in enumerate(freqs):
+                    t = f * path / c
+                    turns[k, m] = t - round(t)
+            a = np.exp(-2j * np.pi * turns)
             g = v_n.conj().T @ a.ravel(order="F")
             values[i, j] = 1.0 / np.vdot(g, g).real
     return values
+
+
+def _check_music_against_reference(k, w_m, n_d, centered, w_k, p_sub, seed):
+    cfg = small_config(k=k, n=2 * k)
+    samples = _random_samples(np.random.default_rng(seed), 3, k, cfg.m_r * cfg.m_t)
+    cov = rv.smoothed_covariance(samples, rv.SmoothingSpec(w_k, w_m), 3)
+    grid = rv.GridSpec(d_max=0.1 * (n_d - 1), d_step=0.1, theta_max=0.3, theta_step=0.1)
+    assert grid.shape() == (n_d, 7)
+    spec = rv.music_spectrum(cov, p_sub, grid, cfg, centered=centered)
+    expected = _music_reference(cov, p_sub, grid, cfg, centered)
+    np.testing.assert_allclose(spec.values, expected, rtol=1e-9, atol=0)
+    return spec
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,17 +246,18 @@ def _music_reference(cov, p_sub, grid, cfg, centered):
     data=st.data(),
 )
 def test_music_spectrum_matches_per_cell_reference(k, w_m, n_d, centered, data):
-    cfg = small_config(k=k, n=2 * k)
     w_k = data.draw(st.integers(2 if w_m == 1 else 1, k), label="w_k")
     p_sub = data.draw(st.integers(1, w_k * w_m - 1), label="p_sub")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    samples = _random_samples(np.random.default_rng(seed), 3, k, cfg.m_r * cfg.m_t)
-    cov = rv.smoothed_covariance(samples, rv.SmoothingSpec(w_k, w_m), 3)
-    grid = rv.GridSpec(d_max=0.1 * (n_d - 1), d_step=0.1, theta_max=0.3, theta_step=0.1)
-    assert grid.shape() == (n_d, 7)
-    spec = rv.music_spectrum(cov, p_sub, grid, cfg, centered=centered)
-    expected = _music_reference(cov, p_sub, grid, cfg, centered)
-    np.testing.assert_allclose(spec.values, expected, rtol=1e-9, atol=0)
+    _check_music_against_reference(k, w_m, n_d, centered, w_k, p_sub, seed)
+
+
+def test_music_spectrum_deep_null_matches_reference():
+    # a two-element noise subspace whose null the 0.1 m grid passes within
+    # ~1e-4 of ||a||: the value is ~1.4e8, and a phase rounded at the full
+    # carrier turn count puts it 2e-9 off
+    spec = _check_music_against_reference(9, 1, 31, True, 2, 1, 2)
+    assert spec.values.max() > 1e8
 
 
 def test_music_spectrum_repeat_calls_bit_identical(walabot):
