@@ -170,8 +170,8 @@ def _cmd_evaluate(args) -> int:
     import csv
 
     from .dataio import DataError, read_container, read_header
-    from .pipeline import report_csv
-    from .trackeval import breathing_error, match_and_score
+    from .pipeline import PipelineConfig, report_csv
+    from .trackeval import match_and_score, score_breathing
 
     cube = read_container(args.truth)
     if cube.ground_truth is None:
@@ -179,20 +179,16 @@ def _cmd_evaluate(args) -> int:
     truth = cube.ground_truth
     estimates, labels = _read_detections_csv(args.infile)
     references = [p.location for p in truth.persons]
-    d_match = args.d_match if args.d_match is not None else 0.3
+    d_match = args.d_match if args.d_match is not None else PipelineConfig().d_match
     report = match_and_score(estimates, references, d_match)
 
     if args.breathing:
         with open(args.breathing, newline="", encoding="utf-8") as fh:
-            by_track = {int(r["track"]): float(r["f_hat_hz"]) for r in csv.DictReader(fh)}
-        errors = []
-        for ref_i, est_j, _ in report.matches:
-            f_hat = by_track.get(labels[est_j])
-            if f_hat is not None:
-                err = breathing_error(f_hat, truth.persons[ref_i].breath_freq)
-                errors.append(err)
-                print(f"person {ref_i}: breathing error {100 * err:+.1f} %")
-        report.breathing_errors = errors
+            rates = {int(r["track"]): float(r["f_hat_hz"]) for r in csv.DictReader(fh)}
+        errors = score_breathing(report, labels, rates, [p.breath_freq for p in truth.persons])
+        for ref_i, err in errors.items():
+            print(f"person {ref_i}: breathing error {100 * err:+.1f} %")
+        report.breathing_errors = list(errors.values())
 
     header = read_header(args.truth)
     text = report_csv(

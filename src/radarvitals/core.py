@@ -6,7 +6,9 @@ so instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 import warnings
 from dataclasses import dataclass
 
@@ -16,6 +18,68 @@ SPEED_OF_LIGHT = 2.99792458e8
 
 class ConfigError(ValueError):
     """Invalid radar, scene or pipeline configuration."""
+
+
+# Key/value codec of radar configs, pipeline configs and scenes: keys, types
+# and defaults are those of the dataclass fields.
+
+_BOOL_TEXT = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+_EXPECTED = {bool: "one of " + "/".join(_BOOL_TEXT), int: "an int", float: "a finite float"}
+_FORMAT = {bool: lambda v: "true" if v else "false", float: lambda v: repr(float(v))}
+
+
+def _scalar_fields(cls: type):
+    """Yield each ``bool``/``int``/``float``/``str`` field of a dataclass with
+    its type; ``X | None`` counts as ``X``."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        types = set(typing.get_args(hints[f.name]) or [hints[f.name]]) - {type(None)}
+        if len(types) == 1 and types <= {bool, int, float, str}:
+            yield f, types.pop()
+
+
+def parse_config_value(key: str, text: str, typ: type) -> object:
+    """Parse the text of entry ``key`` as ``bool``, ``int``, ``float`` or ``str``."""
+    try:
+        value = _BOOL_TEXT[text.lower()] if typ is bool else typ(text)
+    except (KeyError, ValueError):
+        value = None
+    if value is None or (typ is float and not math.isfinite(value)):
+        raise ConfigError(f"bad value for config key {key!r}: {text!r} is not {_EXPECTED[typ]}")
+    return value
+
+
+def config_from_entries(cls: type, entries: dict[str, str], prefix: str = "", **given):
+    """Build the dataclass ``cls`` from its ``prefix + field`` entries.
+
+    Scalar fields are parsed with ``parse_config_value``; one without a
+    default must be present. Other fields are passed in ``given``, and
+    entries under other keys are ignored.
+    """
+    kwargs = dict(given)
+    for f, typ in _scalar_fields(cls):
+        if f.name in given:
+            continue
+        key = prefix + f.name
+        if key in entries:
+            kwargs[f.name] = parse_config_value(key, entries[key], typ)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing config key {key!r}")
+    return cls(**kwargs)
+
+
+def config_to_entries(obj: object, prefix: str = "") -> dict[str, str]:
+    """One ``prefix + field`` entry per scalar field of ``obj`` that is not
+    ``None``, written so that ``config_from_entries`` reads it back exactly."""
+    entries = {}
+    for f, typ in _scalar_fields(type(obj)):
+        value = getattr(obj, f.name)
+        if value is not None:
+            entries[prefix + f.name] = _FORMAT.get(typ, str)(value)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -169,32 +233,10 @@ def cartesian_to_polar(loc: CartesianLocation) -> PolarLocation:
     return PolarLocation(math.hypot(loc.x, loc.y), math.atan2(loc.x, loc.y))
 
 
-_CONFIG_REQUIRED = ("f0", "k", "b", "n", "delta", "m_r", "m_t", "f_st")
-_CONFIG_INT = ("k", "n", "m_r", "m_t")
-_CONFIG_OPTIONAL = ("delta_t", "c", "t_tone", "t_sweep")
-
-
 def radar_config_from_entries(entries: dict[str, str]) -> RadarConfig:
     """Build a config from parsed key/value entries (keys mirror fields)."""
-    missing = [key for key in _CONFIG_REQUIRED if key not in entries]
-    if missing:
-        raise ConfigError(f"missing radar config keys: {', '.join(missing)}")
-    kwargs: dict[str, float | int] = {}
-    for key in _CONFIG_REQUIRED + _CONFIG_OPTIONAL:
-        if key not in entries:
-            continue
-        try:
-            kwargs[key] = int(entries[key]) if key in _CONFIG_INT else float(entries[key])
-        except ValueError as exc:
-            raise ConfigError(f"bad value for radar config key {key!r}: {entries[key]!r}") from exc
-    return RadarConfig(**kwargs)
+    return config_from_entries(RadarConfig, entries)
 
 
 def radar_config_to_entries(cfg: RadarConfig) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    for key in _CONFIG_REQUIRED + _CONFIG_OPTIONAL:
-        value = getattr(cfg, key)
-        if value is None:
-            continue
-        entries[key] = str(value) if key in _CONFIG_INT else repr(float(value))
-    return entries
+    return config_to_entries(cfg)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import BinaryIO, Mapping
 
 import numpy as np
 
 from .core import RadarConfig, derive_params, radar_config_from_entries, radar_config_to_entries
 from .kvfile import format_kv, parse_kv, read_kv
-from .simulate import MeasurementCube, Scene, scene_from_entries, scene_to_entries
+from .simulate import MeasurementCube, scene_from_entries, scene_to_entries
 
 RVC_MAGIC = "RVC1"
 _HEADER_END = b"end_header\n"
@@ -67,53 +67,58 @@ def write_container(
         fh.write(np.ascontiguousarray(cube.samples, dtype="<c16").tobytes())
 
 
-def _split_header(data: bytes, path) -> tuple[dict[str, str], int]:
-    head_end = data.find(_HEADER_END)
-    if head_end < 0:
-        raise RVCFormatError(f"{path}: missing end_header marker")
-    header_text = data[:head_end].decode("utf-8", errors="replace")
-    first, _, rest = header_text.partition("\n")
+def _read_header(fh: BinaryIO, path) -> tuple[dict[str, str], int]:
+    """Header entries and payload offset, reading no further than the
+    chunk that holds the ``end_header`` line."""
+    marker = b"\n" + _HEADER_END
+    data = b""
+    while (head_end := data.find(marker)) < 0:
+        chunk = fh.read(1 << 16)
+        if not chunk:
+            raise RVCFormatError(f"{path}: missing end_header marker")
+        data += chunk
+    first, _, rest = data[:head_end].decode("utf-8", errors="replace").partition("\n")
     if first.strip() != RVC_MAGIC:
         raise RVCFormatError(f"{path}: bad magic {first.strip()!r}, expected {RVC_MAGIC!r}")
     try:
         entries = parse_kv(rest)
     except ValueError as exc:
         raise RVCFormatError(f"{path}: malformed header: {exc}") from exc
-    return entries, head_end + len(_HEADER_END)
+    return entries, head_end + len(marker)
 
 
 def read_header(path: str | os.PathLike) -> dict[str, str]:
     """Header entries only (cheap way to get meta/ground-truth keys)."""
-    entries, _ = _split_header(Path(path).read_bytes(), path)
-    return entries
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)[0]
 
 
 def read_container(path: str | os.PathLike) -> MeasurementCube:
     """Read and strictly validate an "RVC1" container."""
-    data = Path(path).read_bytes()
-    entries, payload_offset = _split_header(data, path)
-    try:
-        l = int(entries["l"])
-        m = int(entries["m"])
-        cfg = radar_config_from_entries(entries)
-    except (KeyError, ValueError) as exc:
-        raise RVCFormatError(f"{path}: bad or missing header field: {exc}") from exc
-    if m != cfg.m_r * cfg.m_t:
-        raise RVCFormatError(
-            f"{path}: header m={m} inconsistent with m_r*m_t={cfg.m_r * cfg.m_t}"
-        )
-    expected = l * cfg.k * m * 16
-    actual = len(data) - payload_offset
-    if actual != expected:
-        raise RVCFormatError(
-            f"{path}: payload holds {actual} bytes but the header promises "
-            f"{expected} (l*k*m complex128) starting at byte offset {payload_offset}"
-        )
-    samples = (
-        np.frombuffer(data, dtype="<c16", count=l * cfg.k * m, offset=payload_offset)
-        .reshape(l, cfg.k, m)
-        .copy()
-    )
+    with open(path, "rb") as fh:
+        entries, payload_offset = _read_header(fh, path)
+        try:
+            l = int(entries["l"])
+            m = int(entries["m"])
+            cfg = radar_config_from_entries(entries)
+            truth_entries = {k.removeprefix("truth."): v for k, v in entries.items()
+                             if k.startswith("truth.")}
+            truth = scene_from_entries(truth_entries)[0] if truth_entries else None
+        except (KeyError, ValueError) as exc:
+            raise RVCFormatError(f"{path}: bad or missing header field: {exc}") from exc
+        if m != cfg.m_r * cfg.m_t:
+            raise RVCFormatError(
+                f"{path}: header m={m} inconsistent with m_r*m_t={cfg.m_r * cfg.m_t}"
+            )
+        expected = l * cfg.k * m * 16
+        actual = os.fstat(fh.fileno()).st_size - payload_offset
+        if actual != expected:
+            raise RVCFormatError(
+                f"{path}: payload holds {actual} bytes but the header promises "
+                f"{expected} (l*k*m complex128) starting at byte offset {payload_offset}"
+            )
+        fh.seek(payload_offset)
+        samples = np.fromfile(fh, dtype="<c16", count=l * cfg.k * m).reshape(l, cfg.k, m)
     check_finite(samples, path)
     if "slow_time" not in entries:
         raise RVCFormatError(f"{path}: header lacks the slow_time vector")
@@ -122,20 +127,7 @@ def read_container(path: str | os.PathLike) -> MeasurementCube:
         raise RVCFormatError(
             f"{path}: slow_time has {slow_time.size} entries, header promises {l}"
         )
-    truth = _truth_from_entries(entries)
     return MeasurementCube(samples, slow_time, cfg, ground_truth=truth)
-
-
-def _truth_from_entries(entries: dict[str, str]) -> Scene | None:
-    truth_entries = {
-        key[len("truth.") :]: value
-        for key, value in entries.items()
-        if key.startswith("truth.")
-    }
-    if not truth_entries:
-        return None
-    scene, _ = scene_from_entries(truth_entries)
-    return scene
 
 
 def downconvert_decimate(

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .core import PolarLocation, RadarConfig
+from .core import ConfigError, PolarLocation, RadarConfig
 
 _DENOM_FLOOR = np.finfo(np.float64).tiny
 # ranges per scan GEMM; bounds the (block, n_t, n_noise) working set to a
@@ -208,6 +208,18 @@ class GridSpec:
     d_step: float = 0.025
     theta_max: float = 0.4 * math.pi
     theta_step: float = math.pi / 180
+
+    def __post_init__(self) -> None:
+        if not self.d_step > 0:
+            raise ConfigError(f"config key 'grid.d_step' must be > 0, got {self.d_step}")
+        if not self.theta_step > 0:
+            raise ConfigError(f"config key 'grid.theta_step' must be > 0, got {self.theta_step}")
+        if not self.d_max >= 0:
+            raise ConfigError(f"config key 'grid.d_max' must be >= 0, got {self.d_max}")
+        if not 0 <= self.theta_max < math.pi / 2:
+            raise ConfigError(
+                f"config key 'grid.theta_max' must lie in [0, pi/2), got {self.theta_max}"
+            )
 
     def shape(self) -> tuple[int, int]:
         n_d = int(math.floor(self.d_max / self.d_step + 1 + 1e-9))

@@ -34,7 +34,7 @@ class ModelOrderConfig:
     p_max: int = 15
 
     def __post_init__(self) -> None:
-        if self.alpha < 1:
+        if not self.alpha >= 1:
             raise ConfigError(f"alpha must be >= 1, got {self.alpha}")
         if self.n_candidates < 1:
             raise ConfigError("n_candidates must be >= 1")

@@ -12,11 +12,19 @@ periodograms.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, DerivedParams, RadarConfig, derive_params, polar_to_cartesian
+from .core import (
+    ConfigError,
+    DerivedParams,
+    RadarConfig,
+    config_from_entries,
+    config_to_entries,
+    derive_params,
+    polar_to_cartesian,
+)
 from .dataio import check_finite, read_container
 from .localize import (
     DetectionSet,
@@ -32,19 +40,8 @@ from .localize import (
 from .modelorder import ModelOrderConfig, OrderDiagnostics, order_diagnostics
 from .preprocess import segment, sma_filter
 from .simulate import MeasurementCube, Scene
-from .trackeval import EvalReport, Track, breathing_error, match_and_score, update_tracks
+from .trackeval import EvalReport, Track, match_and_score, score_breathing, update_tracks
 from .vitals import breathing_frequency, build_filter, extract_displacement
-
-_CONFIG_FIELD_TYPES = {
-    "w_st": int, "l_st": int, "w_k_music": int, "w_m_music": int,
-    "w_k_moe": int, "w_m_moe": int, "n_cov": int, "p_sub": int,
-    "alpha": float, "n_candidates": int, "p_max": int,
-    "group_radius": float, "track_radius": float, "d_match": float,
-    "window": str, "band_lo": float, "band_hi": float, "pad_factor": int,
-    "accumulate": bool,
-}
-_GRID_KEYS = ("d_max", "d_step", "theta_max", "theta_step")
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -97,9 +94,8 @@ class PipelineConfig:
             raise ConfigError("n_cov must lie in [1, l_st]")
         if not 1 <= self.p_sub < self.w_k_music * self.w_m_music:
             raise ConfigError("p_sub must be < w_k_music * w_m_music")
-        if self.alpha < 1:
-            raise ConfigError("alpha must be >= 1")
-        if min(self.group_radius, self.track_radius, self.d_match) <= 0:
+        self.order_config(cfg.k, derived.m)  # checks alpha, n_candidates and p_max
+        if not all(r > 0 for r in (self.group_radius, self.track_radius, self.d_match)):
             raise ConfigError("radii must be positive")
         if not 0 <= self.band_lo < self.band_hi:
             raise ConfigError("breathing band must satisfy 0 <= lo < hi")
@@ -108,41 +104,16 @@ class PipelineConfig:
 
 
 def pipeline_config_from_entries(entries: dict[str, str]) -> PipelineConfig:
-    kwargs: dict = {}
-    grid_kwargs: dict = {}
-    for key, value in entries.items():
-        if key.startswith("grid."):
-            name = key[len("grid.") :]
-            if name not in _GRID_KEYS:
-                raise ConfigError(f"unknown grid key {key!r}")
-            grid_kwargs[name] = float(value)
-        elif key in _CONFIG_FIELD_TYPES:
-            typ = _CONFIG_FIELD_TYPES[key]
-            if typ is bool:
-                kwargs[key] = value.lower() in ("1", "true", "yes", "on")
-            else:
-                kwargs[key] = typ(value)
-        else:
-            raise ConfigError(f"unknown pipeline config key {key!r}")
-    if grid_kwargs:
-        kwargs["grid"] = GridSpec(**grid_kwargs)
-    return PipelineConfig(**kwargs)
+    """Build a config from key/value entries; the grid is read under ``grid.``."""
+    unknown = sorted(set(entries) - set(pipeline_config_to_entries(PipelineConfig())))
+    if unknown:
+        raise ConfigError(f"unknown pipeline config key {unknown[0]!r}")
+    grid = config_from_entries(GridSpec, entries, "grid.")
+    return config_from_entries(PipelineConfig, entries, grid=grid)
 
 
 def pipeline_config_to_entries(config: PipelineConfig) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.name == "grid":
-            for key in _GRID_KEYS:
-                entries[f"grid.{key}"] = repr(float(getattr(value, key)))
-        elif isinstance(value, bool):
-            entries[f.name] = "true" if value else "false"
-        elif isinstance(value, float):
-            entries[f.name] = repr(value)
-        else:
-            entries[f.name] = str(value)
-    return entries
+    return {**config_to_entries(config), **config_to_entries(config.grid, "grid.")}
 
 
 @dataclass
@@ -263,18 +234,10 @@ def evaluate_result(
     references = [p.location for p in truth.persons]
     report = match_and_score(estimates, references, d_match)
     if result.segments:
-        labels = result.segments[-1].track_labels
-        by_label = {t.label: t for t in result.tracks}
-        errors = []
-        for ref_i, est_j, _ in report.matches:
-            track = by_label.get(labels[est_j])
-            if track is not None and track.breathing_estimate is not None:
-                errors.append(
-                    breathing_error(
-                        track.breathing_estimate, truth.persons[ref_i].breath_freq
-                    )
-                )
-        report.breathing_errors = errors
+        rates = {t.label: t.breathing_estimate for t in result.tracks}
+        truth_rates = [p.breath_freq for p in truth.persons]
+        errors = score_breathing(report, result.segments[-1].track_labels, rates, truth_rates)
+        report.breathing_errors = list(errors.values())
     return report
 
 

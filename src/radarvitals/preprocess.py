@@ -16,7 +16,6 @@ class SegmentedCube:
 
     segments: list[MeasurementCube]
     l_st: int
-    w_st: int | None = None
 
 
 def sma_filter(cube: MeasurementCube, w_st: int) -> MeasurementCube:

@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, PolarLocation, RadarConfig, derive_params
+from .core import (
+    ConfigError,
+    PolarLocation,
+    RadarConfig,
+    config_from_entries,
+    config_to_entries,
+    derive_params,
+    parse_config_value,
+)
 
 
 @dataclass(frozen=True)
@@ -185,55 +193,68 @@ def range_profile(snapshot: np.ndarray, n: int) -> np.ndarray:
     return np.abs(np.fft.ifft(snapshot, n=n) * (n / k))
 
 
-_PERSON_KEYS = (
-    "d",
-    "theta",
-    "amplitude",
-    "amplitude_phase",
-    "breath_freq",
-    "breath_amp",
-    "breath_phase",
-    "heart_freq",
-    "heart_amp",
-    "heart_phase",
-)
-_REFLECTOR_KEYS = ("d", "theta", "gain", "gain_phase")
-_SCENE_KEYS = ("l", "f_st", "noise_std", "seed", "slow_time_jitter")
+def _polar_from_entries(entries: dict[str, str], key: str, default: complex) -> complex:
+    """A complex gain stored as magnitude ``key`` and phase (rad) ``key_phase``."""
+    magnitude, phase = (
+        parse_config_value(k, entries[k], float) if k in entries else fallback
+        for k, fallback in ((key, abs(default)), (key + "_phase", float(np.angle(default))))
+    )
+    return complex(magnitude * np.exp(1j * phase))
 
 
-def _person_from_fields(fields: dict[str, str]) -> PersonModel:
-    unknown = set(fields) - set(_PERSON_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown person keys: {sorted(unknown)}")
-    get = lambda key, default: float(fields.get(key, default))
-    amplitude = get("amplitude", 1.0) * np.exp(1j * get("amplitude_phase", 0.0))
-    return PersonModel(
-        location=PolarLocation(float(fields["d"]), float(fields["theta"])),
-        amplitude=complex(amplitude),
-        breath_freq=get("breath_freq", 0.3),
-        breath_amp=get("breath_amp", 0.004),
-        breath_phase=get("breath_phase", 0.0),
-        heart_freq=get("heart_freq", 0.0),
-        heart_amp=get("heart_amp", 0.0),
-        heart_phase=get("heart_phase", 0.0),
+def _polar_to_entries(value: complex, key: str) -> dict[str, str]:
+    return {key: repr(float(abs(value))), key + "_phase": repr(float(np.angle(value)))}
+
+
+def _person_from_entries(entries: dict[str, str], prefix: str) -> PersonModel:
+    location = config_from_entries(PolarLocation, entries, prefix)
+    amplitude = _polar_from_entries(entries, prefix + "amplitude", PersonModel.amplitude)
+    return config_from_entries(
+        PersonModel, entries, prefix, location=location, amplitude=amplitude
     )
 
 
-def _collect_indexed(entries: dict[str, str], prefix: str) -> list[dict[str, str]]:
+def _person_to_entries(person: PersonModel, prefix: str) -> dict[str, str]:
+    return {
+        **config_to_entries(person.location, prefix),
+        **_polar_to_entries(person.amplitude, prefix + "amplitude"),
+        **config_to_entries(person, prefix),
+    }
+
+
+def _reflector_from_entries(entries: dict[str, str], prefix: str) -> tuple:
+    location = config_from_entries(PolarLocation, entries, prefix)
+    return location, _polar_from_entries(entries, prefix + "gain", 1.0)
+
+
+def _reflector_to_entries(reflector: tuple, prefix: str) -> dict[str, str]:
+    location, gain = reflector
+    return {**config_to_entries(location, prefix), **_polar_to_entries(gain, prefix + "gain")}
+
+
+def _read_indexed(entries: dict[str, str], kind: str, read, write) -> tuple:
+    """Read every ``kind.<index>.<field>`` group in index order; a field is
+    known when ``write`` stores it for the item read."""
     groups: dict[int, dict[str, str]] = {}
     for key, value in entries.items():
-        if not key.startswith(prefix + "."):
+        if not key.startswith(kind + "."):
             continue
-        rest = key[len(prefix) + 1 :]
-        idx_text, _, fieldname = rest.partition(".")
-        if not fieldname:
+        idx_text, _, name = key[len(kind) + 1 :].partition(".")
+        if not name:
             raise ConfigError(f"malformed key {key!r}")
         try:
             idx = int(idx_text)
-        except ValueError as exc:
-            raise ConfigError(f"malformed key {key!r}") from exc
-        groups.setdefault(idx, {})[fieldname] = value
-    return [groups[idx] for idx in sorted(groups)]
+        except ValueError:
+            raise ConfigError(f"malformed key {key!r}") from None
+        groups.setdefault(idx, {})[f"{kind}.{idx}.{name}"] = value
+    items = []
+    for idx in sorted(groups):
+        item = read(groups[idx], f"{kind}.{idx}.")
+        unknown = sorted(set(groups[idx]) - set(write(item, f"{kind}.{idx}.")))
+        if unknown:
+            raise ConfigError(f"unknown scene key {unknown[0]!r}")
+        items.append(item)
+    return tuple(items)
 
 
 def scene_from_entries(entries: dict[str, str]) -> tuple[Scene, dict[str, str]]:
@@ -242,67 +263,31 @@ def scene_from_entries(entries: dict[str, str]) -> tuple[Scene, dict[str, str]]:
     Returns the scene plus any leftover entries (``id``, ``obstacle`` and
     ``meta.*`` passthrough keys); anything else unknown is an error.
     """
-    persons = tuple(_person_from_fields(f) for f in _collect_indexed(entries, "person"))
-    reflectors = []
-    for fields in _collect_indexed(entries, "reflector"):
-        unknown = set(fields) - set(_REFLECTOR_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown reflector keys: {sorted(unknown)}")
-        gain = float(fields.get("gain", 1.0)) * np.exp(
-            1j * float(fields.get("gain_phase", 0.0))
-        )
-        reflectors.append(
-            (PolarLocation(float(fields["d"]), float(fields["theta"])), complex(gain))
-        )
-
+    persons = _read_indexed(entries, "person", _person_from_entries, _person_to_entries)
+    reflectors = _read_indexed(
+        entries, "reflector", _reflector_from_entries, _reflector_to_entries
+    )
+    clutter = config_from_entries(ClutterModel, entries, static_reflectors=reflectors)
+    scene = config_from_entries(Scene, entries, persons=persons, clutter=clutter)
+    known = scene_to_entries(scene)
     extras: dict[str, str] = {}
     for key, value in entries.items():
-        if key.startswith(("person.", "reflector.")) or key in _SCENE_KEYS:
+        if key.startswith(("person.", "reflector.")) or key in known:
             continue
         if key in ("id", "obstacle") or key.startswith("meta."):
             extras[key] = value
         else:
             raise ConfigError(f"unknown scene key {key!r}")
-
-    scene = Scene(
-        persons=persons,
-        clutter=ClutterModel(
-            static_reflectors=tuple(reflectors),
-            noise_std=float(entries.get("noise_std", 0.0)),
-            seed=int(entries.get("seed", 0)),
-        ),
-        l=int(entries.get("l", 200)),
-        f_st=float(entries.get("f_st", 10.0)),
-        slow_time_jitter=float(entries.get("slow_time_jitter", 0.0)),
-    )
     return scene, extras
 
 
 def scene_to_entries(scene: Scene) -> dict[str, str]:
-    fmt = lambda x: repr(float(x))
-    entries = {
-        "l": str(scene.l),
-        "f_st": fmt(scene.f_st),
-        "noise_std": fmt(scene.clutter.noise_std),
-        "seed": str(scene.clutter.seed),
-        "slow_time_jitter": fmt(scene.slow_time_jitter),
-    }
+    head = config_to_entries(scene)
+    jitter = head.pop("slow_time_jitter")
+    # container headers list the jitter after the clutter keys
+    entries = {**head, **config_to_entries(scene.clutter), "slow_time_jitter": jitter}
     for i, person in enumerate(scene.persons):
-        prefix = f"person.{i}"
-        entries[f"{prefix}.d"] = fmt(person.location.d)
-        entries[f"{prefix}.theta"] = fmt(person.location.theta)
-        entries[f"{prefix}.amplitude"] = fmt(abs(person.amplitude))
-        entries[f"{prefix}.amplitude_phase"] = fmt(np.angle(person.amplitude))
-        entries[f"{prefix}.breath_freq"] = fmt(person.breath_freq)
-        entries[f"{prefix}.breath_amp"] = fmt(person.breath_amp)
-        entries[f"{prefix}.breath_phase"] = fmt(person.breath_phase)
-        entries[f"{prefix}.heart_freq"] = fmt(person.heart_freq)
-        entries[f"{prefix}.heart_amp"] = fmt(person.heart_amp)
-        entries[f"{prefix}.heart_phase"] = fmt(person.heart_phase)
-    for i, (loc, gain) in enumerate(scene.clutter.static_reflectors):
-        prefix = f"reflector.{i}"
-        entries[f"{prefix}.d"] = fmt(loc.d)
-        entries[f"{prefix}.theta"] = fmt(loc.theta)
-        entries[f"{prefix}.gain"] = fmt(abs(gain))
-        entries[f"{prefix}.gain_phase"] = fmt(np.angle(gain))
+        entries.update(_person_to_entries(person, f"person.{i}."))
+    for i, reflector in enumerate(scene.clutter.static_reflectors):
+        entries.update(_reflector_to_entries(reflector, f"reflector.{i}."))
     return entries

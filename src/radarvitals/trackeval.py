@@ -32,10 +32,6 @@ class Track:
     breathing_estimate: float | None = None
 
     @property
-    def last_segment(self) -> int:
-        return self.records[-1][0]
-
-    @property
     def last_location(self) -> PolarLocation:
         return self.records[-1][1].location
 
@@ -144,6 +140,19 @@ def match_and_score(
         mean_location_error=float(np.mean(errors)) if errors else None,
         median_location_error=float(np.median(errors)) if errors else None,
     )
+
+
+def score_breathing(
+    report: EvalReport, labels: list[int], rates: dict[int, float | None], truth_rates: list[float]
+) -> dict[int, float]:
+    """Relative breathing error per reference index, in match order, for
+    each match whose estimate's track label (``labels``) has a rate."""
+    errors = {}
+    for ref_i, est_j, _ in report.matches:
+        f_hat = rates.get(labels[est_j])
+        if f_hat is not None:
+            errors[ref_i] = breathing_error(f_hat, truth_rates[ref_i])
+    return errors
 
 
 def breathing_error(estimate: float, reference: float) -> float:

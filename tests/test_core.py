@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import radarvitals as rv
 from radarvitals.core import radar_config_from_entries, radar_config_to_entries
@@ -133,3 +135,78 @@ def test_config_entries_roundtrip(walabot):
 def test_config_entries_missing_key():
     with pytest.raises(rv.ConfigError, match="missing"):
         radar_config_from_entries({"f0": "6.3e9"})
+
+
+def _positive(hi):
+    return st.floats(min_value=1e-9, max_value=hi, allow_nan=False, allow_subnormal=False)
+
+
+@given(
+    k=st.integers(2, 300),
+    extra=st.integers(0, 300),
+    f0=_positive(1e11),
+    b=_positive(1e10),
+    delta=_positive(1.0),
+    m_r=st.integers(1, 8),
+    m_t=st.integers(1, 4),
+    f_st=_positive(1e3),
+    c=_positive(1e9),
+    times=st.tuples(st.none() | _positive(1.0), st.none() | _positive(1.0)),
+)
+def test_radar_config_entries_roundtrip_property(k, extra, f0, b, delta, m_r, m_t, f_st, c, times):
+    cfg = rv.RadarConfig(f0=f0, k=k, b=b, n=k + extra, delta=delta, m_r=m_r, m_t=m_t,
+                         f_st=f_st, c=c, t_tone=times[0], t_sweep=times[1])
+    entries = radar_config_to_entries(cfg)
+    assert ("t_tone" in entries, "t_sweep" in entries) == (times[0] is not None,
+                                                           times[1] is not None)
+    assert radar_config_from_entries(entries) == cfg
+
+
+_RADAR = {"f0": "6.3e9", "k": "8", "b": "1e9", "n": "16", "delta": "0.02",
+          "m_r": "2", "m_t": "2", "f_st": "10.0"}
+_PERSON = {"person.0.d": "2.0", "person.0.theta": "0.1"}
+
+
+@pytest.mark.parametrize(
+    "read, entries, key",
+    [
+        (rv.pipeline_config_from_entries, {"accumulate": "ture"}, "accumulate"),
+        (rv.pipeline_config_from_entries, {"w_st": "1.5"}, "w_st"),
+        (rv.pipeline_config_from_entries, {"w_st": "abc"}, "w_st"),
+        (rv.pipeline_config_from_entries, {"alpha": "nan"}, "alpha"),
+        (rv.pipeline_config_from_entries, {"d_match": "nan"}, "d_match"),
+        (rv.pipeline_config_from_entries, {"band_hi": "inf"}, "band_hi"),
+        (rv.pipeline_config_from_entries, {"grid.d_step": "abc"}, "grid.d_step"),
+        (rv.pipeline_config_from_entries, {"grid.d_step": "0"}, "grid.d_step"),
+        (rv.pipeline_config_from_entries, {"grid.d_step": "-0.1"}, "grid.d_step"),
+        (rv.pipeline_config_from_entries, {"grid.theta_step": "0"}, "grid.theta_step"),
+        (rv.pipeline_config_from_entries, {"grid.d_max": "-1.0"}, "grid.d_max"),
+        (rv.pipeline_config_from_entries, {"grid.theta_max": "1.6"}, "grid.theta_max"),
+        (rv.pipeline_config_from_entries, {"grid.theta_max": "-0.1"}, "grid.theta_max"),
+        (radar_config_from_entries, {**_RADAR, "f0": "nan"}, "f0"),
+        (radar_config_from_entries, {**_RADAR, "c": "-inf"}, "c"),
+        (radar_config_from_entries, {**_RADAR, "k": "1.5"}, "k"),
+        (radar_config_from_entries, {**_RADAR, "m_r": "two"}, "m_r"),
+        (radar_config_from_entries, {k: v for k, v in _RADAR.items() if k != "f_st"}, "f_st"),
+        (rv.scene_from_entries, {"l": "abc"}, "l"),
+        (rv.scene_from_entries, {"seed": "0.5"}, "seed"),
+        (rv.scene_from_entries, {"noise_std": "nan"}, "noise_std"),
+        (rv.scene_from_entries, {"person.0.theta": "0.1"}, "person.0.d"),
+        (rv.scene_from_entries, {**_PERSON, "person.0.breath_freq": "inf"}, "person.0.breath_freq"),
+        (rv.scene_from_entries, {**_PERSON, "person.0.amplitude_phase": "nan"},
+         "person.0.amplitude_phase"),
+        (rv.scene_from_entries, {**_PERSON, "person.0.wobble": "1"}, "person.0.wobble"),
+        (rv.scene_from_entries, {"reflector.0.d": "1.0"}, "reflector.0.theta"),
+        (rv.scene_from_entries, {"reflector.0.d": "1.0", "reflector.0.theta": "0",
+                                 "reflector.0.gain": "1e999"}, "reflector.0.gain"),
+    ],
+)
+def test_bad_config_entry_names_its_key(read, entries, key):
+    with pytest.raises(rv.ConfigError, match=re.escape(repr(key))):
+        read(entries)
+
+
+@pytest.mark.parametrize("text", ["1", "true", "Yes", "ON", "0", "False", "no", "OFF"])
+def test_bool_entry_spellings(text):
+    config = rv.pipeline_config_from_entries({"accumulate": text})
+    assert config.accumulate == (text.lower() in ("1", "true", "yes", "on"))

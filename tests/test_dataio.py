@@ -1,7 +1,11 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import radarvitals as rv
+from radarvitals.cli import main
 from helpers import breather, raw_recording_of, scene_of, small_config
 
 
@@ -65,6 +69,70 @@ def test_container_missing_end_marker(tmp_path):
     path.write_bytes(b"RVC1\nl 1\n")
     with pytest.raises(rv.RVCFormatError, match="end_header"):
         rv.read_container(path)
+
+
+def test_container_meta_may_contain_end_header(tmp_path):
+    # the header ends at a line "end_header", not at the text inside a value
+    path = tmp_path / "cube.rvc"
+    rv.write_container(_random_cube(small_config()), path, meta={"id": "xend_header"})
+    assert rv.read_header(path)["meta.id"] == "xend_header"
+    assert rv.read_container(path).samples.shape == (4, 12, 4)
+
+
+def test_container_malformed_truth_names_key(tmp_path):
+    truth = scene_of([breather(1.5, -20.0)], l=4)
+    path = tmp_path / "cube.rvc"
+    rv.write_container(_random_cube(small_config(), truth=truth), path)
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"truth.person.0.d 1.5\n", b""))
+    with pytest.raises(rv.RVCFormatError, match="'person.0.d'"):
+        rv.read_container(path)
+    det = tmp_path / "det.csv"
+    det.write_text("segment,p_hat,track,d_m,theta_rad,x_m,y_m,value\n", encoding="utf-8")
+    assert main(["evaluate", "--in", str(det), "--truth", str(path)]) == 3
+
+
+def test_read_header_stops_at_end_header(tmp_path):
+    cfg = rv.RadarConfig(f0=6.3e9, k=64, b=1e9, n=64, delta=0.02, m_r=4, m_t=2, f_st=10.0)
+    cube = _random_cube(cfg, l=250)
+    path = tmp_path / "cube.rvc"
+    rv.write_container(cube, path, meta={"id": "T"})
+    payload = cube.samples.nbytes  # 2 MB
+    tracemalloc.start()
+    try:
+        assert rv.read_header(path)["meta.id"] == "T"
+        header_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rv.read_container(path)
+        container_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert header_peak < payload / 8
+    assert container_peak < 1.25 * payload  # the samples, not the file bytes plus a copy
+
+
+def test_simulated_container_golden_sha256(tmp_path):
+    # captured from the hand-written key tables the codec replaced
+    radar = tmp_path / "radar.kv"
+    radar.write_text("f0 6300000000.0\nk 12\nb 300000000.0\nn 24\ndelta 0.02\n"
+                     "m_r 2\nm_t 2\nf_st 10.0\n", encoding="utf-8")
+    scene = tmp_path / "scene.kv"
+    scene.write_text(
+        "l 8\nf_st 10.0\nnoise_std 0.05\nseed 3\nslow_time_jitter 0.002\n"
+        "person.0.d 1.5\nperson.0.theta -0.3\nperson.0.amplitude 0.8\n"
+        "person.0.amplitude_phase 0.4\nperson.0.breath_freq 0.27\n"
+        "person.0.heart_freq 1.1\nperson.0.heart_amp 0.0002\n"
+        "person.1.d 2.5\nperson.1.theta 0.2\n"
+        "reflector.0.d 4.0\nreflector.0.theta 0.1\nreflector.0.gain 0.3\n"
+        "reflector.0.gain_phase -0.6\nid G1\nobstacle wall\nmeta.note golden\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "g.rvc"
+    assert main(["simulate", "--scenario", str(scene), "--config", str(radar),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7206bc0ae58ec09cefc515f28fbd18704b7ef1e170afe0d230fdd84d0e17cb7d"
+    )
 
 
 def test_downconvert_center_tone_lands_at_dc(walabot):

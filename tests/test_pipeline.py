@@ -78,6 +78,30 @@ def test_pipeline_config_roundtrip():
     assert pipeline_config_from_entries(entries) == config
 
 
+@given(
+    st.fixed_dictionaries({
+        **dict.fromkeys(["w_st", "l_st", "w_k_music", "w_m_music", "w_k_moe", "w_m_moe",
+                         "n_cov", "p_sub", "n_candidates", "p_max", "pad_factor"],
+                        st.integers(-10**6, 10**6)),
+        **dict.fromkeys(["alpha", "group_radius", "track_radius", "d_match", "band_lo",
+                         "band_hi"], st.floats(allow_nan=False, allow_infinity=False)),
+        "window": st.sampled_from(["hann", "hamming", "boxcar"]),
+        "accumulate": st.booleans(),
+        "grid": st.builds(
+            rv.GridSpec,
+            d_max=st.floats(0.0, 100.0),
+            d_step=st.floats(1e-6, 10.0),
+            theta_max=st.floats(0.0, np.pi / 2, exclude_max=True),
+            theta_step=st.floats(1e-6, 1.0),
+        ),
+    })
+)
+def test_pipeline_config_entries_roundtrip_property(fields):
+    # range checks belong to validate(); the codec round-trips any finite value
+    config = rv.PipelineConfig(**fields)
+    assert pipeline_config_from_entries(pipeline_config_to_entries(config)) == config
+
+
 def test_pipeline_config_unknown_key():
     with pytest.raises(rv.ConfigError, match="unknown"):
         pipeline_config_from_entries({"bogus": "1"})
@@ -290,3 +314,26 @@ def test_cli_bad_scene_key_is_usage_error(tmp_path):
     scene_path.write_text("l 10\nwhoops 3\n", encoding="utf-8")
     assert main(["simulate", "--scenario", str(scene_path),
                  "--out", str(tmp_path / "x.rvc")]) == 2
+
+
+def test_cli_scene_missing_key_is_usage_error(tmp_path, capsys):
+    scene_path = tmp_path / "scene.kv"
+    scene_path.write_text("l 10\nperson.0.theta 0.1\n", encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scene_path),
+                 "--out", str(tmp_path / "x.rvc")]) == 2
+    assert "'person.0.d'" in capsys.readouterr().err
+
+
+def test_cli_bad_pipeline_config_is_usage_error(tmp_path, capsys):
+    scene_path = tmp_path / "scene.kv"
+    _write_scene(scene_path)
+    container = tmp_path / "rec.rvc"
+    assert main(["simulate", "--scenario", str(scene_path), "--out", str(container)]) == 0
+    config = tmp_path / "pipe.kv"
+    for line in ("grid.d_step 0", "grid.theta_step 0", "grid.d_step -0.1",
+                 "grid.theta_max 1.6", "grid.d_max -1", "accumulate ture", "alpha nan"):
+        config.write_text(line + "\n", encoding="utf-8")
+        code = main(["detect", "--in", str(container), "--out", str(tmp_path / "o.csv"),
+                     "--config", str(config)])
+        assert code == 2, line
+        assert f"'{line.split()[0]}'" in capsys.readouterr().err

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import radarvitals as rv
 from helpers import breather, scene_of, small_config
@@ -184,6 +187,49 @@ def test_scene_entries_roundtrip():
     r_loc, r_gain = back.clutter.static_reflectors[0]
     assert r_loc == rv.PolarLocation(4.0, 0.1)
     assert r_gain == pytest.approx(0.3 - 0.2j)
+
+
+_LOCATIONS = st.builds(
+    rv.PolarLocation,
+    st.floats(0.0, 50.0),
+    st.floats(-np.pi / 2, np.pi / 2, exclude_min=True, exclude_max=True),
+)
+_GAINS = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+_PHASES = st.floats(-10.0, 10.0)
+_SCENES = st.builds(
+    rv.Scene,
+    persons=st.lists(st.builds(
+        rv.PersonModel, _LOCATIONS, _GAINS, st.floats(1e-6, 100.0), st.floats(0.0, 1.0),
+        _PHASES, st.floats(0.0, 10.0), st.floats(0.0, 1.0), _PHASES,
+    ), max_size=3).map(tuple),
+    clutter=st.builds(
+        rv.ClutterModel,
+        st.lists(st.tuples(_LOCATIONS, _GAINS), max_size=3).map(tuple),
+        st.floats(0.0, 10.0),
+        st.integers(0, 2**63),
+    ),
+    l=st.integers(1, 10**7),
+    f_st=st.floats(1e-3, 1e4),
+    slow_time_jitter=st.floats(0.0, 1.0),
+)
+
+
+@given(_SCENES)
+def test_scene_entries_roundtrip_property(scene):
+    # gains are stored as magnitude and phase, so they come back to rounding
+    back, extras = rv.scene_from_entries(rv.scene_to_entries(scene))
+    assert extras == {}
+
+    def gains(s):
+        return [p.amplitude for p in s.persons] + [g for _, g in s.clutter.static_reflectors]
+
+    def without_gains(s):
+        persons = tuple(replace(p, amplitude=0) for p in s.persons)
+        reflectors = tuple(loc for loc, _ in s.clutter.static_reflectors)
+        return replace(s, persons=persons, clutter=replace(s.clutter, static_reflectors=reflectors))
+
+    assert without_gains(back) == without_gains(scene)
+    assert gains(back) == pytest.approx(gains(scene), rel=1e-12, abs=1e-12)
 
 
 def test_scene_unknown_key_rejected():
