@@ -119,8 +119,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_vitals(args) -> int:
-    from .pipeline import breathing_csv, run_pipeline, vitals_csv
-    from .vitals import averaged_periodogram
+    from .pipeline import breathing_csv, periodogram_csv, run_pipeline, vitals_csv
 
     config = _load_pipeline_config(args.config)
     result = run_pipeline(args.infile, config)
@@ -128,16 +127,7 @@ def _cmd_vitals(args) -> int:
     if args.breathing_out:
         Path(args.breathing_out).write_text(breathing_csv(result), encoding="utf-8")
     if args.periodogram_out:
-        lines = ["track,f_hz,power"]
-        for track in sorted(result.tracks, key=lambda t: t.label):
-            series = [vs for _, vs in track.series]
-            if not series:
-                continue
-            freqs, power = averaged_periodogram(series, config.pad_factor)
-            lines.extend(
-                f"{track.label},{f!r},{p!r}" for f, p in zip(freqs, power)
-            )
-        Path(args.periodogram_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.periodogram_out).write_text(periodogram_csv(result), encoding="utf-8")
     for track in sorted(result.tracks, key=lambda t: t.label):
         if track.breathing_estimate is not None:
             loc = track.last_location
@@ -148,49 +138,27 @@ def _cmd_vitals(args) -> int:
     return 0
 
 
-def _read_detections_csv(path):
-    import csv
-
-    from .core import PolarLocation
-
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(row)
-    if not rows:
-        return [], []
-    last = max(int(r["segment"]) for r in rows)
-    final = [r for r in rows if int(r["segment"]) == last]
-    locations = [PolarLocation(float(r["d_m"]), float(r["theta_rad"])) for r in final]
-    labels = [int(r["track"]) for r in final]
-    return locations, labels
-
-
 def _cmd_evaluate(args) -> int:
-    import csv
-
-    from .dataio import DataError, read_container, read_header
-    from .pipeline import PipelineConfig, report_csv
+    from .dataio import DataError, ground_truth_from_header, read_header
+    from .pipeline import PipelineConfig, read_breathing_rates, read_final_detections, report_csv
     from .trackeval import match_and_score, score_breathing
 
-    cube = read_container(args.truth)
-    if cube.ground_truth is None:
+    header = read_header(args.truth)
+    truth = ground_truth_from_header(header, args.truth)
+    if truth is None:
         raise DataError(f"{args.truth} carries no ground truth")
-    truth = cube.ground_truth
-    estimates, labels = _read_detections_csv(args.infile)
+    estimates, labels = read_final_detections(args.infile)
     references = [p.location for p in truth.persons]
     d_match = args.d_match if args.d_match is not None else PipelineConfig().d_match
     report = match_and_score(estimates, references, d_match)
 
     if args.breathing:
-        with open(args.breathing, newline="", encoding="utf-8") as fh:
-            rates = {int(r["track"]): float(r["f_hat_hz"]) for r in csv.DictReader(fh)}
+        rates = read_breathing_rates(args.breathing)
         errors = score_breathing(report, labels, rates, [p.breath_freq for p in truth.persons])
         for ref_i, err in errors.items():
             print(f"person {ref_i}: breathing error {100 * err:+.1f} %")
         report.breathing_errors = list(errors.values())
 
-    header = read_header(args.truth)
     text = report_csv(
         report, header.get("meta.id", ""), header.get("meta.obstacle", "")
     )
@@ -203,8 +171,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_dump_spectrum(args) -> int:
-    from .localize import spectrum_csv
-    from .pipeline import run_pipeline
+    from .pipeline import run_pipeline, spectrum_csv
 
     config = _load_pipeline_config(args.config)
     result = run_pipeline(args.infile, config, keep_segment_spectra=True)

@@ -16,9 +16,16 @@ from typing import BinaryIO, Mapping
 
 import numpy as np
 
-from .core import RadarConfig, derive_params, radar_config_from_entries, radar_config_to_entries
+from .core import (
+    ConfigError,
+    RadarConfig,
+    derive_params,
+    parse_config_value,
+    radar_config_from_entries,
+    radar_config_to_entries,
+)
 from .kvfile import format_kv, parse_kv, read_kv
-from .simulate import MeasurementCube, scene_from_entries, scene_to_entries
+from .simulate import MeasurementCube, Scene, scene_from_entries, scene_to_entries
 
 RVC_MAGIC = "RVC1"
 _HEADER_END = b"end_header\n"
@@ -93,6 +100,16 @@ def read_header(path: str | os.PathLike) -> dict[str, str]:
         return _read_header(fh, path)[0]
 
 
+def ground_truth_from_header(entries: Mapping[str, str], path) -> Scene | None:
+    """The scene stored under the ``truth.`` keys of a container header,
+    ``None`` when there are none."""
+    truth = {k.removeprefix("truth."): v for k, v in entries.items() if k.startswith("truth.")}
+    try:
+        return scene_from_entries(truth)[0] if truth else None
+    except (KeyError, ValueError) as exc:
+        raise RVCFormatError(f"{path}: bad or missing header field: {exc}") from exc
+
+
 def read_container(path: str | os.PathLike) -> MeasurementCube:
     """Read and strictly validate an "RVC1" container."""
     with open(path, "rb") as fh:
@@ -101,11 +118,9 @@ def read_container(path: str | os.PathLike) -> MeasurementCube:
             l = int(entries["l"])
             m = int(entries["m"])
             cfg = radar_config_from_entries(entries)
-            truth_entries = {k.removeprefix("truth."): v for k, v in entries.items()
-                             if k.startswith("truth.")}
-            truth = scene_from_entries(truth_entries)[0] if truth_entries else None
         except (KeyError, ValueError) as exc:
             raise RVCFormatError(f"{path}: bad or missing header field: {exc}") from exc
+        truth = ground_truth_from_header(entries, path)
         if m != cfg.m_r * cfg.m_t:
             raise RVCFormatError(
                 f"{path}: header m={m} inconsistent with m_r*m_t={cfg.m_r * cfg.m_t}"
@@ -246,11 +261,13 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
     cfg = radar_config_from_entries(meta)
     if "f_s_ft" not in meta:
         raise DataError(f"{root}: raw.kv lacks f_s_ft")
+    f_s_ft = parse_config_value("f_s_ft", meta["f_s_ft"], float)
     pairs = []
-    i = 0
-    while f"pair.{i}.tx" in meta:
-        pairs.append((int(meta[f"pair.{i}.tx"]), int(meta[f"pair.{i}.rx"])))
-        i += 1
+    while (tx := f"pair.{len(pairs)}.tx") in meta:
+        rx = f"pair.{len(pairs)}.rx"
+        if rx not in meta:
+            raise ConfigError(f"missing config key {rx!r}")
+        pairs.append((parse_config_value(tx, meta[tx], int), parse_config_value(rx, meta[rx], int)))
     if not pairs:
         raise DataError(f"{root}: raw.kv names no antenna pairs")
     try:
@@ -258,7 +275,7 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
         slow_time = np.load(root / "slow_time.npy")
     except OSError as exc:
         raise DataError(f"{root}: cannot load raw arrays: {exc}") from exc
-    raw = RawRecording(profiles, tuple(pairs), float(meta["f_s_ft"]), slow_time)
+    raw = RawRecording(profiles, tuple(pairs), f_s_ft, slow_time)
     return raw, cfg
 
 

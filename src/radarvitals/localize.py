@@ -379,11 +379,3 @@ def extract_peaks(
         )
     return DetectionSet(accepted, segment_index, p_hat)
 
-
-def spectrum_csv(spectrum: PseudoSpectrum) -> str:
-    """Flatten a pseudo-spectrum into ``d,theta,value`` CSV text."""
-    lines = ["d_m,theta_rad,value"]
-    for i, d in enumerate(spectrum.d_axis):
-        for j, theta in enumerate(spectrum.theta_axis):
-            lines.append(f"{float(d)!r},{float(theta)!r},{float(spectrum.values[i, j])!r}")
-    return "\n".join(lines) + "\n"

@@ -11,6 +11,9 @@ periodograms.
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -19,13 +22,14 @@ import numpy as np
 from .core import (
     ConfigError,
     DerivedParams,
+    PolarLocation,
     RadarConfig,
     config_from_entries,
     config_to_entries,
     derive_params,
     polar_to_cartesian,
 )
-from .dataio import check_finite, read_container
+from .dataio import DataError, check_finite, read_container
 from .localize import (
     DetectionSet,
     GridSpec,
@@ -41,7 +45,7 @@ from .modelorder import ModelOrderConfig, OrderDiagnostics, order_diagnostics
 from .preprocess import segment, sma_filter
 from .simulate import MeasurementCube, Scene
 from .trackeval import EvalReport, Track, match_and_score, score_breathing, update_tracks
-from .vitals import breathing_frequency, build_filter, extract_displacement
+from .vitals import averaged_periodogram, breathing_frequency, build_filter, extract_displacement
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -241,66 +245,139 @@ def evaluate_result(
     return report
 
 
+# CSV tables: one header per table, shared by its writer and reader. A cell is
+# empty for None, 0/1 for a flag, an int as is and a float by its shortest
+# round-trip repr, and is quoted only when it holds ",", '"' or a line break.
+
+_DETECTIONS = ("segment", "p_hat", "track", "d_m", "theta_rad", "x_m", "y_m", "value")
+_VITALS = ("track", "segment", "t_s", "eta_m")
+_BREATHING = ("track", "d_m", "theta_rad", "f_hat_hz")
+_ORDER = ("segment", "index", "eigenvalue", "rd", "is_candidate", "beta", "p_hat")
+_REPORT = ("id", "obstacle", "p", "p_hat", "p_md", "p_fd", "tpp", "fdp",
+           "mean_loc_error_m", "median_loc_error_m")
+_SPECTRUM = ("d_m", "theta_rad", "value")
+_PERIODOGRAM = ("track", "f_hz", "power")
+# csv.writer writes these by the cell rule: None as empty, int and str as is,
+# float by repr
+_PLAIN = frozenset((type(None), int, float, str))
+
+
+def _cell(value):
+    """``value`` as a plain scalar that ``csv.writer`` writes by the cell rule."""
+    if type(value) in _PLAIN:
+        return value
+    return int(value) if isinstance(value, (int, np.integer, np.bool_)) else float(value)
+
+
+def _table(columns: tuple[str, ...], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(map(_cell, row) for row in rows)
+    return buf.getvalue()
+
+
+def _read_table(path, columns: tuple[str, ...], types: tuple[type, ...]) -> list[tuple]:
+    """Rows as tuples in ``columns`` order, each cell parsed by its type. A
+    missing column or a cell that is not a finite number of its type is a
+    ``DataError`` naming file, line and column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for column in columns:
+            if column not in (reader.fieldnames or ()):
+                raise DataError(f"{path}: line {reader.line_num or 1}: missing column {column!r}")
+        rows = []
+        for row in reader:
+            cells = []
+            for column, typ in zip(columns, types):
+                text = row[column]  # None when the row is short
+                try:
+                    value = typ(text)
+                except (TypeError, ValueError):
+                    value = None
+                if value is None or not math.isfinite(value):
+                    raise DataError(f"{path}: line {reader.line_num}, column {column!r}: "
+                                    f"{text!r} is not a finite {typ.__name__}")
+                cells.append(value)
+            rows.append(tuple(cells))
+    return rows
+
+
 def detections_csv(result: PipelineResult) -> str:
-    lines = ["segment,p_hat,track,d_m,theta_rad,x_m,y_m,value"]
-    for outcome in result.segments:
-        for label, det in zip(outcome.track_labels, outcome.detections.detections):
-            cart = polar_to_cartesian(det.location)
-            lines.append(
-                f"{outcome.index},{outcome.p_hat},{label},"
-                f"{det.location.d!r},{det.location.theta!r},"
-                f"{cart.x!r},{cart.y!r},{det.value!r}"
-            )
-    return "\n".join(lines) + "\n"
+    return _table(_DETECTIONS, (
+        (o.index, o.p_hat, label, det.location.d, det.location.theta, xy.x, xy.y, det.value)
+        for o in result.segments
+        for label, det in zip(o.track_labels, o.detections.detections)
+        for xy in [polar_to_cartesian(det.location)]
+    ))
+
+
+def read_final_detections(path) -> tuple[list[PolarLocation], list[int]]:
+    """Locations and track labels of the last segment of a detections CSV."""
+    rows = _read_table(path, _DETECTIONS, (int, int, int, float, float, float, float, float))
+    last = max((row[0] for row in rows), default=None)
+    final = [row for row in rows if row[0] == last]
+    return [PolarLocation(row[3], row[4]) for row in final], [row[2] for row in final]
 
 
 def vitals_csv(result: PipelineResult) -> str:
-    lines = ["track,segment,t_s,eta_m"]
-    stamps = {o.index: o.slow_time for o in result.segments}
-    for track in sorted(result.tracks, key=lambda t: t.label):
-        for seg_idx, series in track.series:
-            t = stamps[seg_idx]
-            for ti, eta in zip(t, series.eta):
-                lines.append(f"{track.label},{seg_idx},{float(ti)!r},{float(eta)!r}")
-    return "\n".join(lines) + "\n"
+    stamps = {o.index: o.slow_time.tolist() for o in result.segments}
+    return _table(_VITALS, (
+        (track.label, seg, t, eta)
+        for track in sorted(result.tracks, key=lambda t: t.label)
+        for seg, series in track.series
+        for t, eta in zip(stamps[seg], series.eta.tolist())
+    ))
 
 
 def breathing_csv(result: PipelineResult) -> str:
-    lines = ["track,d_m,theta_rad,f_hat_hz"]
-    for track in sorted(result.tracks, key=lambda t: t.label):
-        if track.breathing_estimate is None:
-            continue
-        loc = track.last_location
-        lines.append(
-            f"{track.label},{loc.d!r},{loc.theta!r},{track.breathing_estimate!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return _table(_BREATHING, (
+        (t.label, t.last_location.d, t.last_location.theta, t.breathing_estimate)
+        for t in sorted(result.tracks, key=lambda t: t.label)
+        if t.breathing_estimate is not None
+    ))
+
+
+def read_breathing_rates(path) -> dict[int, float]:
+    """Breathing rate per track label from a breathing CSV."""
+    return {row[0]: row[3] for row in _read_table(path, _BREATHING, (int, float, float, float))}
+
+
+def periodogram_csv(result: PipelineResult) -> str:
+    """Averaged breathing periodogram of every track that has a series."""
+    def rows():
+        for track in sorted(result.tracks, key=lambda t: t.label):
+            if track.series:
+                series = [vs for _, vs in track.series]
+                freqs, power = averaged_periodogram(series, result.config.pad_factor)
+                yield from ((track.label, f, p) for f, p in zip(freqs.tolist(), power.tolist()))
+
+    return _table(_PERIODOGRAM, rows())
 
 
 def order_diagnostics_csv(result: PipelineResult) -> str:
-    lines = ["segment,index,eigenvalue,rd,is_candidate,beta,p_hat"]
-    for outcome in result.segments:
-        order = outcome.order
-        beta = "" if order.beta is None else str(order.beta)
-        cand = set(order.candidates)
-        for i, lam in enumerate(order.lam):
-            rd = repr(float(order.rd[i])) if i < order.rd.size else ""
-            lines.append(
-                f"{outcome.index},{i + 1},{float(lam)!r},{rd},"
-                f"{int(i in cand)},{beta},{order.p_hat}"
-            )
-    return "\n".join(lines) + "\n"
+    def rows():
+        for o in result.segments:
+            rd, cand = o.order.rd.tolist(), set(o.order.candidates)
+            for i, lam in enumerate(o.order.lam.tolist()):
+                yield (o.index, i + 1, lam, rd[i] if i < len(rd) else None, i in cand,
+                       o.order.beta, o.p_hat)
+
+    return _table(_ORDER, rows())
 
 
-def report_csv(
-    report: EvalReport, scenario_id: str = "", obstacle: str = ""
-) -> str:
-    lines = ["id,obstacle,p,p_hat,p_md,p_fd,tpp,fdp,mean_loc_error_m,median_loc_error_m"]
-    tpp = "" if report.tpp is None else repr(report.tpp)
-    mean_err = "" if report.mean_location_error is None else repr(report.mean_location_error)
-    med_err = "" if report.median_location_error is None else repr(report.median_location_error)
-    lines.append(
-        f"{scenario_id},{obstacle},{report.p},{report.p_hat},{report.p_md},"
-        f"{report.p_fd},{tpp},{report.fdp!r},{mean_err},{med_err}"
-    )
-    return "\n".join(lines) + "\n"
+def report_csv(report: EvalReport, scenario_id: str = "", obstacle: str = "") -> str:
+    return _table(_REPORT, [(
+        scenario_id, obstacle, report.p, report.p_hat, report.p_md, report.p_fd,
+        report.tpp, report.fdp, report.mean_location_error, report.median_location_error,
+    )])
+
+
+def spectrum_csv(spectrum: PseudoSpectrum) -> str:
+    """Flatten a pseudo-spectrum into one ``d, theta, value`` row per grid cell."""
+    thetas = spectrum.theta_axis.tolist()
+    return _table(_SPECTRUM, (
+        (d, theta, value)
+        for d, values in zip(spectrum.d_axis.tolist(), spectrum.values.tolist())
+        for theta, value in zip(thetas, values)
+    ))

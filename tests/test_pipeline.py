@@ -337,3 +337,106 @@ def test_cli_bad_pipeline_config_is_usage_error(tmp_path, capsys):
                      "--config", str(config)])
         assert code == 2, line
         assert f"'{line.split()[0]}'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cli_tables(tmp_path_factory):
+    """All seven CSV tables of one small CLI run on a scene whose id holds a comma."""
+    tmp = tmp_path_factory.mktemp("tables")
+    _write_scene(tmp / "scene.kv", "id a,b\nobstacle wood\n")
+    rec = tmp / "rec.rvc"
+    t = {name: tmp / f"{name}.csv" for name in
+         ("detections", "order", "vitals", "breathing", "periodogram", "report", "spectrum")}
+    for argv in (
+        ["simulate", "--scenario", tmp / "scene.kv", "--out", rec],
+        ["detect", "--in", rec, "--out", t["detections"], "--order-diagnostics", t["order"]],
+        ["vitals", "--in", rec, "--out", t["vitals"], "--breathing-out", t["breathing"],
+         "--periodogram-out", t["periodogram"]],
+        ["evaluate", "--in", t["detections"], "--truth", rec, "--breathing", t["breathing"],
+         "--out", t["report"]],
+        ["dump-spectrum", "--in", rec, "--out", t["spectrum"]],
+    ):
+        assert main([str(arg) for arg in argv]) == 0
+    return rec, t
+
+
+def test_cli_tables_read_back_as_numbers(cli_tables):
+    _, tables = cli_tables
+    for name, path in tables.items():
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows, name
+        for row in rows:
+            for column, text in row.items():
+                if column in ("id", "obstacle") or text == "":
+                    continue
+                try:
+                    int(text)
+                except ValueError:
+                    float(text)  # raises on np.float64(...) and other reprs
+
+
+def test_report_reads_back_id_with_comma(cli_tables):
+    _, tables = cli_tables
+    with open(tables["report"], newline="", encoding="utf-8") as fh:
+        [row] = csv.DictReader(fh)
+    assert (row["id"], row["obstacle"], row["p"]) == ("a,b", "wood", "1")
+
+
+def test_cli_evaluate_reads_truth_header_only(cli_tables, monkeypatch, tmp_path):
+    rec, tables = cli_tables
+
+    def no_payload(path):
+        raise AssertionError("evaluate read the container payload")
+
+    monkeypatch.setattr(rv.dataio, "read_container", no_payload)
+    out = tmp_path / "report.csv"
+    assert main(["evaluate", "--in", str(tables["detections"]), "--truth", str(rec),
+                 "--breathing", str(tables["breathing"]), "--out", str(out)]) == 0
+    assert out.read_bytes() == tables["report"].read_bytes()
+
+
+_DETECTIONS_HEAD = "segment,p_hat,track,d_m,theta_rad,x_m,y_m,value\n"
+
+
+@pytest.mark.parametrize("detections, breathing, column", [
+    ("segment,d_m\n0,1.5\n", None, "p_hat"),
+    (_DETECTIONS_HEAD + "0,1,0,1.5,0.0,0.0,1.5,9.0\n", "track,d_m,theta_rad\n0,1.5,0.0\n",
+     "f_hat_hz"),
+    (_DETECTIONS_HEAD + "0,1,0,x,0.0,0.0,1.5,9.0\n", None, "d_m"),
+], ids=["two-columns", "no-f_hat_hz", "bad-d_m"])
+def test_cli_evaluate_bad_csv_is_data_error(tmp_path, capsys, detections, breathing, column):
+    container = tmp_path / "rec.rvc"
+    rv.write_container(rv.simulate(scene_of([breather(1.5, 0.0)], l=4), rv.walabot_config(10.0)),
+                       container)
+    det = tmp_path / "det.csv"
+    det.write_text(detections, encoding="utf-8")
+    argv = ["evaluate", "--in", str(det), "--truth", str(container)]
+    if breathing is not None:
+        (tmp_path / "br.csv").write_text(breathing, encoding="utf-8")
+        argv += ["--breathing", str(tmp_path / "br.csv")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"column {column!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pair.0.rx", None),  # a tx entry without its rx entry
+    ("pair.0.tx", "x"),
+    ("f_s_ft", "nan"),
+])
+def test_cli_convert_bad_raw_kv_is_usage_error(tmp_path, capsys, key, value):
+    from helpers import raw_recording_of
+
+    cfg = rv.walabot_config(10.0)
+    raw_dir = tmp_path / "raw"
+    rv.write_raw_dir(raw_dir, raw_recording_of(rv.simulate(scene_of([], l=2), cfg)), cfg)
+    entries = read_kv(raw_dir / "raw.kv")
+    if value is None:
+        del entries[key]
+    else:
+        entries[key] = value
+    write_kv(raw_dir / "raw.kv", entries)
+    assert main(["convert", "--raw", str(raw_dir), "--out", str(tmp_path / "x.rvc")]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "x.rvc").exists()
