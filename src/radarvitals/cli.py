@@ -64,15 +64,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_pipeline_config(path: str | None, accumulate: bool = True):
+    from dataclasses import replace
+
     from .kvfile import read_kv
     from .pipeline import PipelineConfig, pipeline_config_from_entries
 
     config = pipeline_config_from_entries(read_kv(path)) if path else PipelineConfig()
-    if not accumulate:
-        from dataclasses import replace
-
-        config = replace(config, accumulate=False)
-    return config
+    return replace(config, accumulate=config.accumulate and accumulate)
 
 
 def _cmd_simulate(args) -> int:
@@ -141,23 +139,18 @@ def _cmd_vitals(args) -> int:
 def _cmd_evaluate(args) -> int:
     from .dataio import DataError, ground_truth_from_header, read_header
     from .pipeline import PipelineConfig, read_breathing_rates, read_final_detections, report_csv
-    from .trackeval import match_and_score, score_breathing
+    from .trackeval import score_estimates
 
     header = read_header(args.truth)
     truth = ground_truth_from_header(header, args.truth)
     if truth is None:
         raise DataError(f"{args.truth} carries no ground truth")
     estimates, labels = read_final_detections(args.infile)
-    references = [p.location for p in truth.persons]
+    rates = read_breathing_rates(args.breathing) if args.breathing else None
     d_match = args.d_match if args.d_match is not None else PipelineConfig().d_match
-    report = match_and_score(estimates, references, d_match)
-
-    if args.breathing:
-        rates = read_breathing_rates(args.breathing)
-        errors = score_breathing(report, labels, rates, [p.breath_freq for p in truth.persons])
-        for ref_i, err in errors.items():
-            print(f"person {ref_i}: breathing error {100 * err:+.1f} %")
-        report.breathing_errors = list(errors.values())
+    report, errors = score_estimates(estimates, labels, rates, truth, d_match)
+    for ref_i, err in errors.items():
+        print(f"person {ref_i}: breathing error {100 * err:+.1f} %")
 
     text = report_csv(
         report, header.get("meta.id", ""), header.get("meta.obstacle", "")
@@ -174,13 +167,13 @@ def _cmd_dump_spectrum(args) -> int:
     from .pipeline import run_pipeline, spectrum_csv
 
     config = _load_pipeline_config(args.config)
-    result = run_pipeline(args.infile, config, keep_segment_spectra=True)
+    result = run_pipeline(args.infile, config)
     if args.segment is None:
         spectrum = result.accumulated
-    else:
-        if not 0 <= args.segment < len(result.segments):
-            raise ValueError(f"segment {args.segment} out of range")
+    elif 0 <= args.segment < len(result.segments):
         spectrum = result.segments[args.segment].spectrum
+    else:
+        raise ValueError(f"segment {args.segment} out of range")
     if spectrum is None:
         raise ValueError("recording produced no spectrum (too short?)")
     Path(args.out).write_text(spectrum_csv(spectrum), encoding="utf-8")

@@ -77,9 +77,7 @@ def _candidates(rd: np.ndarray, n_candidates: int) -> list[int]:
     """
     padded = np.concatenate(([-np.inf], rd, [-np.inf]))
     is_max = (padded[1:-1] > padded[:-2]) & (padded[1:-1] >= padded[2:])
-    cand = np.nonzero(is_max)[0]
-    if cand.size == 0:
-        return []
+    cand = np.nonzero(is_max)[0].tolist()
     ranked = sorted(cand, key=lambda i: (-rd[i], -i))
     return sorted(ranked[:n_candidates], reverse=True)
 

@@ -1,12 +1,12 @@
 """End-to-end processing of one recording.
 
-Order of operations per recording: clutter removal over the whole slow
-time, segmentation, then per segment a localization covariance and pseudo
-spectrum (summed with the spectra of all previous segments to suppress
-spurious peaks), a separately smoothed covariance for the person count,
-peak extraction, spatial filtering at every detected location, tracking,
-and finally one breathing estimate per track from its averaged
-periodograms.
+Each slow-time segment is processed from its own raw rows: clutter
+removal over the segment and the ``w_st - 1`` rows before it, a
+localization covariance and pseudo spectrum (summed with the spectra of
+all previous segments to suppress spurious peaks), a separately smoothed
+covariance for the person count, peak extraction, spatial filtering at
+every detected location and tracking. Finally each track gets one
+breathing estimate from its averaged periodograms.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .localize import (
 from .modelorder import ModelOrderConfig, OrderDiagnostics, order_diagnostics
 from .preprocess import segment, sma_filter
 from .simulate import MeasurementCube, Scene
-from .trackeval import EvalReport, Track, match_and_score, score_breathing, update_tracks
+from .trackeval import EvalReport, Track, score_estimates, update_tracks
 from .vitals import averaged_periodogram, breathing_frequency, build_filter, extract_displacement
 
 @dataclass(frozen=True)
@@ -130,13 +130,11 @@ class SegmentOutcome:
     detections: DetectionSet
     track_labels: list[int]
     slow_time: np.ndarray
-    spectrum: PseudoSpectrum | None = None
+    spectrum: PseudoSpectrum
 
 
 @dataclass
 class PipelineResult:
-    radar_config: RadarConfig
-    derived: DerivedParams
     config: PipelineConfig
     segments: list[SegmentOutcome]
     tracks: list[Track]
@@ -152,12 +150,14 @@ class PipelineResult:
 def run_pipeline(
     source: MeasurementCube | str | os.PathLike,
     config: PipelineConfig = PipelineConfig(),
-    keep_segment_spectra: bool = False,
 ) -> PipelineResult:
     """Process a container path or an in-memory cube.
 
     Deterministic for a fixed (recording, config): segments are processed
-    in order and the spectrum accumulation follows that order.
+    in order and the spectrum accumulation follows that order. Segment
+    ``i`` is the clutter filter applied to raw rows ``[i * l_st, (i + 1) *
+    l_st + w_st - 1)``, the same rows the filtered whole recording would
+    hold, so no recording-sized copy is made.
     """
     if isinstance(source, MeasurementCube):
         cube = source
@@ -168,14 +168,18 @@ def run_pipeline(
     derived = derive_params(cfg)
     config.validate(cfg, derived)
 
-    filtered = sma_filter(cube, config.w_st)
-    segmented = segment(filtered, config.l_st)
+    w_st, l_st = config.w_st, config.l_st
+    count = (cube.l - w_st + 1) // l_st
+    if count < 1:  # raises (shorter than w_st) or warns (shorter than a segment)
+        segment(sma_filter(cube, w_st), l_st)
     order_cfg = config.order_config(cfg.k, derived.m)
 
     tracks: list[Track] = []
     outcomes: list[SegmentOutcome] = []
     accumulated: PseudoSpectrum | None = None
-    for i, seg in enumerate(segmented.segments):
+    for i in range(count):
+        rows = slice(i * l_st, (i + 1) * l_st + w_st - 1)
+        seg = sma_filter(MeasurementCube(cube.samples[rows], cube.slow_time[rows], cfg), w_st)
         try:
             cov_music = smoothed_covariance(seg.samples, config.music_spec(), config.n_cov)
             spec = music_spectrum(cov_music, config.p_sub, config.grid, cfg)
@@ -210,39 +214,27 @@ def run_pipeline(
                 detections=detections,
                 track_labels=labels,
                 slow_time=seg.slow_time,
-                spectrum=spec if keep_segment_spectra else None,
+                spectrum=spec,
             )
         )
 
-    for track in tracks:
-        series = [vs for _, vs in track.series]
-        if series:
-            track.breathing_estimate = breathing_frequency(
-                series, (config.band_lo, config.band_hi), config.pad_factor
-            )
-    return PipelineResult(cfg, derived, config, outcomes, tracks, accumulated)
+    for track in tracks:  # each track has the series of the segment that opened it
+        track.breathing_estimate = breathing_frequency(
+            [vs for _, vs in track.series], (config.band_lo, config.band_hi), config.pad_factor
+        )
+    return PipelineResult(config, outcomes, tracks, accumulated)
 
 
 def evaluate_result(
     result: PipelineResult, truth: Scene, d_match: float | None = None
 ) -> EvalReport:
-    """Score the final accumulated detection set against the ground truth.
-
-    Matched estimates inherit a relative breathing error when their track
-    carries an estimate; unmatched or silent tracks contribute nothing.
-    """
-    if d_match is None:
-        d_match = result.config.d_match
-    final = result.final_detections
-    estimates = [det.location for det in final.detections]
-    references = [p.location for p in truth.persons]
-    report = match_and_score(estimates, references, d_match)
-    if result.segments:
-        rates = {t.label: t.breathing_estimate for t in result.tracks}
-        truth_rates = [p.breath_freq for p in truth.persons]
-        errors = score_breathing(report, result.segments[-1].track_labels, rates, truth_rates)
-        report.breathing_errors = list(errors.values())
-    return report
+    """Score the final detection set against the ground truth; a matched
+    estimate whose track carries a breathing rate also gets its error."""
+    last = result.segments[-1] if result.segments else None
+    rates = {t.label: t.breathing_estimate for t in result.tracks} if last else None
+    estimates = [det.location for det in result.final_detections.detections]
+    return score_estimates(estimates, last.track_labels if last else [], rates, truth,
+                           result.config.d_match if d_match is None else d_match)[0]
 
 
 # CSV tables: one header per table, shared by its writer and reader. A cell is
@@ -344,13 +336,12 @@ def read_breathing_rates(path) -> dict[int, float]:
 
 
 def periodogram_csv(result: PipelineResult) -> str:
-    """Averaged breathing periodogram of every track that has a series."""
+    """Averaged breathing periodogram of every track."""
     def rows():
         for track in sorted(result.tracks, key=lambda t: t.label):
-            if track.series:
-                series = [vs for _, vs in track.series]
-                freqs, power = averaged_periodogram(series, result.config.pad_factor)
-                yield from ((track.label, f, p) for f, p in zip(freqs.tolist(), power.tolist()))
+            series = [vs for _, vs in track.series]
+            freqs, power = averaged_periodogram(series, result.config.pad_factor)
+            yield from ((track.label, f, p) for f, p in zip(freqs.tolist(), power.tolist()))
 
     return _table(_PERIODOGRAM, rows())
 

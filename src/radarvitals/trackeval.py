@@ -9,6 +9,7 @@ import numpy as np
 
 from .core import CartesianLocation, PolarLocation, polar_to_cartesian
 from .localize import Detection, DetectionSet
+from .simulate import Scene
 from .vitals import VitalSeries
 
 
@@ -153,6 +154,22 @@ def score_breathing(
         if f_hat is not None:
             errors[ref_i] = breathing_error(f_hat, truth_rates[ref_i])
     return errors
+
+
+def score_estimates(
+    estimates: list, labels: list[int], rates: dict[int, float | None] | None,
+    truth: Scene, d_match: float,
+) -> tuple[EvalReport, dict[int, float]]:
+    """Match estimates (track ``labels``) to the persons of ``truth``; with ``rates``
+    per label, also score breathing. Returns the report and error per person index."""
+    if not (d_match > 0 and math.isfinite(d_match)):
+        raise ValueError(f"d_match must be a positive finite number, got {d_match}")
+    report = match_and_score(estimates, [p.location for p in truth.persons], d_match)
+    errors = {}
+    if rates is not None:
+        errors = score_breathing(report, labels, rates, [p.breath_freq for p in truth.persons])
+        report.breathing_errors = list(errors.values())
+    return report, errors
 
 
 def breathing_error(estimate: float, reference: float) -> float:

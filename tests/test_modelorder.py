@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,15 @@ def test_candidate_tie_breaks_toward_larger_index():
     assert diag.candidates == [2]
     assert diag.beta == 3
     assert diag.p_hat == 2
+
+
+@pytest.mark.parametrize("lam", [
+    [10.0, 9.0, 1.0, 0.9, 0.1, 0.09, 0.01],
+    [8.0, 8, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1],
+    [5.0, 5.0, 5.0, 5.0],  # no cut passes: beta is None
+    [1.0, 0.5],
+])
+def test_order_diagnostics_fields_are_plain_json(lam):
+    diag = rv.order_diagnostics(np.array(lam))
+    fields = {k: v for k, v in vars(diag).items() if k not in ("lam", "rd")}
+    assert json.loads(json.dumps(fields)) == fields

@@ -1,6 +1,7 @@
 import csv
 import io
 import string
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from radarvitals.pipeline import (
     pipeline_config_from_entries,
     pipeline_config_to_entries,
     run_pipeline,
+    spectrum_csv,
     vitals_csv,
 )
 from helpers import breather, m16_scene, scene_of
@@ -133,6 +135,53 @@ def test_m16_golden_output(walabot):
         [float(r["value"]) for r in got], [float(r["value"]) for r in expected], rtol=1e-9
     )
     assert breathing_csv(result) == (golden / "m16_seed7_breathing.csv").read_text(encoding="utf-8")
+
+
+def test_pipeline_memory_stays_below_the_recording(walabot):
+    # each segment is filtered from its own raw rows; no filtered copy of the
+    # whole recording is made
+    cube = rv.simulate(m16_scene(seed=7), walabot)
+    tracemalloc.start()
+    try:
+        run_pipeline(cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cube.samples.nbytes
+
+
+def test_segments_match_the_filtered_recording(walabot):
+    # a segment filtered from its own raw rows equals that segment of the
+    # filtered whole recording, up to the summation order of the cumsum
+    config = rv.PipelineConfig()
+    cube = rv.simulate(scene_of([breather(2.0, 10.0)], l=664, noise_std=0.1, seed=6), walabot)
+    reference = rv.segment(rv.sma_filter(cube, config.w_st), config.l_st).segments
+    result = run_pipeline(cube, config)
+    for outcome, seg in zip(result.segments, reference, strict=True):
+        np.testing.assert_array_equal(outcome.slow_time, seg.slow_time)
+        lam = rv.stacked_covariance_eigenvalues(seg.samples, config.moe_spec(), config.n_cov)
+        np.testing.assert_allclose(outcome.order.lam, lam, rtol=0, atol=1e-12 * lam[0])
+
+
+@pytest.mark.parametrize("l, segments", [(63, None), (64, 0), (262, 0), (263, 1)])
+def test_short_recordings(tmp_path, walabot, l, segments):
+    # default w_st = 64 and l_st = 200: one segment needs w_st - 1 + l_st = 263 samples
+    cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=l, noise_std=0.1, seed=1), walabot)
+    path = tmp_path / "short.rvc"
+    rv.write_container(cube, path)
+    argv = ["detect", "--in", str(path), "--out", str(tmp_path / "o.csv")]
+    if segments is None:
+        with pytest.raises(ValueError, match="exceeds recording length"):
+            run_pipeline(cube)
+        assert main(argv) == 2
+    elif segments == 0:
+        with pytest.warns(UserWarning, match="shorter than one segment"):
+            assert run_pipeline(cube).segments == []
+        with pytest.warns(UserWarning, match="shorter than one segment"):
+            assert main(argv) == 0
+    else:
+        assert len(run_pipeline(cube).segments) == segments
+        assert main(argv) == 0
 
 
 def test_non_finite_sample_is_rejected_at_entry(tmp_path, walabot):
@@ -394,6 +443,24 @@ def test_cli_evaluate_reads_truth_header_only(cli_tables, monkeypatch, tmp_path)
     assert main(["evaluate", "--in", str(tables["detections"]), "--truth", str(rec),
                  "--breathing", str(tables["breathing"]), "--out", str(out)]) == 0
     assert out.read_bytes() == tables["report"].read_bytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_cli_evaluate_rejects_bad_d_match(cli_tables, capsys, value):
+    rec, tables = cli_tables
+    assert main(["evaluate", "--in", str(tables["detections"]), "--truth", str(rec),
+                 f"--d-match={value}"]) == 2
+    assert "d_match" in capsys.readouterr().err
+
+
+def test_cli_dump_spectrum_of_one_segment(cli_tables, tmp_path):
+    rec, tables = cli_tables
+    out = tmp_path / "seg1.csv"
+    assert main(["dump-spectrum", "--in", str(rec), "--out", str(out), "--segment", "1"]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == spectrum_csv(run_pipeline(rec).segments[1].spectrum)
+    assert text != tables["spectrum"].read_text(encoding="utf-8")  # the accumulated one
+    assert main(["dump-spectrum", "--in", str(rec), "--out", str(out), "--segment", "99"]) == 2
 
 
 _DETECTIONS_HEAD = "segment,p_hat,track,d_m,theta_rad,x_m,y_m,value\n"
