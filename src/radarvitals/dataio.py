@@ -71,7 +71,8 @@ def write_container(
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(_HEADER_END)
-        fh.write(np.ascontiguousarray(cube.samples, dtype="<c16").tobytes())
+        # the samples' own buffer when already contiguous <c16: no payload copy
+        fh.write(memoryview(np.ascontiguousarray(cube.samples, dtype="<c16")))
 
 
 def _read_header(fh: BinaryIO, path) -> tuple[dict[str, str], int]:

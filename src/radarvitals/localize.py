@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy import ndimage
 
 from .core import ConfigError, PolarLocation, RadarConfig
@@ -77,16 +77,50 @@ def forward_backward(r: np.ndarray) -> np.ndarray:
     return 0.5 * (r + np.flip(r).conj())
 
 
-def _slice_rows(snapshot: np.ndarray, spec: SmoothingSpec) -> np.ndarray:
-    """All vectorized slices of one snapshot, one slice per row.
+def _window_gram(snaps: np.ndarray, w_k: int, w_m: int) -> np.ndarray:
+    """Sum of x x^H over every w_k x w_m window x of every snapshot.
 
-    Each slice is stacked column-wise (fast-time index varies fastest),
-    matching the steering-vector stacking.
+    ``snaps`` is indexed [part, snapshot, step, channel]. A window vector
+    stacks its parts, each vectorized column-wise like the steering vector,
+    so entry (p, m1, k1) sits at index (p * w_m + m1) * w_k + k1.
+
+    For two channel shifts b1 = (p1, m1) and b2 = (p2, m2), let
+    Y_b = snaps[p, :, :, m:m + n_j] laid out as k x (n_cov n_j). Entry
+    (k1, k2) of their block is the sum of the n_i = k - w_k + 1
+    consecutive diagonal entries from (k1, k2) of the k x k Gram
+    P = Y_b1 Y_b2^H. One GEMM over the stacked Y_b gives every P; a
+    strided view sums the diagonals of the upper blocks and the lower
+    blocks are their conjugate transposes.
     """
-    view = sliding_window_view(snapshot, (spec.w_k, spec.w_m))
-    n_i, n_j = view.shape[:2]
-    # rows ordered with the fast-time offset i varying fastest
-    return view.transpose(1, 0, 3, 2).reshape(n_j * n_i, spec.w_m * spec.w_k)
+    n_parts, n_cov, k, m = snaps.shape
+    n_i, n_j = k - w_k + 1, m - w_m + 1
+    n_b = n_parts * w_m
+    # y[p, m1, r, (l, j)] = snaps[p, l, r, m1 + j]
+    y = sliding_window_view(snaps, n_j, axis=3).transpose(0, 3, 2, 1, 4)
+    z = y.reshape(n_b * k, n_cov * n_j)
+    gram = z @ z.conj().T
+    rs, cs = gram.strides
+    out = np.empty((n_b, w_k, n_b, w_k), dtype=gram.dtype)
+    for b1 in range(n_b):
+        for b2 in range(b1, n_b):
+            # diags[k1, k2, i] = P[k1 + i, k2 + i]; largest index k - 1
+            diags = as_strided(
+                gram[b1 * k :, b2 * k :], (w_k, w_k, n_i), (rs, cs, rs + cs), writeable=False
+            )
+            out[b1, :, b2] = np.einsum("ijk->ij", diags)  # faster than sum(axis=2) here
+            if b2 > b1:
+                out[b2, :, b1] = out[b1, :, b2].conj().T
+    return out.reshape(n_b * w_k, n_b * w_k)
+
+
+def _snapshots(samples: np.ndarray, spec: SmoothingSpec, n_cov: int) -> np.ndarray:
+    """The ``n_cov`` covariance snapshots of a validated segment."""
+    samples = np.asarray(samples)
+    if samples.ndim != 3:
+        raise ValueError("expected samples indexed [slow time, step, channel]")
+    l, k, m = samples.shape
+    spec.validate(k, m)
+    return samples[snapshot_indices(l, n_cov)]
 
 
 def smoothed_covariance(
@@ -98,19 +132,10 @@ def smoothed_covariance(
     snapshots, applies forward-backward averaging once, and returns the
     eigen-decomposition sorted descending.
     """
-    samples = np.asarray(samples)
-    if samples.ndim != 3:
-        raise ValueError("expected samples indexed [slow time, step, channel]")
-    l, k, m = samples.shape
-    spec.validate(k, m)
-    idx = snapshot_indices(l, n_cov)
-    dim = spec.w_k * spec.w_m
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for li in idx:
-        rows = _slice_rows(samples[li], spec)
-        x = rows.T
-        acc += x @ x.conj().T
-    r = acc / (len(idx) * spec.n_slices(k, m))
+    snaps = _snapshots(samples, spec, n_cov)
+    n, k, m = snaps.shape
+    acc = _window_gram(snaps.astype(np.complex128)[None], spec.w_k, spec.w_m)
+    r = acc / (n * spec.n_slices(k, m))
     r = 0.5 * (r + r.conj().T)  # exact hermitization before the FB step
     r_hat = forward_backward(r)
     eigvals, eigvecs = np.linalg.eigh(r_hat)
@@ -118,7 +143,7 @@ def smoothed_covariance(
         r_hat=r_hat,
         eigvals=np.ascontiguousarray(eigvals[::-1]),
         eig_basis=np.ascontiguousarray(eigvecs[:, ::-1]),
-        n_snapshots=len(idx),
+        n_snapshots=n,
         spec=spec,
     )
 
@@ -137,18 +162,11 @@ def stacked_covariance_eigenvalues(
     the localization scan keeps the complex estimate instead, which
     preserves the complex noise subspace.
     """
-    samples = np.asarray(samples)
-    if samples.ndim != 3:
-        raise ValueError("expected samples indexed [slow time, step, channel]")
-    l, k, m = samples.shape
-    spec.validate(k, m)
-    idx = snapshot_indices(l, n_cov)
+    snaps = _snapshots(samples, spec, n_cov)
+    n, k, m = snaps.shape
+    parts = np.stack([snaps.real, snaps.imag]).astype(np.float64, copy=False)
+    acc = _window_gram(parts, spec.w_k, spec.w_m)
     dim = spec.w_k * spec.w_m
-    acc = np.zeros((2 * dim, 2 * dim))
-    for li in idx:
-        rows = _slice_rows(samples[li], spec)
-        fwd = np.concatenate([rows.real, rows.imag], axis=1)
-        acc += fwd.T @ fwd
     # The backward slice [Re; -Im] of the reversed slice is the forward one
     # under a signed permutation, bwd = fwd[:, perm] * sign, so its summed
     # outer products are acc[perm][:, perm] * sign sign^T, exactly.
@@ -156,7 +174,7 @@ def stacked_covariance_eigenvalues(
     perm = np.concatenate([rev, dim + rev])
     sign = np.repeat([1.0, -1.0], dim)
     acc += np.outer(sign, sign) * acc[np.ix_(perm, perm)]
-    covm = acc / (2 * len(idx) * spec.n_slices(k, m))
+    covm = acc / (2 * n * spec.n_slices(k, m))
     return np.ascontiguousarray(np.linalg.eigvalsh(covm)[::-1])
 
 
@@ -193,11 +211,12 @@ def steering_matrix(
 ) -> np.ndarray:
     """Array response for a target at (d, theta) over the first ``w_k``
     frequency steps and ``w_m`` virtual channels. Every entry has unit
-    modulus; vectorize column-wise to align with the slice stacking."""
+    modulus; vectorize column-wise to align with the slice stacking. The
+    phases are reduced exactly before rounding, as in the scan."""
     delta_f = cfg.b / cfg.k
     freqs = cfg.f0 + delta_f * np.arange(w_k)
     path = 2.0 * d + cfg.delta * math.sin(theta) * np.arange(w_m)
-    return np.exp((-2j * np.pi / cfg.c) * np.outer(freqs, path))
+    return np.exp(-2j * np.pi * _phase_turns(freqs[:, None], path[None, :], cfg.c))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ from .core import (
     parse_config_value,
 )
 
+# samples per block of simulate's complex temporaries (2 MB)
+_BLOCK_SAMPLES = 1 << 17
+
 
 @dataclass(frozen=True)
 class PersonModel:
@@ -132,6 +135,15 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
     freqs = cfg.f0 + derived.delta_f * np.arange(k)
     chan = cfg.delta * np.arange(m)
     cube = np.zeros((l, k, m), dtype=np.complex128)
+    # Temporaries are bounded by blocks of slow-time rows, and each sample
+    # sees the same operations in the same order as unblocked. A block is
+    # the whole cube or at least _BLOCK_SAMPLES / 2 samples (the remainder
+    # joins the last block), so numpy elides the temporary of
+    # amplitude * exp(...) for a block exactly when it would for the whole
+    # cube; elision swaps the operands, which changes complex rounding.
+    rows_per_block = max(1, _BLOCK_SAMPLES // (k * m))
+    edges = [i * rows_per_block for i in range(max(1, l // rows_per_block))] + [l]
+    blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
 
     for person in scene.persons:
         if person.breath_freq >= scene.f_st / 2:
@@ -160,19 +172,22 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
             )
         base = (2.0 * person.location.d + chan * np.sin(person.location.theta)) / cfg.c
         tau = base[None, :] + (2.0 / cfg.c) * disp[:, None]  # (l, m)
-        cube += person.amplitude * np.exp(
-            -2j * np.pi * freqs[None, :, None] * tau[:, None, :]
-        )
+        for rows in blocks:
+            cube[rows] += person.amplitude * np.exp(
+                -2j * np.pi * freqs[None, :, None] * tau[rows, None, :]
+            )
 
     for loc, gain in scene.clutter.static_reflectors:
         tau_m = (2.0 * loc.d + chan * np.sin(loc.theta)) / cfg.c
         cube += gain * np.exp(-2j * np.pi * np.outer(freqs, tau_m))[None, :, :]
 
     if scene.clutter.noise_std > 0:
+        # The stream holds every real part before every imaginary part;
+        # adding scale * (re + 1j * im) one part at a time gives the same sums.
         scale = scene.clutter.noise_std / np.sqrt(2.0)
-        cube += scale * (
-            rng.standard_normal((l, k, m)) + 1j * rng.standard_normal((l, k, m))
-        )
+        for part in (cube.real, cube.imag):
+            for rows in blocks:
+                part[rows] += scale * rng.standard_normal(part[rows].shape)
 
     return MeasurementCube(cube, t, cfg, ground_truth=scene)
 

@@ -135,6 +135,20 @@ def test_simulated_container_golden_sha256(tmp_path):
     )
 
 
+def test_write_container_makes_no_payload_copy(tmp_path, walabot):
+    # the payload is written from the samples' own buffer
+    cube = _random_cube(walabot, l=400)
+    path = tmp_path / "big.rvc"
+    tracemalloc.start()
+    try:
+        rv.write_container(cube, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cube.samples.nbytes / 10
+    assert np.array_equal(rv.read_container(path).samples, cube.samples)
+
+
 def test_downconvert_center_tone_lands_at_dc(walabot):
     f_s = 102.4e9
     derived = rv.derive_params(walabot)

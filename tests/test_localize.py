@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import radarvitals as rv
 from helpers import breather, location_errors, m16_scene, scene_of, small_config
@@ -13,6 +15,18 @@ M16_TRUTH = [rv.PolarLocation(d, np.deg2rad(t)) for d, t in
 
 def _random_samples(rng, l, k, m):
     return rng.standard_normal((l, k, m)) + 1j * rng.standard_normal((l, k, m))
+
+
+def _slice_rows(snapshot, spec):
+    """All vectorized slices of one snapshot, one slice per row.
+
+    Each slice is stacked column-wise (fast-time index varies fastest),
+    matching the steering-vector stacking.
+    """
+    view = sliding_window_view(snapshot, (spec.w_k, spec.w_m))
+    n_i, n_j = view.shape[:2]
+    # rows ordered with the fast-time offset i varying fastest
+    return view.transpose(1, 0, 3, 2).reshape(n_j * n_i, spec.w_m * spec.w_k)
 
 
 def test_slice_counts_match_tuning_values():
@@ -120,6 +134,22 @@ def test_steering_unit_modulus_property():
         theta = float(rng.uniform(-1.4, 1.4))
         a = rv.steering_matrix(d, theta, int(rng.integers(1, 9)), int(rng.integers(1, 5)), cfg)
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
+
+
+def test_steering_phases_match_exact_rationals(walabot):
+    # each entry is exp(-2j pi t) with t = f * path / c reduced to its
+    # fractional turn in exact arithmetic and rounded once
+    freqs = walabot.f0 + walabot.b / walabot.k * np.arange(38)
+    c = Fraction(walabot.c)
+    for d, theta in ((0.37, -1.1), (2.15, 0.3), (4.4, 0.52)):
+        a = rv.steering_matrix(d, theta, 38, 8, walabot)
+        path = 2.0 * d + walabot.delta * math.sin(theta) * np.arange(8)
+        turns = np.empty((38, 8))
+        for k, f in enumerate(freqs):
+            for m, p in enumerate(path):
+                t = Fraction(float(f)) * Fraction(float(p)) / c
+                turns[k, m] = t - round(t)
+        np.testing.assert_allclose(a, np.exp(-2j * np.pi * turns), rtol=0, atol=2e-15)
 
 
 def test_grid_shape_formula():
@@ -369,7 +399,7 @@ def test_stacked_eigenvalues_match_two_gemm_reference():
         acc = np.zeros((2 * dim, 2 * dim))
         idx = rv.localize.snapshot_indices(l, n_cov)
         for li in idx:
-            rows = rv.localize._slice_rows(samples[li], spec)
+            rows = _slice_rows(samples[li], spec)
             backward = rows[:, ::-1].conj()
             for x in (rows, backward):
                 stacked = np.concatenate([x.real, x.imag], axis=1)
@@ -377,3 +407,46 @@ def test_stacked_eigenvalues_match_two_gemm_reference():
         expected = np.linalg.eigvalsh(acc / (2 * len(idx) * spec.n_slices(k, m)))[::-1]
         lam = rv.stacked_covariance_eigenvalues(samples, spec, n_cov)
         np.testing.assert_allclose(lam, expected, rtol=0, atol=1e-13 * expected[0])
+
+
+@st.composite
+def _smoothing_cases(draw):
+    k, m, l = draw(st.integers(1, 9)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    spec = rv.SmoothingSpec(draw(st.integers(1, k)), draw(st.integers(1, m)))
+    n_cov = draw(st.integers(1, l))
+    dtype = draw(st.sampled_from([np.complex128, np.complex64]))
+    return k, m, l, spec, n_cov, dtype, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_smoothing_cases())
+@example((7, 4, 3, rv.SmoothingSpec(7, 4), 1, np.complex64, 0))
+@example((9, 5, 1, rv.SmoothingSpec(9, 5), 1, np.complex128, 1))
+@example((8, 1, 4, rv.SmoothingSpec(3, 1), 4, np.complex64, 2))
+def test_covariances_match_per_slice_reference(case):
+    # both smoothed covariances against the explicit sum over every
+    # vectorized slice of every snapshot, formed in double precision
+    k, m, l, spec, n_cov, dtype, seed = case
+    samples = _random_samples(np.random.default_rng(seed), l, k, m).astype(dtype)
+    exact = samples.astype(np.complex128)
+    dim = spec.w_k * spec.w_m
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    acc_ri = np.zeros((2 * dim, 2 * dim))
+    idx = rv.localize.snapshot_indices(l, n_cov)
+    for li in idx:
+        rows = _slice_rows(exact[li], spec)
+        acc += rows.T @ rows.conj()
+        for x in (rows, rows[:, ::-1].conj()):
+            stacked = np.concatenate([x.real, x.imag], axis=1)
+            acc_ri += stacked.T @ stacked
+    n = len(idx) * spec.n_slices(k, m)
+    r = acc / n
+    r_hat = rv.forward_backward(0.5 * (r + r.conj().T))
+    cov = rv.smoothed_covariance(samples, spec, n_cov)
+    scale = np.abs(r_hat).max()
+    np.testing.assert_allclose(cov.r_hat, r_hat, rtol=0, atol=1e-13 * scale)
+    expected = np.linalg.eigvalsh(r_hat)[::-1]
+    np.testing.assert_allclose(cov.eigvals, expected, rtol=0, atol=1e-13 * expected[0])
+    expected = np.linalg.eigvalsh(acc_ri / (2 * n))[::-1]
+    lam = rv.stacked_covariance_eigenvalues(samples, spec, n_cov)
+    np.testing.assert_allclose(lam, expected, rtol=0, atol=1e-13 * expected[0])

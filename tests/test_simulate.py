@@ -1,3 +1,5 @@
+import importlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +102,68 @@ def test_slow_time_jitter_monotonic(walabot):
     cube = rv.simulate(scene, walabot)
     assert np.all(np.diff(cube.slow_time) > 0)
     assert cube.slow_time[0] == 0.0
+
+
+def _full_size_cube(scene, cfg, t):
+    # the unblocked synthesis: one full-size temporary per term
+    derived = rv.derive_params(cfg)
+    rng = np.random.default_rng(scene.clutter.seed)
+    if scene.slow_time_jitter > 0 and scene.l > 1:
+        rng.standard_normal(scene.l - 1)  # the jitter draw comes first
+    freqs = cfg.f0 + derived.delta_f * np.arange(cfg.k)
+    chan = cfg.delta * np.arange(derived.m)
+    cube = np.zeros((scene.l, cfg.k, derived.m), dtype=np.complex128)
+    for person in scene.persons:
+        disp = person.breath_amp * np.sin(
+            2 * np.pi * person.breath_freq * t + person.breath_phase
+        )
+        if person.heart_amp > 0 and person.heart_freq > 0:
+            disp = disp + person.heart_amp * np.sin(
+                2 * np.pi * person.heart_freq * t + person.heart_phase
+            )
+        base = (2.0 * person.location.d + chan * np.sin(person.location.theta)) / cfg.c
+        tau = base[None, :] + (2.0 / cfg.c) * disp[:, None]
+        cube += person.amplitude * np.exp(
+            -2j * np.pi * freqs[None, :, None] * tau[:, None, :]
+        )
+    for loc, gain in scene.clutter.static_reflectors:
+        tau_m = (2.0 * loc.d + chan * np.sin(loc.theta)) / cfg.c
+        cube += gain * np.exp(-2j * np.pi * np.outer(freqs, tau_m))[None, :, :]
+    shape = cube.shape
+    scale = scene.clutter.noise_std / np.sqrt(2.0)
+    cube += scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return cube
+
+
+def test_blocked_synthesis_matches_full_size_formula(walabot):
+    # a scene several slow-time blocks long, remainder block included, is
+    # byte-identical to the unblocked synthesis
+    block = importlib.import_module("radarvitals.simulate")._BLOCK_SAMPLES
+    rows_per_block = block // (walabot.k * 8)
+    persons = (
+        rv.PersonModel(rv.PolarLocation(1.4, -0.4), amplitude=0.6 - 0.5j,
+                       heart_freq=1.1, heart_amp=2e-4),
+        rv.PersonModel(rv.PolarLocation(2.6, 0.25), amplitude=0.3 + 0.45j, breath_freq=0.21),
+    )
+    clutter = rv.ClutterModel(((rv.PolarLocation(4.0, 0.1), 0.3 + 0.2j),), noise_std=0.1, seed=9)
+    scene = rv.Scene(persons=persons, clutter=clutter, l=3 * rows_per_block + 17,
+                     slow_time_jitter=0.001)
+    cube = rv.simulate(scene, walabot)
+    expected = _full_size_cube(scene, walabot, cube.slow_time)
+    assert cube.samples.tobytes() == expected.tobytes()
+
+
+def test_simulate_memory_stays_near_the_cube(walabot):
+    # the exponential and noise temporaries are bounded by row blocks
+    persons = (breather(1.5, -20.0), breather(2.5, 25.0))
+    scene = scene_of(persons, l=2000, noise_std=0.1, seed=4)
+    tracemalloc.start()
+    try:
+        cube = rv.simulate(scene, walabot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cube.samples.nbytes
 
 
 def test_range_profile_zero_snapshot():
