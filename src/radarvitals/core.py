@@ -20,6 +20,17 @@ class ConfigError(ValueError):
     """Invalid radar, scene or pipeline configuration."""
 
 
+# Working set of one block of the streamed kernels (the slow-time filter and
+# the MUSIC scan): it stays in cache, and buffers this small are reused from
+# the heap instead of being mapped and page-faulted afresh for every block.
+_BLOCK_BYTES = 1 << 20
+
+
+def block_len(item_bytes: int, minimum: int = 1) -> int:
+    """How many items of ``item_bytes`` bytes fit one block, at least ``minimum``."""
+    return max(minimum, _BLOCK_BYTES // max(1, item_bytes))
+
+
 # Key/value codec of radar configs, pipeline configs and scenes: keys, types
 # and defaults are those of the dataclass fields.
 

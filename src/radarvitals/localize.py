@@ -17,12 +17,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy import ndimage
 
-from .core import ConfigError, PolarLocation, RadarConfig
+from .core import ConfigError, PolarLocation, RadarConfig, block_len
 
 _DENOM_FLOOR = np.finfo(np.float64).tiny
-# ranges per scan GEMM; bounds the (block, n_t, n_noise) working set to a
-# few MB on the default grid
-_RANGE_BLOCK = 32
 # Veltkamp splitting constant 2**27 + 1 for error-free float64 products
 _SPLIT = 134217729.0
 
@@ -286,8 +283,11 @@ def music_spectrum(
     into a range factor r_d[k] = exp(-2j pi f_k 2d / c) and an angle factor
     b_theta[m, k] = exp(-2j pi f_k sin(theta) x_m / c). The channels are
     contracted once per angle, U[k, theta] = sum_m conj(b_theta[m, k])
-    V_n[(m, k)], and the scan is then one GEMM conj(R) @ U per block of
-    ranges, so only n_t w_m w_k + n_d w_k exponentials are evaluated per call.
+    V_n[(m, k)], and the scan is one GEMM conj(R) @ U, so only
+    n_t w_m w_k + n_d w_k exponentials are evaluated per call. U and the
+    GEMM output g = a^H V_n are built one block of angles at a time into
+    buffers allocated once per call, so the working set stays within the
+    block budget instead of growing with the grid.
     """
     dim = cov.r_hat.shape[0]
     if p_sub >= dim:
@@ -295,8 +295,9 @@ def music_spectrum(
     if p_sub < 1:
         raise ValueError("signal subspace order must be >= 1")
     w_k, w_m = cov.spec.w_k, cov.spec.w_m
+    n_noise = dim - p_sub
     # rows of the basis are stacked column-wise: index m * w_k + k
-    v_n = cov.eig_basis[:, p_sub:].reshape(w_m, w_k, dim - p_sub)
+    v_n = cov.eig_basis[:, p_sub:].reshape(w_m, w_k, n_noise).transpose(1, 0, 2)
     k_off = (cfg.k - w_k) / 2 if centered else 0.0
     m_off = (cfg.m_r * cfg.m_t - w_m) / 2 if centered else 0.0
     delta_f = cfg.b / cfg.k
@@ -308,16 +309,24 @@ def music_spectrum(
     path_t = np.sin(theta_axis)[:, None] * chan[None, :]  # (n_t, w_m)
     turns_t = _phase_turns(freqs[:, None, None], path_t[None, :, :], cfg.c)
     b_conj = np.exp(2j * np.pi * turns_t)  # (w_k, n_t, w_m)
-    u = (b_conj @ v_n.transpose(1, 0, 2)).reshape(w_k, -1)  # (w_k, n_t * n_noise)
     turns_d = _phase_turns(2.0 * d_axis[:, None], freqs[None, :], cfg.c)
     r_conj = np.exp(2j * np.pi * turns_d)  # (n_d, w_k)
+    block = min(n_t, block_len(n_d * n_noise * 16))  # angles per g block
+    u_buf = np.empty(w_k * block * n_noise, dtype=complex)
+    g_buf = np.empty(n_d * block * n_noise, dtype=complex)
+    denom_buf = np.empty(n_d * block)
     values = np.empty((n_d, n_t))
-    for start in range(0, n_d, _RANGE_BLOCK):
-        stop = min(start + _RANGE_BLOCK, n_d)
-        g = (r_conj[start:stop] @ u).reshape(stop - start, n_t, -1)  # a^H V_n
-        g_ri = g.view(np.float64)  # interleaved (re, im): squares sum to |g|^2
-        denom = np.einsum("ijk,ijk->ij", g_ri, g_ri)
-        values[start:stop] = 1.0 / np.maximum(denom, _DENOM_FLOOR)
+    for start in range(0, n_t, block):
+        n_b = min(block, n_t - start)
+        u = u_buf[: w_k * n_b * n_noise].reshape(w_k, n_b, n_noise)
+        np.matmul(b_conj[:, start : start + n_b], v_n, out=u)
+        g = g_buf[: n_d * n_b * n_noise].reshape(n_d, n_b * n_noise)
+        np.matmul(r_conj, u.reshape(w_k, -1), out=g)  # a^H V_n
+        g_ri = g.view(np.float64).reshape(n_d, n_b, 2 * n_noise)  # squares sum to |g|^2
+        denom = denom_buf[: n_d * n_b].reshape(n_d, n_b)
+        np.einsum("ijk,ijk->ij", g_ri, g_ri, out=denom)
+        np.maximum(denom, _DENOM_FLOOR, out=denom)
+        np.divide(1.0, denom, out=values[:, start : start + n_b])
     return PseudoSpectrum(d_axis, theta_axis, values)
 
 

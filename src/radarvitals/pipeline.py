@@ -1,12 +1,13 @@
 """End-to-end processing of one recording.
 
 Each slow-time segment is processed from its own raw rows: clutter
-removal over the segment and the ``w_st - 1`` rows before it, a
-localization covariance and pseudo spectrum (summed with the spectra of
-all previous segments to suppress spurious peaks), a separately smoothed
-covariance for the person count, peak extraction, spatial filtering at
-every detected location and tracking. Finally each track gets one
-breathing estimate from its averaged periodograms.
+removal over the segment and the ``w_st - 1`` rows before it (only of the
+rows that are read), a localization covariance and pseudo spectrum
+(summed with the spectra of all previous segments to suppress spurious
+peaks), a separately smoothed covariance for the person count, peak
+extraction, spatial filtering at every detected location and tracking.
+Finally each track gets one breathing estimate from its averaged
+periodograms.
 """
 
 from __future__ import annotations
@@ -39,13 +40,15 @@ from .localize import (
     extract_peaks,
     music_spectrum,
     smoothed_covariance,
+    snapshot_indices,
     stacked_covariance_eigenvalues,
 )
 from .modelorder import ModelOrderConfig, OrderDiagnostics, order_diagnostics
-from .preprocess import segment, sma_filter
+from .preprocess import segment, sma_filter, sma_rows
 from .simulate import MeasurementCube, Scene
 from .trackeval import EvalReport, Track, score_estimates, update_tracks
-from .vitals import averaged_periodogram, breathing_frequency, build_filter, extract_displacement
+from .vitals import averaged_periodogram, beamform, breathing_frequency, build_filter, displacement
+from .vitals import extract_displacement  # noqa: F401  perfbench wraps the stages by these names
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -157,7 +160,10 @@ def run_pipeline(
     in order and the spectrum accumulation follows that order. Segment
     ``i`` is the clutter filter applied to raw rows ``[i * l_st, (i + 1) *
     l_st + w_st - 1)``, the same rows the filtered whole recording would
-    hold, so no recording-sized copy is made.
+    hold. Only the rows the stages read are filtered: the ``n_cov``
+    covariance snapshots, and each detection's beamformer output, filtered
+    in 1-D after beamforming the raw rows. No filtered copy of a segment or
+    of the recording is made.
     """
     if isinstance(source, MeasurementCube):
         cube = source
@@ -173,33 +179,41 @@ def run_pipeline(
     if count < 1:  # raises (shorter than w_st) or warns (shorter than a segment)
         segment(sma_filter(cube, w_st), l_st)
     order_cfg = config.order_config(cfg.k, derived.m)
+    snapshots = snapshot_indices(l_st, config.n_cov)
 
     tracks: list[Track] = []
     outcomes: list[SegmentOutcome] = []
     accumulated: PseudoSpectrum | None = None
     for i in range(count):
-        rows = slice(i * l_st, (i + 1) * l_st + w_st - 1)
-        seg = sma_filter(MeasurementCube(cube.samples[rows], cube.slow_time[rows], cfg), w_st)
+        raw = cube.samples[i * l_st : (i + 1) * l_st + w_st - 1]
+        slow_time = cube.slow_time[i * l_st + w_st - 1 : (i + 1) * l_st + w_st - 1]
         try:
-            cov_music = smoothed_covariance(seg.samples, config.music_spec(), config.n_cov)
+            # only the covariance snapshots of the filtered segment are formed
+            snaps = sma_rows(raw, w_st, snapshots)
+            cov_music = smoothed_covariance(snaps, config.music_spec(), len(snaps))
             spec = music_spectrum(cov_music, config.p_sub, config.grid, cfg)
             if accumulated is None or not config.accumulate:
                 accumulated = spec
             else:
                 accumulated = accumulate_spectrum(accumulated, spec)
-            lam_moe = stacked_covariance_eigenvalues(
-                seg.samples, config.moe_spec(), config.n_cov
-            )
+            lam_moe = stacked_covariance_eigenvalues(snaps, config.moe_spec(), len(snaps))
             order = order_diagnostics(lam_moe, order_cfg)
             detections = extract_peaks(
                 accumulated, order.p_hat, config.group_radius, segment_index=i
             )
             labels = update_tracks(tracks, detections, config.track_radius)
-            by_label = {t.label: t for t in tracks}
-            for label, det in zip(labels, detections.detections):
-                filt = build_filter(det.location, cfg, derived, config.window)
-                series = extract_displacement(filt, seg, derived.f_c, label=label)
-                by_label[label].series.append((i, series))
+            if labels:
+                # the filter is linear, so SMA(h^H x) = h^H SMA(x): beamform
+                # the raw rows and filter the outputs in 1-D
+                filters = [
+                    build_filter(det.location, cfg, derived, config.window)
+                    for det in detections.detections
+                ]
+                outputs = sma_rows(beamform(filters, raw), w_st)
+                by_label = {t.label: t for t in tracks}
+                for label, y in zip(labels, outputs.T):
+                    series = displacement(y, slow_time, cfg, derived.f_c, label)
+                    by_label[label].series.append((i, series))
         except Exception as exc:
             if hasattr(exc, "add_note"):
                 exc.add_note(f"while processing segment {i}")
@@ -213,7 +227,7 @@ def run_pipeline(
                 order=order,
                 detections=detections,
                 track_labels=labels,
-                slow_time=seg.slow_time,
+                slow_time=slow_time,
                 spectrum=spec,
             )
         )

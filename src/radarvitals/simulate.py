@@ -136,14 +136,12 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
     chan = cfg.delta * np.arange(m)
     cube = np.zeros((l, k, m), dtype=np.complex128)
     # Temporaries are bounded by blocks of slow-time rows, and each sample
-    # sees the same operations in the same order as unblocked. A block is
-    # the whole cube or at least _BLOCK_SAMPLES / 2 samples (the remainder
-    # joins the last block), so numpy elides the temporary of
-    # amplitude * exp(...) for a block exactly when it would for the whole
-    # cube; elision swaps the operands, which changes complex rounding.
+    # sees the same operations in the same order as unblocked. The person
+    # term is scaled by an explicit amplitude * term call: numpy would elide
+    # the temporary of ``amplitude * np.exp(...)`` for large arrays only and
+    # then compute exp * amplitude, which rounds differently.
     rows_per_block = max(1, _BLOCK_SAMPLES // (k * m))
-    edges = [i * rows_per_block for i in range(max(1, l // rows_per_block))] + [l]
-    blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    blocks = [slice(a, a + rows_per_block) for a in range(0, l, rows_per_block)]
 
     for person in scene.persons:
         if person.breath_freq >= scene.f_st / 2:
@@ -173,9 +171,8 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
         base = (2.0 * person.location.d + chan * np.sin(person.location.theta)) / cfg.c
         tau = base[None, :] + (2.0 / cfg.c) * disp[:, None]  # (l, m)
         for rows in blocks:
-            cube[rows] += person.amplitude * np.exp(
-                -2j * np.pi * freqs[None, :, None] * tau[rows, None, :]
-            )
+            term = np.exp(-2j * np.pi * freqs[None, :, None] * tau[rows, None, :])
+            cube[rows] += np.multiply(person.amplitude, term, out=term)
 
     for loc, gain in scene.clutter.static_reflectors:
         tau_m = (2.0 * loc.d + chan * np.sin(loc.theta)) / cfg.c

@@ -77,12 +77,11 @@ def extract_displacement(
     """Beamform every snapshot and convert the output phase to displacement.
 
     The filter output y(l) is the inner product of the (conjugated) filter
-    weights with the first k0 rows of each snapshot. Its phase, unwrapped
-    over slow time, scales to displacement by -c / (4 pi f_c). Samples with
-    vanishing |y| are flagged and repeat the previous reliable sample.
+    weights with the first k0 rows of each snapshot; ``displacement`` turns
+    it into chest motion.
     """
     k0, m = filt.h.shape
-    l_len, k_len, m_len = cube.samples.shape
+    _, k_len, m_len = cube.samples.shape
     if k_len < k0 or m_len != m:
         raise ValueError(
             f"cube of shape {cube.samples.shape} incompatible with a "
@@ -90,19 +89,43 @@ def extract_displacement(
         )
     if f_c is None:
         f_c = derive_params(cube.config).f_c
-    y = np.tensordot(cube.samples[:, :k0, :], filt.h.conj(), axes=([1, 2], [0, 1]))
+    y = beamform([filt], cube.samples)[:, 0]
+    return displacement(y, cube.slow_time, cube.config, f_c, label)
+
+
+def beamform(filters: list[SpatialFilter], samples: np.ndarray) -> np.ndarray:
+    """Output of each filter on each snapshot, (slow time, filter), in one GEMM.
+
+    The first k0 steps of a snapshot are contiguous, so the snapshots enter
+    the GEMM as a strided view without a copy.
+    """
+    k0 = filters[0].h.shape[0]
+    h = np.stack([f.h.ravel() for f in filters], axis=1).conj()
+    return samples[:, :k0].reshape(samples.shape[0], -1) @ h
+
+
+def displacement(
+    y: np.ndarray, slow_time: np.ndarray, cfg: RadarConfig, f_c: float, label: int | None = None
+) -> VitalSeries:
+    """Chest displacement from a beamformer output series over slow time.
+
+    The phase of y, unwrapped over slow time, scales to displacement by
+    -c / (4 pi f_c). Samples with vanishing |y| are flagged and repeat the
+    previous reliable sample.
+    """
+    l_len = y.size
     bad = np.abs(y) < _MAG_FLOOR
     if bad.all():
-        warnings.warn("beamformer output vanished over the whole segment", stacklevel=2)
+        warnings.warn("beamformer output vanished over the whole segment", stacklevel=3)
         eta = np.zeros(l_len)
     else:
         last_good = np.maximum.accumulate(np.where(bad, -1, np.arange(l_len)))
         first_good = int(np.nonzero(~bad)[0][0])
         last_good[last_good < 0] = first_good
         phi = np.unwrap(np.angle(y[last_good]))
-        eta = -cube.config.c / (4 * np.pi * f_c) * phi
-    t = cube.slow_time
-    f_st_actual = (t.size - 1) / (t[-1] - t[0]) if t.size > 1 else cube.config.f_st
+        eta = -cfg.c / (4 * np.pi * f_c) * phi
+    t = slow_time
+    f_st_actual = (t.size - 1) / (t[-1] - t[0]) if t.size > 1 else cfg.f_st
     return VitalSeries(eta, float(f_st_actual), label, bad)
 
 

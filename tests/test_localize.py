@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -288,6 +289,36 @@ def test_music_spectrum_deep_null_matches_reference():
     # carrier turn count puts it 2e-9 off
     spec = _check_music_against_reference(9, 1, 31, True, 2, 1, 2)
     assert spec.values.max() > 1e8
+
+
+def test_music_spectrum_angle_blocks_match_reference(monkeypatch):
+    # a budget of two angles' g block: the 7 angles are scanned in blocks of
+    # 2, 2, 2 and 1 through the same buffers
+    n_d, n_noise = 31, 3 * 2 - 2
+    monkeypatch.setattr(rv.core, "_BLOCK_BYTES", 2 * n_d * n_noise * 16)
+    _check_music_against_reference(7, 2, n_d, True, 3, 2, 11)
+
+
+def test_music_spectrum_working_set_is_bounded(walabot):
+    """The scan keeps U and g = a^H V_n to one block of angles.
+
+    Built for the whole grid they were a 5.4 MB U and 4.5 MB range blocks
+    (15.1 MB traced). Besides the memory, blocks that large are served by
+    fresh mmaps once glibc's dynamic mmap threshold is low (as it is when no
+    recording-sized array was freed before), and every scan block then
+    page-faults anew; that made the pipeline slower, not faster, when the
+    clutter filter stopped making its large temporaries.
+    """
+    cube = rv.simulate(scene_of([breather(2.0, 20.0)], l=264, noise_std=0.1, seed=4), walabot)
+    seg = rv.segment(rv.sma_filter(cube, 64), 200).segments[0]
+    cov = rv.smoothed_covariance(seg.samples, rv.SmoothingSpec(38, 2), 10)
+    tracemalloc.start()
+    try:
+        rv.music_spectrum(cov, 15, rv.GridSpec(), walabot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_music_spectrum_repeat_calls_bit_identical(walabot):

@@ -163,6 +163,33 @@ def test_segments_match_the_filtered_recording(walabot):
         np.testing.assert_allclose(outcome.order.lam, lam, rtol=0, atol=1e-12 * lam[0])
 
 
+def test_pipeline_matches_the_filtered_segment_rows(walabot):
+    # run_pipeline filters only the covariance snapshot rows and the 1-D
+    # beamformer outputs; the count eigenvalues must be those of the fully
+    # filtered segment bit for bit, and the displacements agree to rounding
+    config = rv.PipelineConfig()
+    scene = scene_of([breather(1.6, -25.0, 0.25, 0.001), breather(2.7, 20.0, 0.35, 0.001)],
+                     l=864, noise_std=0.1, seed=3)
+    cube = rv.simulate(scene, walabot)
+    result = run_pipeline(cube, config)
+    f_c = rv.derive_params(walabot).f_c
+    series = {(i, t.label): vs for t in result.tracks for i, vs in t.series}
+    assert len(result.segments) == 4 and len(series) >= 2
+    for outcome in result.segments:
+        start = outcome.index * config.l_st
+        raw = cube.samples[start : start + config.l_st + config.w_st - 1]
+        stamps = cube.slow_time[start : start + config.l_st + config.w_st - 1]
+        seg = rv.sma_filter(rv.MeasurementCube(raw, stamps, walabot), config.w_st)
+        lam = rv.stacked_covariance_eigenvalues(seg.samples, config.moe_spec(), config.n_cov)
+        assert outcome.order.lam.tobytes() == lam.tobytes()
+        for label, det in zip(outcome.track_labels, outcome.detections.detections):
+            filt = rv.build_filter(det.location, walabot, window=config.window)
+            expected = rv.extract_displacement(filt, seg, f_c)
+            got = series[outcome.index, label]
+            np.testing.assert_allclose(got.eta, expected.eta, rtol=0, atol=1e-12)
+            assert got.f_st_actual == expected.f_st_actual
+
+
 @pytest.mark.parametrize("l, segments", [(63, None), (64, 0), (262, 0), (263, 1)])
 def test_short_recordings(tmp_path, walabot, l, segments):
     # default w_st = 64 and l_st = 200: one segment needs w_st - 1 + l_st = 263 samples

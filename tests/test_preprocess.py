@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import radarvitals as rv
+from radarvitals import core
+from radarvitals.preprocess import sma_rows
 from helpers import small_config
 
 
@@ -125,3 +130,72 @@ def test_segment_length_validation():
     cube = _cube_from(np.zeros((20, cfg.k, 4), dtype=complex), cfg)
     with pytest.raises(ValueError):
         rv.segment(cube, 1)
+
+
+def _cumsum_filter(x, w):
+    # the one-pass formula the blocked kernel replaced, kept as the oracle
+    l = x.shape[0]
+    csum = np.cumsum(x, axis=0)
+    window_sum = csum[w - 1 :].copy()
+    window_sum[1:] -= csum[: l - w]
+    return x[w - 1 :] - window_sum / w
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    l=st.integers(1, 40),
+    w_frac=st.floats(0.0, 1.0),
+    k=st.integers(2, 4),
+    m=st.integers(1, 3),
+    budget=st.sampled_from([1, 100, 1000, 1 << 20]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(l=40, w_frac=0.0, k=3, m=2, budget=1, seed=0)
+@example(l=40, w_frac=1.0, k=3, m=2, budget=1, seed=0)
+def test_sma_filter_is_bit_equal_to_one_cumsum(l, w_frac, k, m, budget, seed):
+    # the running sum carried through blocks of w_st or more rows does the
+    # additions of one cumsum over the whole array, so the output is
+    # bit-equal to it (signed zeros included) however the rows are blocked;
+    # a 1-byte budget gives blocks of exactly w_st rows
+    w = 1 + int(w_frac * (l - 1))
+    rng = np.random.default_rng(seed)
+    shape = (l, k, m)
+    x = 10.0 ** rng.integers(-3, 4, size=shape) * rng.standard_normal(shape)
+    x = x + 1j * rng.standard_normal(shape)
+    x[rng.random(shape) < 0.1] = -0.0
+    expected = _cumsum_filter(x, w)
+    rows = np.flatnonzero(rng.random(l - w + 1) < 0.3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_BYTES", budget)
+        got = rv.sma_filter(_cube_from(x, small_config(k=k, n=2 * k, m_r=m, m_t=1)), w)
+        picked = sma_rows(x, w, rows)
+        flat = sma_rows(x.reshape(l, -1), w, rows)
+        series = sma_rows(x[:, 0, 0], w, rows)
+    assert got.samples.shape == expected.shape
+    assert got.samples.tobytes() == expected.tobytes()
+    assert picked.shape == (rows.size, k, m)
+    assert picked.tobytes() == expected[rows].tobytes()
+    assert flat.tobytes() == expected[rows].tobytes()
+    assert series.tobytes() == expected[rows, 0, 0].tobytes()
+
+
+def test_sma_filter_working_set_stays_near_its_output(walabot):
+    """The blocked filter allocates its output and two block buffers only.
+
+    The one-pass cumsum formula made four recording-sized complex
+    temporaries (4.0x its output). Large frees like those also kept
+    glibc's dynamic mmap threshold high; small, reused block buffers are
+    what let the MUSIC scan's blocks come from the heap without fresh page
+    faults, so both working sets are bounded together.
+    """
+    cfg = walabot
+    rng = np.random.default_rng(3)
+    shape = (2000, cfg.k, cfg.m_r * cfg.m_t)
+    cube = rv.MeasurementCube(rng.standard_normal(shape) + 0j, np.arange(2000) / 10.0, cfg)
+    tracemalloc.start()
+    try:
+        out = rv.sma_filter(cube, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * out.samples.nbytes

@@ -123,8 +123,8 @@ def _full_size_cube(scene, cfg, t):
             )
         base = (2.0 * person.location.d + chan * np.sin(person.location.theta)) / cfg.c
         tau = base[None, :] + (2.0 / cfg.c) * disp[:, None]
-        cube += person.amplitude * np.exp(
-            -2j * np.pi * freqs[None, :, None] * tau[:, None, :]
+        cube += np.multiply(
+            person.amplitude, np.exp(-2j * np.pi * freqs[None, :, None] * tau[:, None, :])
         )
     for loc, gain in scene.clutter.static_reflectors:
         tau_m = (2.0 * loc.d + chan * np.sin(loc.theta)) / cfg.c
@@ -151,6 +151,17 @@ def test_blocked_synthesis_matches_full_size_formula(walabot):
     cube = rv.simulate(scene, walabot)
     expected = _full_size_cube(scene, walabot, cube.slow_time)
     assert cube.samples.tobytes() == expected.tobytes()
+
+
+def test_simulated_bytes_do_not_depend_on_the_block_size(walabot, monkeypatch):
+    # the person term is scaled in one explicit operand order, so blocks far
+    # below numpy's temporary-elision size give the bytes of the default
+    scene = rv.Scene(persons=(breather(1.4, -20.0), breather(2.6, 15.0, gain=0.3 + 0.45j)),
+                     clutter=rv.ClutterModel(noise_std=0.1, seed=5), l=600)
+    default = rv.simulate(scene, walabot)
+    monkeypatch.setattr(importlib.import_module("radarvitals.simulate"), "_BLOCK_SAMPLES", 1 << 12)
+    small = rv.simulate(scene, walabot)
+    assert small.samples.tobytes() == default.samples.tobytes()
 
 
 def test_simulate_memory_stays_near_the_cube(walabot):
