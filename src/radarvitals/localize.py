@@ -20,6 +20,11 @@ from scipy import ndimage
 from .core import ConfigError, PolarLocation, RadarConfig, block_len
 
 _DENOM_FLOOR = np.finfo(np.float64).tiny
+# music_spectrum: rounding of the signal-subspace complement per unit ||a||^2
+# and basis dimension, and the multiple of its error bound below which a cell
+# is recomputed from the noise subspace
+_ROUNDING = 2 * np.finfo(np.float64).eps
+_NULL_MARGIN = 1e10
 # Veltkamp splitting constant 2**27 + 1 for error-free float64 products
 _SPLIT = 134217729.0
 
@@ -163,16 +168,38 @@ def stacked_covariance_eigenvalues(
     n, k, m = snaps.shape
     parts = np.stack([snaps.real, snaps.imag]).astype(np.float64, copy=False)
     acc = _window_gram(parts, spec.w_k, spec.w_m)
-    dim = spec.w_k * spec.w_m
-    # The backward slice [Re; -Im] of the reversed slice is the forward one
-    # under a signed permutation, bwd = fwd[:, perm] * sign, so its summed
-    # outer products are acc[perm][:, perm] * sign sign^T, exactly.
-    rev = np.arange(dim)[::-1]
-    perm = np.concatenate([rev, dim + rev])
-    sign = np.repeat([1.0, -1.0], dim)
-    acc += np.outer(sign, sign) * acc[np.ix_(perm, perm)]
-    covm = acc / (2 * n * spec.n_slices(k, m))
-    return np.ascontiguousarray(np.linalg.eigvalsh(covm)[::-1])
+    # the forward-backward covariance splits into two half-size blocks
+    scale = 1.0 / (n * spec.n_slices(k, m))
+    lam = np.concatenate([np.linalg.eigvalsh(b * scale) for b in _parity_blocks(acc)])
+    return np.ascontiguousarray(np.sort(lam)[::-1])
+
+
+def _parity_blocks(acc: np.ndarray) -> list[np.ndarray]:
+    """Q^T acc Q over the +1 and the -1 eigenspace Q of the backward map S.
+
+    The backward slice [Re; -Im] of the reversed slice is the forward one
+    under a signed permutation S: the index reversal r on both halves, with
+    the Im half negated. S is symmetric and S^2 = I, so the forward-backward
+    sum acc + S acc S commutes with S and equals twice the projected acc on
+    either eigenspace. The +1 space is spanned by the Re parts symmetric
+    under r and the Im parts antisymmetric under it, the -1 space by the
+    other two; each has dimension w_k w_m. A basis vector (e_p + s e_q) w
+    pairs q = r(p) with a sign s = +-1 and w = 1/sqrt(2), or for the middle
+    index of an odd dimension, a fixed point of r, p = q, s = 1 and w = 1/2.
+    Each block is therefore a sum of four gathered, signed sub-blocks.
+    """
+    dim = acc.shape[0] // 2
+    n_sym, n_anti = (dim + 1) // 2, dim // 2
+    blocks = []
+    for n_re, n_im, re_sign in ((n_sym, n_anti, 1.0), (n_anti, n_sym, -1.0)):
+        p = np.concatenate([np.arange(n_re), dim + np.arange(n_im)])
+        q = np.concatenate([dim - 1 - np.arange(n_re), 2 * dim - 1 - np.arange(n_im)])
+        s = np.repeat([re_sign, -re_sign], [n_re, n_im])
+        w = np.where(p == q, 0.5, math.sqrt(0.5))
+        f = acc[np.ix_(p, p)] + acc[np.ix_(p, q)] * s
+        f += (acc[np.ix_(q, p)] + acc[np.ix_(q, q)] * s) * s[:, None]
+        blocks.append(f * np.outer(w, w))
+    return blocks
 
 
 def _two_product(a: np.ndarray, b: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
@@ -268,10 +295,10 @@ def music_spectrum(
 ) -> PseudoSpectrum:
     """Scan the grid with 1 / || V_n^H a(d, theta) ||^2.
 
-    ``p_sub`` eigenvectors span the signal subspace; the remaining columns
-    form the noise subspace V_n, built once per call. Each grid cell is an
-    independent pure function of (cov, cfg), so the scan order does not
-    affect the values.
+    ``p_sub`` eigenvectors span the signal subspace V_s; the remaining
+    columns form the noise subspace V_n. Each grid cell is an independent
+    pure function of (cov, cfg), so the scan order does not affect the
+    values.
 
     With ``centered`` (the default) the scan steering references the middle
     sliding-window position instead of the first one. The slices average
@@ -283,11 +310,21 @@ def music_spectrum(
     into a range factor r_d[k] = exp(-2j pi f_k 2d / c) and an angle factor
     b_theta[m, k] = exp(-2j pi f_k sin(theta) x_m / c). The channels are
     contracted once per angle, U[k, theta] = sum_m conj(b_theta[m, k])
-    V_n[(m, k)], and the scan is one GEMM conj(R) @ U, so only
+    V[(m, k)], and the scan is one GEMM conj(R) @ U, so only
     n_t w_m w_k + n_d w_k exponentials are evaluated per call. U and the
-    GEMM output g = a^H V_n are built one block of angles at a time into
-    buffers allocated once per call, so the working set stays within the
-    block budget instead of growing with the grid.
+    GEMM output are built one block of angles at a time into buffers
+    allocated once per call, so the working set stays within the block
+    budget instead of growing with the grid.
+
+    The GEMM runs over the p_sub signal columns V_s rather than the
+    dim - p_sub noise columns: every steering entry has unit modulus, so
+    ||a||^2 = dim = w_k w_m and the denominator is the complement
+    dim - ||V_s^H a||^2. It differs from ||V_n^H a||^2 by at most
+    (||V^H V - I||_F + 2 dim eps) ||a||^2: the departure of the eigenbasis
+    from orthonormal, plus rounding. Each cell whose complement is below
+    1e10 times that bound (the cells near a null, and any negative
+    complement) is recomputed as ||V_n^H a||^2 from the same factors, so
+    every value is within 1e-10 relative of the noise-subspace form.
     """
     dim = cov.r_hat.shape[0]
     if p_sub >= dim:
@@ -295,39 +332,73 @@ def music_spectrum(
     if p_sub < 1:
         raise ValueError("signal subspace order must be >= 1")
     w_k, w_m = cov.spec.w_k, cov.spec.w_m
-    n_noise = dim - p_sub
+    basis = cov.eig_basis
     # rows of the basis are stacked column-wise: index m * w_k + k
-    v_n = cov.eig_basis[:, p_sub:].reshape(w_m, w_k, n_noise).transpose(1, 0, 2)
+    v_s = basis[:, :p_sub].reshape(w_m, w_k, p_sub).transpose(1, 0, 2)
+    departure = np.linalg.norm(basis.conj().T @ basis - np.eye(dim))
+    near_null = _NULL_MARGIN * (departure + _ROUNDING * dim) * dim
     k_off = (cfg.k - w_k) / 2 if centered else 0.0
     m_off = (cfg.m_r * cfg.m_t - w_m) / 2 if centered else 0.0
     delta_f = cfg.b / cfg.k
     freqs = cfg.f0 + delta_f * (k_off + np.arange(w_k))
     chan = cfg.delta * (m_off + np.arange(w_m))
     d_axis, theta_axis = grid.axes()
-    n_d, n_t = d_axis.size, theta_axis.size
     # conj(exp(-2j pi f p / c)) = exp(+2j pi f p / c)
     path_t = np.sin(theta_axis)[:, None] * chan[None, :]  # (n_t, w_m)
     turns_t = _phase_turns(freqs[:, None, None], path_t[None, :, :], cfg.c)
     b_conj = np.exp(2j * np.pi * turns_t)  # (w_k, n_t, w_m)
     turns_d = _phase_turns(2.0 * d_axis[:, None], freqs[None, :], cfg.c)
     r_conj = np.exp(2j * np.pi * turns_d)  # (n_d, w_k)
-    block = min(n_t, block_len(n_d * n_noise * 16))  # angles per g block
-    u_buf = np.empty(w_k * block * n_noise, dtype=complex)
-    g_buf = np.empty(n_d * block * n_noise, dtype=complex)
-    denom_buf = np.empty(n_d * block)
-    values = np.empty((n_d, n_t))
+    denom = _signal_complement(r_conj, b_conj, v_s)
+    _recompute_near_nulls(denom, near_null, r_conj, b_conj, basis[:, p_sub:])
+    np.maximum(denom, _DENOM_FLOOR, out=denom)
+    return PseudoSpectrum(d_axis, theta_axis, np.divide(1.0, denom, out=denom))
+
+
+def _signal_complement(r_conj: np.ndarray, b_conj: np.ndarray, v_s: np.ndarray) -> np.ndarray:
+    """w_k w_m - ||V_s^H a||^2 for every (range, angle) cell."""
+    n_d, w_k = r_conj.shape
+    _, n_t, w_m = b_conj.shape
+    p_sub = v_s.shape[2]
+    block = min(n_t, block_len(n_d * p_sub * 16))  # angles per g block
+    u_buf = np.empty(w_k * block * p_sub, dtype=complex)
+    g_buf = np.empty(n_d * block * p_sub, dtype=complex)
+    denom = np.empty((n_d, n_t))
     for start in range(0, n_t, block):
         n_b = min(block, n_t - start)
-        u = u_buf[: w_k * n_b * n_noise].reshape(w_k, n_b, n_noise)
-        np.matmul(b_conj[:, start : start + n_b], v_n, out=u)
-        g = g_buf[: n_d * n_b * n_noise].reshape(n_d, n_b * n_noise)
-        np.matmul(r_conj, u.reshape(w_k, -1), out=g)  # a^H V_n
-        g_ri = g.view(np.float64).reshape(n_d, n_b, 2 * n_noise)  # squares sum to |g|^2
-        denom = denom_buf[: n_d * n_b].reshape(n_d, n_b)
-        np.einsum("ijk,ijk->ij", g_ri, g_ri, out=denom)
-        np.maximum(denom, _DENOM_FLOOR, out=denom)
-        np.divide(1.0, denom, out=values[:, start : start + n_b])
-    return PseudoSpectrum(d_axis, theta_axis, values)
+        u = u_buf[: w_k * n_b * p_sub].reshape(w_k, n_b, p_sub)
+        np.matmul(b_conj[:, start : start + n_b], v_s, out=u)
+        g = g_buf[: n_d * n_b * p_sub].reshape(n_d, n_b * p_sub)
+        np.matmul(r_conj, u.reshape(w_k, -1), out=g)  # a^H V_s
+        g_ri = g.view(np.float64).reshape(n_d, n_b, 2 * p_sub)  # squares sum to |g|^2
+        np.einsum("ijk,ijk->ij", g_ri, g_ri, out=denom[:, start : start + n_b])
+    return np.subtract(w_k * w_m, denom, out=denom)
+
+
+def _recompute_near_nulls(
+    denom: np.ndarray,
+    near_null: float,
+    r_conj: np.ndarray,
+    b_conj: np.ndarray,
+    v_n: np.ndarray,
+) -> None:
+    """Overwrite each cell of ``denom`` below ``near_null`` by ||V_n^H a||^2.
+
+    The conjugate steering vectors of the cells are formed from the range
+    and angle factors, r_d[k] b_theta[m, k] at index m * w_k + k, and
+    multiplied by V_n in one GEMM per block of cells.
+    """
+    ii, jj = np.nonzero(denom < near_null)
+    dim, n_noise = v_n.shape
+    b_t = b_conj.transpose(1, 2, 0)  # (angle, m, k)
+    # per cell: its steering vector, its range factors and its a^H V_n
+    cells = block_len((dim + r_conj.shape[1] + n_noise) * 16)
+    for lo in range(0, ii.size, cells):
+        i, j = ii[lo : lo + cells], jj[lo : lo + cells]
+        a_conj = b_t[j]
+        a_conj *= r_conj[i][:, None, :]
+        g = (a_conj.reshape(-1, dim) @ v_n).view(np.float64)
+        denom[i, j] = np.einsum("ij,ij->i", g, g)
 
 
 def accumulate_spectrum(

@@ -57,7 +57,7 @@ def relative_distances(lam: np.ndarray, d_cap: int) -> np.ndarray:
         raise ValueError(f"d_cap={d_cap} not in [2, {lam.size}]")
     if lam[0] <= 0:
         raise ValueError("largest eigenvalue must be positive")
-    if np.any(lam[1:] > lam[:-1] * (1 + 1e-9) + 1e-300):
+    if np.any(lam[1:] > lam[:-1] + 1e-9 * np.abs(lam[:-1]) + 1e-300):
         raise ValueError("eigenvalues must be sorted descending")
     head = lam[:d_cap]
     if np.any(head <= 0):

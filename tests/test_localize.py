@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -328,6 +329,65 @@ def test_music_spectrum_repeat_calls_bit_identical(walabot):
     first = rv.music_spectrum(cov, 15, rv.GridSpec(), walabot)
     second = rv.music_spectrum(cov, 15, rv.GridSpec(), walabot)
     assert first.values.tobytes() == second.values.tobytes()
+
+
+def _music_noise_scan(cov, p_sub, grid, cfg):
+    """1 / ||V_n^H a||^2 on the centered grid through the noise subspace.
+
+    The scan as it ran before it moved to the signal subspace: the channels
+    of V_n are contracted once per angle and one GEMM over the range factors
+    gives a^H V_n for every cell, without the complement or its recompute.
+    """
+    w_k, w_m = cov.spec.w_k, cov.spec.w_m
+    n_noise = w_k * w_m - p_sub
+    v_n = cov.eig_basis[:, p_sub:].reshape(w_m, w_k, n_noise).transpose(1, 0, 2)
+    freqs = cfg.f0 + cfg.b / cfg.k * ((cfg.k - w_k) / 2 + np.arange(w_k))
+    chan = cfg.delta * ((cfg.m_r * cfg.m_t - w_m) / 2 + np.arange(w_m))
+    d_axis, theta_axis = grid.axes()
+    path_t = np.sin(theta_axis)[:, None] * chan[None, :]
+    turns_t = rv.localize._phase_turns(freqs[:, None, None], path_t[None], cfg.c)
+    u = np.exp(2j * np.pi * turns_t) @ v_n  # (w_k, n_t, n_noise)
+    turns_d = rv.localize._phase_turns(2.0 * d_axis[:, None], freqs[None, :], cfg.c)
+    g = (np.exp(2j * np.pi * turns_d) @ u.reshape(w_k, -1)).reshape(d_axis.size, -1, n_noise)
+    return 1.0 / np.maximum((g.real**2 + g.imag**2).sum(axis=2), np.finfo(float).tiny)
+
+
+def test_music_spectrum_matches_noise_subspace_scan_on_m16(walabot):
+    # every cell of every segment spectrum of the five-person scene, the
+    # cells near the peaks (recomputed) and the rest (complement) alike
+    cube = rv.simulate(m16_scene(seed=7), walabot)
+    segments = rv.segment(rv.sma_filter(cube, 64), 200).segments
+    assert len(segments) == 9
+    grid = rv.GridSpec()
+    for seg in segments:
+        cov = rv.smoothed_covariance(seg.samples, rv.SmoothingSpec(38, 2), 10)
+        spec = rv.music_spectrum(cov, 15, grid, walabot)
+        expected = _music_noise_scan(cov, 15, grid, walabot)
+        np.testing.assert_allclose(spec.values, expected, rtol=1e-10, atol=0)
+
+
+def test_music_spectrum_non_orthonormal_basis_matches_reference():
+    # a basis 1e-8 from orthonormal: the complement is off by about that
+    # much of ||a||^2, so the bound sends every cell to the exact recompute
+    cfg = small_config(k=7, n=14)
+    samples = _random_samples(np.random.default_rng(5), 3, 7, cfg.m_r * cfg.m_t)
+    cov = rv.smoothed_covariance(samples, rv.SmoothingSpec(3, 2), 3)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    e = x + x.conj().T
+    basis = cov.eig_basis @ (np.eye(6) + 5e-9 * e / np.linalg.norm(e))
+    departure = np.linalg.norm(basis.conj().T @ basis - np.eye(6))
+    assert 5e-9 < departure < 2e-8
+    cov = dataclasses.replace(cov, eig_basis=basis)
+    grid = rv.GridSpec(d_max=3.0, d_step=0.1, theta_max=0.3, theta_step=0.1)
+    spec = rv.music_spectrum(cov, 2, grid, cfg)
+    expected = _music_reference(cov, 2, grid, cfg, True)
+    np.testing.assert_allclose(spec.values, expected, rtol=1e-9, atol=0)
+
+
+def test_music_spectrum_large_signal_subspace_matches_reference():
+    # p_sub = 10 signal columns against 2 noise columns
+    _check_music_against_reference(9, 3, 31, True, 4, 10, 21)
 
 
 def test_accumulate_identities():

@@ -42,6 +42,19 @@ def test_rd_floors_nonpositive_tail():
     assert np.all(np.isfinite(rd))
 
 
+@pytest.mark.parametrize("tail", [[-1e-17, -1e-17], [-1e-17, -1.0000000001e-17]])
+def test_rd_accepts_sorted_negative_tail(tail):
+    # round-off leaves a rank-deficient covariance with tails like these;
+    # the sortedness tolerance must not tighten on negative entries
+    lam = np.array([1.0, *tail])
+    with pytest.warns(UserWarning, match="floored"):
+        assert np.all(np.isfinite(rv.relative_distances(lam, 2)))
+    with pytest.warns(UserWarning, match="floored"):
+        assert rv.order_diagnostics(lam).beta == 1
+    with pytest.raises(ValueError, match="descending"):
+        rv.relative_distances(np.array([1.0, -1e-17, -0.5e-17]), 3)
+
+
 def test_estimate_hand_case():
     lam = np.array([8.0, 8, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1])
     diag = rv.order_diagnostics(lam, rv.ModelOrderConfig(alpha=3.0, d_cap=12))
