@@ -9,6 +9,7 @@ range/azimuth grid is scanned with the projector onto the noise subspace.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -88,11 +89,19 @@ def _window_gram(snaps: np.ndarray, w_k: int, w_m: int) -> np.ndarray:
 
     For two channel shifts b1 = (p1, m1) and b2 = (p2, m2), let
     Y_b = snaps[p, :, :, m:m + n_j] laid out as k x (n_cov n_j). Entry
-    (k1, k2) of their block is the sum of the n_i = k - w_k + 1
+    (k1, k2) of their block W is the sum of the n_i = k - w_k + 1
     consecutive diagonal entries from (k1, k2) of the k x k Gram
-    P = Y_b1 Y_b2^H. One GEMM over the stacked Y_b gives every P; a
-    strided view sums the diagonals of the upper blocks and the lower
-    blocks are their conjugate transposes.
+    P = Y_b1 Y_b2^H. Only the upper blocks b1 <= b2 are formed, one k-row
+    panel Y_b1 [Y_b1 ... Y_last]^H per b1, so the largest product is
+    k x n_b k rather than the whole n_b k square. The lower blocks are
+    the conjugate transposes of the upper ones.
+
+    Only the first row and column of each W are summed from P; along a
+    diagonal, W[k1 + 1, k2 + 1] = W[k1, k2] - P[k1, k2] + P[k1 + n_i,
+    k2 + n_i]. With the block pairs q stacked as sums[k1, q, k2], that
+    recurrence is one addition of a shifted row per k1 over all pairs at
+    once: O(w_k^2) additions per pair instead of the O(w_k^2 n_i) of
+    summing every window.
     """
     n_parts, n_cov, k, m = snaps.shape
     n_i, n_j = k - w_k + 1, m - w_m + 1
@@ -100,18 +109,29 @@ def _window_gram(snaps: np.ndarray, w_k: int, w_m: int) -> np.ndarray:
     # y[p, m1, r, (l, j)] = snaps[p, l, r, m1 + j]
     y = sliding_window_view(snaps, n_j, axis=3).transpose(0, 3, 2, 1, 4)
     z = y.reshape(n_b * k, n_cov * n_j)
-    gram = z @ z.conj().T
-    rs, cs = gram.strides
-    out = np.empty((n_b, w_k, n_b, w_k), dtype=gram.dtype)
+    z_h = z.conj().T
+    # the pairs (b1, b2 >= b1) in row-major order; those of panel b1 are
+    # first[b1]:first[b1 + 1]
+    first = [b1 * n_b - b1 * (b1 - 1) // 2 for b1 in range(n_b + 1)]
+    sums = np.empty((w_k, first[-1], w_k), dtype=z.dtype)
     for b1 in range(n_b):
-        for b2 in range(b1, n_b):
-            # diags[k1, k2, i] = P[k1 + i, k2 + i]; largest index k - 1
-            diags = as_strided(
-                gram[b1 * k :, b2 * k :], (w_k, w_k, n_i), (rs, cs, rs + cs), writeable=False
-            )
-            out[b1, :, b2] = np.einsum("ijk->ij", diags)  # faster than sum(axis=2) here
-            if b2 > b1:
-                out[b2, :, b1] = out[b1, :, b2].conj().T
+        panel = (z[b1 * k : (b1 + 1) * k] @ z_h[:, b1 * k :]).reshape(k, n_b - b1, k)
+        rs, bs, cs = panel.strides
+        s = sums[:, first[b1] : first[b1 + 1]]
+        # seeds W[0, c] = sum_i P[i, c + i] and W[t, 0] = sum_i P[t + i, i]
+        row0 = as_strided(panel, (n_b - b1, w_k, n_i), (bs, cs, rs + cs), writeable=False)
+        col0 = as_strided(panel[1:], (w_k - 1, n_b - b1, n_i), (rs, bs, rs + cs), writeable=False)
+        np.einsum("ijk->ij", row0, out=s[0])  # faster than sum(axis=2) here
+        np.einsum("ijk->ij", col0, out=s[1:, :, 0])
+        # each step along a diagonal adds one entry of P and drops one
+        np.subtract(panel[n_i:, :, n_i:], panel[: w_k - 1, :, : w_k - 1], out=s[1:, :, 1:])
+    for t in range(1, w_k):
+        np.add(sums[t, :, 1:], sums[t - 1, :, :-1], out=sums[t, :, 1:])
+    out = np.empty((n_b, w_k, n_b, w_k), dtype=z.dtype)
+    for b1 in range(n_b):
+        s = sums[:, first[b1] : first[b1 + 1]]
+        out[b1, :, b1:] = s
+        out[b1 + 1 :, :, b1] = s[:, 1:].conj().transpose(1, 2, 0)
     return out.reshape(n_b * w_k, n_b * w_k)
 
 
@@ -169,12 +189,12 @@ def stacked_covariance_eigenvalues(
     parts = np.stack([snaps.real, snaps.imag]).astype(np.float64, copy=False)
     acc = _window_gram(parts, spec.w_k, spec.w_m)
     # the forward-backward covariance splits into two half-size blocks
-    scale = 1.0 / (n * spec.n_slices(k, m))
-    lam = np.concatenate([np.linalg.eigvalsh(b * scale) for b in _parity_blocks(acc)])
-    return np.ascontiguousarray(np.sort(lam)[::-1])
+    blocks = _parity_blocks(acc)
+    blocks *= 1.0 / (n * spec.n_slices(k, m))
+    return np.sort(np.linalg.eigvalsh(blocks), axis=None)[::-1].copy()
 
 
-def _parity_blocks(acc: np.ndarray) -> list[np.ndarray]:
+def _parity_blocks(acc: np.ndarray) -> np.ndarray:
     """Q^T acc Q over the +1 and the -1 eigenspace Q of the backward map S.
 
     The backward slice [Re; -Im] of the reversed slice is the forward one
@@ -186,19 +206,32 @@ def _parity_blocks(acc: np.ndarray) -> list[np.ndarray]:
     other two; each has dimension w_k w_m. A basis vector (e_p + s e_q) w
     pairs q = r(p) with a sign s = +-1 and w = 1/sqrt(2), or for the middle
     index of an odd dimension, a fixed point of r, p = q, s = 1 and w = 1/2.
-    Each block is therefore a sum of four gathered, signed sub-blocks.
+
+    The columns of each half are folded with their reversed partners, read
+    from a reversed view of acc, and then the rows likewise: (acc_pp +
+    s acc_pq) + s (acc_qp + s acc_qq). The result stacks the two blocks
+    for one batched eigensolve.
     """
     dim = acc.shape[0] // 2
-    n_sym, n_anti = (dim + 1) // 2, dim // 2
-    blocks = []
-    for n_re, n_im, re_sign in ((n_sym, n_anti, 1.0), (n_anti, n_sym, -1.0)):
-        p = np.concatenate([np.arange(n_re), dim + np.arange(n_im)])
-        q = np.concatenate([dim - 1 - np.arange(n_re), 2 * dim - 1 - np.arange(n_im)])
-        s = np.repeat([re_sign, -re_sign], [n_re, n_im])
-        w = np.where(p == q, 0.5, math.sqrt(0.5))
-        f = acc[np.ix_(p, p)] + acc[np.ix_(p, q)] * s
-        f += (acc[np.ix_(q, p)] + acc[np.ix_(q, q)] * s) * s[:, None]
-        blocks.append(f * np.outer(w, w))
+    n_sym = (dim + 1) // 2
+    blocks = np.empty((2, dim, dim))
+    cols = np.empty((2 * dim, dim))
+    acc_rev, cols_rev = acc[:, ::-1], cols[::-1]  # column / row c is 2 dim - 1 - c
+    # per block: its Re count, the folds with sign +-1 on the Re half and
+    # -+1 on the Im half, and where an odd dimension puts its fixed point
+    for f, n_re, fold_re, fold_im, mid in (
+        (blocks[0], n_sym, np.add, np.subtract, n_sym - 1),
+        (blocks[1], dim - n_sym, np.subtract, np.add, dim - 1),
+    ):
+        n_im = dim - n_re
+        fold_re(acc[:, :n_re], acc_rev[:, dim : dim + n_re], out=cols[:, :n_re])
+        fold_im(acc[:, dim : dim + n_im], acc_rev[:, :n_im], out=cols[:, n_re:])
+        fold_re(cols[:n_re], cols_rev[dim : dim + n_re], out=f[:n_re])
+        fold_im(cols[dim : dim + n_im], cols_rev[:n_im], out=f[n_re:])
+        f *= 0.5
+        if dim % 2:  # the middle index entered twice on each side
+            f[mid] *= math.sqrt(0.5)
+            f[:, mid] *= math.sqrt(0.5)
     return blocks
 
 
@@ -311,7 +344,9 @@ def music_spectrum(
     b_theta[m, k] = exp(-2j pi f_k sin(theta) x_m / c). The channels are
     contracted once per angle, U[k, theta] = sum_m conj(b_theta[m, k])
     V[(m, k)], and the scan is one GEMM conj(R) @ U, so only
-    n_t w_m w_k + n_d w_k exponentials are evaluated per call. U and the
+    n_t w_m w_k + n_d w_k exponentials are evaluated, and those only once
+    per (cfg, grid, w_k, w_m, centered): ``_scan_factors`` caches them
+    read-only, so the segments of a run share them. U and the
     GEMM output are built one block of angles at a time into buffers
     allocated once per call, so the working set stays within the block
     budget instead of growing with the grid.
@@ -337,6 +372,24 @@ def music_spectrum(
     v_s = basis[:, :p_sub].reshape(w_m, w_k, p_sub).transpose(1, 0, 2)
     departure = np.linalg.norm(basis.conj().T @ basis - np.eye(dim))
     near_null = _NULL_MARGIN * (departure + _ROUNDING * dim) * dim
+    r_conj, b_conj = _scan_factors(cfg, grid, w_k, w_m, centered)
+    denom = _signal_complement(r_conj, b_conj, v_s)
+    _recompute_near_nulls(denom, near_null, r_conj, b_conj, basis[:, p_sub:])
+    np.maximum(denom, _DENOM_FLOOR, out=denom)
+    d_axis, theta_axis = grid.axes()
+    return PseudoSpectrum(d_axis, theta_axis, np.divide(1.0, denom, out=denom))
+
+
+@functools.lru_cache(maxsize=4)
+def _scan_factors(
+    cfg: RadarConfig, grid: GridSpec, w_k: int, w_m: int, centered: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugate range factors r_conj[d, k] and angle factors
+    b_conj[k, theta, m] of the scan, read-only.
+
+    They depend only on the arguments, all immutable, so one run computes
+    them once instead of once per segment.
+    """
     k_off = (cfg.k - w_k) / 2 if centered else 0.0
     m_off = (cfg.m_r * cfg.m_t - w_m) / 2 if centered else 0.0
     delta_f = cfg.b / cfg.k
@@ -349,10 +402,9 @@ def music_spectrum(
     b_conj = np.exp(2j * np.pi * turns_t)  # (w_k, n_t, w_m)
     turns_d = _phase_turns(2.0 * d_axis[:, None], freqs[None, :], cfg.c)
     r_conj = np.exp(2j * np.pi * turns_d)  # (n_d, w_k)
-    denom = _signal_complement(r_conj, b_conj, v_s)
-    _recompute_near_nulls(denom, near_null, r_conj, b_conj, basis[:, p_sub:])
-    np.maximum(denom, _DENOM_FLOOR, out=denom)
-    return PseudoSpectrum(d_axis, theta_axis, np.divide(1.0, denom, out=denom))
+    r_conj.flags.writeable = False
+    b_conj.flags.writeable = False
+    return r_conj, b_conj
 
 
 def _signal_complement(r_conj: np.ndarray, b_conj: np.ndarray, v_s: np.ndarray) -> np.ndarray:

@@ -44,27 +44,35 @@ def sma_rows(x: np.ndarray, w_st: int, rows: np.ndarray | None = None) -> np.nda
     Output row j is x[r] - (csum[r] - csum[j - 1]) / w_st with r = j + w_st - 1,
     where csum is the running sum over axis 0 and csum[-1] = 0 (subtracting
     +0 is exact). ``rows`` (ascending, in [0, len(x) - w_st]) picks the output
-    rows to compute; the default is all of them.
+    rows to compute; the default is all of them. Either way every output is
+    bit-equal to that of one cumsum over the whole array.
 
-    The running sum is carried through blocks of at least ``w_st`` input rows:
-    a block's first row gets the previous block's last sum added before its
-    cumsum, so every element sees exactly the additions of one cumsum over
-    the whole array. Only blocks up to the last picked row are summed, and
-    nothing but the output is the size of the input.
+    All rows: the running sum is carried through blocks of at least ``w_st``
+    input rows; a block's first row gets the previous block's last sum added
+    before its cumsum, so every element sees exactly the additions of one
+    cumsum, and nothing but the output is the size of the input.
+
+    Picked rows: ``_running_sums`` adds the input rows one at a time into a
+    single accumulator, up to the last csum index read, and keeps only the
+    sums at the indices r and j - 1 of the picked rows.
     """
-    n_out = x.shape[0] - w_st + 1
-    rows = np.arange(n_out) if rows is None else np.asarray(rows, dtype=np.intp)
-    tail = x.shape[1:]
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        marks = np.unique(np.concatenate([rows - 1, rows + w_st - 1]))
+        sums = _running_sums(x, marks)
+        window = sums[np.searchsorted(marks, rows + w_st - 1)]
+        window -= sums[np.searchsorted(marks, rows - 1)]
+        return x[rows + w_st - 1] - window / w_st
+    l, tail = x.shape[0], x.shape[1:]
     no_rows = np.cumsum(x[:0], axis=0)  # the dtypes of the sums and of the output
-    out = np.empty((rows.size, *tail), (x[:0] - no_rows / w_st).dtype)
-    if rows.size == 0:
+    out = np.empty((max(l - w_st + 1, 0), *tail), (x[:0] - no_rows / w_st).dtype)
+    if out.size == 0:
         return out
     block = block_len(no_rows.itemsize * math.prod(tail), w_st)
     # buffer row 0 holds csum[a - 1], rows 1..n hold csum[a .. a + n - 1]
     bufs = np.empty((2, block + 1, *tail), no_rows.dtype)
-    end = int(rows[-1]) + w_st  # input rows [0, end) are read
-    for step, a in enumerate(range(0, end, block)):
-        b = min(a + block, end)
+    for step, a in enumerate(range(0, l, block)):
+        b = min(a + block, l)
         cur, prev = bufs[step % 2], bufs[(step - 1) % 2]
         if a == 0:
             cur[0] = 0
@@ -73,21 +81,40 @@ def sma_rows(x: np.ndarray, w_st: int, rows: np.ndarray | None = None) -> np.nda
             cur[0] = prev[block]
             cur[1 : b - a + 1] = x[a:b]
             np.cumsum(cur[: b - a + 1], axis=0, out=cur[: b - a + 1])
-        # output rows whose last input row lies in [a, b); csum[j - 1] sits in
-        # prev for j < a and in cur from j = a on
-        lo, mid, hi = np.searchsorted(rows, [a - w_st + 1, a, b - w_st + 1])
-        for p, q, src, src_first in ((lo, mid, prev, a - block - 1), (mid, hi, cur, a - 1)):
-            if p == q:
+        # output rows j whose last input row r lies in [a, b); csum[j - 1]
+        # sits in prev for j < a and in cur from j = a on
+        for j0, j1, src, src_first in (
+            (max(a - w_st + 1, 0), min(a, b - w_st + 1), prev, a - block - 1),
+            (a, b - w_st + 1, cur, a - 1),
+        ):
+            if j0 >= j1:
                 continue
-            cuts = (p + 1 + np.flatnonzero(np.diff(rows[p:q]) != 1)).tolist()
-            for p0, q0 in zip([p, *cuts], [*cuts, q]):
-                j0, n = int(rows[p0]), q0 - p0
-                r0, s0 = j0 + w_st - 1, j0 - 1 - src_first
-                o = out[p0:q0]
-                np.subtract(cur[r0 - a + 1 : r0 - a + 1 + n], src[s0 : s0 + n], out=o)
-                np.divide(o, w_st, out=o)
-                np.subtract(x[r0 : r0 + n], o, out=o)
+            r0, s0, n = j0 + w_st - 1, j0 - 1 - src_first, j1 - j0
+            o = out[j0:j1]
+            np.subtract(cur[r0 - a + 1 : r0 - a + 1 + n], src[s0 : s0 + n], out=o)
+            np.divide(o, w_st, out=o)
+            np.subtract(x[r0 : r0 + n], o, out=o)
     return out
+
+
+def _running_sums(x: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """csum[n] over axis 0 for each ascending index n of ``marks``; csum[-1] = +0.
+
+    The input rows are added one at a time into an accumulator that starts
+    at -0.0 (in both parts of a complex sum), the identity of IEEE addition,
+    so each sum is bit-equal to that row of np.cumsum; a reduction that
+    starts from +0 would turn a -0.0 sum into +0.
+    """
+    acc = np.zeros(x.shape[1:], np.cumsum(x[:0], axis=0).dtype)
+    np.negative(acc, out=acc)
+    sums = np.empty((marks.size, *acc.shape), acc.dtype)
+    start = 0
+    for i, n in enumerate(marks.tolist()):
+        for r in range(start, n + 1):
+            np.add(acc, x[r], out=acc)
+        start = n + 1
+        sums[i] = acc if n >= 0 else 0
+    return sums
 
 
 def segment(cube: MeasurementCube, l_st: int) -> SegmentedCube:

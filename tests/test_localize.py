@@ -293,11 +293,13 @@ def test_music_spectrum_deep_null_matches_reference():
 
 
 def test_music_spectrum_angle_blocks_match_reference(monkeypatch):
-    # a budget of two angles' g block: the 7 angles are scanned in blocks of
-    # 2, 2, 2 and 1 through the same buffers
-    n_d, n_noise = 31, 3 * 2 - 2
-    monkeypatch.setattr(rv.core, "_BLOCK_BYTES", 2 * n_d * n_noise * 16)
-    _check_music_against_reference(7, 2, n_d, True, 3, 2, 11)
+    # a budget of two angles' g block, which holds the p_sub signal columns
+    # of each angle: the 7 angles are scanned in blocks of 2, 2, 2 and 1
+    # through the same buffers
+    n_d, p_sub = 31, 2
+    monkeypatch.setattr(rv.core, "_BLOCK_BYTES", 2 * n_d * p_sub * 16)
+    assert rv.core.block_len(n_d * p_sub * 16) == 2
+    _check_music_against_reference(7, 2, n_d, True, 3, p_sub, 11)
 
 
 def test_music_spectrum_working_set_is_bounded(walabot):
@@ -514,6 +516,12 @@ def _smoothing_cases(draw):
 @example((7, 4, 3, rv.SmoothingSpec(7, 4), 1, np.complex64, 0))
 @example((9, 5, 1, rv.SmoothingSpec(9, 5), 1, np.complex128, 1))
 @example((8, 1, 4, rv.SmoothingSpec(3, 1), 4, np.complex64, 2))
+# the edges of the window-sum recurrence: one step (w_k = 1, no recurrence)
+# or every step (w_k = k, one entry per diagonal sum), one or every channel
+@example((6, 3, 2, rv.SmoothingSpec(1, 1), 1, np.complex128, 3))
+@example((5, 4, 2, rv.SmoothingSpec(1, 4), 1, np.complex128, 4))
+@example((6, 3, 2, rv.SmoothingSpec(6, 1), 1, np.complex128, 5))
+@example((9, 4, 3, rv.SmoothingSpec(9, 3), 1, np.complex128, 6))
 def test_covariances_match_per_slice_reference(case):
     # both smoothed covariances against the explicit sum over every
     # vectorized slice of every snapshot, formed in double precision
@@ -541,3 +549,107 @@ def test_covariances_match_per_slice_reference(case):
     expected = np.linalg.eigvalsh(acc_ri / (2 * n))[::-1]
     lam = rv.stacked_covariance_eigenvalues(samples, spec, n_cov)
     np.testing.assert_allclose(lam, expected, rtol=0, atol=1e-13 * expected[0])
+
+
+def _per_slice_gram(snaps, spec, real_stacked):
+    """Sum over every snapshot and every vectorized slice x of x x^H, or of
+    [Re x; Im x] [Re x; Im x]^T for the real-stacked window."""
+    dim = spec.w_k * spec.w_m
+    acc = np.zeros((2 * dim,) * 2 if real_stacked else (dim, dim), dtype=snaps.dtype)
+    for snap in snaps:
+        rows = _slice_rows(snap, spec)
+        if real_stacked:
+            rows = np.concatenate([rows.real, rows.imag], axis=1)
+        acc += rows.T @ rows.conj()
+    return acc.real if real_stacked else acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(_smoothing_cases(), st.booleans())
+@example((5, 3, 1, rv.SmoothingSpec(1, 1), 1, np.complex128, 0), True)
+@example((5, 3, 1, rv.SmoothingSpec(1, 3), 1, np.complex128, 1), False)
+@example((5, 3, 1, rv.SmoothingSpec(5, 1), 1, np.complex128, 2), True)
+@example((5, 3, 1, rv.SmoothingSpec(5, 3), 1, np.complex128, 3), False)
+@example((1, 1, 1, rv.SmoothingSpec(1, 1), 1, np.complex128, 4), True)
+def test_window_gram_matches_per_slice_sum(case, real_stacked):
+    # the upper Gram panels, the diagonal window-sum recurrence and the
+    # conjugate-transposed lower blocks against the explicit slice sum
+    k, m, l, spec, n_cov, _, seed = case
+    snaps = _random_samples(np.random.default_rng(seed), n_cov, k, m)
+    parts = np.stack([snaps.real, snaps.imag]) if real_stacked else snaps[None]
+    acc = rv.localize._window_gram(parts, spec.w_k, spec.w_m)
+    expected = _per_slice_gram(snaps, spec, real_stacked)
+    np.testing.assert_allclose(acc, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("spec, real_stacked", [
+    (rv.SmoothingSpec(38, 2), False),  # the localization window
+    (rv.SmoothingSpec(38, 3), True),  # the person-count window
+])
+def test_window_gram_at_production_size(spec, real_stacked):
+    # k = 137 steps, 8 channels, 10 snapshots: 37 recurrence steps over
+    # n_i = 100 entries per diagonal sum
+    snaps = _random_samples(np.random.default_rng(13), 10, 137, 8)
+    parts = np.stack([snaps.real, snaps.imag]) if real_stacked else snaps[None]
+    acc = rv.localize._window_gram(parts, spec.w_k, spec.w_m)
+    expected = _per_slice_gram(snaps, spec, real_stacked)
+    assert acc.dtype == (np.float64 if real_stacked else np.complex128)
+    np.testing.assert_allclose(acc, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+def _parity_basis(dim):
+    """Orthonormal bases of the +1 and the -1 eigenspace of the backward map
+    S = diag(J, -J), J the index reversal, in the column order of
+    ``_parity_blocks``: the Re-half vectors e_i + s e_r(i) first, then the
+    Im-half ones, each normalized (a fixed point i = r(i) gives e_i)."""
+    bases = []
+    for re_sign, n_re in ((1.0, (dim + 1) // 2), (-1.0, dim // 2)):
+        cols = []
+        for half, sign, count in ((0, re_sign, n_re), (dim, -re_sign, dim - n_re)):
+            for i in range(count):
+                v = np.zeros(2 * dim)
+                v[half + i] += 1.0
+                v[half + dim - 1 - i] += sign
+                cols.append(v / np.linalg.norm(v))
+        bases.append(np.array(cols).T)
+    return bases
+
+
+@pytest.mark.parametrize("w_k, w_m", [(4, 2), (3, 3), (1, 1), (38, 3)])
+def test_parity_blocks_match_explicit_projection(w_k, w_m):
+    # each block is Q^T (acc + S acc S) Q / 2 on its eigenspace Q of S; an
+    # odd w_k w_m puts a fixed point of the reversal in each block
+    dim = w_k * w_m
+    rng = np.random.default_rng(dim)
+    g = rng.standard_normal((2 * dim, 3 * dim))
+    acc = g @ g.T
+    reverse = np.eye(dim)[::-1]
+    s_map = np.block([[reverse, np.zeros((dim, dim))], [np.zeros((dim, dim)), -reverse]])
+    fb = (acc + s_map @ acc @ s_map) / 2
+    blocks = rv.localize._parity_blocks(acc)
+    assert blocks.shape == (2, dim, dim)
+    for block, q, sign in zip(blocks, _parity_basis(dim), (1.0, -1.0)):
+        np.testing.assert_allclose(q.T @ q, np.eye(dim), atol=1e-15)
+        np.testing.assert_allclose(s_map @ q, sign * q, atol=0)
+        np.testing.assert_allclose(block, q.T @ fb @ q, rtol=0, atol=1e-13 * np.abs(acc).max())
+    lam = np.sort(np.linalg.eigvalsh(blocks), axis=None)
+    np.testing.assert_allclose(lam, np.linalg.eigvalsh(fb), rtol=0, atol=1e-12 * lam[-1])
+
+
+def test_music_spectrum_shares_read_only_scan_factors(walabot):
+    # the steering factors are computed once per (cfg, grid, window) and
+    # shared read-only; each spectrum still gets its own axes
+    rng = np.random.default_rng(8)
+    cov = rv.smoothed_covariance(_random_samples(rng, 3, walabot.k, 8), rv.SmoothingSpec(38, 2), 3)
+    grid = rv.GridSpec(d_max=1.0, theta_max=0.5)
+    first = rv.music_spectrum(cov, 5, grid, walabot)
+    hits = rv.localize._scan_factors.cache_info().hits
+    second = rv.music_spectrum(cov, 5, grid, walabot)
+    assert rv.localize._scan_factors.cache_info().hits == hits + 1
+    r_conj, b_conj = rv.localize._scan_factors(walabot, grid, 38, 2, True)
+    assert not r_conj.flags.writeable and not b_conj.flags.writeable
+    assert second.values.tobytes() == first.values.tobytes()
+    first.d_axis[:] = -1.0
+    first.theta_axis[:] = -1.0
+    np.testing.assert_array_equal(second.d_axis, grid.axes()[0])
+    np.testing.assert_array_equal(second.theta_axis, grid.axes()[1])

@@ -1,6 +1,9 @@
 import csv
 import io
+import os
 import string
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -135,6 +138,30 @@ def test_m16_golden_output(walabot):
         [float(r["value"]) for r in got], [float(r["value"]) for r in expected], rtol=1e-9
     )
     assert breathing_csv(result) == (golden / "m16_seed7_breathing.csv").read_text(encoding="utf-8")
+
+
+def test_pipeline_does_not_import_scipy_linalg():
+    # importing scipy.linalg after the package takes about 60 ms; the package and
+    # a whole run need only numpy's LAPACK and scipy.ndimage
+    code = """
+import sys
+import radarvitals as rv
+scene = rv.Scene(
+    persons=(rv.PersonModel(location=rv.PolarLocation(2.0, 0.3)),),
+    clutter=rv.ClutterModel(noise_std=0.1, seed=1),
+    l=264,
+    f_st=10.0,
+)
+result = rv.run_pipeline(rv.simulate(scene, rv.walabot_config(f_st=10.0)))
+assert result.segments and result.tracks
+print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
+"""
+    src = str(Path(rv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_pipeline_memory_stays_below_the_recording(walabot):

@@ -179,6 +179,28 @@ def test_sma_filter_is_bit_equal_to_one_cumsum(l, w_frac, k, m, budget, seed):
     assert series.tobytes() == expected[rows, 0, 0].tobytes()
 
 
+def test_sma_rows_at_the_covariance_snapshots_is_bit_equal():
+    # the pipeline's case: the 10 snapshot rows of a 200-row segment filtered
+    # from its 263 raw rows. A zero column keeps its running sums at -0.0,
+    # which only a sum started from -0.0 keeps: output row 0 subtracts
+    # csum[-1] = +0, so a +0 running sum would turn +0 outputs into -0.0
+    w = 64
+    rows = rv.localize.snapshot_indices(200, 10)
+    rng = np.random.default_rng(21)
+    shape = (200 + w - 1, 5, 3)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x[rng.random(shape) < 0.1] = -0.0
+    x.real[rng.random(shape) < 0.1] = -0.0
+    x.imag[rng.random(shape) < 0.1] = -0.0
+    x[:, 0, 0] = complex(-0.0, -0.0)
+    x[:, 1, 0] = complex(-0.0, 1.0)
+    expected = _cumsum_filter(x, w)[rows]
+    got = sma_rows(x, w, rows)
+    assert np.signbit(got[0, 0, 0].real) == np.signbit(expected[0, 0, 0].real)
+    assert got.tobytes() == expected.tobytes()
+    assert sma_rows(x, w, rows[:0]).shape == (0, 5, 3)
+
+
 def test_sma_filter_working_set_stays_near_its_output(walabot):
     """The blocked filter allocates its output and two block buffers only.
 
