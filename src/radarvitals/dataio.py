@@ -40,7 +40,15 @@ class RVCFormatError(DataError):
 
 
 def check_finite(samples: np.ndarray, source: object) -> None:
-    """Raise ``DataError`` naming the first non-finite [l, k, m] sample."""
+    """Raise ``DataError`` naming the first non-finite [l, k, m] sample.
+
+    One sum screens the samples: a nan or inf sample always makes it
+    non-finite, so the element-wise scan runs only then (a finite sum that
+    overflows merely triggers the scan, which finds nothing).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(samples.sum()):
+            return
     finite = np.isfinite(samples)
     if not finite.all():
         bad = [int(i) for i in np.argwhere(~finite)[0]]

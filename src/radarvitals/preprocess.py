@@ -20,6 +20,15 @@ class SegmentedCube:
     l_st: int
 
 
+# Row width (elements per input row) from which the all-rows path of
+# sma_rows forms its running sums by adding one input row at a time rather
+# than by np.cumsum, whose accumulate loop runs once per column. Medians on
+# 263 complex128 rows, one thread: width 128 cumsum 0.14 ms against the row
+# loop 0.39 ms; 320, 0.39 against 0.50; 384, 0.50 against 0.45; 512, 0.84
+# against 0.66; 1096 (a walabot row), 1.59 against 0.96.
+_ROW_LOOP_WIDTH = 384
+
+
 def sma_filter(cube: MeasurementCube, w_st: int) -> MeasurementCube:
     """Subtract a trailing moving average over slow time.
 
@@ -27,7 +36,9 @@ def sma_filter(cube: MeasurementCube, w_st: int) -> MeasurementCube:
     of the ``w_st`` inputs ending at l, so any slow-time-constant content
     cancels and the first ``w_st - 1`` rows carry no valid output and are
     dropped. The window must span at least one breathing cycle, otherwise
-    the filter attenuates the signal of interest as well.
+    the filter attenuates the signal of interest as well. The samples are
+    filtered by ``sma_rows``, bit-equal to one cumsum over the recording
+    for finite samples.
     """
     if w_st < 1:
         raise ValueError(f"window w_st must be >= 1, got {w_st}")
@@ -45,12 +56,17 @@ def sma_rows(x: np.ndarray, w_st: int, rows: np.ndarray | None = None) -> np.nda
     where csum is the running sum over axis 0 and csum[-1] = 0 (subtracting
     +0 is exact). ``rows`` (ascending, in [0, len(x) - w_st]) picks the output
     rows to compute; the default is all of them. Either way every output is
-    bit-equal to that of one cumsum over the whole array.
+    bit-equal to that of one cumsum and one true division over the whole
+    array, as long as ``x`` is finite (see ``_divide``); ``run_pipeline``
+    and ``read_container`` reject non-finite samples before filtering.
 
     All rows: the running sum is carried through blocks of at least ``w_st``
     input rows; a block's first row gets the previous block's last sum added
-    before its cumsum, so every element sees exactly the additions of one
-    cumsum, and nothing but the output is the size of the input.
+    before its sums are formed, so every element sees exactly the additions
+    of one cumsum, and nothing but the output is the size of the input.
+    Rows of ``_ROW_LOOP_WIDTH`` elements or more are summed by ``_add_rows``
+    one input row at a time, narrower ones by np.cumsum: the same additions
+    in the same order.
 
     Picked rows: ``_running_sums`` adds the input rows one at a time into a
     single accumulator, up to the last csum index read, and keeps only the
@@ -62,25 +78,30 @@ def sma_rows(x: np.ndarray, w_st: int, rows: np.ndarray | None = None) -> np.nda
         sums = _running_sums(x, marks)
         window = sums[np.searchsorted(marks, rows + w_st - 1)]
         window -= sums[np.searchsorted(marks, rows - 1)]
-        return x[rows + w_st - 1] - window / w_st
+        return x[rows + w_st - 1] - _divide(window, w_st, int(np.searchsorted(rows, 1)))
     l, tail = x.shape[0], x.shape[1:]
     no_rows = np.cumsum(x[:0], axis=0)  # the dtypes of the sums and of the output
     out = np.empty((max(l - w_st + 1, 0), *tail), (x[:0] - no_rows / w_st).dtype)
     if out.size == 0:
         return out
+    by_row = math.prod(tail) >= _ROW_LOOP_WIDTH
     block = block_len(no_rows.itemsize * math.prod(tail), w_st)
     # buffer row 0 holds csum[a - 1], rows 1..n hold csum[a .. a + n - 1]
     bufs = np.empty((2, block + 1, *tail), no_rows.dtype)
     for step, a in enumerate(range(0, l, block)):
         b = min(a + block, l)
         cur, prev = bufs[step % 2], bufs[(step - 1) % 2]
-        if a == 0:
-            cur[0] = 0
-            np.cumsum(x[:b], axis=0, out=cur[1 : b + 1])
+        cur[0] = prev[block] if a else 0
+        # the first block's sums start from x[0] itself: +0 + x[0] would
+        # turn a -0 into +0
+        s = int(a == 0)
+        if by_row:
+            if s:
+                cur[1] = x[0]
+            _add_rows(cur[s], x[a + s : b], cur[s + 1 : b - a + 1])
         else:
-            cur[0] = prev[block]
             cur[1 : b - a + 1] = x[a:b]
-            np.cumsum(cur[: b - a + 1], axis=0, out=cur[: b - a + 1])
+            np.cumsum(cur[s : b - a + 1], axis=0, out=cur[s : b - a + 1])
         # output rows j whose last input row r lies in [a, b); csum[j - 1]
         # sits in prev for j < a and in cur from j = a on
         for j0, j1, src, src_first in (
@@ -92,9 +113,47 @@ def sma_rows(x: np.ndarray, w_st: int, rows: np.ndarray | None = None) -> np.nda
             r0, s0, n = j0 + w_st - 1, j0 - 1 - src_first, j1 - j0
             o = out[j0:j1]
             np.subtract(cur[r0 - a + 1 : r0 - a + 1 + n], src[s0 : s0 + n], out=o)
-            np.divide(o, w_st, out=o)
+            _divide(o, w_st, int(j0 == 0))
             np.subtract(x[r0 : r0 + n], o, out=o)
     return out
+
+
+def _divide(window: np.ndarray, w_st: int, first_exact: int) -> np.ndarray:
+    """window / w_st, bit-equal to np.divide; in place unless window is integer.
+
+    numpy divides a complex a by w + 0j as re = (ar + ai·0)·(1/w) and
+    im = (ai − ar·0)·(1/w). For finite a, ar + ai·0 is ar unless ar is −0
+    (then ai·0 can turn it to +0), and likewise for im, so with no −0
+    component the quotient is the float view of a times 1/w, computed in
+    the sums' real dtype. A window sum csum[r] − csum[j − 1] of an output
+    row j ≥ 1 has no −0 component: a running sum is −0 only when every
+    addend was −0, and then csum[j − 1] is −0 too, so the difference is +0.
+    Output row 0 subtracts csum[−1] = +0 and can keep a −0; the first
+    ``first_exact`` rows of ``window`` (those that may be output row 0)
+    therefore keep np.divide, and so do real sums, whose true division is
+    no reciprocal multiply, and other dtypes. Non-finite sums may give
+    another pattern of inf and nan than np.divide would.
+    """
+    if window.dtype not in (np.complex64, np.complex128):
+        return np.divide(window, w_st, out=window if window.dtype.kind == "f" else None)
+    head, rest = window[:first_exact], window[first_exact:]
+    np.divide(head, w_st, out=head)
+    parts = rest.view(rest.real.dtype)
+    np.multiply(parts, parts.dtype.type(1) / parts.dtype.type(w_st), out=parts)
+    return window
+
+
+def _add_rows(acc: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> None:
+    """Add the rows of ``x`` one at a time to the running sum ``acc``.
+
+    With ``out``, out[i] gets the sum through x[i] and ``acc`` is only read;
+    without, ``acc`` is updated in place. Each sum is acc + x[0] + ... + x[i]
+    added left to right, as np.cumsum adds them.
+    """
+    for i, row in enumerate(x):
+        dst = acc if out is None else out[i]
+        np.add(acc, row, out=dst)
+        acc = dst
 
 
 def _running_sums(x: np.ndarray, marks: np.ndarray) -> np.ndarray:
@@ -110,8 +169,7 @@ def _running_sums(x: np.ndarray, marks: np.ndarray) -> np.ndarray:
     sums = np.empty((marks.size, *acc.shape), acc.dtype)
     start = 0
     for i, n in enumerate(marks.tolist()):
-        for r in range(start, n + 1):
-            np.add(acc, x[r], out=acc)
+        _add_rows(acc, x[start : n + 1])
         start = n + 1
         sums[i] = acc if n >= 0 else 0
     return sums

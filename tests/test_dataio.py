@@ -1,5 +1,7 @@
 import hashlib
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +149,30 @@ def test_write_container_makes_no_payload_copy(tmp_path, walabot):
         tracemalloc.stop()
     assert peak < cube.samples.nbytes / 10
     assert np.array_equal(rv.read_container(path).samples, cube.samples)
+
+
+def test_check_finite_passes_a_finite_cube_whose_sum_overflows():
+    # the screening sum overflows to inf; only the exact scan may decide
+    samples = np.full((50, 3, 2), complex(1e308, -1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rv.dataio.check_finite(samples, "big")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_check_finite_names_the_first_bad_sample(bad, part):
+    # whatever the screening sum gives, the error names the first non-finite
+    # sample in [l, k, m] order
+    rng = np.random.default_rng(4)
+    shape = (6, 5, 4)
+    for index, others in (((0, 0, 0), [(5, 4, 3)]), ((5, 4, 3), []), ((2, 1, 3), [(4, 0, 0)])):
+        samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        getattr(samples, part)[index] = bad
+        for i in others:
+            getattr(samples, part)[i] = -bad
+        with pytest.raises(rv.DataError, match=re.escape(f"sample {list(index)} is")):
+            rv.dataio.check_finite(samples, "rec")
 
 
 def test_downconvert_center_tone_lands_at_dc(walabot):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import radarvitals as rv
-from radarvitals import core
+from radarvitals import core, preprocess
 from radarvitals.preprocess import sma_rows
 from helpers import small_config
 
@@ -149,20 +149,34 @@ def _cumsum_filter(x, w):
     m=st.integers(1, 3),
     budget=st.sampled_from([1, 100, 1000, 1 << 20]),
     seed=st.integers(0, 2**32 - 1),
+    wide=st.booleans(),
 )
-@example(l=40, w_frac=0.0, k=3, m=2, budget=1, seed=0)
-@example(l=40, w_frac=1.0, k=3, m=2, budget=1, seed=0)
-def test_sma_filter_is_bit_equal_to_one_cumsum(l, w_frac, k, m, budget, seed):
+@example(l=40, w_frac=0.0, k=3, m=2, budget=1, seed=0, wide=False)
+@example(l=40, w_frac=1.0, k=3, m=2, budget=1, seed=0, wide=False)
+# rows of at least _ROW_LOOP_WIDTH elements, summed one input row at a time:
+# w_st = 7 and 40 with blocks of exactly w_st rows, and w_st = 1
+@example(l=40, w_frac=0.16, k=3, m=2, budget=1, seed=0, wide=True)
+@example(l=40, w_frac=1.0, k=2, m=3, budget=1, seed=1, wide=True)
+@example(l=40, w_frac=0.0, k=4, m=1, budget=1 << 20, seed=2, wide=True)
+@example(l=23, w_frac=0.5, k=2, m=2, budget=1000, seed=3, wide=True)
+def test_sma_filter_is_bit_equal_to_one_cumsum(l, w_frac, k, m, budget, seed, wide):
     # the running sum carried through blocks of w_st or more rows does the
     # additions of one cumsum over the whole array, so the output is
-    # bit-equal to it (signed zeros included) however the rows are blocked;
-    # a 1-byte budget gives blocks of exactly w_st rows
+    # bit-equal to it (signed zeros included) however the rows are blocked
+    # and whichever way each block is summed; a 1-byte budget gives blocks
+    # of exactly w_st rows. The last column stays (-0, -0), and so do its
+    # running sums: only those started from x[0] (or -0) keep it, and its
+    # window sum at output row 0 must be divided by w_st (giving (-0, +0)),
+    # not multiplied by 1/w_st
+    if wide:
+        k += -(-preprocess._ROW_LOOP_WIDTH // m)
     w = 1 + int(w_frac * (l - 1))
     rng = np.random.default_rng(seed)
     shape = (l, k, m)
     x = 10.0 ** rng.integers(-3, 4, size=shape) * rng.standard_normal(shape)
     x = x + 1j * rng.standard_normal(shape)
     x[rng.random(shape) < 0.1] = -0.0
+    x[:, -1, -1] = complex(-0.0, -0.0)
     expected = _cumsum_filter(x, w)
     rows = np.flatnonzero(rng.random(l - w + 1) < 0.3)
     with pytest.MonkeyPatch.context() as mp:
@@ -177,6 +191,29 @@ def test_sma_filter_is_bit_equal_to_one_cumsum(l, w_frac, k, m, budget, seed):
     assert picked.tobytes() == expected[rows].tobytes()
     assert flat.tobytes() == expected[rows].tobytes()
     assert series.tobytes() == expected[rows, 0, 0].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("w", [1, 3, 7, 50, 63, 64, 200])
+def test_complex_division_is_the_reciprocal_multiply(dtype, w):
+    # sma_rows scales the window sums of output rows >= 1 by multiplying
+    # their float view by 1/w; that is bit-equal to numpy's complex division
+    # only while numpy divides by w + 0j as (ar + ai*0)/w, (ai - ar*0)/w
+    # with 1/w formed first. Finite data without -0 components, +0 included
+    rng = np.random.default_rng(w)
+    o = np.empty((300, 7), dtype)
+    span = int(np.log10(np.finfo(dtype).max)) - 2
+    for part in (o.real, o.imag):
+        part[...] = 10.0 ** rng.integers(-span, span, size=o.shape) * rng.standard_normal(o.shape)
+        part[rng.random(o.shape) < 0.05] = 0.0
+    real = o.real.dtype.type
+    parts = o.view(real)
+    assert np.isfinite(parts).all() and not np.signbit(parts[parts == 0]).any()
+    by_reciprocal = (parts * (real(1) / real(w))).view(dtype)
+    assert (o / w).tobytes() == by_reciprocal.tobytes()
+    scaled = o.copy()
+    preprocess._divide(scaled, w, 0)
+    assert scaled.tobytes() == by_reciprocal.tobytes()
 
 
 def test_sma_rows_at_the_covariance_snapshots_is_bit_equal():
