@@ -74,14 +74,18 @@ def _load_pipeline_config(path: str | None, accumulate: bool = True):
 
 
 def _cmd_simulate(args) -> int:
-    from .core import walabot_config, radar_config_from_entries
+    from .core import ConfigError, radar_config_from_entries, radar_config_to_entries, walabot_config
     from .dataio import write_container
     from .kvfile import read_kv
     from .simulate import scene_from_entries, simulate
 
     scene, extras = scene_from_entries(read_kv(args.scenario))
     if args.config:
-        cfg = radar_config_from_entries(read_kv(args.config))
+        entries = read_kv(args.config)
+        cfg = radar_config_from_entries(entries)
+        unknown = sorted(set(entries) - set(radar_config_to_entries(cfg)))
+        if unknown:
+            raise ConfigError(f"unknown radar config key {unknown[0]!r}")
     else:
         cfg = walabot_config(f_st=scene.f_st)
     cube = simulate(scene, cfg)

@@ -48,6 +48,7 @@ from .preprocess import segment, sma_filter, sma_rows
 from .simulate import MeasurementCube, Scene
 from .trackeval import EvalReport, Track, score_estimates, update_tracks
 from .vitals import averaged_periodogram, beamform, breathing_frequency, build_filter, displacement
+from .vitals import _WINDOWS
 from .vitals import extract_displacement  # noqa: F401  perfbench wraps the stages by these names
 
 @dataclass(frozen=True)
@@ -108,6 +109,8 @@ class PipelineConfig:
             raise ConfigError("breathing band must satisfy 0 <= lo < hi")
         if self.pad_factor < 1:
             raise ConfigError("pad_factor must be >= 1")
+        if self.window not in _WINDOWS:
+            raise ConfigError(f"unknown window {self.window!r}; choose from {sorted(_WINDOWS)}")
 
 
 def pipeline_config_from_entries(entries: dict[str, str]) -> PipelineConfig:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CartesianLocation, PolarLocation, polar_to_cartesian
+from .core import PolarLocation, polar_to_cartesian
 from .localize import Detection, DetectionSet
 from .simulate import Scene
 from .vitals import VitalSeries
@@ -15,12 +15,33 @@ from .vitals import VitalSeries
 
 def _as_xy(loc) -> tuple[float, float]:
     if isinstance(loc, PolarLocation):
-        cart = polar_to_cartesian(loc)
-        return cart.x, cart.y
-    if isinstance(loc, CartesianLocation):
-        return loc.x, loc.y
-    x, y = loc
-    return float(x), float(y)
+        loc = polar_to_cartesian(loc)
+    return loc.x, loc.y
+
+
+def _greedy_links(anchors: list, points: list, radius: float) -> list[tuple[int, int, float]]:
+    """One-to-one links ``(i, j, distance)`` of the locations ``anchors[i]``
+    and ``points[j]`` (polar or Cartesian), the one association rule of
+    tracking and scoring.
+
+    Every pair strictly closer than ``radius`` in the plane is a candidate;
+    candidates are taken in ascending ``(distance, i, j)`` order, each ``i``
+    and each ``j`` at most once.
+    """
+    points_xy = [_as_xy(loc) for loc in points]
+    pairs = sorted(
+        (dist, i, j)
+        for i, (ax, ay) in enumerate(map(_as_xy, anchors))
+        for j, (bx, by) in enumerate(points_xy)
+        if (dist := math.hypot(bx - ax, by - ay)) < radius
+    )
+    used_i, used_j, links = set(), set(), []
+    for dist, i, j in pairs:
+        if i not in used_i and j not in used_j:
+            links.append((i, j, dist))
+            used_i.add(i)
+            used_j.add(j)
+    return links
 
 
 @dataclass
@@ -42,35 +63,22 @@ def update_tracks(
 ) -> list[int]:
     """Associate one segment's detections with existing tracks.
 
-    Greedy nearest-neighbor assignment in Cartesian distance against each
-    track's last location; every track and detection is used at most once
-    and distances at or above ``radius`` never link. Unassigned detections
-    open new tracks. The track list is extended in place; the return value
-    gives the track label per detection, in detection order.
+    Each track's last location is linked to the detections by the greedy
+    rule of ``_greedy_links`` under ``radius``. Unassigned detections open
+    new tracks. The track list is extended in place; the return value gives
+    the track label per detection, in detection order.
     """
     seg = detections.segment_index
-    det_xy = [_as_xy(det.location) for det in detections.detections]
-    pairs = []
-    for ti, track in enumerate(tracks):
-        tx, ty = _as_xy(track.last_location)
-        for di, (x, y) in enumerate(det_xy):
-            dist = math.hypot(x - tx, y - ty)
-            if dist < radius:
-                pairs.append((dist, ti, di))
-    pairs.sort()
-    used_tracks: set[int] = set()
-    labels: list[int | None] = [None] * len(det_xy)
-    for _, ti, di in pairs:
-        if ti in used_tracks or labels[di] is not None:
-            continue
-        tracks[ti].records.append((seg, detections.detections[di]))
+    dets = detections.detections
+    links = _greedy_links([t.last_location for t in tracks], [d.location for d in dets], radius)
+    labels: list[int | None] = [None] * len(dets)
+    for ti, di, _ in links:
+        tracks[ti].records.append((seg, dets[di]))
         labels[di] = tracks[ti].label
-        used_tracks.add(ti)
     next_label = max((t.label for t in tracks), default=-1) + 1
-    for di, det in enumerate(detections.detections):
+    for di, det in enumerate(dets):
         if labels[di] is None:
-            track = Track(next_label, records=[(seg, det)])
-            tracks.append(track)
+            tracks.append(Track(next_label, records=[(seg, det)]))
             labels[di] = next_label
             next_label += 1
     return labels  # type: ignore[return-value]
@@ -100,30 +108,14 @@ class EvalReport:
 def match_and_score(
     estimates: list, references: list, d_match: float = 0.3
 ) -> EvalReport:
-    """Greedy one-to-one matching in ascending distance under ``d_match``.
+    """Match references to estimates one-to-one under ``d_match`` by the
+    greedy rule tracking uses (``_greedy_links``).
 
-    Locations may be polar or Cartesian; distances are Euclidean in the
-    plane. Distance ties break toward the lower (reference, estimate) index
-    pair, so the matching is deterministic and symmetric under relabeling.
+    Locations may be polar or Cartesian. Distance ties break toward the
+    lower (reference, estimate) index pair, so the matching is
+    deterministic and symmetric under relabeling.
     """
-    ref_xy = [_as_xy(loc) for loc in references]
-    est_xy = [_as_xy(loc) for loc in estimates]
-    pairs = []
-    for ri, (rx, ry) in enumerate(ref_xy):
-        for ei, (ex, ey) in enumerate(est_xy):
-            dist = math.hypot(ex - rx, ey - ry)
-            if dist < d_match:
-                pairs.append((dist, ri, ei))
-    pairs.sort()
-    used_ref: set[int] = set()
-    used_est: set[int] = set()
-    matches: list[tuple[int, int, float]] = []
-    for dist, ri, ei in pairs:
-        if ri in used_ref or ei in used_est:
-            continue
-        matches.append((ri, ei, dist))
-        used_ref.add(ri)
-        used_est.add(ei)
+    matches = _greedy_links(references, estimates, d_match)
     p = len(references)
     p_hat = len(estimates)
     p_md = p - len(matches)
@@ -143,19 +135,6 @@ def match_and_score(
     )
 
 
-def score_breathing(
-    report: EvalReport, labels: list[int], rates: dict[int, float | None], truth_rates: list[float]
-) -> dict[int, float]:
-    """Relative breathing error per reference index, in match order, for
-    each match whose estimate's track label (``labels``) has a rate."""
-    errors = {}
-    for ref_i, est_j, _ in report.matches:
-        f_hat = rates.get(labels[est_j])
-        if f_hat is not None:
-            errors[ref_i] = breathing_error(f_hat, truth_rates[ref_i])
-    return errors
-
-
 def score_estimates(
     estimates: list, labels: list[int], rates: dict[int, float | None] | None,
     truth: Scene, d_match: float,
@@ -167,7 +146,11 @@ def score_estimates(
     report = match_and_score(estimates, [p.location for p in truth.persons], d_match)
     errors = {}
     if rates is not None:
-        errors = score_breathing(report, labels, rates, [p.breath_freq for p in truth.persons])
+        # in match order, for each match whose estimate's track has a rate
+        for ref_i, est_j, _ in report.matches:
+            f_hat = rates.get(labels[est_j])
+            if f_hat is not None:
+                errors[ref_i] = breathing_error(f_hat, truth.persons[ref_i].breath_freq)
         report.breathing_errors = list(errors.values())
     return report, errors
 

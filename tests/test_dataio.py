@@ -94,6 +94,46 @@ def test_container_malformed_truth_names_key(tmp_path):
     assert main(["evaluate", "--in", str(det), "--truth", str(path)]) == 3
 
 
+def _edit_header(path, edit):
+    """Rewrite the header lines of the container at ``path`` with ``edit``."""
+    data = path.read_bytes()
+    head, sep, payload = data.partition(b"\nend_header\n")
+    lines = edit(head.decode("utf-8").split("\n"))
+    path.write_bytes("\n".join(lines).encode("utf-8") + sep + payload)
+
+
+def _drop_last_stamp(lines):
+    return [line.rpartition(",")[0] if line.startswith("slow_time ") else line
+            for line in lines]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:2] + lines[1:], "malformed header: line 2: duplicate key 'l'"),
+    (lambda lines: [("l 4.5" if line == "l 4" else line) for line in lines],
+     "bad or missing header field: invalid literal for int() with base 10: '4.5'"),
+    (lambda lines: [("m 5" if line == "m 4" else line) for line in lines],
+     "header m=5 inconsistent with m_r*m_t=4"),
+    (lambda lines: [line for line in lines if not line.startswith("slow_time ")],
+     "header lacks the slow_time vector"),
+    (_drop_last_stamp, "slow_time has 3 entries, header promises 4"),
+])
+def test_container_header_rejections(tmp_path, edit, message):
+    path = tmp_path / "cube.rvc"
+    rv.write_container(_random_cube(small_config()), path)
+    _edit_header(path, edit)
+    with pytest.raises(rv.RVCFormatError) as err:
+        rv.read_container(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_cli_detect_on_inconsistent_header_is_data_error(tmp_path, capsys):
+    path = tmp_path / "cube.rvc"
+    rv.write_container(_random_cube(small_config()), path)
+    _edit_header(path, lambda lines: [("m 5" if line == "m 4" else line) for line in lines])
+    assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+    assert "inconsistent with m_r*m_t=4" in capsys.readouterr().err
+
+
 def test_read_header_stops_at_end_header(tmp_path):
     cfg = rv.RadarConfig(f0=6.3e9, k=64, b=1e9, n=64, delta=0.02, m_r=4, m_t=2, f_st=10.0)
     cube = _random_cube(cfg, l=250)

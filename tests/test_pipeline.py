@@ -123,6 +123,35 @@ def test_pipeline_config_validation(walabot, derived):
         rv.PipelineConfig(p_sub=76).validate(walabot, derived)
     with pytest.raises(rv.ConfigError):
         rv.PipelineConfig(w_k_music=200).validate(walabot, derived)
+    with pytest.raises(rv.ConfigError, match="'hamming'"):
+        rv.PipelineConfig(window="hamming").validate(walabot, derived)
+
+
+def test_unknown_window_is_rejected_at_entry(walabot):
+    # also on a scene with no persons, whose segments never build a filter
+    cube = rv.simulate(scene_of([], l=264, noise_std=0.1, seed=4), walabot)
+    with pytest.raises(rv.ConfigError, match="'hamming'"):
+        run_pipeline(cube, rv.PipelineConfig(window="hamming"))
+    assert run_pipeline(cube, rv.PipelineConfig(window="rect")).segments[0].p_hat == 0
+
+
+def test_segment_error_names_the_segment(walabot, monkeypatch):
+    real = rv.pipeline.extract_peaks
+
+    def fail_in_segment_1(*args, segment_index, **kwargs):
+        if segment_index == 1:
+            raise RuntimeError("peak search failed")
+        return real(*args, segment_index=segment_index, **kwargs)
+
+    monkeypatch.setattr(rv.pipeline, "extract_peaks", fail_in_segment_1)
+    cube = rv.simulate(scene_of([breather(2.0, 10.0, amp=0.0015)], l=464, seed=6), walabot)
+    with pytest.raises(RuntimeError) as err:
+        run_pipeline(cube)
+    if sys.version_info >= (3, 11):
+        assert str(err.value) == "peak search failed"
+        assert err.value.__notes__ == ["while processing segment 1"]
+    else:
+        assert str(err.value) == "segment 1: peak search failed"
 
 
 def test_m16_golden_output(walabot):
@@ -425,6 +454,21 @@ def test_cli_scene_missing_key_is_usage_error(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(scene_path),
                  "--out", str(tmp_path / "x.rvc")]) == 2
     assert "'person.0.d'" in capsys.readouterr().err
+
+
+def test_cli_unknown_radar_config_key_is_usage_error(tmp_path, capsys):
+    scene_path = tmp_path / "scene.kv"
+    scene_path.write_text("l 4\n", encoding="utf-8")
+    config = tmp_path / "radar.kv"
+    entries = rv.core.radar_config_to_entries(rv.walabot_config(10.0))
+    write_kv(config, entries)
+    argv = ["simulate", "--scenario", str(scene_path), "--config", str(config),
+            "--out", str(tmp_path / "x.rvc")]
+    assert main(argv) == 0
+    assert rv.read_container(tmp_path / "x.rvc").config == rv.walabot_config(10.0)
+    write_kv(config, {**entries, "delta_tt": "0.5"})
+    assert main(argv) == 2
+    assert "unknown radar config key 'delta_tt'" in capsys.readouterr().err
 
 
 def test_cli_bad_pipeline_config_is_usage_error(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import radarvitals as rv
 from radarvitals.localize import Detection, DetectionSet
+from radarvitals.trackeval import Track
 
 
 def _det(d, theta_deg, value=1.0):
@@ -109,3 +113,99 @@ def test_breathing_error_values():
     assert rv.breathing_error(0.27, 0.30) == pytest.approx(-0.10)
     with pytest.raises(ValueError):
         rv.breathing_error(0.3, 0.0)
+
+
+# Reference copies of the two association loops that tracking and scoring
+# carried before they shared one rule; the property below pins the shared
+# rule to them.
+
+def _ref_xy(loc):
+    if isinstance(loc, rv.PolarLocation):
+        loc = rv.polar_to_cartesian(loc)
+    return loc.x, loc.y
+
+
+def _ref_update_tracks(tracks, detections, radius):
+    seg = detections.segment_index
+    det_xy = [_ref_xy(det.location) for det in detections.detections]
+    pairs = []
+    for ti, track in enumerate(tracks):
+        tx, ty = _ref_xy(track.last_location)
+        for di, (x, y) in enumerate(det_xy):
+            dist = math.hypot(x - tx, y - ty)
+            if dist < radius:
+                pairs.append((dist, ti, di))
+    pairs.sort()
+    used_tracks = set()
+    labels = [None] * len(det_xy)
+    for _, ti, di in pairs:
+        if ti in used_tracks or labels[di] is not None:
+            continue
+        tracks[ti].records.append((seg, detections.detections[di]))
+        labels[di] = tracks[ti].label
+        used_tracks.add(ti)
+    next_label = max((t.label for t in tracks), default=-1) + 1
+    for di, det in enumerate(detections.detections):
+        if labels[di] is None:
+            tracks.append(Track(next_label, records=[(seg, det)]))
+            labels[di] = next_label
+            next_label += 1
+    return labels
+
+
+def _ref_matches(estimates, references, d_match):
+    ref_xy = [_ref_xy(loc) for loc in references]
+    est_xy = [_ref_xy(loc) for loc in estimates]
+    pairs = []
+    for ri, (rx, ry) in enumerate(ref_xy):
+        for ei, (ex, ey) in enumerate(est_xy):
+            dist = math.hypot(ex - rx, ey - ry)
+            if dist < d_match:
+                pairs.append((dist, ri, ei))
+    pairs.sort()
+    used_ref, used_est, matches = set(), set(), []
+    for dist, ri, ei in pairs:
+        if ri in used_ref or ei in used_est:
+            continue
+        matches.append((ri, ei, dist))
+        used_ref.add(ri)
+        used_est.add(ei)
+    return matches
+
+
+# Quarter-metre grid points give exact distance ties (and distances exactly
+# at the radius); free floats give the general case.
+_COORD = st.one_of(st.integers(-8, 8).map(lambda v: v / 4), st.floats(-2.0, 2.0))
+_LAYOUT = st.lists(st.builds(rv.CartesianLocation, _COORD, _COORD), max_size=7)
+_RADIUS = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.25]), st.floats(0.01, 3.0))
+_POLAR = st.lists(st.builds(rv.PolarLocation, st.floats(0.0, 3.0), st.floats(-1.5, 1.5)),
+                  max_size=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(segments=st.lists(_LAYOUT, min_size=1, max_size=5), references=_LAYOUT, radius=_RADIUS,
+       polar=_POLAR)
+@example(  # exact distance ties between tracks and between detections, and
+    # pairs exactly at the radius, which never link
+    segments=[[rv.CartesianLocation(0.0, 0.0), rv.CartesianLocation(1.0, 0.0)],
+              [rv.CartesianLocation(0.5, 0.0), rv.CartesianLocation(0.5, 0.5),
+               rv.CartesianLocation(0.5, -0.5), rv.CartesianLocation(0.0, 0.5),
+               rv.CartesianLocation(1.75, 0.0)]],
+    references=[rv.CartesianLocation(0.5, 0.0), rv.CartesianLocation(1.25, 0.0)],
+    radius=0.75,
+    polar=[rv.PolarLocation(0.5, 0.0), rv.PolarLocation(0.5, 0.0)],
+)
+def test_shared_association_rule_matches_the_two_former_loops(segments, references, radius,
+                                                              polar):
+    tracks, ref_tracks = [], []
+    for seg, layout in enumerate(segments):
+        dets = DetectionSet([Detection(loc, float(i)) for i, loc in enumerate(layout)],
+                            seg, len(layout))
+        assert rv.update_tracks(tracks, dets, radius) == _ref_update_tracks(ref_tracks, dets, radius)
+        assert [(t.label, t.records) for t in tracks] == [(t.label, t.records) for t in ref_tracks]
+    estimates = segments[-1]
+    report = rv.match_and_score(estimates, references, radius)
+    assert report.matches == _ref_matches(estimates, references, radius)
+    # polar estimates against Cartesian references, as the evaluation scores them
+    assert rv.match_and_score(polar, references, radius).matches == _ref_matches(
+        polar, references, radius)
