@@ -146,12 +146,20 @@ def read_container(path: str | os.PathLike) -> MeasurementCube:
     check_finite(samples, path)
     if "slow_time" not in entries:
         raise RVCFormatError(f"{path}: header lacks the slow_time vector")
-    slow_time = np.array([float(v) for v in entries["slow_time"].split(",")])
+    try:
+        slow_time = np.array(
+            [parse_config_value("slow_time", v, float) for v in entries["slow_time"].split(",")]
+        )
+    except ConfigError as exc:
+        raise RVCFormatError(f"{path}: {exc}") from exc
     if slow_time.size != l:
         raise RVCFormatError(
             f"{path}: slow_time has {slow_time.size} entries, header promises {l}"
         )
-    return MeasurementCube(samples, slow_time, cfg, ground_truth=truth)
+    try:
+        return MeasurementCube(samples, slow_time, cfg, ground_truth=truth)
+    except ValueError as exc:  # the header's l, k and m already fix the shape
+        raise RVCFormatError(f"{path}: {exc}") from exc
 
 
 def downconvert_decimate(

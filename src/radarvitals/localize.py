@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy import ndimage
 
 from .core import ConfigError, PolarLocation, RadarConfig, block_len
 
@@ -489,6 +488,15 @@ class DetectionSet:
         return len(self.detections) >= self.requested
 
 
+def _neighborhood_max(v: np.ndarray) -> np.ndarray:
+    """Maximum over each cell's 3 x 3 neighborhood; cells outside the grid
+    read -inf. A maximum does no rounding, so this is exact."""
+    padded = np.full((v.shape[0] + 2, v.shape[1] + 2), -np.inf)
+    padded[1:-1, 1:-1] = v
+    rows = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
+    return np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+
+
 def extract_peaks(
     spectrum: PseudoSpectrum,
     p_hat: int,
@@ -502,14 +510,19 @@ def extract_peaks(
     it; otherwise it becomes the next detection. Stops after ``p_hat``
     detections or when the candidates run out, which is flagged through
     ``DetectionSet.complete``.
+
+    A cell is a local maximum when no in-grid neighbor exceeds it, so every
+    cell of a tied plateau is one. NaN has no order: a spectrum holding NaN
+    raises ``ValueError``.
     """
     if p_hat < 0:
         raise ValueError("p_hat must be non-negative")
+    v = spectrum.values
+    if np.isnan(v).any():
+        raise ValueError("pseudo-spectrum holds NaN")
     if p_hat == 0:
         return DetectionSet([], segment_index, 0)
-    v = spectrum.values
-    local_max = v >= ndimage.maximum_filter(v, size=3, mode="constant", cval=-np.inf)
-    ii, jj = np.nonzero(local_max)
+    ii, jj = np.nonzero(v >= _neighborhood_max(v))
     vals = v[ii, jj]
     order = np.lexsort((jj, ii, -vals))
     accepted: list[Detection] = []

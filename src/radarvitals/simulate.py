@@ -106,6 +106,8 @@ class MeasurementCube:
                 f"samples shape {self.samples.shape} inconsistent with "
                 f"(l, k, m) = {expected}"
             )
+        if not np.isfinite(self.slow_time).all():
+            raise ValueError("slow_time must be finite")
         if self.slow_time.size > 1 and np.any(np.diff(self.slow_time) <= 0):
             raise ValueError("slow_time must be strictly increasing")
 
@@ -119,8 +121,14 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
 
     Deterministic for a fixed ``scene.clutter.seed``. The slow-time jitter
     stream (when enabled) is drawn before the noise stream, so either can be
-    reproduced independently of the scene content.
+    reproduced independently of the scene content. ``cfg.f_st`` must equal
+    ``scene.f_st``, which sets the slow-time stamps; otherwise a
+    ``ConfigError`` names both rates.
     """
+    if cfg.f_st != scene.f_st:
+        raise ConfigError(
+            f"radar f_st {cfg.f_st} Hz differs from the scene's f_st {scene.f_st} Hz"
+        )
     derived = derive_params(cfg)
     rng = np.random.default_rng(scene.clutter.seed)
     l, k, m = scene.l, cfg.k, derived.m

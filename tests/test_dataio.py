@@ -107,6 +107,11 @@ def _drop_last_stamp(lines):
             for line in lines]
 
 
+def _last_stamp(text):
+    return lambda lines: [line.rpartition(",")[0] + "," + text
+                          if line.startswith("slow_time ") else line for line in lines]
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: lines[:2] + lines[1:], "malformed header: line 2: duplicate key 'l'"),
     (lambda lines: [("l 4.5" if line == "l 4" else line) for line in lines],
@@ -116,6 +121,10 @@ def _drop_last_stamp(lines):
     (lambda lines: [line for line in lines if not line.startswith("slow_time ")],
      "header lacks the slow_time vector"),
     (_drop_last_stamp, "slow_time has 3 entries, header promises 4"),
+    (_last_stamp("abc"), "bad value for config key 'slow_time': 'abc' is not a finite float"),
+    (_last_stamp("nan"), "bad value for config key 'slow_time': 'nan' is not a finite float"),
+    (_last_stamp("inf"), "bad value for config key 'slow_time': 'inf' is not a finite float"),
+    (_last_stamp("0.2"), "slow_time must be strictly increasing"),
 ])
 def test_container_header_rejections(tmp_path, edit, message):
     path = tmp_path / "cube.rvc"
@@ -132,6 +141,27 @@ def test_cli_detect_on_inconsistent_header_is_data_error(tmp_path, capsys):
     _edit_header(path, lambda lines: [("m 5" if line == "m 4" else line) for line in lines])
     assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 3
     assert "inconsistent with m_r*m_t=4" in capsys.readouterr().err
+
+
+def test_cli_detect_on_bad_slow_time_is_data_error(tmp_path, capsys):
+    path = tmp_path / "cube.rvc"
+    rv.write_container(_random_cube(small_config()), path)
+    _edit_header(path, _last_stamp("nan"))
+    assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+    assert f"{path}: bad value for config key 'slow_time'" in capsys.readouterr().err
+
+
+def test_cli_simulate_rejects_a_radar_rate_other_than_the_scene_s(tmp_path, capsys):
+    radar = tmp_path / "radar.kv"
+    radar.write_text("f0 6300000000.0\nk 12\nb 300000000.0\nn 24\ndelta 0.02\n"
+                     "m_r 2\nm_t 2\nf_st 5.0\n", encoding="utf-8")
+    scene = tmp_path / "scene.kv"
+    scene.write_text("l 8\nf_st 10.0\nperson.0.d 1.5\nperson.0.theta 0.2\n", encoding="utf-8")
+    out = tmp_path / "c.rvc"
+    assert main(["simulate", "--scenario", str(scene), "--config", str(radar),
+                 "--out", str(out)]) == 2
+    assert "radar f_st 5.0 Hz differs from the scene's f_st 10.0 Hz" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_read_header_stops_at_end_header(tmp_path):

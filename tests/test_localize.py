@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 import radarvitals as rv
@@ -467,6 +468,55 @@ def test_extract_peaks_shortfall_warns():
     with pytest.warns(UserWarning, match="peaks"):
         dets = rv.extract_peaks(_peak_spectrum(values), 30, 10.0)
     assert not dets.complete
+
+
+def _local_maxima_reference(values):
+    """(value, i, j) of every cell that no in-grid neighbor exceeds, strongest
+    first and then by index, from explicit neighbor loops."""
+    n_d, n_t = values.shape
+    maxima = []
+    for i in range(n_d):
+        for j in range(n_t):
+            neighbors = [values[a, b]
+                         for a in range(max(0, i - 1), min(n_d, i + 2))
+                         for b in range(max(0, j - 1), min(n_t, j + 2))]
+            if values[i, j] >= max(neighbors):
+                maxima.append((float(values[i, j]), i, j))
+    return sorted(maxima, key=lambda m: (-m[0], m[1], m[2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=7),
+    # small integers give ties
+    elements=st.one_of(st.integers(-2, 2).map(float), st.sampled_from([np.inf, -np.inf])),
+))
+@example(np.array([[3.0]]))
+@example(np.array([[-np.inf]]))
+@example(np.array([[1.0, 1.0, 0.0, np.inf, -np.inf]]))
+@example(np.array([[-np.inf], [2.0], [2.0], [-1.0], [-np.inf]]))
+def test_extract_peaks_matches_neighbor_loop_reference(values):
+    # d starts above 0, so every cell is its own Cartesian point, and the
+    # 0.01 m group radius is below the 0.0175 m cell spacing: every local
+    # maximum is detected, in visiting order
+    n_d, n_t = values.shape
+    spectrum = rv.PseudoSpectrum(1.0 + 0.1 * np.arange(n_d),
+                                 np.deg2rad(np.arange(n_t) - n_t // 2), values)
+    expected = _local_maxima_reference(values)
+    dets = rv.extract_peaks(spectrum, len(expected), 0.01)
+    got = [(det.value, int(np.flatnonzero(spectrum.d_axis == det.location.d)[0]),
+            int(np.flatnonzero(spectrum.theta_axis == det.location.theta)[0]))
+           for det in dets.detections]
+    assert got == expected and dets.complete
+
+
+@pytest.mark.parametrize("p_hat", [0, 1])
+def test_extract_peaks_rejects_nan(p_hat):
+    values = np.ones((5, 4))
+    values[2, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        rv.extract_peaks(_peak_spectrum(values), p_hat, 0.3)
 
 
 def test_stacked_eigenvalues_pairing(walabot):

@@ -170,8 +170,8 @@ def test_m16_golden_output(walabot):
 
 
 def test_pipeline_does_not_import_scipy_linalg():
-    # importing scipy.linalg after the package takes about 60 ms; the package and
-    # a whole run need only numpy's LAPACK and scipy.ndimage
+    # the runtime is numpy only: importing scipy.ndimage alone would load 87
+    # scipy modules and add about 0.3 s and 27 MB to every process
     code = """
 import sys
 import radarvitals as rv
@@ -183,7 +183,7 @@ scene = rv.Scene(
 )
 result = rv.run_pipeline(rv.simulate(scene, rv.walabot_config(f_st=10.0)))
 assert result.segments and result.tracks
-print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 """
     src = str(Path(rv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -233,6 +233,18 @@ def test_cube_validation(walabot):
         rv.MeasurementCube(
             np.zeros((3, 137, 8), dtype=complex), np.array([0.0, 0.0, 1.0]), walabot
         )
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            rv.MeasurementCube(
+                np.zeros((3, 137, 8), dtype=complex), np.array([0.0, 0.1, bad]), walabot
+            )
+
+
+def test_simulate_rejects_a_radar_rate_other_than_the_scene_s():
+    scene = scene_of([breather(1.5, 10.0)], l=8, f_st=10.0)
+    with pytest.raises(rv.ConfigError) as err:
+        rv.simulate(scene, small_config(f_st=5.0))
+    assert str(err.value) == "radar f_st 5.0 Hz differs from the scene's f_st 10.0 Hz"
 
 
 def test_scene_entries_roundtrip():
