@@ -83,7 +83,6 @@ from .trackeval import (
     update_tracks,
 )
 from .vitals import (
-    SpatialFilter,
     VitalSeries,
     averaged_periodogram,
     breathing_frequency,

@@ -74,7 +74,7 @@ def _load_pipeline_config(path: str | None, accumulate: bool = True):
 
 
 def _cmd_simulate(args) -> int:
-    from .core import ConfigError, radar_config_from_entries, radar_config_to_entries, walabot_config
+    from .core import ConfigError, RadarConfig, config_from_entries, config_to_entries, walabot_config
     from .dataio import write_container
     from .kvfile import read_kv
     from .simulate import scene_from_entries, simulate
@@ -82,8 +82,8 @@ def _cmd_simulate(args) -> int:
     scene, extras = scene_from_entries(read_kv(args.scenario))
     if args.config:
         entries = read_kv(args.config)
-        cfg = radar_config_from_entries(entries)
-        unknown = sorted(set(entries) - set(radar_config_to_entries(cfg)))
+        cfg = config_from_entries(RadarConfig, entries)
+        unknown = sorted(set(entries) - set(config_to_entries(cfg)))
         if unknown:
             raise ConfigError(f"unknown radar config key {unknown[0]!r}")
     else:

@@ -198,8 +198,9 @@ def derive_params(cfg: RadarConfig) -> DerivedParams:
     )
 
 
-def walabot_config(f_st: float = 10.5) -> RadarConfig:
-    """Parameters of the commercial sensor this pipeline was tuned for."""
+def walabot_config(f_st: float) -> RadarConfig:
+    """Parameters of the commercial sensor this pipeline was tuned for, at the
+    slow-time rate ``f_st`` of the recording or scene."""
     return RadarConfig(
         f0=6.3e9,
         k=137,
@@ -243,11 +244,3 @@ def polar_to_cartesian(loc: PolarLocation) -> CartesianLocation:
 def cartesian_to_polar(loc: CartesianLocation) -> PolarLocation:
     return PolarLocation(math.hypot(loc.x, loc.y), math.atan2(loc.x, loc.y))
 
-
-def radar_config_from_entries(entries: dict[str, str]) -> RadarConfig:
-    """Build a config from parsed key/value entries (keys mirror fields)."""
-    return config_from_entries(RadarConfig, entries)
-
-
-def radar_config_to_entries(cfg: RadarConfig) -> dict[str, str]:
-    return config_to_entries(cfg)

@@ -19,10 +19,10 @@ import numpy as np
 from .core import (
     ConfigError,
     RadarConfig,
+    config_from_entries,
+    config_to_entries,
     derive_params,
     parse_config_value,
-    radar_config_from_entries,
-    radar_config_to_entries,
 )
 from .kvfile import format_kv, parse_kv, read_kv
 from .simulate import MeasurementCube, Scene, scene_from_entries, scene_to_entries
@@ -68,7 +68,7 @@ def write_container(
     l, k, m = cube.samples.shape
     entries["l"] = str(l)
     entries["m"] = str(m)
-    entries.update(radar_config_to_entries(cube.config))
+    entries.update(config_to_entries(cube.config))
     entries["slow_time"] = ",".join(repr(float(t)) for t in cube.slow_time)
     if cube.ground_truth is not None:
         for key, value in scene_to_entries(cube.ground_truth).items():
@@ -126,7 +126,7 @@ def read_container(path: str | os.PathLike) -> MeasurementCube:
         try:
             l = int(entries["l"])
             m = int(entries["m"])
-            cfg = radar_config_from_entries(entries)
+            cfg = config_from_entries(RadarConfig, entries)
         except (KeyError, ValueError) as exc:
             raise RVCFormatError(f"{path}: bad or missing header field: {exc}") from exc
         truth = ground_truth_from_header(entries, path)
@@ -247,6 +247,10 @@ class RawRecording:
             )
         if self.slow_time.size != self.profiles.shape[0]:
             raise DataError("slow_time length does not match the profile count")
+        if not np.isfinite(self.slow_time).all():
+            raise DataError("slow_time must be finite")
+        if np.any(np.diff(self.slow_time) <= 0):
+            raise DataError("slow_time must be strictly increasing")
 
 
 def convert_recording(raw: RawRecording, cfg: RadarConfig) -> MeasurementCube:
@@ -275,7 +279,7 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
         meta = read_kv(root / "raw.kv")
     except OSError as exc:
         raise DataError(f"{root}: cannot read raw.kv: {exc}") from exc
-    cfg = radar_config_from_entries(meta)
+    cfg = config_from_entries(RadarConfig, meta)
     if "f_s_ft" not in meta:
         raise DataError(f"{root}: raw.kv lacks f_s_ft")
     f_s_ft = parse_config_value("f_s_ft", meta["f_s_ft"], float)
@@ -292,7 +296,10 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
         slow_time = np.load(root / "slow_time.npy")
     except OSError as exc:
         raise DataError(f"{root}: cannot load raw arrays: {exc}") from exc
-    raw = RawRecording(profiles, tuple(pairs), f_s_ft, slow_time)
+    try:
+        raw = RawRecording(profiles, tuple(pairs), f_s_ft, slow_time)
+    except DataError as exc:
+        raise DataError(f"{root}: {exc}") from exc
     return raw, cfg
 
 
@@ -304,7 +311,7 @@ def write_raw_dir(
 ) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    meta = dict(radar_config_to_entries(cfg))
+    meta = config_to_entries(cfg)
     meta["f_s_ft"] = repr(float(raw.f_s_ft))
     for i, (tx, rx) in enumerate(raw.pair_table):
         meta[f"pair.{i}.tx"] = str(tx)

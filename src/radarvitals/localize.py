@@ -323,7 +323,6 @@ def music_spectrum(
     p_sub: int,
     grid: GridSpec,
     cfg: RadarConfig,
-    centered: bool = True,
 ) -> PseudoSpectrum:
     """Scan the grid with 1 / || V_n^H a(d, theta) ||^2.
 
@@ -332,11 +331,11 @@ def music_spectrum(
     pure function of (cov, cfg), so the scan order does not affect the
     values.
 
-    With ``centered`` (the default) the scan steering references the middle
-    sliding-window position instead of the first one. The slices average
-    window positions spanning a fifth of the carrier frequency, so scanning
-    against the first window skews the apparent angle outward by roughly
-    half the fractional bandwidth; centering removes that skew.
+    The scan steering references the middle sliding-window position, not
+    the first one. The slices average window positions spanning a fifth of
+    the carrier frequency, so scanning against the first window would skew
+    the apparent angle outward by roughly half the fractional bandwidth;
+    centering removes that skew.
 
     The steering entry a(d, theta)[m, k] = r_d[k] * b_theta[m, k] separates
     into a range factor r_d[k] = exp(-2j pi f_k 2d / c) and an angle factor
@@ -344,7 +343,7 @@ def music_spectrum(
     contracted once per angle, U[k, theta] = sum_m conj(b_theta[m, k])
     V[(m, k)], and the scan is one GEMM conj(R) @ U, so only
     n_t w_m w_k + n_d w_k exponentials are evaluated, and those only once
-    per (cfg, grid, w_k, w_m, centered): ``_scan_factors`` caches them
+    per (cfg, grid, w_k, w_m): ``_scan_factors`` caches them
     read-only, so the segments of a run share them. U and the
     GEMM output are built one block of angles at a time into buffers
     allocated once per call, so the working set stays within the block
@@ -371,7 +370,7 @@ def music_spectrum(
     v_s = basis[:, :p_sub].reshape(w_m, w_k, p_sub).transpose(1, 0, 2)
     departure = np.linalg.norm(basis.conj().T @ basis - np.eye(dim))
     near_null = _NULL_MARGIN * (departure + _ROUNDING * dim) * dim
-    r_conj, b_conj = _scan_factors(cfg, grid, w_k, w_m, centered)
+    r_conj, b_conj = _scan_factors(cfg, grid, w_k, w_m)
     denom = _signal_complement(r_conj, b_conj, v_s)
     _recompute_near_nulls(denom, near_null, r_conj, b_conj, basis[:, p_sub:])
     np.maximum(denom, _DENOM_FLOOR, out=denom)
@@ -381,7 +380,7 @@ def music_spectrum(
 
 @functools.lru_cache(maxsize=4)
 def _scan_factors(
-    cfg: RadarConfig, grid: GridSpec, w_k: int, w_m: int, centered: bool
+    cfg: RadarConfig, grid: GridSpec, w_k: int, w_m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The conjugate range factors r_conj[d, k] and angle factors
     b_conj[k, theta, m] of the scan, read-only.
@@ -389,8 +388,8 @@ def _scan_factors(
     They depend only on the arguments, all immutable, so one run computes
     them once instead of once per segment.
     """
-    k_off = (cfg.k - w_k) / 2 if centered else 0.0
-    m_off = (cfg.m_r * cfg.m_t - w_m) / 2 if centered else 0.0
+    k_off = (cfg.k - w_k) / 2
+    m_off = (cfg.m_r * cfg.m_t - w_m) / 2
     delta_f = cfg.b / cfg.k
     freqs = cfg.f0 + delta_f * (k_off + np.arange(w_k))
     chan = cfg.delta * (m_off + np.arange(w_m))

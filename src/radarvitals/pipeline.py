@@ -215,7 +215,7 @@ def run_pipeline(
                 outputs = sma_rows(beamform(filters, raw), w_st)
                 by_label = {t.label: t for t in tracks}
                 for label, y in zip(labels, outputs.T):
-                    series = displacement(y, slow_time, cfg, derived.f_c, label)
+                    series = displacement(y, slow_time, cfg, derived.f_c)
                     by_label[label].series.append((i, series))
         except Exception as exc:
             if hasattr(exc, "add_note"):
@@ -242,16 +242,15 @@ def run_pipeline(
     return PipelineResult(config, outcomes, tracks, accumulated)
 
 
-def evaluate_result(
-    result: PipelineResult, truth: Scene, d_match: float | None = None
-) -> EvalReport:
-    """Score the final detection set against the ground truth; a matched
-    estimate whose track carries a breathing rate also gets its error."""
+def evaluate_result(result: PipelineResult, truth: Scene) -> EvalReport:
+    """Score the final detection set against the ground truth at the run's
+    ``d_match``; a matched estimate whose track carries a breathing rate
+    also gets its error."""
     last = result.segments[-1] if result.segments else None
     rates = {t.label: t.breathing_estimate for t in result.tracks} if last else None
     estimates = [det.location for det in result.final_detections.detections]
     return score_estimates(estimates, last.track_labels if last else [], rates, truth,
-                           result.config.d_match if d_match is None else d_match)[0]
+                           result.config.d_match)[0]
 
 
 # CSV tables: one header per table, shared by its writer and reader. A cell is

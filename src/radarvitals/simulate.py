@@ -254,7 +254,8 @@ def _reflector_to_entries(reflector: tuple, prefix: str) -> dict[str, str]:
 
 def _read_indexed(entries: dict[str, str], kind: str, read, write) -> tuple:
     """Read every ``kind.<index>.<field>`` group in index order; a field is
-    known when ``write`` stores it for the item read."""
+    known when ``write`` stores it for the item read. An invalid item is a
+    ``ConfigError`` naming its ``kind.<index>``."""
     groups: dict[int, dict[str, str]] = {}
     for key, value in entries.items():
         if not key.startswith(kind + "."):
@@ -269,8 +270,14 @@ def _read_indexed(entries: dict[str, str], kind: str, read, write) -> tuple:
         groups.setdefault(idx, {})[f"{kind}.{idx}.{name}"] = value
     items = []
     for idx in sorted(groups):
-        item = read(groups[idx], f"{kind}.{idx}.")
-        unknown = sorted(set(groups[idx]) - set(write(item, f"{kind}.{idx}.")))
+        prefix = f"{kind}.{idx}."
+        try:
+            item = read(groups[idx], prefix)
+        except ValueError as exc:
+            if prefix in str(exc):  # a parse error already names its key
+                raise
+            raise ConfigError(f"{prefix[:-1]}: {exc}") from exc
+        unknown = sorted(set(groups[idx]) - set(write(item, prefix)))
         if unknown:
             raise ConfigError(f"unknown scene key {unknown[0]!r}")
         items.append(item)

@@ -20,19 +20,6 @@ _MAG_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 @dataclass
-class SpatialFilter:
-    """Windowed steering matrix pointed at one location.
-
-    The modulus of every weight is the product of the two taper values,
-    since the steering entries have unit modulus.
-    """
-
-    h: np.ndarray  # (k0, m) complex
-    target: PolarLocation
-    window: str = "hann"
-
-
-@dataclass
 class VitalSeries:
     """Chest displacement in meters per slow-time sample of one segment.
 
@@ -43,7 +30,6 @@ class VitalSeries:
 
     eta: np.ndarray
     f_st_actual: float
-    label: int | None = None
     unreliable: np.ndarray | None = None
 
 
@@ -52,12 +38,15 @@ def build_filter(
     cfg: RadarConfig,
     derived: DerivedParams | None = None,
     window: str = "hann",
-) -> SpatialFilter:
-    """Non-adaptive beamformer for a location, tapered for side-lobe control.
+) -> np.ndarray:
+    """Weights (k0, m) of a non-adaptive beamformer for a location, tapered
+    for side-lobe control.
 
-    Only the ``k0`` lowest frequency steps are used: the half-wavelength
-    spatial-sampling bound tightens with frequency, so the retained steps
-    are exactly the ones free of grating lobes.
+    The steering entries have unit modulus, so the modulus of every weight
+    is the product of the two taper values. Only the ``k0`` lowest
+    frequency steps are used: the half-wavelength spatial-sampling bound
+    tightens with frequency, so the retained steps are exactly the ones
+    free of grating lobes.
     """
     if window not in _WINDOWS:
         raise ValueError(f"unknown window {window!r}; choose from {sorted(_WINDOWS)}")
@@ -65,22 +54,22 @@ def build_filter(
         derived = derive_params(cfg)
     a = steering_matrix(target.d, target.theta, derived.k0, derived.m, cfg)
     taper = np.outer(_WINDOWS[window](derived.k0), _WINDOWS[window](derived.m))
-    return SpatialFilter(taper * a, target, window)
+    return taper * a
 
 
 def extract_displacement(
-    filt: SpatialFilter,
+    filt: np.ndarray,
     cube: MeasurementCube,
     f_c: float | None = None,
-    label: int | None = None,
 ) -> VitalSeries:
-    """Beamform every snapshot and convert the output phase to displacement.
+    """Beamform every snapshot with the (k0, m) weights ``filt`` of
+    ``build_filter`` and convert the output phase to displacement.
 
-    The filter output y(l) is the inner product of the (conjugated) filter
-    weights with the first k0 rows of each snapshot; ``displacement`` turns
-    it into chest motion.
+    The filter output y(l) is the inner product of the conjugated weights
+    with the first k0 rows of each snapshot; ``displacement`` turns it into
+    chest motion.
     """
-    k0, m = filt.h.shape
+    k0, m = filt.shape
     _, k_len, m_len = cube.samples.shape
     if k_len < k0 or m_len != m:
         raise ValueError(
@@ -90,22 +79,22 @@ def extract_displacement(
     if f_c is None:
         f_c = derive_params(cube.config).f_c
     y = beamform([filt], cube.samples)[:, 0]
-    return displacement(y, cube.slow_time, cube.config, f_c, label)
+    return displacement(y, cube.slow_time, cube.config, f_c)
 
 
-def beamform(filters: list[SpatialFilter], samples: np.ndarray) -> np.ndarray:
-    """Output of each filter on each snapshot, (slow time, filter), in one GEMM.
+def beamform(filters: list[np.ndarray], samples: np.ndarray) -> np.ndarray:
+    """Output of each weight array on each snapshot, (slow time, filter), in one GEMM.
 
     The first k0 steps of a snapshot are contiguous, so the snapshots enter
     the GEMM as a strided view without a copy.
     """
-    k0 = filters[0].h.shape[0]
-    h = np.stack([f.h.ravel() for f in filters], axis=1).conj()
+    k0 = filters[0].shape[0]
+    h = np.stack([f.ravel() for f in filters], axis=1).conj()
     return samples[:, :k0].reshape(samples.shape[0], -1) @ h
 
 
 def displacement(
-    y: np.ndarray, slow_time: np.ndarray, cfg: RadarConfig, f_c: float, label: int | None = None
+    y: np.ndarray, slow_time: np.ndarray, cfg: RadarConfig, f_c: float
 ) -> VitalSeries:
     """Chest displacement from a beamformer output series over slow time.
 
@@ -126,7 +115,7 @@ def displacement(
         eta = -cfg.c / (4 * np.pi * f_c) * phi
     t = slow_time
     f_st_actual = (t.size - 1) / (t[-1] - t[0]) if t.size > 1 else cfg.f_st
-    return VitalSeries(eta, float(f_st_actual), label, bad)
+    return VitalSeries(eta, float(f_st_actual), bad)
 
 
 def averaged_periodogram(
@@ -152,17 +141,16 @@ def averaged_periodogram(
 
 
 def breathing_frequency(
-    series: list[VitalSeries] | VitalSeries,
+    series: list[VitalSeries],
     band: tuple[float, float] = (0.1, 0.8),
     pad_factor: int = 8,
 ) -> float:
-    """Strongest averaged-periodogram peak inside the breathing band, Hz.
+    """Strongest peak inside the breathing band, Hz, of the periodogram
+    averaged over the list ``series`` of one track's segments.
 
     The band excludes the DC residue left by detrending and any heartbeat
     component.
     """
-    if isinstance(series, VitalSeries):
-        series = [series]
     lo, hi = band
     if not 0 <= lo < hi:
         raise ValueError(f"invalid search band {band}")

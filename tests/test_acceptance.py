@@ -205,7 +205,7 @@ def test_criterion_6_property_suites(walabot):
             [[rng.uniform(-8, 8)], rng.uniform(-0.98 * np.pi, 0.98 * np.pi, l - 1)]
         ).cumsum()
         samples = np.zeros((l, walabot.k, 8), dtype=complex)
-        samples[:, :96, :] = filt.h[None] * np.exp(1j * phases)[:, None, None]
+        samples[:, :96, :] = filt[None] * np.exp(1j * phases)[:, None, None]
         cube = rv.MeasurementCube(samples, np.arange(l) / 10.0, walabot)
         eta = rv.extract_displacement(filt, cube, derived.f_c).eta
         if np.max(np.abs(np.diff(eta) / scale - np.diff(phases))) > 1e-9:

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import radarvitals as rv
-from radarvitals.core import radar_config_from_entries, radar_config_to_entries
+from radarvitals.core import config_from_entries, config_to_entries
+
+read_radar_config = functools.partial(config_from_entries, rv.RadarConfig)
 
 
 def test_walabot_derived_values(walabot, derived):
@@ -128,13 +131,13 @@ def test_spatial_sampling_bound_property():
 
 
 def test_config_entries_roundtrip(walabot):
-    entries = radar_config_to_entries(walabot)
-    assert radar_config_from_entries(entries) == walabot
+    entries = config_to_entries(walabot)
+    assert read_radar_config(entries) == walabot
 
 
 def test_config_entries_missing_key():
     with pytest.raises(rv.ConfigError, match="missing"):
-        radar_config_from_entries({"f0": "6.3e9"})
+        read_radar_config({"f0": "6.3e9"})
 
 
 def _positive(hi):
@@ -156,10 +159,10 @@ def _positive(hi):
 def test_radar_config_entries_roundtrip_property(k, extra, f0, b, delta, m_r, m_t, f_st, c, times):
     cfg = rv.RadarConfig(f0=f0, k=k, b=b, n=k + extra, delta=delta, m_r=m_r, m_t=m_t,
                          f_st=f_st, c=c, t_tone=times[0], t_sweep=times[1])
-    entries = radar_config_to_entries(cfg)
+    entries = config_to_entries(cfg)
     assert ("t_tone" in entries, "t_sweep" in entries) == (times[0] is not None,
                                                            times[1] is not None)
-    assert radar_config_from_entries(entries) == cfg
+    assert read_radar_config(entries) == cfg
 
 
 _RADAR = {"f0": "6.3e9", "k": "8", "b": "1e9", "n": "16", "delta": "0.02",
@@ -183,11 +186,11 @@ _PERSON = {"person.0.d": "2.0", "person.0.theta": "0.1"}
         (rv.pipeline_config_from_entries, {"grid.d_max": "-1.0"}, "grid.d_max"),
         (rv.pipeline_config_from_entries, {"grid.theta_max": "1.6"}, "grid.theta_max"),
         (rv.pipeline_config_from_entries, {"grid.theta_max": "-0.1"}, "grid.theta_max"),
-        (radar_config_from_entries, {**_RADAR, "f0": "nan"}, "f0"),
-        (radar_config_from_entries, {**_RADAR, "c": "-inf"}, "c"),
-        (radar_config_from_entries, {**_RADAR, "k": "1.5"}, "k"),
-        (radar_config_from_entries, {**_RADAR, "m_r": "two"}, "m_r"),
-        (radar_config_from_entries, {k: v for k, v in _RADAR.items() if k != "f_st"}, "f_st"),
+        (read_radar_config, {**_RADAR, "f0": "nan"}, "f0"),
+        (read_radar_config, {**_RADAR, "c": "-inf"}, "c"),
+        (read_radar_config, {**_RADAR, "k": "1.5"}, "k"),
+        (read_radar_config, {**_RADAR, "m_r": "two"}, "m_r"),
+        (read_radar_config, {k: v for k, v in _RADAR.items() if k != "f_st"}, "f_st"),
         (rv.scene_from_entries, {"l": "abc"}, "l"),
         (rv.scene_from_entries, {"seed": "0.5"}, "seed"),
         (rv.scene_from_entries, {"noise_std": "nan"}, "noise_std"),

@@ -348,6 +348,10 @@ def test_raw_recording_validation():
         rv.RawRecording(np.zeros((2, 3, 8)), ((0, 0), (0, 1)), 1e9, np.arange(2.0))
     with pytest.raises(rv.DataError, match="slow_time"):
         rv.RawRecording(np.zeros((2, 1, 8)), ((0, 0),), 1e9, np.arange(3.0))
+    with pytest.raises(rv.DataError, match="slow_time must be finite"):
+        rv.RawRecording(np.zeros((2, 1, 8)), ((0, 0),), 1e9, np.array([0.0, np.nan]))
+    with pytest.raises(rv.DataError, match="slow_time must be strictly increasing"):
+        rv.RawRecording(np.zeros((2, 1, 8)), ((0, 0),), 1e9, np.array([0.1, 0.1]))
 
 
 def test_raw_dir_roundtrip(tmp_path, walabot):

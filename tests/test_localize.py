@@ -226,7 +226,7 @@ def test_music_subspace_validation(walabot):
         rv.music_spectrum(cov, 0, rv.GridSpec(), small_config(k=10))
 
 
-def _music_reference(cov, p_sub, grid, cfg, centered):
+def _music_reference(cov, p_sub, grid, cfg):
     """1 / ||V_n^H vec a||^2 per cell from an explicitly built steering vector.
 
     Each phase f (2 d + sin(theta) x) / c is taken in exact rational
@@ -236,8 +236,8 @@ def _music_reference(cov, p_sub, grid, cfg, centered):
     """
     w_k, w_m = cov.spec.w_k, cov.spec.w_m
     v_n = cov.eig_basis[:, p_sub:]
-    k_off = (cfg.k - w_k) / 2 if centered else 0.0
-    m_off = (cfg.m_r * cfg.m_t - w_m) / 2 if centered else 0.0
+    k_off = (cfg.k - w_k) / 2
+    m_off = (cfg.m_r * cfg.m_t - w_m) / 2
     freqs = [Fraction(f) for f in cfg.f0 + cfg.b / cfg.k * (k_off + np.arange(w_k))]
     chan = [Fraction(x) for x in cfg.delta * (m_off + np.arange(w_m))]
     c = Fraction(cfg.c)
@@ -258,14 +258,14 @@ def _music_reference(cov, p_sub, grid, cfg, centered):
     return values
 
 
-def _check_music_against_reference(k, w_m, n_d, centered, w_k, p_sub, seed):
+def _check_music_against_reference(k, w_m, n_d, w_k, p_sub, seed):
     cfg = small_config(k=k, n=2 * k)
     samples = _random_samples(np.random.default_rng(seed), 3, k, cfg.m_r * cfg.m_t)
     cov = rv.smoothed_covariance(samples, rv.SmoothingSpec(w_k, w_m), 3)
     grid = rv.GridSpec(d_max=0.1 * (n_d - 1), d_step=0.1, theta_max=0.3, theta_step=0.1)
     assert grid.shape() == (n_d, 7)
-    spec = rv.music_spectrum(cov, p_sub, grid, cfg, centered=centered)
-    expected = _music_reference(cov, p_sub, grid, cfg, centered)
+    spec = rv.music_spectrum(cov, p_sub, grid, cfg)
+    expected = _music_reference(cov, p_sub, grid, cfg)
     np.testing.assert_allclose(spec.values, expected, rtol=1e-9, atol=0)
     return spec
 
@@ -275,21 +275,20 @@ def _check_music_against_reference(k, w_m, n_d, centered, w_k, p_sub, seed):
     k=st.integers(3, 9),
     w_m=st.integers(1, 3),
     n_d=st.sampled_from([1, 7, 31, 45]),
-    centered=st.booleans(),
     data=st.data(),
 )
-def test_music_spectrum_matches_per_cell_reference(k, w_m, n_d, centered, data):
+def test_music_spectrum_matches_per_cell_reference(k, w_m, n_d, data):
     w_k = data.draw(st.integers(2 if w_m == 1 else 1, k), label="w_k")
     p_sub = data.draw(st.integers(1, w_k * w_m - 1), label="p_sub")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    _check_music_against_reference(k, w_m, n_d, centered, w_k, p_sub, seed)
+    _check_music_against_reference(k, w_m, n_d, w_k, p_sub, seed)
 
 
 def test_music_spectrum_deep_null_matches_reference():
     # a two-element noise subspace whose null the 0.1 m grid passes within
     # ~1e-4 of ||a||: the value is ~1.4e8, and a phase rounded at the full
     # carrier turn count puts it 2e-9 off
-    spec = _check_music_against_reference(9, 1, 31, True, 2, 1, 2)
+    spec = _check_music_against_reference(9, 1, 31, 2, 1, 2)
     assert spec.values.max() > 1e8
 
 
@@ -300,7 +299,7 @@ def test_music_spectrum_angle_blocks_match_reference(monkeypatch):
     n_d, p_sub = 31, 2
     monkeypatch.setattr(rv.core, "_BLOCK_BYTES", 2 * n_d * p_sub * 16)
     assert rv.core.block_len(n_d * p_sub * 16) == 2
-    _check_music_against_reference(7, 2, n_d, True, 3, p_sub, 11)
+    _check_music_against_reference(7, 2, n_d, 3, p_sub, 11)
 
 
 def test_music_spectrum_working_set_is_bounded(walabot):
@@ -384,13 +383,13 @@ def test_music_spectrum_non_orthonormal_basis_matches_reference():
     cov = dataclasses.replace(cov, eig_basis=basis)
     grid = rv.GridSpec(d_max=3.0, d_step=0.1, theta_max=0.3, theta_step=0.1)
     spec = rv.music_spectrum(cov, 2, grid, cfg)
-    expected = _music_reference(cov, 2, grid, cfg, True)
+    expected = _music_reference(cov, 2, grid, cfg)
     np.testing.assert_allclose(spec.values, expected, rtol=1e-9, atol=0)
 
 
 def test_music_spectrum_large_signal_subspace_matches_reference():
     # p_sub = 10 signal columns against 2 noise columns
-    _check_music_against_reference(9, 3, 31, True, 4, 10, 21)
+    _check_music_against_reference(9, 3, 31, 4, 10, 21)
 
 
 def test_accumulate_identities():
@@ -696,7 +695,7 @@ def test_music_spectrum_shares_read_only_scan_factors(walabot):
     hits = rv.localize._scan_factors.cache_info().hits
     second = rv.music_spectrum(cov, 5, grid, walabot)
     assert rv.localize._scan_factors.cache_info().hits == hits + 1
-    r_conj, b_conj = rv.localize._scan_factors(walabot, grid, 38, 2, True)
+    r_conj, b_conj = rv.localize._scan_factors(walabot, grid, 38, 2)
     assert not r_conj.flags.writeable and not b_conj.flags.writeable
     assert second.values.tobytes() == first.values.tobytes()
     first.d_axis[:] = -1.0

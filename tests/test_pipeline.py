@@ -456,11 +456,30 @@ def test_cli_scene_missing_key_is_usage_error(tmp_path, capsys):
     assert "'person.0.d'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("person.1.d", "-1", "person.1: range must be non-negative, got -1.0"),
+    ("person.1.breath_freq", "-0.1", "person.1: breath_freq must be positive"),
+    ("reflector.0.theta", "2", "reflector.0: azimuth must lie in (-pi/2, pi/2), got 2.0"),
+    # a parse error names the key itself and gets no prefix
+    ("person.1.breath_freq", "abc",
+     "bad value for config key 'person.1.breath_freq': 'abc' is not a finite float"),
+], ids=["range", "breath_freq", "azimuth", "parse_error"])
+def test_cli_bad_scene_item_names_it(tmp_path, capsys, key, value, message):
+    entries = {"l": "10", "person.0.d": "2.0", "person.0.theta": "0.0",
+               "person.1.d": "1.0", "person.1.theta": "0.2",
+               "reflector.0.d": "1.5", "reflector.0.theta": "0.1"}
+    scene_path = tmp_path / "scene.kv"
+    write_kv(scene_path, {**entries, key: value})
+    assert main(["simulate", "--scenario", str(scene_path),
+                 "--out", str(tmp_path / "x.rvc")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_unknown_radar_config_key_is_usage_error(tmp_path, capsys):
     scene_path = tmp_path / "scene.kv"
     scene_path.write_text("l 4\n", encoding="utf-8")
     config = tmp_path / "radar.kv"
-    entries = rv.core.radar_config_to_entries(rv.walabot_config(10.0))
+    entries = rv.core.config_to_entries(rv.walabot_config(10.0))
     write_kv(config, entries)
     argv = ["simulate", "--scenario", str(scene_path), "--config", str(config),
             "--out", str(tmp_path / "x.rvc")]
@@ -604,4 +623,20 @@ def test_cli_convert_bad_raw_kv_is_usage_error(tmp_path, capsys, key, value):
     write_kv(raw_dir / "raw.kv", entries)
     assert main(["convert", "--raw", str(raw_dir), "--out", str(tmp_path / "x.rvc")]) == 2
     assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "x.rvc").exists()
+
+
+@pytest.mark.parametrize("stamps, message", [
+    ([0.0, np.nan], "slow_time must be finite"),
+    ([0.1, 0.1], "slow_time must be strictly increasing"),
+], ids=["nan", "repeated"])
+def test_cli_convert_bad_raw_slow_time_is_data_error(tmp_path, capsys, stamps, message):
+    from helpers import raw_recording_of
+
+    cfg = rv.walabot_config(10.0)
+    raw_dir = tmp_path / "raw"
+    rv.write_raw_dir(raw_dir, raw_recording_of(rv.simulate(scene_of([], l=2), cfg)), cfg)
+    np.save(raw_dir / "slow_time.npy", np.array(stamps))
+    assert main(["convert", "--raw", str(raw_dir), "--out", str(tmp_path / "x.rvc")]) == 3
+    assert capsys.readouterr().err == f"data error: {raw_dir}: {message}\n"
     assert not (tmp_path / "x.rvc").exists()

@@ -19,18 +19,18 @@ def test_rect_filter_equals_steering(walabot, derived):
     target = rv.PolarLocation(2.0, np.deg2rad(15.0))
     filt = rv.build_filter(target, walabot, derived, window="rect")
     expected = rv.steering_matrix(2.0, np.deg2rad(15.0), derived.k0, derived.m, walabot)
-    np.testing.assert_array_equal(filt.h, expected)
+    np.testing.assert_array_equal(filt, expected)
 
 
 def test_hann_filter_modulus_is_taper_product(walabot, derived):
     filt = rv.build_filter(rv.PolarLocation(1.0, 0.3), walabot, derived)
     expected = np.outer(np.hanning(derived.k0), np.hanning(derived.m))
-    np.testing.assert_allclose(np.abs(filt.h), expected, atol=1e-12)
+    np.testing.assert_allclose(np.abs(filt), expected, atol=1e-12)
 
 
 def test_filter_dimensions(walabot, derived):
     filt = rv.build_filter(rv.PolarLocation(2.0, 0.0), walabot, derived)
-    assert filt.h.shape == (96, 8)
+    assert filt.shape == (96, 8)
 
 
 def test_unknown_window_rejected(walabot, derived):
@@ -44,7 +44,7 @@ def test_phase_ramp_unwraps_to_line(walabot, derived):
     filt = rv.build_filter(rv.PolarLocation(1.5, 0.0), walabot, derived)
     slope = 0.9 * np.pi
     phases = slope * np.arange(40)
-    cube = _cube_from_output(filt.h, phases, walabot)
+    cube = _cube_from_output(filt, phases, walabot)
     series = rv.extract_displacement(filt, cube, derived.f_c)
     scale = -walabot.c / (4 * np.pi * derived.f_c)
     expected = series.eta[0] + scale * slope * np.arange(40)
@@ -59,7 +59,7 @@ def test_unwrap_roundtrip_property(walabot, derived):
         l = int(rng.integers(4, 50))
         steps = rng.uniform(-np.pi * 0.98, np.pi * 0.98, l - 1)
         phases = np.concatenate([[rng.uniform(-10, 10)], steps]).cumsum()
-        cube = _cube_from_output(filt.h, phases, walabot)
+        cube = _cube_from_output(filt, phases, walabot)
         series = rv.extract_displacement(filt, cube, derived.f_c)
         np.testing.assert_allclose(
             np.diff(series.eta) / scale, np.diff(phases), atol=1e-9
@@ -90,7 +90,7 @@ def test_displacement_scale_invariance(walabot, derived):
 def test_vanishing_output_flagged_and_carried(walabot, derived):
     filt = rv.build_filter(rv.PolarLocation(1.5, 0.0), walabot, derived)
     phases = 0.3 * np.arange(10)
-    cube = _cube_from_output(filt.h, phases, walabot)
+    cube = _cube_from_output(filt, phases, walabot)
     cube.samples[4] = 0.0
     series = rv.extract_displacement(filt, cube, derived.f_c)
     assert series.unreliable[4] and series.unreliable.sum() == 1
@@ -109,7 +109,7 @@ def test_all_zero_segment_warns(walabot, derived):
 
 def test_f_st_actual_from_stamps(walabot, derived):
     filt = rv.build_filter(rv.PolarLocation(1.5, 0.0), walabot, derived)
-    cube = _cube_from_output(filt.h, np.zeros(11), walabot)
+    cube = _cube_from_output(filt, np.zeros(11), walabot)
     cube.slow_time = np.arange(11) * 0.095  # 10.526 Hz actual
     series = rv.extract_displacement(filt, cube, derived.f_c)
     assert series.f_st_actual == pytest.approx(1 / 0.095, rel=1e-9)
