@@ -74,7 +74,8 @@ def _load_pipeline_config(path: str | None, accumulate: bool = True):
 
 
 def _cmd_simulate(args) -> int:
-    from .core import ConfigError, RadarConfig, config_from_entries, config_to_entries, walabot_config
+    from .core import RadarConfig, config_from_entries, config_to_entries, reject_unknown
+    from .core import walabot_config
     from .dataio import write_container
     from .kvfile import read_kv
     from .simulate import scene_from_entries, simulate
@@ -83,9 +84,7 @@ def _cmd_simulate(args) -> int:
     if args.config:
         entries = read_kv(args.config)
         cfg = config_from_entries(RadarConfig, entries)
-        unknown = sorted(set(entries) - set(config_to_entries(cfg)))
-        if unknown:
-            raise ConfigError(f"unknown radar config key {unknown[0]!r}")
+        reject_unknown(entries, config_to_entries(cfg), "radar config")
     else:
         cfg = walabot_config(f_st=scene.f_st)
     cube = simulate(scene, cfg)

@@ -20,9 +20,10 @@ class ConfigError(ValueError):
     """Invalid radar, scene or pipeline configuration."""
 
 
-# Working set of one block of the streamed kernels (the slow-time filter and
-# the MUSIC scan): it stays in cache, and buffers this small are reused from
-# the heap instead of being mapped and page-faulted afresh for every block.
+# Working set of one block of the streamed kernels (the slow-time filter, the
+# MUSIC scan and its near-null recompute, and simulate's row blocks): it stays
+# in cache, and buffers this small are reused from the heap instead of being
+# mapped and page-faulted afresh for every block.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -52,8 +53,11 @@ def _scalar_fields(cls: type):
             yield f, types.pop()
 
 
-def parse_config_value(key: str, text: str, typ: type) -> object:
-    """Parse the text of entry ``key`` as ``bool``, ``int``, ``float`` or ``str``."""
+def parse_config_value(key: str, text: str | None, typ: type) -> object:
+    """Parse the text of entry ``key``, ``None`` if missing, as ``bool``, ``int``,
+    ``float`` or ``str``."""
+    if text is None:
+        raise ConfigError(f"missing config key {key!r}")
     try:
         value = _BOOL_TEXT[text.lower()] if typ is bool else typ(text)
     except (KeyError, ValueError):
@@ -75,11 +79,16 @@ def config_from_entries(cls: type, entries: dict[str, str], prefix: str = "", **
         if f.name in given:
             continue
         key = prefix + f.name
-        if key in entries:
-            kwargs[f.name] = parse_config_value(key, entries[key], typ)
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"missing config key {key!r}")
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if key in entries or required:
+            kwargs[f.name] = parse_config_value(key, entries.get(key), typ)
     return cls(**kwargs)
+
+
+def reject_unknown(keys, known, what: str) -> None:
+    """Raise ``ConfigError`` naming the first sorted key of ``keys`` not in ``known``."""
+    if unknown := sorted(set(keys) - set(known)):
+        raise ConfigError(f"unknown {what} key {unknown[0]!r}")
 
 
 def config_to_entries(obj: object, prefix: str = "") -> dict[str, str]:

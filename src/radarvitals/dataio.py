@@ -23,9 +23,10 @@ from .core import (
     config_to_entries,
     derive_params,
     parse_config_value,
+    reject_unknown,
 )
 from .kvfile import format_kv, parse_kv, read_kv
-from .simulate import MeasurementCube, Scene, scene_from_entries, scene_to_entries
+from .simulate import MeasurementCube, Scene, check_slow_time, scene_from_entries, scene_to_entries
 
 RVC_MAGIC = "RVC1"
 _HEADER_END = b"end_header\n"
@@ -247,10 +248,7 @@ class RawRecording:
             )
         if self.slow_time.size != self.profiles.shape[0]:
             raise DataError("slow_time length does not match the profile count")
-        if not np.isfinite(self.slow_time).all():
-            raise DataError("slow_time must be finite")
-        if np.any(np.diff(self.slow_time) <= 0):
-            raise DataError("slow_time must be strictly increasing")
+        check_slow_time(self.slow_time, DataError)
 
 
 def convert_recording(raw: RawRecording, cfg: RadarConfig) -> MeasurementCube:
@@ -271,7 +269,8 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
     """Load the on-disk raw layout: ``raw.kv`` metadata plus npy payloads.
 
     ``raw.kv`` carries the radar config keys, ``f_s_ft`` and the pair table
-    (``pair.<i>.tx`` / ``pair.<i>.rx``); ``profiles.npy`` and
+    (``pair.<i>.tx`` / ``pair.<i>.rx``, i = 0, 1, ... without gaps; any other
+    ``pair.`` key is a ``ConfigError``); ``profiles.npy`` and
     ``slow_time.npy`` hold the arrays.
     """
     root = Path(path)
@@ -280,15 +279,13 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
     except OSError as exc:
         raise DataError(f"{root}: cannot read raw.kv: {exc}") from exc
     cfg = config_from_entries(RadarConfig, meta)
-    if "f_s_ft" not in meta:
-        raise DataError(f"{root}: raw.kv lacks f_s_ft")
-    f_s_ft = parse_config_value("f_s_ft", meta["f_s_ft"], float)
+    f_s_ft = parse_config_value("f_s_ft", meta.get("f_s_ft"), float)
     pairs = []
     while (tx := f"pair.{len(pairs)}.tx") in meta:
         rx = f"pair.{len(pairs)}.rx"
-        if rx not in meta:
-            raise ConfigError(f"missing config key {rx!r}")
-        pairs.append((parse_config_value(tx, meta[tx], int), parse_config_value(rx, meta[rx], int)))
+        pairs.append(tuple(parse_config_value(key, meta.get(key), int) for key in (tx, rx)))
+    read = [f"pair.{i}.{end}" for i in range(len(pairs)) for end in ("tx", "rx")]
+    reject_unknown([k for k in meta if k.startswith("pair.")], read, "raw.kv")
     if not pairs:
         raise DataError(f"{root}: raw.kv names no antenna pairs")
     try:

@@ -29,6 +29,7 @@ from .core import (
     config_to_entries,
     derive_params,
     polar_to_cartesian,
+    reject_unknown,
 )
 from .dataio import DataError, check_finite, read_container
 from .localize import (
@@ -46,9 +47,8 @@ from .localize import (
 from .modelorder import ModelOrderConfig, OrderDiagnostics, order_diagnostics
 from .preprocess import segment, sma_filter, sma_rows
 from .simulate import MeasurementCube, Scene
-from .trackeval import EvalReport, Track, score_estimates, update_tracks
+from .trackeval import EvalReport, Track, check_radius, score_estimates, update_tracks
 from .vitals import averaged_periodogram, beamform, breathing_frequency, build_filter, displacement
-from .vitals import _WINDOWS
 from .vitals import extract_displacement  # noqa: F401  perfbench wraps the stages by these names
 
 @dataclass(frozen=True)
@@ -92,6 +92,9 @@ class PipelineConfig:
         try:
             self.music_spec().validate(cfg.k, derived.m)
             self.moe_spec().validate(cfg.k, derived.m)
+            build_filter(PolarLocation(0.0, 0.0), cfg, derived, self.window)
+            for name in ("group_radius", "track_radius", "d_match"):
+                check_radius(name, getattr(self, name))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.w_st < 1:
@@ -103,21 +106,19 @@ class PipelineConfig:
         if not 1 <= self.p_sub < self.w_k_music * self.w_m_music:
             raise ConfigError("p_sub must be < w_k_music * w_m_music")
         self.order_config(cfg.k, derived.m)  # checks alpha, n_candidates and p_max
-        if not all(r > 0 for r in (self.group_radius, self.track_radius, self.d_match)):
-            raise ConfigError("radii must be positive")
         if not 0 <= self.band_lo < self.band_hi:
             raise ConfigError("breathing band must satisfy 0 <= lo < hi")
+        if self.band_lo > cfg.f_st / 2:
+            raise ConfigError(
+                f"band_lo {self.band_lo} Hz exceeds the Nyquist rate {cfg.f_st / 2} Hz"
+            )
         if self.pad_factor < 1:
             raise ConfigError("pad_factor must be >= 1")
-        if self.window not in _WINDOWS:
-            raise ConfigError(f"unknown window {self.window!r}; choose from {sorted(_WINDOWS)}")
 
 
 def pipeline_config_from_entries(entries: dict[str, str]) -> PipelineConfig:
     """Build a config from key/value entries; the grid is read under ``grid.``."""
-    unknown = sorted(set(entries) - set(pipeline_config_to_entries(PipelineConfig())))
-    if unknown:
-        raise ConfigError(f"unknown pipeline config key {unknown[0]!r}")
+    reject_unknown(entries, pipeline_config_to_entries(PipelineConfig()), "pipeline config")
     grid = config_from_entries(GridSpec, entries, "grid.")
     return config_from_entries(PipelineConfig, entries, grid=grid)
 

@@ -19,14 +19,13 @@ from .core import (
     ConfigError,
     PolarLocation,
     RadarConfig,
+    block_len,
     config_from_entries,
     config_to_entries,
     derive_params,
     parse_config_value,
+    reject_unknown,
 )
-
-# samples per block of simulate's complex temporaries (2 MB)
-_BLOCK_SAMPLES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -106,14 +105,19 @@ class MeasurementCube:
                 f"samples shape {self.samples.shape} inconsistent with "
                 f"(l, k, m) = {expected}"
             )
-        if not np.isfinite(self.slow_time).all():
-            raise ValueError("slow_time must be finite")
-        if self.slow_time.size > 1 and np.any(np.diff(self.slow_time) <= 0):
-            raise ValueError("slow_time must be strictly increasing")
+        check_slow_time(self.slow_time)
 
     @property
     def l(self) -> int:
         return self.samples.shape[0]
+
+
+def check_slow_time(slow_time: np.ndarray, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless the stamps are finite and strictly increasing."""
+    if not np.isfinite(slow_time).all():
+        raise error("slow_time must be finite")
+    if np.any(np.diff(slow_time) <= 0):
+        raise error("slow_time must be strictly increasing")
 
 
 def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
@@ -148,7 +152,7 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
     # term is scaled by an explicit amplitude * term call: numpy would elide
     # the temporary of ``amplitude * np.exp(...)`` for large arrays only and
     # then compute exp * amplitude, which rounds differently.
-    rows_per_block = max(1, _BLOCK_SAMPLES // (k * m))
+    rows_per_block = block_len(k * m * 16)
     blocks = [slice(a, a + rows_per_block) for a in range(0, l, rows_per_block)]
 
     for person in scene.persons:
@@ -277,9 +281,7 @@ def _read_indexed(entries: dict[str, str], kind: str, read, write) -> tuple:
             if prefix in str(exc):  # a parse error already names its key
                 raise
             raise ConfigError(f"{prefix[:-1]}: {exc}") from exc
-        unknown = sorted(set(groups[idx]) - set(write(item, prefix)))
-        if unknown:
-            raise ConfigError(f"unknown scene key {unknown[0]!r}")
+        reject_unknown(groups[idx], write(item, prefix), "scene")
         items.append(item)
     return tuple(items)
 
@@ -296,15 +298,9 @@ def scene_from_entries(entries: dict[str, str]) -> tuple[Scene, dict[str, str]]:
     )
     clutter = config_from_entries(ClutterModel, entries, static_reflectors=reflectors)
     scene = config_from_entries(Scene, entries, persons=persons, clutter=clutter)
-    known = scene_to_entries(scene)
-    extras: dict[str, str] = {}
-    for key, value in entries.items():
-        if key.startswith(("person.", "reflector.")) or key in known:
-            continue
-        if key in ("id", "obstacle") or key.startswith("meta."):
-            extras[key] = value
-        else:
-            raise ConfigError(f"unknown scene key {key!r}")
+    extras = {k: v for k, v in entries.items() if k in ("id", "obstacle") or k.startswith("meta.")}
+    items = [k for k in entries if k.startswith(("person.", "reflector."))]
+    reject_unknown(entries, [*scene_to_entries(scene), *items, *extras], "scene")
     return scene, extras
 
 

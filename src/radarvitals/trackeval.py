@@ -44,6 +44,12 @@ def _greedy_links(anchors: list, points: list, radius: float) -> list[tuple[int,
     return links
 
 
+def check_radius(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless the radius ``value`` is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be a positive finite number, got {value}")
+
+
 @dataclass
 class Track:
     """One person identity across segments."""
@@ -141,8 +147,7 @@ def score_estimates(
 ) -> tuple[EvalReport, dict[int, float]]:
     """Match estimates (track ``labels``) to the persons of ``truth``; with ``rates``
     per label, also score breathing. Returns the report and error per person index."""
-    if not (d_match > 0 and math.isfinite(d_match)):
-        raise ValueError(f"d_match must be a positive finite number, got {d_match}")
+    check_radius("d_match", d_match)
     report = match_and_score(estimates, [p.location for p in truth.persons], d_match)
     errors = {}
     if rates is not None:

@@ -1,6 +1,8 @@
+import ast
 import functools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,3 +215,14 @@ def test_bad_config_entry_names_its_key(read, entries, key):
 def test_bool_entry_spellings(text):
     config = rv.pipeline_config_from_entries({"accumulate": text})
     assert config.accumulate == (text.lower() in ("1", "true", "yes", "on"))
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # each rule lives in the module that owns it: a module that needs a rule
+    # calls its owner's public function instead of reading the owner's tables
+    for path in sorted(Path(rv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in (n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)):
+            if node.level or (node.module or "").startswith("radarvitals"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name}:{node.lineno} imports {private}"

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import string
 import subprocess
@@ -125,6 +126,14 @@ def test_pipeline_config_validation(walabot, derived):
         rv.PipelineConfig(w_k_music=200).validate(walabot, derived)
     with pytest.raises(rv.ConfigError, match="'hamming'"):
         rv.PipelineConfig(window="hamming").validate(walabot, derived)
+    # radii follow the scoring rule: positive and finite
+    for radius in ("group_radius", "track_radius", "d_match"):
+        for value in (0.0, math.inf):
+            with pytest.raises(rv.ConfigError, match=f"{radius} must be a positive finite"):
+                rv.PipelineConfig(**{radius: value}).validate(walabot, derived)
+    # a breathing band above the Nyquist rate fails before any segment runs
+    with pytest.raises(rv.ConfigError, match="band_lo 6.0 Hz exceeds the Nyquist rate 5.0 Hz"):
+        rv.PipelineConfig(band_lo=6.0, band_hi=7.0).validate(walabot, derived)
 
 
 def test_unknown_window_is_rejected_at_entry(walabot):
@@ -604,26 +613,45 @@ def test_cli_evaluate_bad_csv_is_data_error(tmp_path, capsys, detections, breath
     assert f"column {column!r}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value", [
-    ("pair.0.rx", None),  # a tx entry without its rx entry
-    ("pair.0.tx", "x"),
-    ("f_s_ft", "nan"),
-])
-def test_cli_convert_bad_raw_kv_is_usage_error(tmp_path, capsys, key, value):
+def _raw_dir_of_two_samples(tmp_path):
     from helpers import raw_recording_of
 
     cfg = rv.walabot_config(10.0)
     raw_dir = tmp_path / "raw"
     rv.write_raw_dir(raw_dir, raw_recording_of(rv.simulate(scene_of([], l=2), cfg)), cfg)
-    entries = read_kv(raw_dir / "raw.kv")
+    return raw_dir, read_kv(raw_dir / "raw.kv")
+
+
+def _convert_is_usage_error(tmp_path, capsys, raw_dir, key):
+    assert main(["convert", "--raw", str(raw_dir), "--out", str(tmp_path / "x.rvc")]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "x.rvc").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pair.0.rx", None),  # a tx entry without its rx entry
+    ("pair.0.tx", "x"),
+    ("f_s_ft", "nan"),
+    ("f_s_ft", None),
+    ("pair.8.rx", "1"),  # an rx entry past the last pair
+    ("pair.0.gain", "2"),  # a field the pair table does not have
+])
+def test_cli_convert_bad_raw_kv_is_usage_error(tmp_path, capsys, key, value):
+    raw_dir, entries = _raw_dir_of_two_samples(tmp_path)
     if value is None:
         del entries[key]
     else:
         entries[key] = value
     write_kv(raw_dir / "raw.kv", entries)
-    assert main(["convert", "--raw", str(raw_dir), "--out", str(tmp_path / "x.rvc")]) == 2
-    assert repr(key) in capsys.readouterr().err
-    assert not (tmp_path / "x.rvc").exists()
+    _convert_is_usage_error(tmp_path, capsys, raw_dir, key)
+
+
+def test_cli_convert_raw_kv_pair_gap_is_usage_error(tmp_path, capsys):
+    # profile column i is pair.<i>, so a pair table with a gap is rejected
+    raw_dir, entries = _raw_dir_of_two_samples(tmp_path)
+    entries = {k.replace("pair.7.", "pair.8."): v for k, v in entries.items()}
+    write_kv(raw_dir / "raw.kv", entries)
+    _convert_is_usage_error(tmp_path, capsys, raw_dir, "pair.8.rx")
 
 
 @pytest.mark.parametrize("stamps, message", [

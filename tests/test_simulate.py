@@ -1,4 +1,3 @@
-import importlib
 import tracemalloc
 from dataclasses import replace
 
@@ -138,8 +137,7 @@ def _full_size_cube(scene, cfg, t):
 def test_blocked_synthesis_matches_full_size_formula(walabot):
     # a scene several slow-time blocks long, remainder block included, is
     # byte-identical to the unblocked synthesis
-    block = importlib.import_module("radarvitals.simulate")._BLOCK_SAMPLES
-    rows_per_block = block // (walabot.k * 8)
+    rows_per_block = rv.core.block_len(walabot.k * 8 * 16)
     persons = (
         rv.PersonModel(rv.PolarLocation(1.4, -0.4), amplitude=0.6 - 0.5j,
                        heart_freq=1.1, heart_amp=2e-4),
@@ -159,7 +157,7 @@ def test_simulated_bytes_do_not_depend_on_the_block_size(walabot, monkeypatch):
     scene = rv.Scene(persons=(breather(1.4, -20.0), breather(2.6, 15.0, gain=0.3 + 0.45j)),
                      clutter=rv.ClutterModel(noise_std=0.1, seed=5), l=600)
     default = rv.simulate(scene, walabot)
-    monkeypatch.setattr(importlib.import_module("radarvitals.simulate"), "_BLOCK_SAMPLES", 1 << 12)
+    monkeypatch.setattr(rv.core, "_BLOCK_BYTES", 1 << 16)
     small = rv.simulate(scene, walabot)
     assert small.samples.tobytes() == default.samples.tobytes()
 
