@@ -74,17 +74,14 @@ def _load_pipeline_config(path: str | None, accumulate: bool = True):
 
 
 def _cmd_simulate(args) -> int:
-    from .core import RadarConfig, config_from_entries, config_to_entries, reject_unknown
-    from .core import walabot_config
+    from .core import radar_config_from_entries, walabot_config
     from .dataio import write_container
     from .kvfile import read_kv
     from .simulate import scene_from_entries, simulate
 
     scene, extras = scene_from_entries(read_kv(args.scenario))
     if args.config:
-        entries = read_kv(args.config)
-        cfg = config_from_entries(RadarConfig, entries)
-        reject_unknown(entries, config_to_entries(cfg), "radar config")
+        cfg = radar_config_from_entries(read_kv(args.config), strict=True)
     else:
         cfg = walabot_config(f_st=scene.f_st)
     cube = simulate(scene, cfg)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import typing
-import warnings
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 2.99792458e8
@@ -44,13 +43,11 @@ _FORMAT = {bool: lambda v: "true" if v else "false", float: lambda v: repr(float
 
 
 def _scalar_fields(cls: type):
-    """Yield each ``bool``/``int``/``float``/``str`` field of a dataclass with
-    its type; ``X | None`` counts as ``X``."""
+    """Yield each ``bool``/``int``/``float``/``str`` field of a dataclass with its type."""
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
-        types = set(typing.get_args(hints[f.name]) or [hints[f.name]]) - {type(None)}
-        if len(types) == 1 and types <= {bool, int, float, str}:
-            yield f, types.pop()
+        if hints[f.name] in (bool, int, float, str):
+            yield f, hints[f.name]
 
 
 def parse_config_value(key: str, text: str | None, typ: type) -> object:
@@ -92,21 +89,22 @@ def reject_unknown(keys, known, what: str) -> None:
 
 
 def config_to_entries(obj: object, prefix: str = "") -> dict[str, str]:
-    """One ``prefix + field`` entry per scalar field of ``obj`` that is not
-    ``None``, written so that ``config_from_entries`` reads it back exactly."""
-    entries = {}
-    for f, typ in _scalar_fields(type(obj)):
-        value = getattr(obj, f.name)
-        if value is not None:
-            entries[prefix + f.name] = _FORMAT.get(typ, str)(value)
-    return entries
+    """One ``prefix + field`` entry per scalar field of ``obj``, written so
+    that ``config_from_entries`` reads it back exactly."""
+    return {
+        prefix + f.name: _FORMAT.get(typ, str)(getattr(obj, f.name))
+        for f, typ in _scalar_fields(type(obj))
+    }
 
 
 @dataclass(frozen=True)
 class RadarConfig:
     """Frequency plan and array geometry of a stepped-frequency MIMO radar.
 
-    SI units throughout (Hz, m, s).
+    SI units throughout (Hz, m, s). The transmit antennas sit ``m_r * delta``
+    apart, so the ``m_r * m_t`` virtual channels form one uniform linear
+    array with channel m at ``m * delta``; every model in the package
+    assumes that array.
 
     Attributes:
         f0: start frequency of the sweep.
@@ -117,12 +115,7 @@ class RadarConfig:
         m_r: number of physical receive antennas.
         m_t: number of transmit antennas.
         f_st: nominal slow-time sampling rate.
-        delta_t: transmit inter-antenna spacing. ``m_r * delta`` produces a
-            gap-free virtual uniform linear array and is the default; any
-            other value is tolerated with a warning.
         c: propagation speed, configurable for tests.
-        t_tone: single-tone duration. Metadata only, never consumed.
-        t_sweep: full-sweep duration. Metadata only, never consumed.
     """
 
     f0: float
@@ -133,33 +126,39 @@ class RadarConfig:
     m_r: int
     m_t: int
     f_st: float
-    delta_t: float | None = None
     c: float = SPEED_OF_LIGHT
-    t_tone: float | None = None
-    t_sweep: float | None = None
 
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ConfigError(f"at least 2 frequency steps required, got k={self.k}")
-        if self.f0 <= 0 or self.b <= 0:
-            raise ConfigError("f0 and b must be positive")
+        for name in ("f0", "b", "delta", "f_st", "c"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"config key {name!r} must be positive and finite, got {value}")
         if self.n < self.k:
             raise ConfigError(f"range-profile length n={self.n} must be >= k={self.k}")
-        if self.delta <= 0:
-            raise ConfigError("antenna spacing delta must be positive")
         if self.m_r < 1 or self.m_t < 1:
             raise ConfigError("antenna counts m_r and m_t must be >= 1")
-        if self.f_st <= 0:
-            raise ConfigError("slow-time rate f_st must be positive")
-        if self.c <= 0:
-            raise ConfigError("propagation speed c must be positive")
-        if self.delta_t is None:
-            object.__setattr__(self, "delta_t", self.m_r * self.delta)
-        elif not math.isclose(self.delta_t, self.m_r * self.delta, rel_tol=1e-9):
-            warnings.warn(
-                "delta_t != m_r * delta: the virtual array is not a uniform ULA",
-                stacklevel=2,
-            )
+
+
+def radar_config_from_entries(entries: dict[str, str], strict: bool = False) -> RadarConfig:
+    """Build a ``RadarConfig`` from its entries. Older files may also carry
+    ``t_tone`` and ``t_sweep``, which were never read and are ignored, and
+    ``delta_t``, which only restated the transmit spacing: one within rel 1e-9
+    of ``m_r * delta`` is ignored, and any other describes an array no model
+    handles and is a ``ConfigError`` naming it. With ``strict``, any key that
+    is neither a radar-config key nor one of these is a ``ConfigError`` too."""
+    cfg = config_from_entries(RadarConfig, entries)
+    if strict:
+        legacy = ("delta_t", "t_tone", "t_sweep")
+        reject_unknown(entries, [*config_to_entries(cfg), *legacy], "radar config")
+    uniform = cfg.m_r * cfg.delta
+    if "delta_t" in entries and not math.isclose(
+        parse_config_value("delta_t", entries["delta_t"], float), uniform, rel_tol=1e-9
+    ):
+        raise ConfigError(f"config key 'delta_t' is {entries['delta_t']}, but only the "
+                          f"uniform array m_r * delta = {uniform!r} is modelled")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -210,18 +209,7 @@ def derive_params(cfg: RadarConfig) -> DerivedParams:
 def walabot_config(f_st: float) -> RadarConfig:
     """Parameters of the commercial sensor this pipeline was tuned for, at the
     slow-time rate ``f_st`` of the recording or scene."""
-    return RadarConfig(
-        f0=6.3e9,
-        k=137,
-        b=1.7e9,
-        n=8192,
-        delta=0.02,
-        m_r=4,
-        m_t=2,
-        f_st=f_st,
-        t_tone=14.3e-6 / 137,
-        t_sweep=14.3e-6,
-    )
+    return RadarConfig(f0=6.3e9, k=137, b=1.7e9, n=8192, delta=0.02, m_r=4, m_t=2, f_st=f_st)
 
 
 @dataclass(frozen=True)

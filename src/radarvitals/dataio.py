@@ -19,10 +19,10 @@ import numpy as np
 from .core import (
     ConfigError,
     RadarConfig,
-    config_from_entries,
     config_to_entries,
     derive_params,
     parse_config_value,
+    radar_config_from_entries,
     reject_unknown,
 )
 from .kvfile import format_kv, parse_kv, read_kv
@@ -127,7 +127,7 @@ def read_container(path: str | os.PathLike) -> MeasurementCube:
         try:
             l = int(entries["l"])
             m = int(entries["m"])
-            cfg = config_from_entries(RadarConfig, entries)
+            cfg = radar_config_from_entries(entries)
         except (KeyError, ValueError) as exc:
             raise RVCFormatError(f"{path}: bad or missing header field: {exc}") from exc
         truth = ground_truth_from_header(entries, path)
@@ -278,7 +278,7 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
         meta = read_kv(root / "raw.kv")
     except OSError as exc:
         raise DataError(f"{root}: cannot read raw.kv: {exc}") from exc
-    cfg = config_from_entries(RadarConfig, meta)
+    cfg = radar_config_from_entries(meta)
     f_s_ft = parse_config_value("f_s_ft", meta.get("f_s_ft"), float)
     pairs = []
     while (tx := f"pair.{len(pairs)}.tx") in meta:

@@ -107,13 +107,21 @@ class PipelineConfig:
             raise ConfigError("p_sub must be < w_k_music * w_m_music")
         self.order_config(cfg.k, derived.m)  # checks alpha, n_candidates and p_max
         if not 0 <= self.band_lo < self.band_hi:
-            raise ConfigError("breathing band must satisfy 0 <= lo < hi")
+            raise ConfigError(f"breathing band must satisfy 0 <= band_lo < band_hi, got "
+                              f"band_lo {self.band_lo}, band_hi {self.band_hi}")
         if self.band_lo > cfg.f_st / 2:
             raise ConfigError(
                 f"band_lo {self.band_lo} Hz exceeds the Nyquist rate {cfg.f_st / 2} Hz"
             )
         if self.pad_factor < 1:
             raise ConfigError("pad_factor must be >= 1")
+        if (bin_hz := cfg.f_st / (self.pad_factor * self.l_st)) > self.band_hi - self.band_lo:
+            raise ConfigError(f"breathing band band_lo {self.band_lo} .. band_hi "
+                              f"{self.band_hi} Hz is narrower than one periodogram bin, "
+                              f"{bin_hz} Hz")
+        if self.grid.d_max > derived.d_max:
+            raise ConfigError(f"config key 'grid.d_max' {self.grid.d_max} m exceeds the "
+                              f"unambiguous range {derived.d_max} m, past which the scan aliases")
 
 
 def pipeline_config_from_entries(entries: dict[str, str]) -> PipelineConfig:

@@ -202,7 +202,13 @@ def test_simulated_container_golden_sha256(tmp_path):
     out = tmp_path / "g.rvc"
     assert main(["simulate", "--scenario", str(scene), "--config", str(radar),
                  "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "8469914e7c9dce1e0d128061bfa850771e31a27ddd9f3410d57daa62ca8dc27a"
+    )
+    # the same file as before RadarConfig dropped delta_t, less that one line
+    legacy = data.replace(b"\nf_st 10.0\nc ", b"\nf_st 10.0\ndelta_t 0.04\nc ", 1)
+    assert hashlib.sha256(legacy).hexdigest() == (
         "7206bc0ae58ec09cefc515f28fbd18704b7ef1e170afe0d230fdd84d0e17cb7d"
     )
 

@@ -131,9 +131,28 @@ def test_pipeline_config_validation(walabot, derived):
         for value in (0.0, math.inf):
             with pytest.raises(rv.ConfigError, match=f"{radius} must be a positive finite"):
                 rv.PipelineConfig(**{radius: value}).validate(walabot, derived)
+    with pytest.raises(rv.ConfigError, match="band_lo < band_hi, got band_lo 0.5, band_hi 0.4"):
+        rv.PipelineConfig(band_lo=0.5, band_hi=0.4).validate(walabot, derived)
     # a breathing band above the Nyquist rate fails before any segment runs
     with pytest.raises(rv.ConfigError, match="band_lo 6.0 Hz exceeds the Nyquist rate 5.0 Hz"):
         rv.PipelineConfig(band_lo=6.0, band_hi=7.0).validate(walabot, derived)
+
+
+def test_grid_past_the_unambiguous_range_is_rejected(walabot, derived):
+    # the range factor of the steering repeats every d_max = 12.08 m, so a
+    # longer grid scans only aliased copies
+    rv.PipelineConfig(grid=rv.GridSpec(d_max=derived.d_max)).validate(walabot, derived)
+    with pytest.raises(rv.ConfigError, match="'grid.d_max' 20.0 m exceeds the unambiguous"):
+        rv.PipelineConfig(grid=rv.GridSpec(d_max=20.0)).validate(walabot, derived)
+
+
+def test_band_narrower_than_one_bin_is_rejected_before_any_segment(walabot, monkeypatch):
+    # one periodogram bin is f_st / (pad_factor * l_st) = 10 / (8 * 200) = 6.25 mHz
+    rv.PipelineConfig(band_lo=0.3, band_hi=0.30625).validate(walabot, rv.derive_params(walabot))
+    cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=464), walabot)
+    monkeypatch.setattr(rv.pipeline, "sma_rows", None)  # no segment may start
+    with pytest.raises(rv.ConfigError, match=r"band_lo 0.301 \.\. band_hi 0.3015 Hz is narrower"):
+        run_pipeline(cube, rv.PipelineConfig(band_lo=0.301, band_hi=0.3015))
 
 
 def test_unknown_window_is_rejected_at_entry(walabot):
@@ -506,7 +525,8 @@ def test_cli_bad_pipeline_config_is_usage_error(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(scene_path), "--out", str(container)]) == 0
     config = tmp_path / "pipe.kv"
     for line in ("grid.d_step 0", "grid.theta_step 0", "grid.d_step -0.1",
-                 "grid.theta_max 1.6", "grid.d_max -1", "accumulate ture", "alpha nan"):
+                 "grid.theta_max 1.6", "grid.d_max -1", "grid.d_max 20", "accumulate ture",
+                 "alpha nan"):
         config.write_text(line + "\n", encoding="utf-8")
         code = main(["detect", "--in", str(container), "--out", str(tmp_path / "o.csv"),
                      "--config", str(config)])
@@ -652,6 +672,40 @@ def test_cli_convert_raw_kv_pair_gap_is_usage_error(tmp_path, capsys):
     entries = {k.replace("pair.7.", "pair.8."): v for k, v in entries.items()}
     write_kv(raw_dir / "raw.kv", entries)
     _convert_is_usage_error(tmp_path, capsys, raw_dir, "pair.8.rx")
+
+
+def test_legacy_radar_keys_read_by_one_rule(tmp_path, capsys):
+    # files from before RadarConfig lost delta_t, t_tone and t_sweep: t_tone and
+    # t_sweep are ignored, and delta_t must be the uniform array's m_r * delta
+    cfg = rv.walabot_config(10.0)
+
+    def legacy(delta_t):
+        return {"delta_t": delta_t, "t_tone": "1.0437956204379563e-07", "t_sweep": "1.43e-05"}
+
+    container = tmp_path / "rec.rvc"  # one segment long, so that detect runs
+    rv.write_container(rv.simulate(scene_of([], l=264, noise_std=0.1, seed=4), cfg), container)
+    fresh = container.read_bytes()
+    raw_dir, raw_entries = _raw_dir_of_two_samples(tmp_path)
+    radar, scene = tmp_path / "radar.kv", tmp_path / "scene.kv"
+    scene.write_text("l 4\n", encoding="utf-8")
+    simulate = ["simulate", "--scenario", str(scene), "--config", str(radar),
+                "--out", str(tmp_path / "sim.rvc")]
+    for delta_t, codes in (("0.08", (0, 0, 0)), ("0.05", (3, 2, 2))):
+        extra = "".join(f"{k} {v}\n" for k, v in legacy(delta_t).items()).encode()
+        container.write_bytes(fresh.replace(b"RVC1\n", b"RVC1\n" + extra, 1))
+        write_kv(raw_dir / "raw.kv", {**raw_entries, **legacy(delta_t)})
+        write_kv(radar, {**rv.core.config_to_entries(cfg), **legacy(delta_t)})
+        got = (main(["detect", "--in", str(container), "--out", str(tmp_path / "d.csv")]),
+               main(["convert", "--raw", str(raw_dir), "--out", str(tmp_path / "c.rvc")]),
+               main(simulate))
+        assert got == codes, delta_t
+        err = capsys.readouterr().err
+        if delta_t == "0.08":
+            assert rv.read_container(container).config == cfg
+            assert rv.read_raw_dir(raw_dir)[1] == cfg
+            assert rv.read_container(tmp_path / "sim.rvc").config == cfg
+        else:
+            assert err.count("config key 'delta_t' is 0.05, but only the uniform array") == 3
 
 
 @pytest.mark.parametrize("stamps, message", [
