@@ -126,7 +126,7 @@ def _cmd_vitals(args) -> int:
         Path(args.breathing_out).write_text(breathing_csv(result), encoding="utf-8")
     if args.periodogram_out:
         Path(args.periodogram_out).write_text(periodogram_csv(result), encoding="utf-8")
-    for track in sorted(result.tracks, key=lambda t: t.label):
+    for track in result.tracks:
         if track.breathing_estimate is not None:
             loc = track.last_location
             print(

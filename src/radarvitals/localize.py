@@ -295,6 +295,9 @@ class GridSpec:
             raise ConfigError(
                 f"config key 'grid.theta_max' must lie in [0, pi/2), got {self.theta_max}"
             )
+        if math.isinf(self.d_max / self.d_step + self.theta_max / self.theta_step):
+            raise ConfigError(f"config keys 'grid.d_step' {self.d_step} and 'grid.theta_step' "
+                              f"{self.theta_step} give an infinite number of cells")
 
     def shape(self) -> tuple[int, int]:
         n_d = int(math.floor(self.d_max / self.d_step + 1 + 1e-9))
@@ -316,6 +319,13 @@ class PseudoSpectrum:
     d_axis: np.ndarray
     theta_axis: np.ndarray
     values: np.ndarray
+
+
+def check_signal_order(p_sub: int, dim: int) -> None:
+    """Raise ``ValueError`` unless the signal subspace order ``p_sub`` lies in
+    [1, dim), dim = w_k * w_m the size of the smoothing window."""
+    if not 1 <= p_sub < dim:
+        raise ValueError(f"signal subspace order p_sub={p_sub} not in [1, {dim})")
 
 
 def music_spectrum(
@@ -360,10 +370,7 @@ def music_spectrum(
     every value is within 1e-10 relative of the noise-subspace form.
     """
     dim = cov.r_hat.shape[0]
-    if p_sub >= dim:
-        raise ValueError(f"signal subspace order {p_sub} must be < {dim}")
-    if p_sub < 1:
-        raise ValueError("signal subspace order must be >= 1")
+    check_signal_order(p_sub, dim)
     w_k, w_m = cov.spec.w_k, cov.spec.w_m
     basis = cov.eig_basis
     # rows of the basis are stacked column-wise: index m * w_k + k

@@ -38,6 +38,7 @@ from .localize import (
     PseudoSpectrum,
     SmoothingSpec,
     accumulate_spectrum,
+    check_signal_order,
     extract_peaks,
     music_spectrum,
     smoothed_covariance,
@@ -45,11 +46,19 @@ from .localize import (
     stacked_covariance_eigenvalues,
 )
 from .modelorder import ModelOrderConfig, OrderDiagnostics, order_diagnostics
-from .preprocess import segment, sma_filter, sma_rows
+# perfbench wraps segment, sma_filter and extract_displacement by these names
+from .preprocess import segment, segment_count, sma_filter, sma_rows  # noqa: F401
 from .simulate import MeasurementCube, Scene
 from .trackeval import EvalReport, Track, check_radius, score_estimates, update_tracks
-from .vitals import averaged_periodogram, beamform, breathing_frequency, build_filter, displacement
-from .vitals import extract_displacement  # noqa: F401  perfbench wraps the stages by these names
+from .vitals import averaged_periodogram, beamform, breathing_frequency, build_filter, check_band
+from .vitals import displacement, extract_displacement  # noqa: F401
+
+# Most values a config may ask one stage to hold: the scan's spectrum cells
+# plus its steering factors, or the points of a breathing periodogram. The
+# default grid needs 209 962 values with a walabot radar, and the default
+# periodogram 1600 points. At the budget a spectrum takes at most 32 MB and the
+# factors or the periodogram's FFT 64 MB; a 10 um range step would take GBs.
+MAX_VALUES = 1 << 22
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -88,40 +97,45 @@ class PipelineConfig:
         return ModelOrderConfig(self.alpha, self.n_candidates, d_cap, self.p_max)
 
     def validate(self, cfg: RadarConfig, derived: DerivedParams) -> None:
-        """Fail early on settings the modules would reject mid-run."""
+        """Fail early on settings the modules would reject mid-run, and on a
+        scan grid or periodogram above ``MAX_VALUES``."""
+        if self.grid.d_max > derived.d_max:
+            raise ConfigError(f"config key 'grid.d_max' {self.grid.d_max} m exceeds the "
+                              f"unambiguous range {derived.d_max} m, past which the scan aliases")
+        g = self.grid
+        n_d, n_t = g.shape()
+        # the windows are at most k x m, which bounds the steering factors
+        if (values := n_d * n_t + cfg.k * (n_d + derived.m * n_t)) > MAX_VALUES:
+            raise ConfigError(
+                f"scan grid of {n_d} x {n_t} cells ('grid.d_max' {g.d_max}, 'grid.d_step' "
+                f"{g.d_step}, 'grid.theta_max' {g.theta_max}, 'grid.theta_step' "
+                f"{g.theta_step}) needs {values} values, above the budget of {MAX_VALUES}")
+        if self.pad_factor < 1:
+            raise ConfigError("pad_factor must be >= 1")
+        if (points := self.pad_factor * self.l_st) > MAX_VALUES:
+            raise ConfigError(f"periodogram of 'pad_factor' {self.pad_factor} * 'l_st' "
+                              f"{self.l_st} = {points} points is above the budget of {MAX_VALUES}")
         try:
+            segment_count(self.w_st - 1 + self.l_st, self.w_st, self.l_st)  # one segment
+            snapshot_indices(self.l_st, self.n_cov)
             self.music_spec().validate(cfg.k, derived.m)
             self.moe_spec().validate(cfg.k, derived.m)
+            check_signal_order(self.p_sub, self.w_k_music * self.w_m_music)
+            check_band(self.band_lo, self.band_hi)
             build_filter(PolarLocation(0.0, 0.0), cfg, derived, self.window)
             for name in ("group_radius", "track_radius", "d_match"):
                 check_radius(name, getattr(self, name))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.w_st < 1:
-            raise ConfigError("w_st must be >= 1")
-        if self.l_st < 2:
-            raise ConfigError("l_st must be >= 2")
-        if not 1 <= self.n_cov <= self.l_st:
-            raise ConfigError("n_cov must lie in [1, l_st]")
-        if not 1 <= self.p_sub < self.w_k_music * self.w_m_music:
-            raise ConfigError("p_sub must be < w_k_music * w_m_music")
         self.order_config(cfg.k, derived.m)  # checks alpha, n_candidates and p_max
-        if not 0 <= self.band_lo < self.band_hi:
-            raise ConfigError(f"breathing band must satisfy 0 <= band_lo < band_hi, got "
-                              f"band_lo {self.band_lo}, band_hi {self.band_hi}")
         if self.band_lo > cfg.f_st / 2:
             raise ConfigError(
                 f"band_lo {self.band_lo} Hz exceeds the Nyquist rate {cfg.f_st / 2} Hz"
             )
-        if self.pad_factor < 1:
-            raise ConfigError("pad_factor must be >= 1")
         if (bin_hz := cfg.f_st / (self.pad_factor * self.l_st)) > self.band_hi - self.band_lo:
             raise ConfigError(f"breathing band band_lo {self.band_lo} .. band_hi "
                               f"{self.band_hi} Hz is narrower than one periodogram bin, "
                               f"{bin_hz} Hz")
-        if self.grid.d_max > derived.d_max:
-            raise ConfigError(f"config key 'grid.d_max' {self.grid.d_max} m exceeds the "
-                              f"unambiguous range {derived.d_max} m, past which the scan aliases")
 
 
 def pipeline_config_from_entries(entries: dict[str, str]) -> PipelineConfig:
@@ -137,10 +151,8 @@ def pipeline_config_to_entries(config: PipelineConfig) -> dict[str, str]:
 
 @dataclass
 class SegmentOutcome:
-    """Everything produced while processing one segment."""
+    """Everything produced while processing the segment at its list position."""
 
-    index: int
-    p_hat: int
     order: OrderDiagnostics
     detections: DetectionSet
     track_labels: list[int]
@@ -152,7 +164,7 @@ class SegmentOutcome:
 class PipelineResult:
     config: PipelineConfig
     segments: list[SegmentOutcome]
-    tracks: list[Track]
+    tracks: list[Track]  # tracks[label] is the track of that label
     accumulated: PseudoSpectrum | None
 
     @property
@@ -187,9 +199,7 @@ def run_pipeline(
     config.validate(cfg, derived)
 
     w_st, l_st = config.w_st, config.l_st
-    count = (cube.l - w_st + 1) // l_st
-    if count < 1:  # raises (shorter than w_st) or warns (shorter than a segment)
-        segment(sma_filter(cube, w_st), l_st)
+    count = segment_count(cube.l, w_st, l_st)
     order_cfg = config.order_config(cfg.k, derived.m)
     snapshots = snapshot_indices(l_st, config.n_cov)
 
@@ -213,19 +223,15 @@ def run_pipeline(
             detections = extract_peaks(
                 accumulated, order.p_hat, config.group_radius, segment_index=i
             )
+            # the filter is linear, so SMA(h^H x) = h^H SMA(x): beamform the
+            # raw rows and filter the outputs in 1-D
+            filters = [build_filter(det.location, cfg, derived, config.window)
+                       for det in detections.detections]
+            outputs = sma_rows(beamform(filters, raw), w_st).T if filters else []
+            series = [displacement(y, slow_time, cfg, derived.f_c) for y in outputs]
             labels = update_tracks(tracks, detections, config.track_radius)
-            if labels:
-                # the filter is linear, so SMA(h^H x) = h^H SMA(x): beamform
-                # the raw rows and filter the outputs in 1-D
-                filters = [
-                    build_filter(det.location, cfg, derived, config.window)
-                    for det in detections.detections
-                ]
-                outputs = sma_rows(beamform(filters, raw), w_st)
-                by_label = {t.label: t for t in tracks}
-                for label, y in zip(labels, outputs.T):
-                    series = displacement(y, slow_time, cfg, derived.f_c)
-                    by_label[label].series.append((i, series))
+            for label, vs in zip(labels, series):
+                tracks[label].series.append(vs)  # labels are list positions
         except Exception as exc:
             if hasattr(exc, "add_note"):
                 exc.add_note(f"while processing segment {i}")
@@ -234,8 +240,6 @@ def run_pipeline(
             raise
         outcomes.append(
             SegmentOutcome(
-                index=i,
-                p_hat=order.p_hat,
                 order=order,
                 detections=detections,
                 track_labels=labels,
@@ -246,7 +250,7 @@ def run_pipeline(
 
     for track in tracks:  # each track has the series of the segment that opened it
         track.breathing_estimate = breathing_frequency(
-            [vs for _, vs in track.series], (config.band_lo, config.band_hi), config.pad_factor
+            track.series, (config.band_lo, config.band_hi), config.pad_factor
         )
     return PipelineResult(config, outcomes, tracks, accumulated)
 
@@ -322,8 +326,8 @@ def _read_table(path, columns: tuple[str, ...], types: tuple[type, ...]) -> list
 
 def detections_csv(result: PipelineResult) -> str:
     return _table(_DETECTIONS, (
-        (o.index, o.p_hat, label, det.location.d, det.location.theta, xy.x, xy.y, det.value)
-        for o in result.segments
+        (i, o.order.p_hat, label, det.location.d, det.location.theta, xy.x, xy.y, det.value)
+        for i, o in enumerate(result.segments)
         for label, det in zip(o.track_labels, o.detections.detections)
         for xy in [polar_to_cartesian(det.location)]
     ))
@@ -338,11 +342,11 @@ def read_final_detections(path) -> tuple[list[PolarLocation], list[int]]:
 
 
 def vitals_csv(result: PipelineResult) -> str:
-    stamps = {o.index: o.slow_time.tolist() for o in result.segments}
+    stamps = [o.slow_time.tolist() for o in result.segments]
     return _table(_VITALS, (
         (track.label, seg, t, eta)
-        for track in sorted(result.tracks, key=lambda t: t.label)
-        for seg, series in track.series
+        for track in result.tracks
+        for (seg, _), series in zip(track.records, track.series)
         for t, eta in zip(stamps[seg], series.eta.tolist())
     ))
 
@@ -350,7 +354,7 @@ def vitals_csv(result: PipelineResult) -> str:
 def breathing_csv(result: PipelineResult) -> str:
     return _table(_BREATHING, (
         (t.label, t.last_location.d, t.last_location.theta, t.breathing_estimate)
-        for t in sorted(result.tracks, key=lambda t: t.label)
+        for t in result.tracks
         if t.breathing_estimate is not None
     ))
 
@@ -363,9 +367,8 @@ def read_breathing_rates(path) -> dict[int, float]:
 def periodogram_csv(result: PipelineResult) -> str:
     """Averaged breathing periodogram of every track."""
     def rows():
-        for track in sorted(result.tracks, key=lambda t: t.label):
-            series = [vs for _, vs in track.series]
-            freqs, power = averaged_periodogram(series, result.config.pad_factor)
+        for track in result.tracks:
+            freqs, power = averaged_periodogram(track.series, result.config.pad_factor)
             yield from ((track.label, f, p) for f, p in zip(freqs.tolist(), power.tolist()))
 
     return _table(_PERIODOGRAM, rows())
@@ -373,11 +376,11 @@ def periodogram_csv(result: PipelineResult) -> str:
 
 def order_diagnostics_csv(result: PipelineResult) -> str:
     def rows():
-        for o in result.segments:
+        for seg, o in enumerate(result.segments):
             rd, cand = o.order.rd.tolist(), set(o.order.candidates)
             for i, lam in enumerate(o.order.lam.tolist()):
-                yield (o.index, i + 1, lam, rd[i] if i < len(rd) else None, i in cand,
-                       o.order.beta, o.p_hat)
+                yield (seg, i + 1, lam, rd[i] if i < len(rd) else None, i in cand,
+                       o.order.beta, o.order.p_hat)
 
     return _table(_ORDER, rows())
 

@@ -40,10 +40,7 @@ def sma_filter(cube: MeasurementCube, w_st: int) -> MeasurementCube:
     filtered by ``sma_rows``, bit-equal to one cumsum over the recording
     for finite samples.
     """
-    if w_st < 1:
-        raise ValueError(f"window w_st must be >= 1, got {w_st}")
-    if w_st > cube.l:
-        raise ValueError(f"window w_st={w_st} exceeds recording length {cube.l}")
+    segment_count(cube.l, w_st)
     return MeasurementCube(
         sma_rows(cube.samples, w_st), cube.slow_time[w_st - 1 :], cube.config, cube.ground_truth
     )
@@ -175,17 +172,28 @@ def _running_sums(x: np.ndarray, marks: np.ndarray) -> np.ndarray:
     return sums
 
 
-def segment(cube: MeasurementCube, l_st: int) -> SegmentedCube:
-    """Slice a recording into full-length segments; the tail is dropped."""
-    if l_st < 2:
+def segment_count(l: int, w_st: int, l_st: int | None = None) -> int:
+    """Segments of ``l_st`` rows (without ``l_st``, rows) that ``l`` raw samples
+    give behind the ``w_st``-sample clutter filter, the one length rule of
+    ``sma_filter``, ``segment`` and ``run_pipeline``: fewer than ``w_st`` raise
+    ``ValueError``, fewer than ``w_st - 1 + l_st`` warn and give 0."""
+    if w_st < 1:
+        raise ValueError(f"window w_st must be >= 1, got {w_st}")
+    if l_st is not None and l_st < 2:
         raise ValueError(f"segment length l_st must be >= 2, got {l_st}")
-    count = cube.l // l_st
+    if w_st > l:
+        raise ValueError(f"window w_st={w_st} exceeds recording length {l}")
+    count = (l - w_st + 1) // (l_st or 1)
     if count == 0:
-        warnings.warn(
-            f"recording of {cube.l} samples is shorter than one segment "
-            f"(l_st={l_st}); nothing to process",
-            stacklevel=2,
-        )
+        warnings.warn(f"recording of {l} samples is shorter than one segment, which needs "
+                      f"w_st - 1 + l_st = {w_st} - 1 + {l_st} = {w_st - 1 + l_st} samples; "
+                      "nothing to process", stacklevel=3)  # at the caller of the stage
+    return count
+
+
+def segment(cube: MeasurementCube, l_st: int) -> SegmentedCube:
+    """Slice a filtered recording into full-length segments; the tail is dropped."""
+    count = segment_count(cube.l, 1, l_st)
     segments = [
         MeasurementCube(
             cube.samples[i * l_st : (i + 1) * l_st],

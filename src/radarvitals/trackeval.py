@@ -56,7 +56,7 @@ class Track:
 
     label: int
     records: list[tuple[int, Detection]] = field(default_factory=list)
-    series: list[tuple[int, VitalSeries]] = field(default_factory=list)
+    series: list[VitalSeries] = field(default_factory=list)  # one per record
     breathing_estimate: float | None = None
 
     @property
@@ -71,8 +71,9 @@ def update_tracks(
 
     Each track's last location is linked to the detections by the greedy
     rule of ``_greedy_links`` under ``radius``. Unassigned detections open
-    new tracks. The track list is extended in place; the return value gives
-    the track label per detection, in detection order.
+    new tracks labelled max + 1, max + 2, ... in order, so from an empty list
+    ``tracks[label]`` is the track of ``label``. The list is extended in
+    place; the return value gives the track label per detection, in order.
     """
     seg = detections.segment_index
     dets = detections.detections

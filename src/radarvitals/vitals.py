@@ -140,6 +140,13 @@ def averaged_periodogram(
     return freqs, power
 
 
+def check_band(lo: float, hi: float) -> None:
+    """Raise ``ValueError`` unless 0 <= lo < hi, the breathing search band in Hz."""
+    if not 0 <= lo < hi:
+        raise ValueError(f"breathing band must satisfy 0 <= band_lo < band_hi, got "
+                         f"band_lo {lo}, band_hi {hi}")
+
+
 def breathing_frequency(
     series: list[VitalSeries],
     band: tuple[float, float] = (0.1, 0.8),
@@ -152,8 +159,7 @@ def breathing_frequency(
     component.
     """
     lo, hi = band
-    if not 0 <= lo < hi:
-        raise ValueError(f"invalid search band {band}")
+    check_band(lo, hi)
     freqs, power = averaged_periodogram(series, pad_factor)
     mask = (freqs >= lo) & (freqs <= hi)
     if not mask.any():

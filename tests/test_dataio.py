@@ -2,6 +2,7 @@ import hashlib
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -358,6 +359,34 @@ def test_raw_recording_validation():
         rv.RawRecording(np.zeros((2, 1, 8)), ((0, 0),), 1e9, np.array([0.0, np.nan]))
     with pytest.raises(rv.DataError, match="slow_time must be strictly increasing"):
         rv.RawRecording(np.zeros((2, 1, 8)), ((0, 0),), 1e9, np.array([0.1, 0.1]))
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.002, 0.02])
+def test_jittered_stamps_load_at_their_f_st(tmp_path, walabot, jitter):
+    # simulate's interval jitter moves the mean interval by about
+    # jitter / sqrt(l - 1), well inside the 10 standard errors allowed
+    for seed in range(20):
+        scene = rv.Scene(clutter=rv.ClutterModel(seed=seed), l=300, slow_time_jitter=jitter)
+        rv.write_container(rv.simulate(scene, walabot), tmp_path / "j.rvc")
+        assert rv.read_container(tmp_path / "j.rvc").config.f_st == 10.0
+
+
+@pytest.mark.parametrize("f_st", ["1.0", "2.5", "100.0", "1000000000.0"])
+def test_header_f_st_that_the_stamps_contradict_is_data_error(tmp_path, capsys, walabot, f_st):
+    # 300 stamps 0.1 s apart, jittered by 2 ms, beside a radar f_st that is not 10 Hz
+    scene = scene_of([breather(2.0, 0.0)], l=300, noise_std=0.1, seed=1)
+    cube = rv.simulate(replace(scene, slow_time_jitter=0.002), walabot)
+    path = tmp_path / "rec.rvc"
+    rv.write_container(cube, path)
+    path.write_bytes(path.read_bytes().replace(b"\nf_st 10.0\n", f"\nf_st {f_st}\n".encode(), 1))
+    with pytest.raises(rv.DataError, match=f"f_st {f_st} Hz contradicts the slow_time stamps"):
+        rv.read_container(path)
+    assert main(["vitals", "--in", str(path), "--out", str(tmp_path / "v.csv")]) == 3
+    assert "f_st" in capsys.readouterr().err
+    raw = raw_recording_of(rv.simulate(replace(scene, l=4, slow_time_jitter=0.002), walabot))
+    rv.write_raw_dir(tmp_path / "raw", raw, replace(walabot, f_st=float(f_st)))
+    assert main(["convert", "--raw", str(tmp_path / "raw"), "--out", str(tmp_path / "c.rvc")]) == 3
+    assert f"f_st {f_st} Hz contradicts" in capsys.readouterr().err
 
 
 def test_raw_dir_roundtrip(tmp_path, walabot):

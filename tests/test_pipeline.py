@@ -116,12 +116,11 @@ def test_pipeline_config_unknown_key():
 
 
 def test_pipeline_config_validation(walabot, derived):
-    with pytest.raises(rv.ConfigError):
-        rv.PipelineConfig(l_st=1).validate(walabot, derived)
-    with pytest.raises(rv.ConfigError):
-        rv.PipelineConfig(n_cov=500).validate(walabot, derived)
-    with pytest.raises(rv.ConfigError):
-        rv.PipelineConfig(p_sub=76).validate(walabot, derived)
+    # each rule is the check of the stage that owns it, and names its key
+    for fields, key in (({"w_st": 0}, "w_st"), ({"l_st": 1}, "l_st"), ({"n_cov": 500}, "n_cov"),
+                        ({"p_sub": 76}, "p_sub"), ({"p_sub": 0}, "p_sub")):
+        with pytest.raises(rv.ConfigError, match=f"{key}={fields[key]}|{key} must be >= "):
+            rv.PipelineConfig(**fields).validate(walabot, derived)
     with pytest.raises(rv.ConfigError):
         rv.PipelineConfig(w_k_music=200).validate(walabot, derived)
     with pytest.raises(rv.ConfigError, match="'hamming'"):
@@ -146,6 +145,34 @@ def test_grid_past_the_unambiguous_range_is_rejected(walabot, derived):
         rv.PipelineConfig(grid=rv.GridSpec(d_max=20.0)).validate(walabot, derived)
 
 
+@pytest.mark.parametrize("fields, keys", [
+    ({"pad_factor": 1_000_000}, ["'pad_factor' 1000000", "'l_st' 200"]),
+    ({"l_st": 10**9}, ["'pad_factor' 8", "'l_st' 1000000000"]),
+    ({"grid": rv.GridSpec(d_step=1e-9)}, ["'grid.d_step' 1e-09"]),
+    ({"grid": rv.GridSpec(d_step=1e-5)}, ["'grid.d_step' 1e-05"]),
+    ({"grid": rv.GridSpec(theta_step=1e-9)}, ["'grid.theta_step' 1e-09"]),
+])
+def test_scan_grid_and_periodogram_above_the_budget_are_rejected(walabot, derived, fields, keys):
+    with pytest.raises(rv.ConfigError, match="above the budget of 4194304") as err:
+        rv.PipelineConfig(**fields).validate(walabot, derived)
+    assert all(key in str(err.value) for key in keys)
+
+
+@pytest.mark.parametrize("step", ["d_step", "theta_step"])
+def test_grid_step_with_an_infinite_cell_count_is_rejected(step):
+    # 4.5 / 5e-324 overflows to inf, which no cell count can hold
+    with pytest.raises(rv.ConfigError, match=f"'grid.{step}' 5e-324 .*infinite number of cells"):
+        rv.GridSpec(**{step: 5e-324})
+
+
+def test_budget_admits_the_default_grid_and_periodogram(walabot, derived):
+    n_d, n_t = rv.GridSpec().shape()
+    assert n_d * n_t + walabot.k * (n_d + derived.m * n_t) == 209_962 < rv.pipeline.MAX_VALUES
+    assert 8 * 200 < rv.pipeline.MAX_VALUES
+    rv.PipelineConfig().validate(walabot, derived)
+    rv.PipelineConfig(grid=rv.GridSpec(d_max=derived.d_max)).validate(walabot, derived)
+
+
 def test_band_narrower_than_one_bin_is_rejected_before_any_segment(walabot, monkeypatch):
     # one periodogram bin is f_st / (pad_factor * l_st) = 10 / (8 * 200) = 6.25 mHz
     rv.PipelineConfig(band_lo=0.3, band_hi=0.30625).validate(walabot, rv.derive_params(walabot))
@@ -160,7 +187,7 @@ def test_unknown_window_is_rejected_at_entry(walabot):
     cube = rv.simulate(scene_of([], l=264, noise_std=0.1, seed=4), walabot)
     with pytest.raises(rv.ConfigError, match="'hamming'"):
         run_pipeline(cube, rv.PipelineConfig(window="hamming"))
-    assert run_pipeline(cube, rv.PipelineConfig(window="rect")).segments[0].p_hat == 0
+    assert run_pipeline(cube, rv.PipelineConfig(window="rect")).segments[0].order.p_hat == 0
 
 
 def test_segment_error_names_the_segment(walabot, monkeypatch):
@@ -257,10 +284,11 @@ def test_pipeline_matches_the_filtered_segment_rows(walabot):
     cube = rv.simulate(scene, walabot)
     result = run_pipeline(cube, config)
     f_c = rv.derive_params(walabot).f_c
-    series = {(i, t.label): vs for t in result.tracks for i, vs in t.series}
+    series = {(i, t.label): vs for t in result.tracks
+              for (i, _), vs in zip(t.records, t.series, strict=True)}
     assert len(result.segments) == 4 and len(series) >= 2
-    for outcome in result.segments:
-        start = outcome.index * config.l_st
+    for index, outcome in enumerate(result.segments):
+        start = index * config.l_st
         raw = cube.samples[start : start + config.l_st + config.w_st - 1]
         stamps = cube.slow_time[start : start + config.l_st + config.w_st - 1]
         seg = rv.sma_filter(rv.MeasurementCube(raw, stamps, walabot), config.w_st)
@@ -269,7 +297,7 @@ def test_pipeline_matches_the_filtered_segment_rows(walabot):
         for label, det in zip(outcome.track_labels, outcome.detections.detections):
             filt = rv.build_filter(det.location, walabot, window=config.window)
             expected = rv.extract_displacement(filt, seg, f_c)
-            got = series[outcome.index, label]
+            got = series[index, label]
             np.testing.assert_allclose(got.eta, expected.eta, rtol=0, atol=1e-12)
             assert got.f_st_actual == expected.f_st_actual
 
@@ -320,7 +348,7 @@ def test_empty_room_yields_no_tracks(walabot):
     scene = scene_of([], l=464, noise_std=0.1, seed=4)
     result = run_pipeline(rv.simulate(scene, walabot))
     assert len(result.segments) == 2
-    assert all(s.p_hat == 0 for s in result.segments)
+    assert all(s.order.p_hat == 0 for s in result.segments)
     assert result.tracks == []
     assert result.final_detections.detections == []
 
@@ -338,7 +366,7 @@ def test_pipeline_single_person_tracked(walabot):
     scene = scene_of([breather(2.0, 10.0, f_b=0.3, amp=0.0015)], l=664,
                      noise_std=0.1, seed=6)
     result = run_pipeline(rv.simulate(scene, walabot))
-    assert [s.p_hat for s in result.segments] == [1, 1, 1]
+    assert [s.order.p_hat for s in result.segments] == [1, 1, 1]
     main_tracks = [t for t in result.tracks if len(t.records) == 3]
     assert len(main_tracks) == 1
     track = main_tracks[0]
@@ -346,6 +374,21 @@ def test_pipeline_single_person_tracked(walabot):
     loc = track.last_location
     assert loc.d == pytest.approx(2.0, abs=0.05)
     assert loc.theta == pytest.approx(np.deg2rad(10.0), abs=np.deg2rad(1.5))
+
+
+def test_track_labels_are_list_positions_with_one_series_per_record(walabot):
+    # update_tracks labels new tracks in the order it appends them, so
+    # run_pipeline finds each track of a label at that list position
+    scene = scene_of([breather(1.6, -25.0, 0.25, 0.001), breather(2.7, 20.0, 0.35, 0.001)],
+                     l=864, noise_std=0.1, seed=3)
+    result = run_pipeline(rv.simulate(scene, walabot))
+    assert len(result.tracks) >= 2
+    assert [t.label for t in result.tracks] == list(range(len(result.tracks)))
+    for track in result.tracks:
+        assert len(track.series) == len(track.records)
+        assert all(isinstance(vs, rv.VitalSeries) for vs in track.series)
+    opened = [label for o in result.segments for label in o.track_labels]
+    assert sorted(set(opened)) == list(range(len(result.tracks)))
 
 
 def test_no_accumulate_first_segment_identical(walabot):
@@ -439,6 +482,63 @@ def test_cli_convert_roundtrip(tmp_path):
     assert main(["convert", "--raw", str(tmp_path / "raw"), "--out", str(out)]) == 0
     back = rv.read_container(out)
     np.testing.assert_allclose(back.samples, cube.samples, atol=1e-8)
+
+
+def test_cli_dump_spectrum_of_a_recording_without_a_segment(tmp_path, capsys):
+    path = tmp_path / "short.rvc"
+    rv.write_container(rv.simulate(scene_of([breather(2.0, 0.0)], l=100), rv.walabot_config(10.0)),
+                       path)
+    with pytest.warns(UserWarning, match="which needs w_st - 1 \\+ l_st = 64 - 1 \\+ 200 = 263"):
+        code = main(["dump-spectrum", "--in", str(path), "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "no spectrum" in capsys.readouterr().err
+
+
+def _drop_pair_keys(raw_dir):
+    entries = read_kv(raw_dir / "raw.kv")
+    write_kv(raw_dir / "raw.kv", {k: v for k, v in entries.items() if not k.startswith("pair.")})
+
+
+def _pair_outside_the_array(raw_dir):
+    write_kv(raw_dir / "raw.kv", {**read_kv(raw_dir / "raw.kv"), "pair.0.tx": "2"})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw_dir: (raw_dir / "raw.kv").unlink(), "cannot read raw.kv"),
+    (_drop_pair_keys, "names no antenna pairs"),
+    (lambda raw_dir: (raw_dir / "profiles.npy").unlink(), "cannot load raw arrays"),
+    (_pair_outside_the_array, "pair (2, 0) outside the 2 x 4 array"),
+], ids=["no raw.kv", "no pair keys", "no profiles.npy", "pair outside the array"])
+def test_cli_convert_unusable_raw_dir_is_data_error(tmp_path, capsys, edit, message):
+    raw_dir, _ = _raw_dir_of_two_samples(tmp_path)
+    edit(raw_dir)
+    assert main(["convert", "--raw", str(raw_dir), "--out", str(tmp_path / "x.rvc")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.rvc").exists()
+
+
+@pytest.mark.parametrize("key", ["person.x.d", "person.0"])
+def test_cli_malformed_scene_item_key_is_usage_error(tmp_path, capsys, key):
+    scene_path = tmp_path / "scene.kv"
+    scene_path.write_text(f"l 10\n{key} 1.0\n", encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scene_path),
+                 "--out", str(tmp_path / "x.rvc")]) == 2
+    assert f"malformed key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("w_st 0", "window w_st must be >= 1, got 0"),
+    ("pad_factor 0", "pad_factor must be >= 1"),
+])
+def test_cli_zero_window_or_pad_factor_is_usage_error(tmp_path, capsys, line, message):
+    container = tmp_path / "rec.rvc"
+    rv.write_container(rv.simulate(scene_of([], l=264, noise_std=0.1, seed=4),
+                                   rv.walabot_config(10.0)), container)
+    config = tmp_path / "pipe.kv"
+    config.write_text(line + "\n", encoding="utf-8")
+    assert main(["detect", "--in", str(container), "--out", str(tmp_path / "o.csv"),
+                 "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_code():
