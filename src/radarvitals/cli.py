@@ -164,16 +164,24 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_dump_spectrum(args) -> int:
+    from .dataio import read_container
     from .pipeline import run_pipeline, spectrum_csv
+    from .preprocess import segment_count
+    from .simulate import MeasurementCube
 
     config = _load_pipeline_config(args.config)
-    result = run_pipeline(args.infile, config)
     if args.segment is None:
-        spectrum = result.accumulated
-    elif 0 <= args.segment < len(result.segments):
-        spectrum = result.segments[args.segment].spectrum
+        spectrum = run_pipeline(args.infile, config).accumulated
     else:
-        raise ValueError(f"segment {args.segment} out of range")
+        cube = read_container(args.infile)
+        if not 0 <= args.segment < segment_count(cube.l, config.w_st, config.l_st):
+            raise ValueError(f"segment {args.segment} out of range")
+        # a segment's own spectrum is formed from its raw rows alone, which
+        # make a recording of exactly one segment
+        start = args.segment * config.l_st
+        rows = slice(start, start + config.l_st + config.w_st - 1)
+        own = MeasurementCube(cube.samples[rows], cube.slow_time[rows], cube.config)
+        spectrum = run_pipeline(own, config).accumulated
     if spectrum is None:
         raise ValueError("recording produced no spectrum (too short?)")
     Path(args.out).write_text(spectrum_csv(spectrum), encoding="utf-8")

@@ -157,7 +157,6 @@ class SegmentOutcome:
     detections: DetectionSet
     track_labels: list[int]
     slow_time: np.ndarray
-    spectrum: PseudoSpectrum
 
 
 @dataclass
@@ -244,7 +243,6 @@ def run_pipeline(
                 detections=detections,
                 track_labels=labels,
                 slow_time=slow_time,
-                spectrum=spec,
             )
         )
 

@@ -26,6 +26,7 @@ from .core import (
     parse_config_value,
     reject_unknown,
 )
+from .localize import steering_matrix
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,16 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
     reproduced independently of the scene content. ``cfg.f_st`` must equal
     ``scene.f_st``, which sets the slow-time stamps; otherwise a
     ``ConfigError`` names both rates.
+
+    A person's delay separates as tau[l, m] = base[m] + (2 / c) disp[l], so
+    its term is the product of a static factor, the amplitude times
+    ``localize.steering_matrix`` over (k, m), and a motion factor
+    exp(-2j pi f_k (2 / c) disp[l]) over (l, k), formed one row block at a
+    time. The static phase of hundreds of turns is reduced exactly and the
+    motion phase is small (0.21 turns for 4 mm at 8 GHz), so each factor is
+    rounded to a few ulps. The per-sample exp(-2j pi f tau) would carry the
+    rounding of its whole phase instead, about 2 pi |f tau| 8 eps: 2e-12 at
+    |f tau| = 170 turns.
     """
     if cfg.f_st != scene.f_st:
         raise ConfigError(
@@ -148,10 +159,7 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
     chan = cfg.delta * np.arange(m)
     cube = np.zeros((l, k, m), dtype=np.complex128)
     # Temporaries are bounded by blocks of slow-time rows, and each sample
-    # sees the same operations in the same order as unblocked. The person
-    # term is scaled by an explicit amplitude * term call: numpy would elide
-    # the temporary of ``amplitude * np.exp(...)`` for large arrays only and
-    # then compute exp * amplitude, which rounds differently.
+    # sees the same operations in the same order as unblocked.
     rows_per_block = block_len(k * m * 16)
     blocks = [slice(a, a + rows_per_block) for a in range(0, l, rows_per_block)]
 
@@ -180,11 +188,13 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
             disp = disp + person.heart_amp * np.sin(
                 2 * np.pi * person.heart_freq * t + person.heart_phase
             )
-        base = (2.0 * person.location.d + chan * np.sin(person.location.theta)) / cfg.c
-        tau = base[None, :] + (2.0 / cfg.c) * disp[:, None]  # (l, m)
+        static = person.amplitude * steering_matrix(
+            person.location.d, person.location.theta, k, m, cfg
+        )
+        shift = (2.0 / cfg.c) * disp
         for rows in blocks:
-            term = np.exp(-2j * np.pi * freqs[None, :, None] * tau[rows, None, :])
-            cube[rows] += np.multiply(person.amplitude, term, out=term)
+            motion = np.exp(-2j * np.pi * np.outer(shift[rows], freqs))
+            cube[rows] += motion[:, :, None] * static
 
     for loc, gain in scene.clutter.static_reflectors:
         tau_m = (2.0 * loc.d + chan * np.sin(loc.theta)) / cfg.c

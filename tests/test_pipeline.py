@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 import radarvitals as rv
 from radarvitals.cli import main
 from radarvitals.kvfile import format_kv, parse_kv, read_kv, write_kv
+from radarvitals.localize import snapshot_indices
 from radarvitals.pipeline import (
     breathing_csv,
     detections_csv,
@@ -25,6 +26,7 @@ from radarvitals.pipeline import (
     spectrum_csv,
     vitals_csv,
 )
+from radarvitals.preprocess import sma_rows
 from helpers import breather, m16_scene, scene_of
 
 
@@ -704,7 +706,12 @@ def test_cli_dump_spectrum_of_one_segment(cli_tables, tmp_path):
     out = tmp_path / "seg1.csv"
     assert main(["dump-spectrum", "--in", str(rec), "--out", str(out), "--segment", "1"]) == 0
     text = out.read_text(encoding="utf-8")
-    assert text == spectrum_csv(run_pipeline(rec).segments[1].spectrum)
+    # segment 1's spectrum from the stage functions on its raw rows
+    cube, config = rv.read_container(rec), rv.PipelineConfig()
+    raw = cube.samples[config.l_st : 2 * config.l_st + config.w_st - 1]
+    snaps = sma_rows(raw, config.w_st, snapshot_indices(config.l_st, config.n_cov))
+    cov = rv.smoothed_covariance(snaps, config.music_spec(), len(snaps))
+    assert text == spectrum_csv(rv.music_spectrum(cov, config.p_sub, config.grid, cube.config))
     assert text != tables["spectrum"].read_text(encoding="utf-8")  # the accumulated one
     assert main(["dump-spectrum", "--in", str(rec), "--out", str(out), "--segment", "99"]) == 2
 

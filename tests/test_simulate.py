@@ -103,7 +103,32 @@ def test_slow_time_jitter_monotonic(walabot):
     assert cube.slow_time[0] == 0.0
 
 
-def _full_size_cube(scene, cfg, t):
+def _displacement(person, t):
+    disp = person.breath_amp * np.sin(2 * np.pi * person.breath_freq * t + person.breath_phase)
+    if person.heart_amp > 0 and person.heart_freq > 0:
+        disp = disp + person.heart_amp * np.sin(
+            2 * np.pi * person.heart_freq * t + person.heart_phase
+        )
+    return disp
+
+
+def _separable_term(person, disp, freqs, chan, cfg):
+    # simulate's factorization over the whole recording at once
+    static = person.amplitude * rv.localize.steering_matrix(
+        person.location.d, person.location.theta, freqs.size, chan.size, cfg
+    )
+    motion = np.exp(-2j * np.pi * np.outer((2.0 / cfg.c) * disp, freqs))
+    return motion[:, :, None] * static
+
+
+def _per_sample_term(person, disp, freqs, chan, cfg):
+    # exp(-2j pi f tau) evaluated at every sample, without localize
+    base = (2.0 * person.location.d + chan * np.sin(person.location.theta)) / cfg.c
+    tau = base[None, :] + (2.0 / cfg.c) * disp[:, None]
+    return person.amplitude * np.exp(-2j * np.pi * freqs[None, :, None] * tau[:, None, :])
+
+
+def _full_size_cube(scene, cfg, t, person_term):
     # the unblocked synthesis: one full-size temporary per term
     derived = rv.derive_params(cfg)
     rng = np.random.default_rng(scene.clutter.seed)
@@ -113,18 +138,7 @@ def _full_size_cube(scene, cfg, t):
     chan = cfg.delta * np.arange(derived.m)
     cube = np.zeros((scene.l, cfg.k, derived.m), dtype=np.complex128)
     for person in scene.persons:
-        disp = person.breath_amp * np.sin(
-            2 * np.pi * person.breath_freq * t + person.breath_phase
-        )
-        if person.heart_amp > 0 and person.heart_freq > 0:
-            disp = disp + person.heart_amp * np.sin(
-                2 * np.pi * person.heart_freq * t + person.heart_phase
-            )
-        base = (2.0 * person.location.d + chan * np.sin(person.location.theta)) / cfg.c
-        tau = base[None, :] + (2.0 / cfg.c) * disp[:, None]
-        cube += np.multiply(
-            person.amplitude, np.exp(-2j * np.pi * freqs[None, :, None] * tau[:, None, :])
-        )
+        cube += person_term(person, _displacement(person, t), freqs, chan, cfg)
     for loc, gain in scene.clutter.static_reflectors:
         tau_m = (2.0 * loc.d + chan * np.sin(loc.theta)) / cfg.c
         cube += gain * np.exp(-2j * np.pi * np.outer(freqs, tau_m))[None, :, :]
@@ -134,21 +148,43 @@ def _full_size_cube(scene, cfg, t):
     return cube
 
 
-def test_blocked_synthesis_matches_full_size_formula(walabot):
-    # a scene several slow-time blocks long, remainder block included, is
-    # byte-identical to the unblocked synthesis
-    rows_per_block = rv.core.block_len(walabot.k * 8 * 16)
+def _multi_block_scene(cfg):
+    # several slow-time blocks long, remainder block included, with a
+    # heartbeat, a reflector, noise and jitter
+    rows_per_block = rv.core.block_len(cfg.k * 8 * 16)
     persons = (
         rv.PersonModel(rv.PolarLocation(1.4, -0.4), amplitude=0.6 - 0.5j,
                        heart_freq=1.1, heart_amp=2e-4),
         rv.PersonModel(rv.PolarLocation(2.6, 0.25), amplitude=0.3 + 0.45j, breath_freq=0.21),
     )
     clutter = rv.ClutterModel(((rv.PolarLocation(4.0, 0.1), 0.3 + 0.2j),), noise_std=0.1, seed=9)
-    scene = rv.Scene(persons=persons, clutter=clutter, l=3 * rows_per_block + 17,
-                     slow_time_jitter=0.001)
+    return rv.Scene(persons=persons, clutter=clutter, l=3 * rows_per_block + 17,
+                    slow_time_jitter=0.001)
+
+
+def test_blocked_synthesis_matches_full_size_formula(walabot):
+    # the row blocks give the bytes of the separable formula evaluated unblocked
+    scene = _multi_block_scene(walabot)
     cube = rv.simulate(scene, walabot)
-    expected = _full_size_cube(scene, walabot, cube.slow_time)
+    expected = _full_size_cube(scene, walabot, cube.slow_time, _separable_term)
     assert cube.samples.tobytes() == expected.tobytes()
+
+
+def test_simulate_matches_the_per_sample_delay_formula(walabot, derived):
+    # the per-sample phase f tau of hundreds of turns is rounded a few times
+    # over, ~8 eps relative; simulate reduces its static phase exactly, so
+    # the two differ by at most that rounding summed over the persons
+    scene = _multi_block_scene(walabot)
+    cube = rv.simulate(scene, walabot)
+    expected = _full_size_cube(scene, walabot, cube.slow_time, _per_sample_term)
+    f_max = walabot.f0 + derived.delta_f * (walabot.k - 1)
+    turns = [f_max * (2 * p.location.d + 2 * p.breath_amp + 2 * p.heart_amp
+                      + walabot.delta * (derived.m - 1) * abs(np.sin(p.location.theta)))
+             / walabot.c for p in scene.persons]
+    atol = sum(abs(p.amplitude) * 2 * np.pi * n * 8 * np.finfo(float).eps
+               for p, n in zip(scene.persons, turns))
+    assert 1e-12 < atol < 1e-11
+    np.testing.assert_allclose(cube.samples, expected, rtol=0, atol=atol)
 
 
 def test_simulated_bytes_do_not_depend_on_the_block_size(walabot, monkeypatch):
@@ -173,6 +209,22 @@ def test_simulate_memory_stays_near_the_cube(walabot):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * cube.samples.nbytes
+
+
+def test_simulate_forms_the_motion_factor_per_block(walabot):
+    # the slow-time motion factor of 2000 rows alone would take 4.2 blocks,
+    # and its exponential's operands twice that again
+    rows_per_block = rv.core.block_len(walabot.k * 8 * 16)
+    block_bytes = rows_per_block * walabot.k * 8 * 16
+    scene = scene_of((breather(1.5, -20.0), breather(2.5, 25.0)), l=2000, noise_std=0.1, seed=4)
+    assert scene.l > 30 * rows_per_block
+    tracemalloc.start()
+    try:
+        cube = rv.simulate(scene, walabot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cube.samples.nbytes + 4 * block_bytes
 
 
 def test_range_profile_zero_snapshot():
