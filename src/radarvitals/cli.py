@@ -163,25 +163,27 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_dump_spectrum(args) -> int:
+def _segment_spectrum(path: str, segment: int, config):
+    """Segment ``segment``'s own spectrum, formed from its raw rows alone,
+    which make a recording of exactly one segment; only they are read."""
     from .dataio import read_container
+    from .pipeline import run_pipeline
+
+    start = segment * config.l_st
+    rows = slice(start, start + config.l_st + config.w_st - 1)
+    if segment < 0 or (own := read_container(path, rows)).l < rows.stop - start:
+        raise ValueError(f"segment {segment} out of range")
+    return run_pipeline(own, config).accumulated
+
+
+def _cmd_dump_spectrum(args) -> int:
     from .pipeline import run_pipeline, spectrum_csv
-    from .preprocess import segment_count
-    from .simulate import MeasurementCube
 
     config = _load_pipeline_config(args.config)
     if args.segment is None:
         spectrum = run_pipeline(args.infile, config).accumulated
-    else:
-        cube = read_container(args.infile)
-        if not 0 <= args.segment < segment_count(cube.l, config.w_st, config.l_st):
-            raise ValueError(f"segment {args.segment} out of range")
-        # a segment's own spectrum is formed from its raw rows alone, which
-        # make a recording of exactly one segment
-        start = args.segment * config.l_st
-        rows = slice(start, start + config.l_st + config.w_st - 1)
-        own = MeasurementCube(cube.samples[rows], cube.slow_time[rows], cube.config)
-        spectrum = run_pipeline(own, config).accumulated
+    else:  # the segment's rows are freed before the CSV is formed
+        spectrum = _segment_spectrum(args.infile, args.segment, config)
     if spectrum is None:
         raise ValueError("recording produced no spectrum (too short?)")
     Path(args.out).write_text(spectrum_csv(spectrum), encoding="utf-8")

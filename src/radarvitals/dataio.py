@@ -51,8 +51,9 @@ class RVCFormatError(DataError):
     """Malformed measurement container."""
 
 
-def check_finite(samples: np.ndarray, source: object) -> None:
-    """Raise ``DataError`` naming the first non-finite [l, k, m] sample.
+def check_finite(samples: np.ndarray, source: object, first_row: int = 0) -> None:
+    """Raise ``DataError`` naming the first non-finite [l, k, m] sample, its
+    row counted from ``first_row``.
 
     One sum screens the samples: a nan or inf sample always makes it
     non-finite, so the element-wise scan runs only then (a finite sum that
@@ -63,8 +64,9 @@ def check_finite(samples: np.ndarray, source: object) -> None:
             return
     finite = np.isfinite(samples)
     if not finite.all():
-        bad = [int(i) for i in np.argwhere(~finite)[0]]
-        raise DataError(f"{source}: sample {bad} is {samples[tuple(bad)]}, not finite")
+        bad = tuple(int(i) for i in np.argwhere(~finite)[0])
+        index = [bad[0] + first_row, *bad[1:]]
+        raise DataError(f"{source}: sample {index} is {samples[bad]}, not finite")
 
 
 def _check_f_st(slow_time: np.ndarray, f_st: float, source: object) -> None:
@@ -143,8 +145,14 @@ def ground_truth_from_header(entries: Mapping[str, str], path) -> Scene | None:
         raise RVCFormatError(f"{path}: bad or missing header field: {exc}") from exc
 
 
-def read_container(path: str | os.PathLike) -> MeasurementCube:
-    """Read and strictly validate an "RVC1" container."""
+def read_container(path: str | os.PathLike, rows: slice = slice(None)) -> MeasurementCube:
+    """Read and strictly validate an "RVC1" container, or only the sample
+    rows ``rows`` of it (a slice of unit step, clipped to the recording).
+
+    The header, its slow-time stamps and the payload size are checked in
+    full; of the samples, only the rows read are checked, and only they
+    are read.
+    """
     with open(path, "rb") as fh:
         entries, payload_offset = _read_header(fh, path)
         try:
@@ -165,9 +173,14 @@ def read_container(path: str | os.PathLike) -> MeasurementCube:
                 f"{path}: payload holds {actual} bytes but the header promises "
                 f"{expected} (l*k*m complex128) starting at byte offset {payload_offset}"
             )
-        fh.seek(payload_offset)
-        samples = np.fromfile(fh, dtype="<c16", count=l * cfg.k * m).reshape(l, cfg.k, m)
-    check_finite(samples, path)
+        start, stop, step = rows.indices(l)
+        if step != 1:
+            raise ValueError(f"container rows must be read with step 1, got {step}")
+        n_rows = max(stop - start, 0)
+        fh.seek(payload_offset + start * cfg.k * m * 16)
+        samples = np.fromfile(fh, dtype="<c16", count=n_rows * cfg.k * m)
+    samples = samples.reshape(n_rows, cfg.k, m)
+    check_finite(samples, path, start)
     if "slow_time" not in entries:
         raise RVCFormatError(f"{path}: header lacks the slow_time vector")
     try:
@@ -181,7 +194,8 @@ def read_container(path: str | os.PathLike) -> MeasurementCube:
             f"{path}: slow_time has {slow_time.size} entries, header promises {l}"
         )
     try:
-        cube = MeasurementCube(samples, slow_time, cfg, ground_truth=truth)
+        check_slow_time(slow_time)
+        cube = MeasurementCube(samples, slow_time[start : start + n_rows], cfg, ground_truth=truth)
     except ValueError as exc:  # the header's l, k and m already fix the shape
         raise RVCFormatError(f"{path}: {exc}") from exc
     _check_f_st(slow_time, cfg.f_st, path)

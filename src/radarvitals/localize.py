@@ -13,6 +13,8 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -20,10 +22,9 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .core import ConfigError, PolarLocation, RadarConfig, block_len
 
 _DENOM_FLOOR = np.finfo(np.float64).tiny
-# music_spectrum: rounding of the signal-subspace complement per unit ||a||^2
-# and basis dimension, and the multiple of its error bound below which a cell
-# is recomputed from the noise subspace
-_ROUNDING = 2 * np.finfo(np.float64).eps
+# music_spectrum: the unit roundoff, and the multiple of the complement's error
+# bound below which a cell is recomputed from the noise subspace
+_UNIT = np.finfo(np.float64).eps / 2
 _NULL_MARGIN = 1e10
 # Veltkamp splitting constant 2**27 + 1 for error-free float64 products
 _SPLIT = 134217729.0
@@ -347,89 +348,181 @@ def music_spectrum(
     the apparent angle outward by roughly half the fractional bandwidth;
     centering removes that skew.
 
-    The steering entry a(d, theta)[m, k] = r_d[k] * b_theta[m, k] separates
-    into a range factor r_d[k] = exp(-2j pi f_k 2d / c) and an angle factor
-    b_theta[m, k] = exp(-2j pi f_k sin(theta) x_m / c). The channels are
-    contracted once per angle, U[k, theta] = sum_m conj(b_theta[m, k])
-    V[(m, k)], and the scan is one GEMM conj(R) @ U, so only
-    n_t w_m w_k + n_d w_k exponentials are evaluated, and those only once
-    per (cfg, grid, w_k, w_m): ``_scan_factors`` caches them
-    read-only, so the segments of a run share them. U and the
-    GEMM output are built one block of angles at a time into buffers
-    allocated once per call, so the working set stays within the block
-    budget instead of growing with the grid.
+    Every steering entry has unit modulus, so ||a||^2 = dim = w_k w_m and
+    the denominator is the complement dim - S with S = a^H P_s a and
+    P_s = V_s V_s^H, formed once per call. The entry a[m, k] = r_d[k]
+    b_theta[m, k] has a range factor r_d[k] = exp(-2j pi f_k 2d / c), and
+    with uniform steps f_k = f_0 + k delta_f the product
+    conj(r_d[k1]) r_d[k2] depends only on the lag tau = k2 - k1: the carrier
+    cancels. So S = C_0(theta) + 2 Re sum_{tau >= 1} exp(-2j pi tau delta_f
+    2d / c) C_tau(theta), a trigonometric polynomial in d as in root-MUSIC.
+    C_tau sums the lag-tau diagonals of the (m1, m2) blocks of P_s, weighted
+    by E_{m2 - m1}[theta, k1] = exp(-2j pi f_k1 sin(theta) (m2 - m1) delta
+    / c) and F_m2[theta, tau] = exp(-2j pi tau delta_f sin(theta) x_m2 / c):
+    w_m^2 GEMMs of (n_t x w_k) @ (w_k x w_k). The grid is then one real GEMM
+    (n_d x 2 w_k) @ (2 w_k x n_t) against the cosines and sines of the lag
+    phases. On the default grid and tuning that is about 5.7 M real
+    multiply-adds per call, where the GEMM against V_s took 60 M. All phase
+    tables depend only on (cfg, grid, w_k, w_m); ``_scan_factors`` caches
+    them read-only, so the segments of a run share them, and the per-angle
+    work runs one block of angles at a time in buffers allocated once per
+    call.
 
-    The GEMM runs over the p_sub signal columns V_s rather than the
-    dim - p_sub noise columns: every steering entry has unit modulus, so
-    ||a||^2 = dim = w_k w_m and the denominator is the complement
-    dim - ||V_s^H a||^2. It differs from ||V_n^H a||^2 by at most
-    (||V^H V - I||_F + 2 dim eps) ||a||^2: the departure of the eigenbasis
-    from orthonormal, plus rounding. Each cell whose complement is below
-    1e10 times that bound (the cells near a null, and any negative
-    complement) is recomputed as ||V_n^H a||^2 from the same factors, so
-    every value is within 1e-10 relative of the noise-subspace form.
+    The complement differs from ||V_n^H a||^2 by aᴴ(V V^H - I)a, at most
+    ||V^H V - I||_F dim, by the rounding of the lag form (see
+    ``_signal_complement``), and by the drift beta of the lag form's uniform
+    steps from the float steps the per-cell phases use: a unit phase of at
+    most beta per steering entry, which moves the complement c by at most
+    2 beta sqrt(dim c) + beta^2 dim. Each cell whose complement is below the
+    least c at which these sum to 1e-10 c (the cells near a null, and any
+    negative complement) is recomputed as ||V_n^H a||^2 from the per-cell
+    factors, so every value is within 1e-10 relative of the noise-subspace
+    form. The bounds are worst cases: on the m16 scene (seeds 1, 2, 3, 7
+    and 11) the threshold is 0.115-0.126 and 4.4 % of the cells are
+    recomputed on average, at most 6.8 % of a segment; the GEMM form, whose
+    rounding term was taken as 2 dim eps dim, recomputed 1.3 %.
     """
     dim = cov.r_hat.shape[0]
     check_signal_order(p_sub, dim)
     w_k, w_m = cov.spec.w_k, cov.spec.w_m
     basis = cov.eig_basis
-    # rows of the basis are stacked column-wise: index m * w_k + k
-    v_s = basis[:, :p_sub].reshape(w_m, w_k, p_sub).transpose(1, 0, 2)
     departure = np.linalg.norm(basis.conj().T @ basis - np.eye(dim))
-    near_null = _NULL_MARGIN * (departure + _ROUNDING * dim) * dim
-    r_conj, b_conj = _scan_factors(cfg, grid, w_k, w_m)
-    denom = _signal_complement(r_conj, b_conj, v_s)
-    _recompute_near_nulls(denom, near_null, r_conj, b_conj, basis[:, p_sub:])
+    factors = _scan_factors(cfg, grid, w_k, w_m)
+    denom, rounding = _signal_complement(factors, basis[:, :p_sub])
+    # the least c with error + 2 b sqrt(c) <= c / _NULL_MARGIN, b = beta sqrt(dim)
+    b = factors.drift * math.sqrt(dim)
+    error = departure * dim + rounding + b * b
+    near_null = (_NULL_MARGIN * (b + math.sqrt(b * b + error / _NULL_MARGIN))) ** 2
+    _recompute_near_nulls(denom, near_null, factors.r_conj, factors.b_conj, basis[:, p_sub:])
     np.maximum(denom, _DENOM_FLOOR, out=denom)
     d_axis, theta_axis = grid.axes()
     return PseudoSpectrum(d_axis, theta_axis, np.divide(1.0, denom, out=denom))
 
 
+class _ScanFactors(NamedTuple):
+    """The read-only phase tables of one (cfg, grid, w_k, w_m) and two phase
+    error bounds of the lag form, in radians."""
+
+    r_conj: np.ndarray  # (n_d, w_k): conj(r_d[k]), per cell
+    b_conj: np.ndarray  # (n_t, w_m, w_k): conj(b_theta[m, k]), per cell
+    lag: np.ndarray  # (n_d, 2 w_k): 1, 0, then 2 cos and 2 sin of lag tau's phase
+    offset: np.ndarray  # (2 w_m - 1, n_t, w_k): E_o[theta, k], o = w_m - 1 - row
+    chan: np.ndarray  # (w_m, n_t, w_k): F_m[theta, tau]
+    phase_err: float  # of one lag-form weight, against the uniform steps
+    drift: float  # of one steering entry, the uniform steps against the float ones
+
+
 @functools.lru_cache(maxsize=4)
-def _scan_factors(
-    cfg: RadarConfig, grid: GridSpec, w_k: int, w_m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The conjugate range factors r_conj[d, k] and angle factors
-    b_conj[k, theta, m] of the scan, read-only.
+def _scan_factors(cfg: RadarConfig, grid: GridSpec, w_k: int, w_m: int) -> _ScanFactors:
+    """The phase tables of the scan and the recompute, and their errors.
 
     They depend only on the arguments, all immutable, so one run computes
-    them once instead of once per segment.
+    them once instead of once per segment. Every phase is reduced with
+    ``_phase_turns``; the per-angle tables are built one block of angles at
+    a time, so the reduction's temporaries stay within the block budget.
+
+    The lag form takes the steps as uniform, f_k = f_0 + k delta_f and
+    x_m = x_0 + m delta, while the float steps that the per-cell phases use
+    carry rounding residuals e_k and xi_m, found exactly here. Their effect
+    splits into a unit phase on each steering entry, at most ``drift``, and
+    a rest that enters ``phase_err``. The lag phases tau delta_f 2d / c, up
+    to 14 turns on the default grid, are taken with tau delta_f carried
+    exactly; the channel phases round their float inputs, which costs at
+    most 2 u times their unreduced turns (u the unit roundoff). Each table
+    entry adds at most 11 u for its reduction, the 2 pi scaling and the
+    exponential.
     """
     k_off = (cfg.k - w_k) / 2
     m_off = (cfg.m_r * cfg.m_t - w_m) / 2
     delta_f = cfg.b / cfg.k
     freqs = cfg.f0 + delta_f * (k_off + np.arange(w_k))
     chan = cfg.delta * (m_off + np.arange(w_m))
+    # tau delta_f = lag_f + lag_err exactly
+    lag_f, lag_err = _two_product(np.arange(w_k, dtype=np.float64), delta_f)
+    offsets = cfg.delta * (w_m - 1 - np.arange(2 * w_m - 1))  # (m2 - m1) delta
     d_axis, theta_axis = grid.axes()
-    # conj(exp(-2j pi f p / c)) = exp(+2j pi f p / c)
-    path_t = np.sin(theta_axis)[:, None] * chan[None, :]  # (n_t, w_m)
-    turns_t = _phase_turns(freqs[:, None, None], path_t[None, :, :], cfg.c)
-    b_conj = np.exp(2j * np.pi * turns_t)  # (w_k, n_t, w_m)
-    turns_d = _phase_turns(2.0 * d_axis[:, None], freqs[None, :], cfg.c)
-    r_conj = np.exp(2j * np.pi * turns_d)  # (n_d, w_k)
-    r_conj.flags.writeable = False
-    b_conj.flags.writeable = False
-    return r_conj, b_conj
+    sin_t = np.sin(theta_axis)
+    n_t = sin_t.size
+    path_d = 2.0 * d_axis[:, None]
+    r_conj = np.exp(2j * np.pi * _phase_turns(path_d, freqs[None, :], cfg.c))
+    turns_lag = _phase_turns(path_d, lag_f, cfg.c) + lag_err * path_d / cfg.c
+    # conj(exp(-2j pi t)) has (cos, sin)(2 pi t) as its (real, imaginary) parts
+    lag = (2.0 * np.exp(2j * np.pi * turns_lag)).view(np.float64)
+    lag[:, :2] = (1.0, 0.0)
+    b_conj = np.empty((n_t, w_m, w_k), dtype=complex)
+    offset = np.empty((2 * w_m - 1, n_t, w_k), dtype=complex)
+    chan_f = np.empty((w_m, n_t, w_k), dtype=complex)
+    block = block_len((4 * w_m - 1) * w_k * 16)
+    for lo in range(0, n_t, block):
+        s = sin_t[lo : lo + block, None]
+        b_conj[lo : lo + block] = np.exp(
+            2j * np.pi * _phase_turns(freqs, (s * chan)[:, :, None], cfg.c))
+        offset[:, lo : lo + block] = np.exp(
+            -2j * np.pi * _phase_turns(freqs, (offsets * s).T[:, :, None], cfg.c))
+        chan_f[:, lo : lo + block] = np.exp(
+            -2j * np.pi * _phase_turns(lag_f, (chan * s).T[:, :, None], cfg.c))
+    # residuals of the float steps from uniform ones, exactly
+    e_max = max(abs(Fraction(f) - Fraction(freqs[0]) - k * Fraction(delta_f))
+                for k, f in enumerate(freqs))
+    xi_max = max(abs(Fraction(x) - Fraction(chan[0]) - m * Fraction(cfg.delta))
+                 for m, x in enumerate(chan))
+    s_max = float(np.abs(sin_t).max())
+    f_max, x_max, lag_max = freqs[-1], float(np.abs(chan).max()), lag_f[-1]
+    d_max = float(d_axis[-1])
+    drift = 2 * math.pi * float(e_max * (2 * d_max + s_max * x_max)
+                                + f_max * s_max * xi_max) / cfg.c
+    turns_offset = f_max * s_max * (w_m - 1) * cfg.delta / cfg.c
+    turns_chan = lag_max * s_max * x_max / cfg.c
+    residual = float(e_max * (w_m - 1) * cfg.delta + lag_max * xi_max) * s_max / cfg.c
+    phase_err = 33 * _UNIT + 2 * math.pi * (_UNIT * 2 * (turns_offset + turns_chan) + residual)
+    for table in (r_conj, b_conj, lag, offset, chan_f):
+        table.flags.writeable = False
+    return _ScanFactors(r_conj, b_conj, lag, offset, chan_f, phase_err, drift)
 
 
-def _signal_complement(r_conj: np.ndarray, b_conj: np.ndarray, v_s: np.ndarray) -> np.ndarray:
-    """w_k w_m - ||V_s^H a||^2 for every (range, angle) cell."""
-    n_d, w_k = r_conj.shape
-    _, n_t, w_m = b_conj.shape
-    p_sub = v_s.shape[2]
-    block = min(n_t, block_len(n_d * p_sub * 16))  # angles per g block
-    u_buf = np.empty(w_k * block * p_sub, dtype=complex)
-    g_buf = np.empty(n_d * block * p_sub, dtype=complex)
+def _signal_complement(f: _ScanFactors, v_s: np.ndarray) -> tuple[np.ndarray, float]:
+    """w_k w_m - a^H P_s a for every (range, angle) cell, in the lag form, and
+    a bound on its rounding.
+
+    A computed sum of n products is off by at most n u times the sum of the
+    products' moduli (u the unit roundoff; a complex product counts as two
+    real ones, and a complex result gains a factor sqrt(2)). Each stage's
+    products sum, in modulus, to at most the mass M = sum |P_s[i, j]|, or
+    for P_s itself A = sum_l (sum_i |V_s[i, l]|)^2, so the complement is
+    within u (2 sqrt(2) p_sub A + (2 sqrt(2) w_k + sqrt(2) (w_m^2 + 2) +
+    2 w_k) M) + phase_err M of the lag form in exact arithmetic: forming
+    P_s, the w_k-term block GEMMs, their w_m^2-term weighted sum, the
+    2 w_k-term grid GEMM, and the phase errors of the weights.
+    """
+    n_d = f.lag.shape[0]
+    w_m, n_t, w_k = f.chan.shape
+    proj = v_s @ v_s.conj().T
+    # diags[m1, m2, k1, tau] = P_s[(m1, k1), (m2, k1 + tau)], zero past the block
+    padded = np.zeros((w_m, w_k, w_m, 2 * w_k), dtype=complex)
+    padded[..., :w_k] = proj.reshape(w_m, w_k, w_m, w_k)
+    s0, s1, s2, s3 = padded.strides
+    diags = as_strided(padded, (w_m, w_m, w_k, w_k), (s0, s2, s1 + s3, s3), writeable=False)
+    # weights[m1, m2] = E_{m2 - m1}: the offset rows, read backwards along m2
+    o0, o1, o2 = f.offset.strides
+    weights = as_strided(f.offset[w_m - 1], (w_m, w_m, n_t, w_k), (o0, -o0, o1, o2),
+                         writeable=False)
+    block = min(n_t, block_len((w_m * w_m + 1) * w_k * 16))  # angles per block
+    g_buf = np.empty(w_m * w_m * block * w_k, dtype=complex)
+    c_buf = np.empty(block * w_k, dtype=complex)
     denom = np.empty((n_d, n_t))
-    for start in range(0, n_t, block):
-        n_b = min(block, n_t - start)
-        u = u_buf[: w_k * n_b * p_sub].reshape(w_k, n_b, p_sub)
-        np.matmul(b_conj[:, start : start + n_b], v_s, out=u)
-        g = g_buf[: n_d * n_b * p_sub].reshape(n_d, n_b * p_sub)
-        np.matmul(r_conj, u.reshape(w_k, -1), out=g)  # a^H V_s
-        g_ri = g.view(np.float64).reshape(n_d, n_b, 2 * p_sub)  # squares sum to |g|^2
-        np.einsum("ijk,ijk->ij", g_ri, g_ri, out=denom[:, start : start + n_b])
-    return np.subtract(w_k * w_m, denom, out=denom)
+    for lo in range(0, n_t, block):
+        n_b = min(block, n_t - lo)
+        g = g_buf[: w_m * w_m * n_b * w_k].reshape(w_m, w_m, n_b, w_k)
+        np.matmul(weights[:, :, lo : lo + n_b], diags, out=g)
+        c = c_buf[: n_b * w_k].reshape(n_b, w_k)  # C[theta, tau]
+        np.einsum("ijtk,jtk->tk", g, f.chan[:, lo : lo + n_b], out=c)
+        np.matmul(f.lag, c.view(np.float64).T, out=denom[:, lo : lo + n_b])
+    mass = float(np.abs(proj).sum())
+    col_mass = float(np.square(np.abs(v_s).sum(axis=0)).sum())
+    sq2 = math.sqrt(2)
+    gemms = 2 * sq2 * w_k + sq2 * (w_m * w_m + 2) + 2 * w_k
+    rounding = _UNIT * (2 * sq2 * v_s.shape[1] * col_mass + gemms * mass) + f.phase_err * mass
+    return np.subtract(w_k * w_m, denom, out=denom), rounding
 
 
 def _recompute_near_nulls(
@@ -447,12 +540,11 @@ def _recompute_near_nulls(
     """
     ii, jj = np.nonzero(denom < near_null)
     dim, n_noise = v_n.shape
-    b_t = b_conj.transpose(1, 2, 0)  # (angle, m, k)
     # per cell: its steering vector, its range factors and its a^H V_n
     cells = block_len((dim + r_conj.shape[1] + n_noise) * 16)
     for lo in range(0, ii.size, cells):
         i, j = ii[lo : lo + cells], jj[lo : lo + cells]
-        a_conj = b_t[j]
+        a_conj = b_conj[j]
         a_conj *= r_conj[i][:, None, :]
         g = (a_conj.reshape(-1, dim) @ v_n).view(np.float64)
         denom[i, j] = np.einsum("ij,ij->i", g, g)

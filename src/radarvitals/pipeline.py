@@ -54,10 +54,13 @@ from .vitals import averaged_periodogram, beamform, breathing_frequency, build_f
 from .vitals import displacement, extract_displacement  # noqa: F401
 
 # Most values a config may ask one stage to hold: the scan's spectrum cells
-# plus its steering factors, or the points of a breathing periodogram. The
-# default grid needs 209 962 values with a walabot radar, and the default
+# plus the phase tables it caches, or the points of a breathing periodogram.
+# With windows of at most k steps and m channels the tables are, per range,
+# the k range factors and 2 k lag cosines and sines, and per angle the m k
+# angle factors, (2 m - 1) k channel-offset phases and m k lag phases. The
+# default grid needs 716 451 values with a walabot radar, and the default
 # periodogram 1600 points. At the budget a spectrum takes at most 32 MB and the
-# factors or the periodogram's FFT 64 MB; a 10 um range step would take GBs.
+# tables or the periodogram's FFT 64 MB; a 10 um range step would take GBs.
 MAX_VALUES = 1 << 22
 
 @dataclass(frozen=True)
@@ -104,8 +107,8 @@ class PipelineConfig:
                               f"unambiguous range {derived.d_max} m, past which the scan aliases")
         g = self.grid
         n_d, n_t = g.shape()
-        # the windows are at most k x m, which bounds the steering factors
-        if (values := n_d * n_t + cfg.k * (n_d + derived.m * n_t)) > MAX_VALUES:
+        # the windows are at most k x m, which bounds the phase tables
+        if (values := n_d * n_t + cfg.k * (3 * n_d + (4 * derived.m - 1) * n_t)) > MAX_VALUES:
             raise ConfigError(
                 f"scan grid of {n_d} x {n_t} cells ('grid.d_max' {g.d_max}, 'grid.d_step' "
                 f"{g.d_step}, 'grid.theta_max' {g.theta_max}, 'grid.theta_step' "

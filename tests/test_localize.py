@@ -293,35 +293,47 @@ def test_music_spectrum_deep_null_matches_reference():
 
 
 def test_music_spectrum_angle_blocks_match_reference(monkeypatch):
-    # a budget of two angles' g block, which holds the p_sub signal columns
-    # of each angle: the 7 angles are scanned in blocks of 2, 2, 2 and 1
-    # through the same buffers
-    n_d, p_sub = 31, 2
-    monkeypatch.setattr(rv.core, "_BLOCK_BYTES", 2 * n_d * p_sub * 16)
-    assert rv.core.block_len(n_d * p_sub * 16) == 2
-    _check_music_against_reference(7, 2, n_d, 3, p_sub, 11)
+    # a budget of two angles of the lag scan's per-angle buffers, the w_m^2
+    # block GEMM outputs and C of each angle: the 7 angles are scanned in
+    # blocks of 2, 2, 2 and 1 through the same buffers
+    n_d, w_k, w_m = 31, 3, 2
+    per_angle = (w_m * w_m + 1) * w_k * 16
+    monkeypatch.setattr(rv.core, "_BLOCK_BYTES", 2 * per_angle)
+    assert rv.core.block_len(per_angle) == 2
+    rv.localize._scan_factors.cache_clear()  # the tables too are built per block
+    _check_music_against_reference(7, w_m, n_d, w_k, 2, 11)
 
 
 def test_music_spectrum_working_set_is_bounded(walabot):
-    """The scan keeps U and g = a^H V_n to one block of angles.
+    """The scan keeps its per-angle and per-cell arrays to one block each.
 
-    Built for the whole grid they were a 5.4 MB U and 4.5 MB range blocks
-    (15.1 MB traced). Besides the memory, blocks that large are served by
-    fresh mmaps once glibc's dynamic mmap threshold is low (as it is when no
-    recording-sized array was freed before), and every scan block then
-    page-faults anew; that made the pipeline slower, not faster, when the
-    clutter filter stopped making its large temporaries.
+    Beyond the spectrum and the cached phase tables, a call may hold two
+    blocks: the tables are built one block of angles at a time, the lag
+    scan runs one block of angles at a time, and the recompute one block of
+    cells at a time. Built for the whole grid, the scan's U and g were a
+    5.4 MB U and 4.5 MB range blocks (15.1 MB traced). Besides the memory,
+    blocks that large are served by fresh mmaps once glibc's dynamic mmap
+    threshold is low (as it is when no recording-sized array was freed
+    before), and every scan block then page-faults anew; that made the
+    pipeline slower, not faster, when the clutter filter stopped making its
+    large temporaries. The wide grid, 0.1 degree steps over 1441 angles,
+    needs ten times the per-angle tables and would hold ten times the
+    per-angle buffers without the blocks.
     """
     cube = rv.simulate(scene_of([breather(2.0, 20.0)], l=264, noise_std=0.1, seed=4), walabot)
     seg = rv.segment(rv.sma_filter(cube, 64), 200).segments[0]
     cov = rv.smoothed_covariance(seg.samples, rv.SmoothingSpec(38, 2), 10)
-    tracemalloc.start()
-    try:
-        rv.music_spectrum(cov, 15, rv.GridSpec(), walabot)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3e6
+    for grid in (rv.GridSpec(), rv.GridSpec(theta_step=math.pi / 1800)):
+        rv.localize._scan_factors.cache_clear()
+        tracemalloc.start()
+        try:
+            spec = rv.music_spectrum(cov, 15, grid, walabot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = rv.localize._scan_factors(walabot, grid, 38, 2)[:5]
+        kept = spec.values.nbytes + sum(t.nbytes for t in tables)
+        assert peak < kept + 2 * rv.core._BLOCK_BYTES, (grid, peak, kept)
 
 
 def test_music_spectrum_repeat_calls_bit_identical(walabot):
@@ -685,20 +697,117 @@ def test_parity_blocks_match_explicit_projection(w_k, w_m):
     np.testing.assert_allclose(lam, np.linalg.eigvalsh(fb), rtol=0, atol=1e-12 * lam[-1])
 
 
-def test_music_spectrum_shares_read_only_scan_factors(walabot):
-    # the steering factors are computed once per (cfg, grid, window) and
-    # shared read-only; each spectrum still gets its own axes
+def test_music_spectrum_shares_read_only_scan_factors(walabot, monkeypatch):
+    # every phase table, of the lag scan and of the recompute, is computed
+    # once per (cfg, grid, window) and shared read-only; each spectrum still
+    # gets its own axes
     rng = np.random.default_rng(8)
-    cov = rv.smoothed_covariance(_random_samples(rng, 3, walabot.k, 8), rv.SmoothingSpec(38, 2), 3)
+    samples = _random_samples(rng, 3, walabot.k, 8)
+    cov = rv.smoothed_covariance(samples, rv.SmoothingSpec(38, 2), 3)
     grid = rv.GridSpec(d_max=1.0, theta_max=0.5)
+    reductions = []
+    real_turns = rv.localize._phase_turns
+    monkeypatch.setattr(rv.localize, "_phase_turns",
+                        lambda *args: reductions.append(args) or real_turns(*args))
+    rv.localize._scan_factors.cache_clear()
     first = rv.music_spectrum(cov, 5, grid, walabot)
-    hits = rv.localize._scan_factors.cache_info().hits
+    assert reductions
+    reductions.clear()
     second = rv.music_spectrum(cov, 5, grid, walabot)
-    assert rv.localize._scan_factors.cache_info().hits == hits + 1
-    r_conj, b_conj = rv.localize._scan_factors(walabot, grid, 38, 2)
-    assert not r_conj.flags.writeable and not b_conj.flags.writeable
+    assert not reductions
+    info = rv.localize._scan_factors.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    factors = rv.localize._scan_factors(walabot, grid, 38, 2)
+    tables = [t for t in factors if isinstance(t, np.ndarray)]
+    assert len(tables) == 5
+    assert not any(t.flags.writeable for t in tables)
+    # another window is another computation
+    other = rv.smoothed_covariance(samples, rv.SmoothingSpec(30, 2), 3)
+    rv.music_spectrum(other, 5, grid, walabot)
+    assert rv.localize._scan_factors.cache_info().misses == 2
     assert second.values.tobytes() == first.values.tobytes()
     first.d_axis[:] = -1.0
     first.theta_axis[:] = -1.0
     np.testing.assert_array_equal(second.d_axis, grid.axes()[0])
     np.testing.assert_array_equal(second.theta_axis, grid.axes()[1])
+
+
+def _exact_ints(*arrays):
+    """Integer arrays n and one power of two s with each x = n / s exactly."""
+    ratios = [[float(v).as_integer_ratio() for v in np.ravel(x)] for x in arrays]
+    scale = max(den for r in ratios for _, den in r)
+    ints = [np.array([num * (scale // den) for num, den in r], dtype=object).reshape(np.shape(x))
+            for r, x in zip(ratios, arrays)]
+    return ints, scale
+
+
+def _exact_complements(v_s, grid, cfg, w_k, w_m):
+    """dim - ||V_s^H a||^2 and ||a||^2 - ||V_s^H a||^2 per cell, exactly.
+
+    a is each cell's steering vector with every phase taken in exact
+    rational arithmetic and rounded once to its fractional turn, as in
+    ``_music_reference``; the squared norms are then summed in exact
+    integer arithmetic from the float entries of a and V_s.
+    """
+    k_off = (cfg.k - w_k) / 2
+    m_off = (cfg.m_r * cfg.m_t - w_m) / 2
+    freqs = [Fraction(f) for f in cfg.f0 + cfg.b / cfg.k * (k_off + np.arange(w_k))]
+    chan = [Fraction(x) for x in cfg.delta * (m_off + np.arange(w_m))]
+    c = Fraction(cfg.c)
+    d_axis, theta_axis = grid.axes()
+    turns = np.empty((d_axis.size, theta_axis.size, w_m, w_k))
+    for i, d in enumerate(d_axis):
+        for j, theta in enumerate(theta_axis):
+            sin_t = Fraction(float(np.sin(theta)))
+            for m, x in enumerate(chan):
+                path = 2 * Fraction(d) + sin_t * x
+                for k, f in enumerate(freqs):
+                    t = f * path / c
+                    turns[i, j, m, k] = t - round(t)
+    a = np.exp(-2j * np.pi * turns).reshape(-1, w_m * w_k)
+    (ar, ai), sa = _exact_ints(a.real, a.imag)
+    (vr, vi), sv = _exact_ints(v_s.real, v_s.imag)
+    gr, gi = ar @ vr + ai @ vi, ar @ vi - ai @ vr  # conj(a) V_s, scaled by sa sv
+    signal = [Fraction(int(x), (sa * sv) ** 2) for x in (gr * gr + gi * gi).sum(axis=1)]
+    norm = [Fraction(int(x), sa * sa) for x in (ar * ar + ai * ai).sum(axis=1)]
+    shape = (d_axis.size, theta_axis.size)
+    return (np.array([w_k * w_m - s for s in signal], dtype=object).reshape(shape),
+            np.array([n - s for n, s in zip(norm, signal)], dtype=object).reshape(shape))
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even_w_k", "odd_w_k"])
+@settings(max_examples=15, deadline=None)
+@given(
+    k=st.integers(3, 9),
+    w_m=st.integers(1, 3),
+    n_d=st.sampled_from([1, 7, 31]),
+    data=st.data(),
+)
+def test_lag_complement_within_its_rounding_bound(parity, k, w_m, n_d, data):
+    # the lag form's complement, before any recompute, against the exact
+    # dim - ||V_s^H a||^2 of the per-cell steering vectors. It may differ by
+    # its rounding bound, by the drift beta of its uniform steps and by the
+    # reference's own rounding of a (10 u per entry, and ||a||^2 != dim):
+    # a unit phase of at most beta' per entry moves the complement c by at
+    # most 2 beta' sqrt(dim (c + departure dim)) + beta'^2 dim (1 + departure)
+    sizes = [w for w in range(1, k + 1) if w % 2 == parity and w * w_m >= 2]
+    w_k = data.draw(st.sampled_from(sizes), label="w_k")
+    p_sub = data.draw(st.integers(1, w_k * w_m - 1), label="p_sub")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    cfg = small_config(k=k, n=2 * k)
+    samples = _random_samples(np.random.default_rng(seed), 3, k, cfg.m_r * cfg.m_t)
+    cov = rv.smoothed_covariance(samples, rv.SmoothingSpec(w_k, w_m), 3)
+    grid = rv.GridSpec(d_max=0.1 * (n_d - 1), d_step=0.1, theta_max=0.3, theta_step=0.1)
+    dim = w_k * w_m
+    basis = cov.eig_basis
+    departure = np.linalg.norm(basis.conj().T @ basis - np.eye(dim))
+    factors = rv.localize._scan_factors(cfg, grid, w_k, w_m)
+    complement, rounding = rv.localize._signal_complement(factors, basis[:, :p_sub])
+    assert rounding < 1e-11
+    exact, residual = _exact_complements(basis[:, :p_sub], grid, cfg, w_k, w_m)
+    beta = factors.drift + 10 * rv.localize._UNIT
+    for c, ref, res in zip(complement.ravel(), exact.ravel(), residual.ravel()):
+        spread = math.sqrt(dim * (max(float(res), 0.0) + departure * dim))
+        bound = (rounding + 2 * beta * spread + beta * beta * dim * (1 + departure)
+                 + abs(float(ref - res)))
+        assert abs(float(Fraction(float(c)) - ref)) <= bound

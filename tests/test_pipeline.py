@@ -169,7 +169,11 @@ def test_grid_step_with_an_infinite_cell_count_is_rejected(step):
 
 def test_budget_admits_the_default_grid_and_periodogram(walabot, derived):
     n_d, n_t = rv.GridSpec().shape()
-    assert n_d * n_t + walabot.k * (n_d + derived.m * n_t) == 209_962 < rv.pipeline.MAX_VALUES
+    values = n_d * n_t + walabot.k * (3 * n_d + (4 * derived.m - 1) * n_t)
+    assert values == 716_451 < rv.pipeline.MAX_VALUES
+    # the values the scan keeps: its spectrum and the tables it caches
+    tables = rv.localize._scan_factors(walabot, rv.GridSpec(), walabot.k, derived.m)[:5]
+    assert n_d * n_t + sum(t.size for t in tables) == values
     assert 8 * 200 < rv.pipeline.MAX_VALUES
     rv.PipelineConfig().validate(walabot, derived)
     rv.PipelineConfig(grid=rv.GridSpec(d_max=derived.d_max)).validate(walabot, derived)
@@ -714,6 +718,70 @@ def test_cli_dump_spectrum_of_one_segment(cli_tables, tmp_path):
     assert text == spectrum_csv(rv.music_spectrum(cov, config.p_sub, config.grid, cube.config))
     assert text != tables["spectrum"].read_text(encoding="utf-8")  # the accumulated one
     assert main(["dump-spectrum", "--in", str(rec), "--out", str(out), "--segment", "99"]) == 2
+
+
+@pytest.fixture(scope="module")
+def long_container(tmp_path_factory):
+    """A 4000-sample two-person container: 19 segments in a 70 MB payload."""
+    path = tmp_path_factory.mktemp("long") / "long.rvc"
+    scene = scene_of([breather(1.5, -20.0), breather(2.5, 25.0, f_b=0.25)], l=4000,
+                     noise_std=0.1, seed=3)
+    rv.write_container(rv.simulate(scene, rv.walabot_config(10.0)), path)
+    return path
+
+
+def test_cli_dump_spectrum_of_a_segment_reads_only_its_rows(long_container, tmp_path):
+    # the header and segment 18's 263 raw rows (4.6 MB) rather than the whole
+    # 70 MB payload, which took a 76.3 MB traced peak; segment 0 runs first,
+    # so the scan's phase tables, computed once per process, are cached
+    config = rv.PipelineConfig()
+    segment_bytes = (config.l_st + config.w_st - 1) * 137 * 8 * 16
+    assert os.path.getsize(long_container) > 15 * segment_bytes
+    argv = ["dump-spectrum", "--in", str(long_container), "--out", str(tmp_path / "s.csv"),
+            "--segment", "0"]
+    assert main(argv) == 0
+    argv[-1] = "18"
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * segment_bytes
+
+
+def test_cli_dump_spectrum_of_a_segment_matches_the_whole_recording_read(long_container,
+                                                                          tmp_path):
+    cube, config = rv.read_container(long_container), rv.PipelineConfig()
+    for segment in (0, 9, 18):
+        out = tmp_path / f"seg{segment}.csv"
+        argv = ["dump-spectrum", "--in", str(long_container), "--out", str(out),
+                "--segment", str(segment)]
+        assert main(argv) == 0
+        rows = slice(segment * config.l_st, (segment + 1) * config.l_st + config.w_st - 1)
+        own = rv.MeasurementCube(cube.samples[rows], cube.slow_time[rows], cube.config)
+        assert out.read_bytes() == spectrum_csv(run_pipeline(own, config).accumulated).encode()
+    for segment in ("19", "-1"):
+        argv[-1] = segment
+        assert main(argv) == 2
+
+
+def test_container_rows_are_checked_where_read(tmp_path):
+    # a partial read checks the header, every stamp and the payload size in
+    # full, and the samples it reads; a bad sample outside them goes unread
+    cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=8), rv.walabot_config(10.0))
+    cube.samples[5, 3, 2] = np.nan
+    path = tmp_path / "c.rvc"
+    rv.write_container(cube, path)
+    part = rv.read_container(path, slice(1, 4))
+    np.testing.assert_array_equal(part.samples, cube.samples[1:4])
+    np.testing.assert_array_equal(part.slow_time, cube.slow_time[1:4])
+    with pytest.raises(rv.DataError, match=r"sample \[5, 3, 2\] is \(nan"):
+        rv.read_container(path, slice(4, 8))
+    with pytest.raises(rv.DataError, match="payload holds"):
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        rv.read_container(path, slice(1, 4))
 
 
 _DETECTIONS_HEAD = "segment,p_hat,track,d_m,theta_rad,x_m,y_m,value\n"
