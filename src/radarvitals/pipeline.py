@@ -189,7 +189,9 @@ def run_pipeline(
     hold. Only the rows the stages read are filtered: the ``n_cov``
     covariance snapshots, and each detection's beamformer output, filtered
     in 1-D after beamforming the raw rows. No filtered copy of a segment or
-    of the recording is made.
+    of the recording is made. The beamformer weights of a detection cell
+    are built once per run, when a detection first falls on it, and reused
+    read-only by every later detection on that cell.
     """
     if isinstance(source, MeasurementCube):
         cube = source
@@ -205,6 +207,7 @@ def run_pipeline(
     order_cfg = config.order_config(cfg.k, derived.m)
     snapshots = snapshot_indices(l_st, config.n_cov)
 
+    weights: dict[PolarLocation, np.ndarray] = {}  # read-only, one per detection cell
     tracks: list[Track] = []
     outcomes: list[SegmentOutcome] = []
     accumulated: PseudoSpectrum | None = None
@@ -227,8 +230,13 @@ def run_pipeline(
             )
             # the filter is linear, so SMA(h^H x) = h^H SMA(x): beamform the
             # raw rows and filter the outputs in 1-D
-            filters = [build_filter(det.location, cfg, derived, config.window)
-                       for det in detections.detections]
+            filters = []
+            for det in detections.detections:
+                if (filt := weights.get(det.location)) is None:
+                    filt = weights[det.location] = build_filter(
+                        det.location, cfg, derived, config.window)
+                    filt.flags.writeable = False
+                filters.append(filt)
             outputs = sma_rows(beamform(filters, raw), w_st).T if filters else []
             series = [displacement(y, slow_time, cfg, derived.f_c) for y in outputs]
             labels = update_tracks(tracks, detections, config.track_radius)
@@ -343,13 +351,17 @@ def read_final_detections(path) -> tuple[list[PolarLocation], list[int]]:
 
 
 def vitals_csv(result: PipelineResult) -> str:
-    stamps = [o.slow_time.tolist() for o in result.segments]
-    return _table(_VITALS, (
-        (track.label, seg, t, eta)
-        for track in result.tracks
-        for (seg, _), series in zip(track.records, track.series)
-        for t, eta in zip(stamps[seg], series.eta.tolist())
-    ))
+    """One row per track and slow-time sample. Every cell is a number, so the
+    rows are written by the cell rule without ``csv.writer``: labels and
+    segments as ints, stamps and displacements by ``repr``."""
+    stamps = [[repr(t) for t in o.slow_time.tolist()] for o in result.segments]
+    lines = [",".join(_VITALS)]
+    for track in result.tracks:
+        for (seg, _), series in zip(track.records, track.series):
+            lines += [f"{track.label},{seg},{t},{eta!r}"
+                      for t, eta in zip(stamps[seg], series.eta.tolist())]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def breathing_csv(result: PipelineResult) -> str:

@@ -397,6 +397,72 @@ def test_track_labels_are_list_positions_with_one_series_per_record(walabot):
     assert sorted(set(opened)) == list(range(len(result.tracks)))
 
 
+def _two_person_scene(l):
+    # two persons with PersonModel's default chest motion, like the benchmark's
+    # 400 s CLI recordings
+    persons = (rv.PersonModel(location=rv.PolarLocation(1.6, -0.3)),
+               rv.PersonModel(location=rv.PolarLocation(2.9, 0.35)))
+    return rv.Scene(persons=persons, clutter=rv.ClutterModel(noise_std=0.1, seed=11), l=l,
+                    f_st=10.0)
+
+
+@pytest.mark.parametrize("scene", [m16_scene(seed=7), _two_person_scene(2000)],
+                         ids=["m16", "two_person"])
+def test_weights_are_built_once_per_detection_cell(walabot, monkeypatch, scene):
+    built = []
+    real = rv.pipeline.build_filter
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(rv.pipeline, "build_filter", counting)
+    result = run_pipeline(rv.simulate(scene, walabot))
+    cells = [det.location for o in result.segments for det in o.detections.detections]
+    assert len(set(cells)) < len(cells)  # detections repeat cells, so there is reuse
+    assert len(built) == len(set(cells)) + 1  # plus the config check's own call
+    for weights in built[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0, 0] = 0.0
+
+
+def _vitals_reference(result):
+    """The vitals table as csv.writer writes it with the cell rule of every table."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("track", "segment", "t_s", "eta_m"))
+    for track in result.tracks:
+        for (seg, _), series in zip(track.records, track.series):
+            for t, eta in zip(result.segments[seg].slow_time, series.eta):
+                writer.writerow(map(rv.pipeline._cell, (track.label, seg, t, eta)))
+    return buf.getvalue()
+
+
+def test_vitals_csv_matches_the_csv_writer(walabot):
+    result = run_pipeline(rv.simulate(_two_person_scene(864), walabot))
+    assert sum(len(t.series) >= 3 for t in result.tracks) >= 2
+    assert vitals_csv(result) == _vitals_reference(result)
+
+
+def test_vitals_csv_writes_floats_by_repr():
+    det = rv.Detection(rv.PolarLocation(2.0, 0.1), 1.0)
+    stamps = [np.array([0.0, 0.1]), np.array([0.30000000000000004, 1e-7])]
+    etas = [np.array([-0.0, 5e-324]), np.array([1.2345678901234567e-05, -1e16])]
+    tracks = [rv.Track(label, [(0, det), (1, det)], [rv.VitalSeries(eta, 10.0) for eta in etas])
+              for label in (0, 1)]
+    segments = [rv.pipeline.SegmentOutcome(None, rv.DetectionSet([det, det], seg, 2), [0, 1], t)
+                for seg, t in enumerate(stamps)]
+    result = rv.PipelineResult(rv.PipelineConfig(), segments, tracks, None)
+    text = vitals_csv(result)
+    assert text == _vitals_reference(result)
+    # the shortest repr that reads back the same double, not the literal typed
+    assert text.splitlines()[1:5] == ["0,0,0.0,-0.0", "0,0,0.1,5e-324",
+                                      "0,1,0.30000000000000004,1.2345678901234568e-05",
+                                      "0,1,1e-07,-1e+16"]
+    empty = rv.PipelineResult(rv.PipelineConfig(), [], [], None)
+    assert vitals_csv(empty) == _vitals_reference(empty) == "track,segment,t_s,eta_m\n"
+
+
 def test_no_accumulate_first_segment_identical(walabot):
     scene = scene_of([breather(2.0, 10.0, amp=0.0015)], l=664, noise_std=0.1, seed=6)
     cube = rv.simulate(scene, walabot)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radarvitals as rv
 from helpers import breather, scene_of
@@ -158,3 +159,41 @@ def test_periodogram_grid():
     freqs, power = rv.averaged_periodogram([series], pad_factor=8)
     assert freqs.size == power.size == 8 * 200 // 2 + 1
     assert freqs[1] == pytest.approx(10.0 / 1600)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f_b=st.floats(0.15, 0.6), amp=st.floats(2e-4, 4e-3), phase=st.floats(0.0, 2 * np.pi),
+       jitter=st.floats(0.0, 0.03), segments=st.integers(1, 3), length=st.integers(64, 300),
+       pad=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_breathing_error_under_jittered_slow_time_is_bounded(walabot, derived, f_b, amp, phase,
+                                                             jitter, segments, length, pad, seed):
+    # Chest motion a sin(2 pi f_b t + phase) sampled at stamps t_l = l / f_st + e_l
+    # with |e_l| <= J. Each sample differs from its uniform-time value u_l by at
+    # most D = 2 pi f_b a J, so after detrending each DFT bin moves by at most
+    # 2 L D in modulus, and so does the root mean square R over segments
+    # (Minkowski). The bin chosen from the jittered samples therefore has
+    # R(k) >= max R - 4 L D, and the estimate is that bin at the rate the
+    # endpoint stamps give; the bound is the largest error over those bins.
+    rng = np.random.default_rng(seed)
+    series, spectra, rates = [], [], []
+    nfft = pad * length
+    for s in range(segments):
+        t_uniform = (s * length + np.arange(length)) / walabot.f_st
+        stamps = t_uniform + rng.uniform(-jitter, jitter, length)
+        eta = amp * np.sin(2 * np.pi * f_b * stamps + phase)
+        y = np.exp(-4j * np.pi * derived.f_c / walabot.c * eta)
+        series.append(rv.vitals.displacement(y, stamps, walabot, derived.f_c))
+        u = amp * np.sin(2 * np.pi * f_b * t_uniform + phase)
+        spectra.append(np.abs(np.fft.rfft(u - u.mean(), nfft)) ** 2)
+        rates.append((length - 1) / (stamps[-1] - stamps[0]))
+    band = (0.1, 0.8)
+    estimate = rv.breathing_frequency(series, band, pad)
+
+    freqs = np.fft.rfftfreq(nfft, d=1.0 / float(np.mean(rates)))
+    in_band = (freqs >= band[0]) & (freqs <= band[1])
+    rms = np.sqrt(np.mean(spectra, axis=0))[in_band]
+    bin_shift = 2 * length * 2 * np.pi * f_b * amp * jitter  # 2 L D
+    slack = 1e-9 * rms.max()  # rounding of the phase, the unwrap and the FFTs
+    candidates = freqs[in_band][rms >= rms.max() - 2 * bin_shift - slack]
+    assert estimate in candidates
+    assert abs(estimate - f_b) <= np.abs(candidates - f_b).max()
