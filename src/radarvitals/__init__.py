@@ -22,6 +22,7 @@ from .core import (
     walabot_config,
 )
 from .dataio import (
+    ContainerReader,
     DataError,
     RawRecording,
     RVCFormatError,

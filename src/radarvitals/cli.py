@@ -166,14 +166,15 @@ def _cmd_evaluate(args) -> int:
 def _segment_spectrum(path: str, segment: int, config):
     """Segment ``segment``'s own spectrum, formed from its raw rows alone,
     which make a recording of exactly one segment; only they are read."""
-    from .dataio import read_container
+    from .dataio import ContainerReader
     from .pipeline import run_pipeline
 
     start = segment * config.l_st
     rows = slice(start, start + config.l_st + config.w_st - 1)
-    if segment < 0 or (own := read_container(path, rows)).l < rows.stop - start:
-        raise ValueError(f"segment {segment} out of range")
-    return run_pipeline(own, config).accumulated
+    with ContainerReader(path, rows) as own:
+        if segment < 0 or own.l < rows.stop - start:
+            raise ValueError(f"segment {segment} out of range")
+        return run_pipeline(own, config).accumulated
 
 
 def _cmd_dump_spectrum(args) -> int:

@@ -145,61 +145,113 @@ def ground_truth_from_header(entries: Mapping[str, str], path) -> Scene | None:
         raise RVCFormatError(f"{path}: bad or missing header field: {exc}") from exc
 
 
-def read_container(path: str | os.PathLike, rows: slice = slice(None)) -> MeasurementCube:
-    """Read and strictly validate an "RVC1" container, or only the sample
-    rows ``rows`` of it (a slice of unit step, clipped to the recording).
+class ContainerReader:
+    """An open "RVC1" container whose sample rows are read on demand, the
+    one reader of the container rule.
 
-    The header, its slow-time stamps and the payload size are checked in
-    full; of the samples, only the rows read are checked, and only they
-    are read.
+    Opening it reads and checks the header in full: the dimensions against
+    the radar config, the ground truth, the payload size, every slow-time
+    stamp and ``f_st``. ``rows`` (a slice of unit step, clipped to the
+    recording) picks the rows it serves: ``l`` counts them, ``slow_time``
+    holds their stamps, and row 0 is the recording's row ``rows.start``.
+    ``read`` reads rows into a caller's buffer and checks each for
+    finiteness, so a sample is checked when, and only if, it is read. Close
+    it with ``close`` or use it as a context manager.
     """
-    with open(path, "rb") as fh:
-        entries, payload_offset = _read_header(fh, path)
+
+    def __init__(self, path: str | os.PathLike, rows: slice = slice(None)):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            self._check_header(rows)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _check_header(self, rows: slice) -> None:
+        path = self.path
+        entries, self._offset = _read_header(self._fh, path)
         try:
             l = int(entries["l"])
             m = int(entries["m"])
             cfg = radar_config_from_entries(entries)
         except (KeyError, ValueError) as exc:
             raise RVCFormatError(f"{path}: bad or missing header field: {exc}") from exc
-        truth = ground_truth_from_header(entries, path)
+        self.ground_truth = ground_truth_from_header(entries, path)
         if m != cfg.m_r * cfg.m_t:
             raise RVCFormatError(
                 f"{path}: header m={m} inconsistent with m_r*m_t={cfg.m_r * cfg.m_t}"
             )
-        expected = l * cfg.k * m * 16
-        actual = os.fstat(fh.fileno()).st_size - payload_offset
+        self._row_bytes = cfg.k * m * 16
+        expected = l * self._row_bytes
+        actual = os.fstat(self._fh.fileno()).st_size - self._offset
         if actual != expected:
             raise RVCFormatError(
                 f"{path}: payload holds {actual} bytes but the header promises "
-                f"{expected} (l*k*m complex128) starting at byte offset {payload_offset}"
+                f"{expected} (l*k*m complex128) starting at byte offset {self._offset}"
             )
+        if "slow_time" not in entries:
+            raise RVCFormatError(f"{path}: header lacks the slow_time vector")
+        try:
+            slow_time = np.array(
+                [parse_config_value("slow_time", v, float) for v in entries["slow_time"].split(",")]
+            )
+        except ConfigError as exc:
+            raise RVCFormatError(f"{path}: {exc}") from exc
+        if slow_time.size != l:
+            raise RVCFormatError(
+                f"{path}: slow_time has {slow_time.size} entries, header promises {l}"
+            )
+        try:
+            check_slow_time(slow_time)
+        except ValueError as exc:
+            raise RVCFormatError(f"{path}: {exc}") from exc
+        _check_f_st(slow_time, cfg.f_st, path)
         start, stop, step = rows.indices(l)
         if step != 1:
             raise ValueError(f"container rows must be read with step 1, got {step}")
-        n_rows = max(stop - start, 0)
-        fh.seek(payload_offset + start * cfg.k * m * 16)
-        samples = np.fromfile(fh, dtype="<c16", count=n_rows * cfg.k * m)
-    samples = samples.reshape(n_rows, cfg.k, m)
-    check_finite(samples, path, start)
-    if "slow_time" not in entries:
-        raise RVCFormatError(f"{path}: header lacks the slow_time vector")
-    try:
-        slow_time = np.array(
-            [parse_config_value("slow_time", v, float) for v in entries["slow_time"].split(",")]
-        )
-    except ConfigError as exc:
-        raise RVCFormatError(f"{path}: {exc}") from exc
-    if slow_time.size != l:
-        raise RVCFormatError(
-            f"{path}: slow_time has {slow_time.size} entries, header promises {l}"
-        )
-    try:
-        check_slow_time(slow_time)
-        cube = MeasurementCube(samples, slow_time[start : start + n_rows], cfg, ground_truth=truth)
-    except ValueError as exc:  # the header's l, k and m already fix the shape
-        raise RVCFormatError(f"{path}: {exc}") from exc
-    _check_f_st(slow_time, cfg.f_st, path)
-    return cube
+        self.config = cfg
+        self._first = start
+        self.l = max(stop - start, 0)
+        self.slow_time = slow_time[start : start + self.l]
+
+    def buffer(self, n: int) -> np.ndarray:
+        """An uninitialized buffer for ``n`` rows, in the payload's dtype."""
+        return np.empty((n, self.config.k, self.config.m_r * self.config.m_t), "<c16")
+
+    def read(self, start: int, out: np.ndarray) -> None:
+        """Fill ``out``, a ``buffer``, with rows [start, start + len(out)) and
+        raise ``DataError`` naming the first non-finite sample among them by
+        its row in the recording."""
+        self._fh.seek(self._offset + (self._first + start) * self._row_bytes)
+        if self._fh.readinto(out) != out.nbytes:  # the file shrank since it was opened
+            raise RVCFormatError(f"{self.path}: payload ends before row "
+                                 f"{self._first + start + len(out)}")
+        check_finite(out, self.path, self._first + start)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> ContainerReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def read_container(path: str | os.PathLike, rows: slice = slice(None)) -> MeasurementCube:
+    """Read and strictly validate an "RVC1" container, or only the sample
+    rows ``rows`` of it (a slice of unit step, clipped to the recording).
+
+    A ``ContainerReader`` checks the header, its slow-time stamps, ``f_st``
+    and the payload size in full, then reads the rows straight into the
+    sample array; of the samples, only the rows read are checked, and only
+    they are read.
+    """
+    with ContainerReader(path, rows) as reader:
+        samples = reader.buffer(reader.l)
+        reader.read(0, samples)
+    return MeasurementCube(samples, reader.slow_time, reader.config, reader.ground_truth)
 
 
 def downconvert_decimate(

@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ from .core import (
     polar_to_cartesian,
     reject_unknown,
 )
-from .dataio import DataError, check_finite, read_container
+from .dataio import ContainerReader, DataError, check_finite
 from .localize import (
     DetectionSet,
     GridSpec,
@@ -46,7 +47,9 @@ from .localize import (
     stacked_covariance_eigenvalues,
 )
 from .modelorder import ModelOrderConfig, OrderDiagnostics, order_diagnostics
-# perfbench wraps segment, sma_filter and extract_displacement by these names
+# perfbench wraps read_container, segment, sma_filter and extract_displacement
+# by these names
+from .dataio import read_container  # noqa: F401
 from .preprocess import segment, segment_count, sma_filter, sma_rows  # noqa: F401
 from .simulate import MeasurementCube, Scene
 from .trackeval import EvalReport, Track, check_radius, score_estimates, update_tracks
@@ -177,10 +180,11 @@ class PipelineResult:
 
 
 def run_pipeline(
-    source: MeasurementCube | str | os.PathLike,
+    source: MeasurementCube | ContainerReader | str | os.PathLike,
     config: PipelineConfig = PipelineConfig(),
 ) -> PipelineResult:
-    """Process a container path or an in-memory cube.
+    """Process an in-memory cube, or a container given by its path or as an
+    open ``ContainerReader``.
 
     Deterministic for a fixed (recording, config): segments are processed
     in order and the spectrum accumulation follows that order. Segment
@@ -192,76 +196,110 @@ def run_pipeline(
     of the recording is made. The beamformer weights of a detection cell
     are built once per run, when a detection first falls on it, and reused
     read-only by every later detection on that cell.
+
+    Both sources feed one segment loop through ``_raw_segments``. A
+    container is read one segment at a time into one reused buffer of
+    ``l_st + w_st - 1`` rows, so an on-disk run holds O(``l_st`` + ``w_st``)
+    sample rows whatever the recording length. Validation runs in this
+    order: the container header (when reading one), then the config, then
+    the samples as they are read. Every sample row is checked for
+    finiteness once, when first read, and the rows past the last segment
+    after it; a non-finite sample is a ``DataError`` naming its [l, k, m].
     """
-    if isinstance(source, MeasurementCube):
-        cube = source
-        check_finite(cube.samples, "recording")
-    else:
-        cube = read_container(source)  # checks the samples itself
-    cfg = cube.config
-    derived = derive_params(cfg)
-    config.validate(cfg, derived)
+    on_disk = isinstance(source, (str, os.PathLike))
+    with ContainerReader(source) if on_disk else nullcontext(source) as rec:
+        cfg = rec.config
+        derived = derive_params(cfg)
+        config.validate(cfg, derived)
 
-    w_st, l_st = config.w_st, config.l_st
-    count = segment_count(cube.l, w_st, l_st)
-    order_cfg = config.order_config(cfg.k, derived.m)
-    snapshots = snapshot_indices(l_st, config.n_cov)
+        w_st, l_st = config.w_st, config.l_st
+        count = segment_count(rec.l, w_st, l_st)
+        order_cfg = config.order_config(cfg.k, derived.m)
+        snapshots = snapshot_indices(l_st, config.n_cov)
 
-    weights: dict[PolarLocation, np.ndarray] = {}  # read-only, one per detection cell
-    tracks: list[Track] = []
-    outcomes: list[SegmentOutcome] = []
-    accumulated: PseudoSpectrum | None = None
-    for i in range(count):
-        raw = cube.samples[i * l_st : (i + 1) * l_st + w_st - 1]
-        slow_time = cube.slow_time[i * l_st + w_st - 1 : (i + 1) * l_st + w_st - 1]
-        try:
-            # only the covariance snapshots of the filtered segment are formed
-            snaps = sma_rows(raw, w_st, snapshots)
-            cov_music = smoothed_covariance(snaps, config.music_spec(), len(snaps))
-            spec = music_spectrum(cov_music, config.p_sub, config.grid, cfg)
-            if accumulated is None or not config.accumulate:
-                accumulated = spec
-            else:
-                accumulated = accumulate_spectrum(accumulated, spec)
-            lam_moe = stacked_covariance_eigenvalues(snaps, config.moe_spec(), len(snaps))
-            order = order_diagnostics(lam_moe, order_cfg)
-            detections = extract_peaks(
-                accumulated, order.p_hat, config.group_radius, segment_index=i
+        weights: dict[PolarLocation, np.ndarray] = {}  # read-only, one per detection cell
+        tracks: list[Track] = []
+        outcomes: list[SegmentOutcome] = []
+        accumulated: PseudoSpectrum | None = None
+        for i, raw in enumerate(_raw_segments(rec, count, w_st, l_st)):
+            slow_time = rec.slow_time[i * l_st + w_st - 1 : (i + 1) * l_st + w_st - 1]
+            try:
+                # only the covariance snapshots of the filtered segment are formed
+                snaps = sma_rows(raw, w_st, snapshots)
+                cov_music = smoothed_covariance(snaps, config.music_spec(), len(snaps))
+                spec = music_spectrum(cov_music, config.p_sub, config.grid, cfg)
+                if accumulated is None or not config.accumulate:
+                    accumulated = spec
+                else:
+                    accumulated = accumulate_spectrum(accumulated, spec)
+                lam_moe = stacked_covariance_eigenvalues(snaps, config.moe_spec(), len(snaps))
+                order = order_diagnostics(lam_moe, order_cfg)
+                detections = extract_peaks(
+                    accumulated, order.p_hat, config.group_radius, segment_index=i
+                )
+                # the filter is linear, so SMA(h^H x) = h^H SMA(x): beamform the
+                # raw rows and filter the outputs in 1-D
+                filters = []
+                for det in detections.detections:
+                    if (filt := weights.get(det.location)) is None:
+                        filt = weights[det.location] = build_filter(
+                            det.location, cfg, derived, config.window)
+                        filt.flags.writeable = False
+                    filters.append(filt)
+                outputs = sma_rows(beamform(filters, raw), w_st).T if filters else []
+                series = [displacement(y, slow_time, cfg, derived.f_c) for y in outputs]
+                labels = update_tracks(tracks, detections, config.track_radius)
+                for label, vs in zip(labels, series):
+                    tracks[label].series.append(vs)  # labels are list positions
+            except Exception as exc:
+                if hasattr(exc, "add_note"):
+                    exc.add_note(f"while processing segment {i}")
+                elif exc.args and isinstance(exc.args[0], str):
+                    exc.args = (f"segment {i}: {exc.args[0]}",) + exc.args[1:]
+                raise
+            outcomes.append(
+                SegmentOutcome(
+                    order=order,
+                    detections=detections,
+                    track_labels=labels,
+                    slow_time=slow_time,
+                )
             )
-            # the filter is linear, so SMA(h^H x) = h^H SMA(x): beamform the
-            # raw rows and filter the outputs in 1-D
-            filters = []
-            for det in detections.detections:
-                if (filt := weights.get(det.location)) is None:
-                    filt = weights[det.location] = build_filter(
-                        det.location, cfg, derived, config.window)
-                    filt.flags.writeable = False
-                filters.append(filt)
-            outputs = sma_rows(beamform(filters, raw), w_st).T if filters else []
-            series = [displacement(y, slow_time, cfg, derived.f_c) for y in outputs]
-            labels = update_tracks(tracks, detections, config.track_radius)
-            for label, vs in zip(labels, series):
-                tracks[label].series.append(vs)  # labels are list positions
-        except Exception as exc:
-            if hasattr(exc, "add_note"):
-                exc.add_note(f"while processing segment {i}")
-            elif exc.args and isinstance(exc.args[0], str):
-                exc.args = (f"segment {i}: {exc.args[0]}",) + exc.args[1:]
-            raise
-        outcomes.append(
-            SegmentOutcome(
-                order=order,
-                detections=detections,
-                track_labels=labels,
-                slow_time=slow_time,
-            )
-        )
 
     for track in tracks:  # each track has the series of the segment that opened it
         track.breathing_estimate = breathing_frequency(
             track.series, (config.band_lo, config.band_hi), config.pad_factor
         )
     return PipelineResult(config, outcomes, tracks, accumulated)
+
+
+def _raw_segments(rec: MeasurementCube | ContainerReader, count: int, w_st: int, l_st: int):
+    """Yield the raw rows ``[i * l_st, (i + 1) * l_st + w_st - 1)`` of each
+    segment ``i < count``, then check the rows past the last segment.
+
+    Each row is checked for finiteness once, when first read. A cube yields
+    views of its samples. A reader reads into one buffer of
+    ``l_st + w_st - 1`` rows, which each segment overwrites: the ``w_st - 1``
+    rows that a segment shares with the one before it are moved to the
+    front, and only its ``l_st`` new rows are read behind them. The rows
+    past the last segment, fewer than a buffer, are read through it too.
+    """
+    span, done = l_st + w_st - 1, 0  # rows [0, done) are checked
+    if isinstance(rec, MeasurementCube):
+        for start in range(0, count * l_st, l_st):
+            check_finite(rec.samples[done : start + span], "recording", done)
+            done = start + span
+            yield rec.samples[start:done]
+        check_finite(rec.samples[done:], "recording", done)
+        return
+    buf = rec.buffer(min(span, rec.l))
+    for start in range(0, count * l_st, l_st):
+        kept = done - start
+        buf[:kept] = buf[span - kept :]
+        rec.read(done, buf[kept:])
+        done = start + span
+        yield buf
+    rec.read(done, buf[: rec.l - done])
 
 
 def evaluate_result(result: PipelineResult, truth: Scene) -> EvalReport:

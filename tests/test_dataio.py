@@ -50,6 +50,16 @@ def test_container_truncation_reports_sizes(tmp_path):
     assert "offset" in str(err.value)
 
 
+def test_container_reader_rejects_a_payload_that_shrank_after_opening(tmp_path):
+    path = tmp_path / "cube.rvc"
+    rv.write_container(_random_cube(small_config()), path)
+    with rv.ContainerReader(path) as reader:
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 8)
+        with pytest.raises(rv.RVCFormatError, match="payload ends before row 4"):
+            reader.read(0, reader.buffer(4))
+
+
 def test_container_bad_magic(tmp_path):
     path = tmp_path / "cube.rvc"
     path.write_bytes(b"BOGUS\nend_header\n")

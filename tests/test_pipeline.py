@@ -20,6 +20,7 @@ from radarvitals.pipeline import (
     breathing_csv,
     detections_csv,
     order_diagnostics_csv,
+    periodogram_csv,
     pipeline_config_from_entries,
     pipeline_config_to_entries,
     run_pipeline,
@@ -848,6 +849,78 @@ def test_container_rows_are_checked_where_read(tmp_path):
         with open(path, "ab") as fh:
             fh.write(b"\0")
         rv.read_container(path, slice(1, 4))
+
+
+def test_on_disk_run_holds_one_segment_of_rows(long_container, tmp_path):
+    # a container is read one segment at a time into one reused buffer; the
+    # whole-container read took a 70 MB traced peak. The scan's phase
+    # tables, computed once per process, are cached by the first run
+    config = rv.PipelineConfig()
+    segment_bytes = (config.l_st + config.w_st - 1) * 137 * 8 * 16
+    short = tmp_path / "short.rvc"
+    rv.write_container(rv.read_container(long_container, slice(0, 2000)), short)
+    run_pipeline(short, config)
+    peaks = []
+    for path in (short, long_container):
+        tracemalloc.start()
+        try:
+            run_pipeline(path, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3 * segment_bytes
+    assert peaks[1] - peaks[0] < 1 << 20
+
+
+_TABLES = (detections_csv, vitals_csv, breathing_csv, periodogram_csv, order_diagnostics_csv)
+
+
+@pytest.mark.parametrize("l, accumulate", [(700, True), (263, True), (700, False)],
+                         ids=["tail", "one_segment", "no_accumulate"])
+def test_streamed_run_equals_in_memory_run(tmp_path, walabot, l, accumulate):
+    # 700 samples give 3 segments and 37 rows past the last; 263 exactly one
+    scene = scene_of([breather(1.6, -25.0, 0.25, 0.001), breather(2.7, 20.0, 0.35, 0.001)],
+                     l=l, noise_std=0.1, seed=5)
+    path = tmp_path / "rec.rvc"
+    rv.write_container(rv.simulate(scene, walabot), path)
+    config = rv.PipelineConfig(accumulate=accumulate)
+    streamed = run_pipeline(path, config)
+    in_memory = run_pipeline(rv.read_container(path), config)
+    assert len(streamed.segments) == (l - config.w_st + 1) // config.l_st
+    assert streamed.tracks
+    for table in _TABLES:
+        assert table(streamed) == table(in_memory), table.__name__
+    assert spectrum_csv(streamed.accumulated) == spectrum_csv(in_memory.accumulated)
+
+
+@pytest.mark.parametrize("row", [410, 690], ids=["overlap", "tail"])
+def test_every_sample_row_is_checked(tmp_path, walabot, row):
+    # row 410 is read with segment 1 and kept for segment 2; row 690 lies past
+    # the last of the 3 segments of 700 samples
+    cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=700, noise_std=0.1, seed=2), walabot)
+    cube.samples[row, 4, 5] = np.nan
+    path = tmp_path / "nan.rvc"
+    rv.write_container(cube, path)
+    for source in (cube, path):
+        with pytest.raises(rv.DataError, match=rf"sample \[{row}, 4, 5\] is \(nan"):
+            run_pipeline(source)
+    assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+
+
+def test_config_errors_are_reported_before_sample_errors(tmp_path, walabot, capsys):
+    # validation order: header, config, then the samples as they are read
+    cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=264), walabot)
+    cube.samples[0, 0, 0] = np.nan
+    path = tmp_path / "nan.rvc"
+    rv.write_container(cube, path)
+    for source in (cube, path):
+        with pytest.raises(rv.ConfigError, match="pad_factor"):
+            run_pipeline(source, rv.PipelineConfig(pad_factor=0))
+    config = tmp_path / "p.kv"
+    config.write_text("pad_factor 0\n", encoding="utf-8")
+    assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv"),
+                 "--config", str(config)]) == 2
+    assert "pad_factor" in capsys.readouterr().err
 
 
 _DETECTIONS_HEAD = "segment,p_hat,track,d_m,theta_rad,x_m,y_m,value\n"
