@@ -23,6 +23,7 @@ from .core import (
 )
 from .dataio import (
     ContainerReader,
+    ContainerWriter,
     DataError,
     RawRecording,
     RVCFormatError,

@@ -74,20 +74,27 @@ def _load_pipeline_config(path: str | None, accumulate: bool = True):
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
     from .core import radar_config_from_entries, walabot_config
-    from .dataio import write_container
+    from .dataio import ContainerWriter
     from .kvfile import read_kv
-    from .simulate import scene_from_entries, simulate
+    from .simulate import scene_from_entries, synthesize_rows
 
     scene, extras = scene_from_entries(read_kv(args.scenario))
     if args.config:
         cfg = radar_config_from_entries(read_kv(args.config), strict=True)
     else:
         cfg = walabot_config(f_st=scene.f_st)
-    cube = simulate(scene, cfg)
-    meta = {k.removeprefix("meta."): v for k, v in extras.items()}
-    write_container(cube, args.out, meta=meta)
-    print(f"wrote {cube.l} x {cfg.k} x {cube.samples.shape[2]} cube to {args.out}")
+    l, k, m = scene.l, cfg.k, cfg.m_r * cfg.m_t
+    # every check passes before --out is opened; no cube is formed, only the
+    # real noise parts that the stream draws ahead of the first row
+    slow_time, blocks = synthesize_rows(scene, cfg, np.empty((l, k, m)))
+    meta = {key.removeprefix("meta."): value for key, value in extras.items()}
+    with ContainerWriter(args.out, cfg, slow_time, scene, meta) as writer:
+        for _, block in blocks:
+            writer.write(block)
+    print(f"wrote {l} x {k} x {m} cube to {args.out}")
     return 0
 
 

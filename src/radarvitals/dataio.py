@@ -81,32 +81,89 @@ def _check_f_st(slow_time: np.ndarray, f_st: float, source: object) -> None:
                         f"whose mean rate is {1 / dt.mean()} Hz")
 
 
+class ContainerWriter:
+    """An "RVC1" container written one block of sample rows at a time, the
+    one writer of the container rule.
+
+    The header is formed before ``path`` is opened, so stamps that are not
+    finite and strictly increasing, or a value that cannot be stored
+    exactly (see ``kvfile.format_kv``), raise ``ValueError`` and leave any
+    file at ``path`` as it was. Opening it
+    writes the header: the dimensions, the radar config, the slow-time
+    stamps, the ground truth under ``truth.`` keys when there is one and
+    ``meta`` entries (e.g. a scenario id) under ``meta.`` keys. ``write``
+    appends sample rows, one (rows, k, m) block per call, in row order.
+    ``close`` raises ``ValueError`` unless the blocks held exactly one row
+    per stamp. Use it as a context manager.
+    """
+
+    def __init__(
+        self,
+        path: str | os.PathLike,
+        config: RadarConfig,
+        slow_time: np.ndarray,
+        ground_truth: Scene | None = None,
+        meta: Mapping[str, str] | None = None,
+    ):
+        check_slow_time(np.asarray(slow_time, dtype=np.float64))
+        self.path = path
+        self.l = len(slow_time)
+        self._dims = (config.k, config.m_r * config.m_t)
+        self._written = 0
+        entries = {"l": str(self.l), "m": str(self._dims[1]), **config_to_entries(config)}
+        entries["slow_time"] = ",".join(repr(float(t)) for t in slow_time)
+        if ground_truth is not None:
+            for key, value in scene_to_entries(ground_truth).items():
+                entries[f"truth.{key}"] = value
+        for key in sorted(meta or {}):
+            entries[f"meta.{key}"] = str(meta[key])
+        header = (RVC_MAGIC + "\n" + format_kv(entries)).encode("utf-8") + _HEADER_END
+        self._fh = open(path, "wb")
+        try:
+            self._fh.write(header)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def write(self, rows: np.ndarray) -> None:
+        """Append the (n, k, m) sample rows ``rows``."""
+        if rows.shape[1:] != self._dims or self._written + len(rows) > self.l:
+            raise ValueError(
+                f"{self.path}: cannot append rows of shape {rows.shape} after "
+                f"{self._written} of {self.l} rows of (k, m) = {self._dims}"
+            )
+        # the rows' own buffer when already contiguous <c16: no payload copy
+        self._fh.write(memoryview(np.ascontiguousarray(rows, dtype="<c16")))
+        self._written += len(rows)
+
+    def close(self) -> None:
+        self._fh.close()
+        if self._written != self.l:
+            raise ValueError(f"{self.path}: {self._written} rows written, header promises {self.l}")
+
+    def __enter__(self) -> ContainerWriter:
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.close()
+        else:  # the error in flight, not the row count, is the one to report
+            self._fh.close()
+
+
 def write_container(
     cube: MeasurementCube,
     path: str | os.PathLike,
     meta: Mapping[str, str] | None = None,
 ) -> None:
-    """Write a cube (and its ground truth, when present) losslessly.
+    """Write a cube (and its ground truth, when present) losslessly: its
+    rows in one block through a ``ContainerWriter``, which writes them from
+    the samples' own buffer.
 
     ``meta`` entries (e.g. a scenario id) are stored under ``meta.`` keys.
     """
-    entries: dict[str, str] = {}
-    l, k, m = cube.samples.shape
-    entries["l"] = str(l)
-    entries["m"] = str(m)
-    entries.update(config_to_entries(cube.config))
-    entries["slow_time"] = ",".join(repr(float(t)) for t in cube.slow_time)
-    if cube.ground_truth is not None:
-        for key, value in scene_to_entries(cube.ground_truth).items():
-            entries[f"truth.{key}"] = value
-    for key in sorted(meta or {}):
-        entries[f"meta.{key}"] = str(meta[key])
-    header = RVC_MAGIC + "\n" + format_kv(entries)
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8"))
-        fh.write(_HEADER_END)
-        # the samples' own buffer when already contiguous <c16: no payload copy
-        fh.write(memoryview(np.ascontiguousarray(cube.samples, dtype="<c16")))
+    with ContainerWriter(path, cube.config, cube.slow_time, cube.ground_truth, meta) as writer:
+        writer.write(cube.samples)
 
 
 def _read_header(fh: BinaryIO, path) -> tuple[dict[str, str], int]:

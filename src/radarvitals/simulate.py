@@ -11,6 +11,7 @@ ground truth, which makes them the oracle for end-to-end checks.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,7 +129,9 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
     stream (when enabled) is drawn before the noise stream, so either can be
     reproduced independently of the scene content. ``cfg.f_st`` must equal
     ``scene.f_st``, which sets the slow-time stamps; otherwise a
-    ``ConfigError`` names both rates.
+    ``ConfigError`` names both rates. So must every breathing and heart
+    rate lie below the Nyquist rate f_st / 2 (a heart term only when its
+    amplitude is positive); a ``ConfigError`` names the rate that does not.
 
     A person's delay separates as tau[l, m] = base[m] + (2 / c) disp[l], so
     its term is the product of a static factor, the amplitude times
@@ -139,15 +142,70 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
     rounded to a few ulps. The per-sample exp(-2j pi f tau) would carry the
     rounding of its whole phase instead, about 2 pi |f tau| 8 eps: 2e-12 at
     |f tau| = 170 turns.
+
+    The rows come one block at a time from ``synthesize_rows``, which the
+    CLI streams into a container instead. ``simulate`` lets it draw the real
+    noise parts into the returned cube's own real parts, so the peak is the
+    cube plus a few blocks.
+    """
+    cube = np.empty((scene.l, cfg.k, cfg.m_r * cfg.m_t), dtype=np.complex128)
+    slow_time, blocks = synthesize_rows(scene, cfg, cube.real)
+    for rows, block in blocks:
+        cube[rows] = block
+    return MeasurementCube(cube, slow_time, cfg, ground_truth=scene)
+
+
+def synthesize_rows(
+    scene: Scene, cfg: RadarConfig, real_noise: np.ndarray
+) -> tuple[np.ndarray, Iterator[tuple[slice, np.ndarray]]]:
+    """The slow-time stamps of ``simulate(scene, cfg)`` and a generator of
+    its (rows, samples) row blocks, in row order.
+
+    Every check and warning runs first, then the jitter is drawn, then the
+    real parts of the whole noise stream into ``real_noise``, an (l, k, m)
+    float64 array that the caller owns: the stream holds every real part
+    before every imaginary part, so no row can be finished before all of
+    them are drawn. The block's rows of ``real_noise`` are read when the
+    block is formed and not after, so they may be the real parts of the
+    very rows the blocks are copied to. Each sample sees the operations of
+    a cube synthesized whole, in the same order: zero, each person, the
+    reflectors, plus the real noise, plus the imaginary noise drawn for its
+    block. A block is overwritten when the next is formed.
     """
     if cfg.f_st != scene.f_st:
         raise ConfigError(
             f"radar f_st {cfg.f_st} Hz differs from the scene's f_st {scene.f_st} Hz"
         )
     derived = derive_params(cfg)
+    nyquist = scene.f_st / 2
+    for person in scene.persons:
+        if person.breath_freq >= nyquist:
+            raise ConfigError(
+                f"breath_freq {person.breath_freq} Hz is not below the "
+                f"Nyquist rate {nyquist} Hz"
+            )
+        if person.heart_amp > 0 and person.heart_freq >= nyquist:
+            raise ConfigError(
+                f"heart_freq {person.heart_freq} Hz is not below the "
+                f"Nyquist rate {nyquist} Hz"
+            )
+        # stacklevel 3: the warning points at the caller of simulate (or
+        # of the CLI command)
+        if person.location.d > derived.d_max:
+            warnings.warn(
+                f"person at {person.location.d} m lies beyond the unambiguous "
+                f"range {derived.d_max:.2f} m; expect range aliasing",
+                stacklevel=3,
+            )
+        if person.breath_amp > derived.range_resolution / 10:
+            warnings.warn(
+                "breath_amp is not small against the range resolution; the "
+                "narrowband phase model degrades",
+                stacklevel=3,
+            )
+
     rng = np.random.default_rng(scene.clutter.seed)
     l, k, m = scene.l, cfg.k, derived.m
-
     if scene.slow_time_jitter > 0 and l > 1:
         dt = 1.0 / scene.f_st + scene.slow_time_jitter * rng.standard_normal(l - 1)
         dt = np.maximum(dt, 1e-3 / scene.f_st)
@@ -155,32 +213,19 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
     else:
         t = np.arange(l) / scene.f_st
 
+    # Temporaries are bounded by blocks of slow-time rows.
+    rows_per_block = block_len(k * m * 16)
+    row_blocks = [slice(a, min(a + rows_per_block, l)) for a in range(0, l, rows_per_block)]
+    noisy = scene.clutter.noise_std > 0
+    scale = scene.clutter.noise_std / np.sqrt(2.0)
+    if noisy:
+        for rows in row_blocks:
+            real_noise[rows] = scale * rng.standard_normal(real_noise[rows].shape)
+
     freqs = cfg.f0 + derived.delta_f * np.arange(k)
     chan = cfg.delta * np.arange(m)
-    cube = np.zeros((l, k, m), dtype=np.complex128)
-    # Temporaries are bounded by blocks of slow-time rows, and each sample
-    # sees the same operations in the same order as unblocked.
-    rows_per_block = block_len(k * m * 16)
-    blocks = [slice(a, a + rows_per_block) for a in range(0, l, rows_per_block)]
-
+    terms = []
     for person in scene.persons:
-        if person.breath_freq >= scene.f_st / 2:
-            raise ConfigError(
-                f"breath_freq {person.breath_freq} Hz is not below the "
-                f"Nyquist rate {scene.f_st / 2} Hz"
-            )
-        if person.location.d > derived.d_max:
-            warnings.warn(
-                f"person at {person.location.d} m lies beyond the unambiguous "
-                f"range {derived.d_max:.2f} m; expect range aliasing",
-                stacklevel=2,
-            )
-        if person.breath_amp > derived.range_resolution / 10:
-            warnings.warn(
-                "breath_amp is not small against the range resolution; the "
-                "narrowband phase model degrades",
-                stacklevel=2,
-            )
         disp = person.breath_amp * np.sin(
             2 * np.pi * person.breath_freq * t + person.breath_phase
         )
@@ -191,24 +236,30 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
         static = person.amplitude * steering_matrix(
             person.location.d, person.location.theta, k, m, cfg
         )
-        shift = (2.0 / cfg.c) * disp
-        for rows in blocks:
-            motion = np.exp(-2j * np.pi * np.outer(shift[rows], freqs))
-            cube[rows] += motion[:, :, None] * static
-
+        terms.append(((2.0 / cfg.c) * disp, static))
+    reflectors = []
     for loc, gain in scene.clutter.static_reflectors:
         tau_m = (2.0 * loc.d + chan * np.sin(loc.theta)) / cfg.c
-        cube += gain * np.exp(-2j * np.pi * np.outer(freqs, tau_m))[None, :, :]
+        reflectors.append(gain * np.exp(-2j * np.pi * np.outer(freqs, tau_m)))
 
-    if scene.clutter.noise_std > 0:
-        # The stream holds every real part before every imaginary part;
-        # adding scale * (re + 1j * im) one part at a time gives the same sums.
-        scale = scene.clutter.noise_std / np.sqrt(2.0)
-        for part in (cube.real, cube.imag):
-            for rows in blocks:
-                part[rows] += scale * rng.standard_normal(part[rows].shape)
+    def blocks():
+        buffer = np.empty((min(rows_per_block, l), k, m), dtype=np.complex128)
+        for rows in row_blocks:
+            block = buffer[: rows.stop - rows.start]
+            block[...] = 0
+            for shift, static in terms:
+                motion = np.exp(-2j * np.pi * np.outer(shift[rows], freqs))
+                block += motion[:, :, None] * static
+            for term in reflectors:
+                block += term
+            if noisy:
+                # adding scale * (re + 1j * im) one part at a time gives the
+                # same sums as adding it whole
+                block.real += real_noise[rows]
+                block.imag += scale * rng.standard_normal(block.imag.shape)
+            yield rows, block
 
-    return MeasurementCube(cube, t, cfg, ground_truth=scene)
+    return t, blocks()
 
 
 def range_profile(snapshot: np.ndarray, n: int) -> np.ndarray:

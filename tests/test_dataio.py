@@ -245,6 +245,32 @@ def test_write_container_makes_no_payload_copy(tmp_path, walabot):
     assert np.array_equal(rv.read_container(path).samples, cube.samples)
 
 
+def test_container_writer_takes_one_row_per_stamp(tmp_path):
+    cube = _random_cube(small_config(), l=4)
+    path = tmp_path / "w.rvc"
+    with rv.ContainerWriter(path, cube.config, cube.slow_time) as writer:
+        writer.write(cube.samples[:3])
+        for bad in (cube.samples[:2], cube.samples[3:, :, :2]):
+            with pytest.raises(ValueError, match="cannot append rows of shape"):
+                writer.write(bad)
+        writer.write(cube.samples[3:])
+    assert np.array_equal(rv.read_container(path).samples, cube.samples)
+    with pytest.raises(ValueError, match="3 rows written, header promises 4"):
+        with rv.ContainerWriter(path, cube.config, cube.slow_time) as writer:
+            writer.write(cube.samples[:3])
+
+
+def test_container_writer_forms_its_header_before_opening_the_file(tmp_path):
+    cube = _random_cube(small_config(), l=4)
+    path = tmp_path / "w.rvc"
+    path.write_bytes(b"kept")
+    with pytest.raises(ValueError, match="meta.note"):
+        rv.ContainerWriter(path, cube.config, cube.slow_time, meta={"note": "a # b"})
+    with pytest.raises(ValueError, match="strictly increasing"):
+        rv.ContainerWriter(path, cube.config, cube.slow_time[::-1])
+    assert path.read_bytes() == b"kept"
+
+
 def test_check_finite_passes_a_finite_cube_whose_sum_overflows():
     # the screening sum overflows to inf; only the exact scan may decide
     samples = np.full((50, 3, 2), complex(1e308, -1e308))

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import radarvitals as rv
+from radarvitals.cli import main
+from radarvitals.kvfile import write_kv
 from helpers import breather, scene_of, small_config
 
 
@@ -80,10 +82,29 @@ def test_person_beyond_unambiguous_range_warns(walabot):
         rv.simulate(scene_of([breather(15.0, 0.0)], l=2), walabot)
 
 
+def test_simulate_warnings_point_at_its_caller(walabot):
+    with pytest.warns(UserWarning, match="aliasing") as record:
+        rv.simulate(scene_of([breather(15.0, 0.0)], l=2), walabot)
+    assert record[0].filename == __file__
+
+
+_HEART_ABOVE_NYQUIST = rv.PersonModel(rv.PolarLocation(2.0, 0.0), heart_freq=6.0, heart_amp=1e-4)
+
+
 def test_breath_freq_above_nyquist_rejected(walabot):
-    person = breather(2.0, 0.0, f_b=6.0)
-    with pytest.raises(rv.ConfigError, match="Nyquist"):
-        rv.simulate(scene_of([person], l=4), walabot)
+    # a heart term at 6 Hz would alias to 4 Hz at f_st 10 Hz
+    for person, name in ((breather(2.0, 0.0, f_b=6.0), "breath_freq"),
+                         (_HEART_ABOVE_NYQUIST, "heart_freq")):
+        with pytest.raises(rv.ConfigError,
+                           match=f"^{name} 6.0 Hz is not below the Nyquist rate 5.0 Hz$"):
+            rv.simulate(scene_of([person], l=4), walabot)
+
+
+def test_a_heart_term_of_zero_amplitude_is_not_checked(walabot):
+    person = replace(_HEART_ABOVE_NYQUIST, heart_amp=0.0)
+    alone = rv.simulate(scene_of([person], l=4), walabot)
+    assert alone.samples.tobytes() == rv.simulate(
+        scene_of([replace(person, heart_freq=0.0)], l=4), walabot).samples.tobytes()
 
 
 def test_static_reflector_constant_over_slow_time(walabot):
@@ -187,7 +208,7 @@ def test_simulate_matches_the_per_sample_delay_formula(walabot, derived):
     np.testing.assert_allclose(cube.samples, expected, rtol=0, atol=atol)
 
 
-def test_simulated_bytes_do_not_depend_on_the_block_size(walabot, monkeypatch):
+def test_simulated_bytes_do_not_depend_on_the_block_size(walabot, monkeypatch, tmp_path):
     # the person term is scaled in one explicit operand order, so blocks far
     # below numpy's temporary-elision size give the bytes of the default
     scene = rv.Scene(persons=(breather(1.4, -20.0), breather(2.6, 15.0, gain=0.3 + 0.45j)),
@@ -196,6 +217,8 @@ def test_simulated_bytes_do_not_depend_on_the_block_size(walabot, monkeypatch):
     monkeypatch.setattr(rv.core, "_BLOCK_BYTES", 1 << 16)
     small = rv.simulate(scene, walabot)
     assert small.samples.tobytes() == default.samples.tobytes()
+    rv.write_container(rv.simulate(_stored(scene), walabot), tmp_path / "default.rvc")
+    assert _cli_container(scene, tmp_path) == (tmp_path / "default.rvc").read_bytes()
 
 
 def test_simulate_memory_stays_near_the_cube(walabot):
@@ -225,6 +248,86 @@ def test_simulate_forms_the_motion_factor_per_block(walabot):
     finally:
         tracemalloc.stop()
     assert peak < cube.samples.nbytes + 4 * block_bytes
+
+
+def _stored(scene):
+    # the scene read back from its file, as the CLI reads it: gains are
+    # stored as magnitude and phase, so they come back to rounding
+    return rv.scene_from_entries(rv.scene_to_entries(scene))[0]
+
+
+def _cli_container(scene, tmp_path):
+    """The bytes ``radarvitals simulate`` writes for a file of ``scene``."""
+    write_kv(tmp_path / "scene.kv", rv.scene_to_entries(scene))
+    assert main(["simulate", "--scenario", str(tmp_path / "scene.kv"),
+                 "--out", str(tmp_path / "cli.rvc")]) == 0
+    return (tmp_path / "cli.rvc").read_bytes()
+
+
+def _rows_per_block(cfg):
+    return rv.core.block_len(cfg.k * cfg.m_r * cfg.m_t * 16)
+
+
+_STREAMED_SCENES = {
+    "multi_block": _multi_block_scene,
+    "empty_noiseless": lambda cfg: scene_of([], l=70),
+    "one_row": lambda cfg: scene_of([breather(2.0, -15.0)], l=1, noise_std=0.1, seed=3),
+    "one_block": lambda cfg: rv.Scene(
+        persons=(breather(1.5, 10.0),),
+        clutter=rv.ClutterModel(((rv.PolarLocation(3.0, -0.2), 0.5j),), noise_std=0.1, seed=2),
+        l=_rows_per_block(cfg)),
+    "heartbeat": lambda cfg: scene_of(
+        [rv.PersonModel(rv.PolarLocation(2.2, 0.3), heart_freq=1.2, heart_amp=3e-4)],
+        l=90, noise_std=0.05, seed=8),
+}
+
+
+@pytest.mark.parametrize("name", _STREAMED_SCENES)
+def test_cli_container_equals_the_written_in_memory_cube(walabot, tmp_path, name):
+    # the CLI streams row blocks into the container without forming the cube
+    scene = _STREAMED_SCENES[name](walabot)
+    rv.write_container(rv.simulate(_stored(scene), walabot), tmp_path / "memory.rvc")
+    assert _cli_container(scene, tmp_path) == (tmp_path / "memory.rvc").read_bytes()
+
+
+def test_cli_simulate_validates_before_opening_out(tmp_path, capsys):
+    # a failing scene leaves a file already at --out as it was
+    radar = small_config(f_st=5.0)
+    failing = [
+        (scene_of([breather(1.5, 10.0)], l=8), radar, "radar f_st 5.0 Hz differs"),
+        (scene_of([breather(1.5, 10.0, f_b=6.0)], l=8), None, "breath_freq 6.0 Hz"),
+        (scene_of([_HEART_ABOVE_NYQUIST], l=8), None, "heart_freq 6.0 Hz"),
+    ]
+    out = tmp_path / "cli.rvc"
+    old = b"RVC1\nnot to be overwritten\n"
+    for scene, cfg, message in failing:
+        out.write_bytes(old)
+        write_kv(tmp_path / "scene.kv", rv.scene_to_entries(scene))
+        argv = ["simulate", "--scenario", str(tmp_path / "scene.kv"), "--out", str(out)]
+        if cfg is not None:
+            write_kv(tmp_path / "radar.kv", rv.core.config_to_entries(cfg))
+            argv += ["--config", str(tmp_path / "radar.kv")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert out.read_bytes() == old
+
+
+def test_cli_simulate_holds_the_real_noise_plane_not_the_cube(walabot, tmp_path):
+    # the stream draws every real noise part before any imaginary one, so
+    # the real parts of the whole recording are the least it can hold
+    scene = scene_of((breather(1.5, -20.0), breather(2.5, 25.0)), l=4000, noise_std=0.1, seed=4)
+    write_kv(tmp_path / "scene.kv", rv.scene_to_entries(scene))
+    m = walabot.m_r * walabot.m_t
+    plane_bytes = scene.l * walabot.k * m * 8
+    block_bytes = _rows_per_block(walabot) * walabot.k * m * 16
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--scenario", str(tmp_path / "scene.kv"),
+                     "--out", str(tmp_path / "cli.rvc")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < plane_bytes + 4 * block_bytes
 
 
 def test_range_profile_zero_snapshot():
