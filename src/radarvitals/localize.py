@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .core import ConfigError, PolarLocation, RadarConfig, block_len
 
@@ -96,43 +96,71 @@ def _window_gram(snaps: np.ndarray, w_k: int, w_m: int) -> np.ndarray:
     k x n_b k rather than the whole n_b k square. The lower blocks are
     the conjugate transposes of the upper ones.
 
-    Only the first row and column of each W are summed from P; along a
+    Only the first row and column of each W are summed from P. In the
+    flat panel, whose rows are ``row`` = (n_b - b1) k items long, a step
+    along a diagonal is a step of row + 1, so the row seeds W[0, c] =
+    sum_i P[i, c + i] of all pairs are one (n_i, pairs, w_k) view with
+    item strides (row + 1, k, 1), and the column seeds W[t, 0] = sum_i
+    P[t + i, i] one (n_i, pairs, w_k - 1) view with strides (row + 1, k,
+    row). Each is summed over its first axis in index order. Along a
     diagonal, W[k1 + 1, k2 + 1] = W[k1, k2] - P[k1, k2] + P[k1 + n_i,
-    k2 + n_i]. With the block pairs q stacked as sums[k1, q, k2], that
-    recurrence is one addition of a shifted row per k1 over all pairs at
-    once: O(w_k^2) additions per pair instead of the O(w_k^2 n_i) of
-    summing every window.
+    k2 + n_i]. With the block pairs q stacked last, as sums[k1, k2, q],
+    that recurrence is one contiguous addition of the previous k1-row,
+    shifted by one k2, per k1 over all pairs at once: O(w_k^2) additions
+    per pair instead of the O(w_k^2 n_i) of summing every window.
     """
     n_parts, n_cov, k, m = snaps.shape
     n_i, n_j = k - w_k + 1, m - w_m + 1
     n_b = n_parts * w_m
-    # y[p, m1, r, (l, j)] = snaps[p, l, r, m1 + j]
-    y = sliding_window_view(snaps, n_j, axis=3).transpose(0, 3, 2, 1, 4)
+    # y[p, m1, r, l, j] = snaps[p, l, r, m1 + j]
+    s_p, s_l, s_r, s_m = snaps.strides
+    y = as_strided(snaps, (n_parts, w_m, k, n_cov, n_j), (s_p, s_m, s_r, s_l, s_m), writeable=False)
     z = y.reshape(n_b * k, n_cov * n_j)
     z_h = z.conj().T
     # the pairs (b1, b2 >= b1) in row-major order; those of panel b1 are
     # first[b1]:first[b1 + 1]
     first = [b1 * n_b - b1 * (b1 - 1) // 2 for b1 in range(n_b + 1)]
-    sums = np.empty((w_k, first[-1], w_k), dtype=z.dtype)
+    n_q = first[-1]
+    sums = np.empty((w_k, w_k, n_q), dtype=z.dtype)
+    item = z.itemsize
     for b1 in range(n_b):
-        panel = (z[b1 * k : (b1 + 1) * k] @ z_h[:, b1 * k :]).reshape(k, n_b - b1, k)
-        rs, bs, cs = panel.strides
-        s = sums[:, first[b1] : first[b1 + 1]]
-        # seeds W[0, c] = sum_i P[i, c + i] and W[t, 0] = sum_i P[t + i, i]
-        row0 = as_strided(panel, (n_b - b1, w_k, n_i), (bs, cs, rs + cs), writeable=False)
-        col0 = as_strided(panel[1:], (w_k - 1, n_b - b1, n_i), (rs, bs, rs + cs), writeable=False)
-        np.einsum("ijk->ij", row0, out=s[0])  # faster than sum(axis=2) here
-        np.einsum("ijk->ij", col0, out=s[1:, :, 0])
+        n_p, row = n_b - b1, (n_b - b1) * k
+        panel = (z[b1 * k : (b1 + 1) * k] @ z_h[:, b1 * k :]).reshape(k, n_p, k)
+        s = sums[:, :, first[b1] : first[b1 + 1]]
+        diag = ((row + 1) * item, k * item)
+        _sum_rows(np.ndarray((n_i, n_p, w_k), z.dtype, panel, 0, diag + (item,)), s[0].T)
+        _sum_rows(
+            np.ndarray((n_i, n_p, w_k - 1), z.dtype, panel, row * item, diag + (row * item,)),
+            s[1:, 0].T,
+        )
         # each step along a diagonal adds one entry of P and drops one
-        np.subtract(panel[n_i:, :, n_i:], panel[: w_k - 1, :, : w_k - 1], out=s[1:, :, 1:])
-    for t in range(1, w_k):
-        np.add(sums[t, :, 1:], sums[t - 1, :, :-1], out=sums[t, :, 1:])
+        np.subtract(
+            panel[n_i:, :, n_i:], panel[: w_k - 1, :, : w_k - 1], out=s[1:, 1:].transpose(0, 2, 1)
+        )
+        del panel  # so that no two panels are held at once
+    # sums[t, 1:] += sums[t - 1, :-1], one flat run of (w_k - 1) n_q per step
+    steps = sums.reshape(w_k, w_k * n_q)
+    for cur, prev in zip(steps[1:, n_q:], steps[:, :-n_q]):
+        np.add(cur, prev, out=cur)
     out = np.empty((n_b, w_k, n_b, w_k), dtype=z.dtype)
     for b1 in range(n_b):
-        s = sums[:, first[b1] : first[b1 + 1]]
-        out[b1, :, b1:] = s
-        out[b1 + 1 :, :, b1] = s[:, 1:].conj().transpose(1, 2, 0)
+        s = sums[:, :, first[b1] : first[b1 + 1]]
+        out[b1, :, b1:] = s.transpose(0, 2, 1)
+        out[b1 + 1 :, :, b1] = s[:, :, 1:].conj().transpose(2, 1, 0)
     return out.reshape(n_b * w_k, n_b * w_k)
+
+
+def _sum_rows(terms: np.ndarray, out: np.ndarray) -> None:
+    """Sum ``terms`` over axis 0 into ``out``, one row after another.
+
+    With more than one output the reduction runs row by row in index order.
+    A lone output would make axis 0 the inner loop, which numpy sums
+    pairwise, so that case accumulates instead.
+    """
+    if out.size == 1:
+        out[...] = np.add.accumulate(terms, axis=0)[-1]
+    else:
+        np.add.reduce(terms, axis=0, out=out)
 
 
 def _snapshots(samples: np.ndarray, spec: SmoothingSpec, n_cov: int) -> np.ndarray:
@@ -156,7 +184,7 @@ def smoothed_covariance(
     """
     snaps = _snapshots(samples, spec, n_cov)
     n, k, m = snaps.shape
-    acc = _window_gram(snaps.astype(np.complex128)[None], spec.w_k, spec.w_m)
+    acc = _window_gram(snaps.astype(np.complex128, copy=False)[None], spec.w_k, spec.w_m)
     r = acc / (n * spec.n_slices(k, m))
     r = 0.5 * (r + r.conj().T)  # exact hermitization before the FB step
     r_hat = forward_backward(r)
@@ -184,9 +212,10 @@ def stacked_covariance_eigenvalues(
     the localization scan keeps the complex estimate instead, which
     preserves the complex noise subspace.
     """
-    snaps = _snapshots(samples, spec, n_cov)
+    snaps = _snapshots(samples, spec, n_cov).astype(np.complex128, copy=False)
     n, k, m = snaps.shape
-    parts = np.stack([snaps.real, snaps.imag]).astype(np.float64, copy=False)
+    # [Re, Im] as a [part, snapshot, step, channel] view, without a copy
+    parts = snaps[..., None].view(np.float64).transpose(3, 0, 1, 2)
     acc = _window_gram(parts, spec.w_k, spec.w_m)
     # the forward-backward covariance splits into two half-size blocks
     blocks = _parity_blocks(acc)
