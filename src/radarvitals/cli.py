@@ -74,33 +74,37 @@ def _load_pipeline_config(path: str | None, accumulate: bool = True):
 
 
 def _cmd_simulate(args) -> int:
-    import numpy as np
-
     from .core import radar_config_from_entries, walabot_config
-    from .dataio import ContainerWriter
+    from .dataio import ContainerWriter, check_container_target
     from .kvfile import read_kv
     from .simulate import scene_from_entries, synthesize_rows
 
+    check_container_target(args.out, "--out")
     scene, extras = scene_from_entries(read_kv(args.scenario))
     if args.config:
         cfg = radar_config_from_entries(read_kv(args.config), strict=True)
     else:
         cfg = walabot_config(f_st=scene.f_st)
-    l, k, m = scene.l, cfg.k, cfg.m_r * cfg.m_t
-    # every check passes before --out is opened; no cube is formed, only the
-    # real noise parts that the stream draws ahead of the first row
-    slow_time, blocks = synthesize_rows(scene, cfg, np.empty((l, k, m)))
+    # every check passes before --out is opened; no cube is formed
+    slow_time, blocks, imag_noise = synthesize_rows(scene, cfg)
     meta = {key.removeprefix("meta."): value for key, value in extras.items()}
     with ContainerWriter(args.out, cfg, slow_time, scene, meta) as writer:
         for _, block in blocks:
             writer.write(block)
-    print(f"wrote {l} x {k} x {m} cube to {args.out}")
+        # the container holds the first pass; each block's imaginary noise
+        # is added to its rows read back
+        for rows, noise in imag_noise:
+            block = writer.reread(rows)
+            block.imag += noise
+            writer.rewrite(rows.start, block)
+    print(f"wrote {scene.l} x {cfg.k} x {cfg.m_r * cfg.m_t} cube to {args.out}")
     return 0
 
 
 def _cmd_convert(args) -> int:
-    from .dataio import convert_recording, read_raw_dir, write_container
+    from .dataio import check_container_target, convert_recording, read_raw_dir, write_container
 
+    check_container_target(args.out, "--out")
     raw, cfg = read_raw_dir(args.raw)
     cube = convert_recording(raw, cfg)
     write_container(cube, args.out)
@@ -112,7 +116,7 @@ def _cmd_detect(args) -> int:
     from .pipeline import detections_csv, order_diagnostics_csv, run_pipeline
 
     config = _load_pipeline_config(args.config, accumulate=not args.no_accumulate)
-    result = run_pipeline(args.infile, config)
+    result = run_pipeline(args.infile, config, vitals=False)
     Path(args.out).write_text(detections_csv(result), encoding="utf-8")
     if args.order_diagnostics:
         Path(args.order_diagnostics).write_text(
@@ -181,7 +185,7 @@ def _segment_spectrum(path: str, segment: int, config):
     with ContainerReader(path, rows) as own:
         if segment < 0 or own.l < rows.stop - start:
             raise ValueError(f"segment {segment} out of range")
-        return run_pipeline(own, config).accumulated
+        return run_pipeline(own, config, vitals=False).accumulated
 
 
 def _cmd_dump_spectrum(args) -> int:
@@ -189,7 +193,7 @@ def _cmd_dump_spectrum(args) -> int:
 
     config = _load_pipeline_config(args.config)
     if args.segment is None:
-        spectrum = run_pipeline(args.infile, config).accumulated
+        spectrum = run_pipeline(args.infile, config, vitals=False).accumulated
     else:  # the segment's rows are freed before the CSV is formed
         spectrum = _segment_spectrum(args.infile, args.segment, config)
     if spectrum is None:

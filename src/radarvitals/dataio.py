@@ -30,6 +30,8 @@ from .kvfile import format_kv, parse_kv, read_kv
 from .simulate import MeasurementCube, Scene, check_slow_time, scene_from_entries, scene_to_entries
 
 RVC_MAGIC = "RVC1"
+# what a ContainerWriter puts in place of the magic until it is closed cleanly
+_UNFINISHED_MAGIC = "RVC?"
 _HEADER_END = b"end_header\n"
 
 # How many standard errors the mean slow-time interval may lie from 1 / f_st.
@@ -81,6 +83,15 @@ def _check_f_st(slow_time: np.ndarray, f_st: float, source: object) -> None:
                         f"whose mean rate is {1 / dt.mean()} Hz")
 
 
+def check_container_target(path: str | os.PathLike, name: str = "container path") -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``path`` is absent or a
+    regular file: a container is finished in place (see ``ContainerWriter``),
+    which a pipe or a device cannot hold. Nothing is opened."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"{name} {path} is not a regular file; a container is "
+                         f"finished in place and needs a seekable file")
+
+
 class ContainerWriter:
     """An "RVC1" container written one block of sample rows at a time, the
     one writer of the container rule.
@@ -88,13 +99,21 @@ class ContainerWriter:
     The header is formed before ``path`` is opened, so stamps that are not
     finite and strictly increasing, or a value that cannot be stored
     exactly (see ``kvfile.format_kv``), raise ``ValueError`` and leave any
-    file at ``path`` as it was. Opening it
-    writes the header: the dimensions, the radar config, the slow-time
-    stamps, the ground truth under ``truth.`` keys when there is one and
-    ``meta`` entries (e.g. a scenario id) under ``meta.`` keys. ``write``
-    appends sample rows, one (rows, k, m) block per call, in row order.
-    ``close`` raises ``ValueError`` unless the blocks held exactly one row
-    per stamp. Use it as a context manager.
+    file at ``path`` as it was; so does a ``path`` that is not a regular
+    file (``check_container_target``). Opening it writes the header: the
+    dimensions, the radar config, the slow-time stamps, the ground truth
+    under ``truth.`` keys when there is one and ``meta`` entries (e.g. a
+    scenario id) under ``meta.`` keys. ``write`` appends sample rows, one
+    (rows, k, m) block per call, in row order. Written rows can be revised
+    in place: ``reread`` reads a block of them back into the writer's one
+    reread buffer and ``rewrite`` writes rows over them.
+
+    The header starts with a placeholder of the magic's length, and only a
+    clean ``close`` puts the magic in, as the last write. ``close`` raises
+    ``ValueError`` unless the blocks held exactly one row per stamp. So a
+    write that is interrupted, or a writer that is never closed, leaves a
+    file that every reader rejects with an ``RVCFormatError`` naming the
+    magic. Use it as a context manager.
     """
 
     def __init__(
@@ -106,10 +125,13 @@ class ContainerWriter:
         meta: Mapping[str, str] | None = None,
     ):
         check_slow_time(np.asarray(slow_time, dtype=np.float64))
+        check_container_target(path)
         self.path = path
         self.l = len(slow_time)
         self._dims = (config.k, config.m_r * config.m_t)
+        self._row_bytes = config.k * self._dims[1] * 16
         self._written = 0
+        self._buffer: np.ndarray | None = None
         entries = {"l": str(self.l), "m": str(self._dims[1]), **config_to_entries(config)}
         entries["slow_time"] = ",".join(repr(float(t)) for t in slow_time)
         if ground_truth is not None:
@@ -117,8 +139,9 @@ class ContainerWriter:
                 entries[f"truth.{key}"] = value
         for key in sorted(meta or {}):
             entries[f"meta.{key}"] = str(meta[key])
-        header = (RVC_MAGIC + "\n" + format_kv(entries)).encode("utf-8") + _HEADER_END
-        self._fh = open(path, "wb")
+        header = (_UNFINISHED_MAGIC + "\n" + format_kv(entries)).encode("utf-8") + _HEADER_END
+        self._offset = len(header)
+        self._fh = open(path, "w+b")
         try:
             self._fh.write(header)
         except BaseException:
@@ -132,14 +155,50 @@ class ContainerWriter:
                 f"{self.path}: cannot append rows of shape {rows.shape} after "
                 f"{self._written} of {self.l} rows of (k, m) = {self._dims}"
             )
-        # the rows' own buffer when already contiguous <c16: no payload copy
-        self._fh.write(memoryview(np.ascontiguousarray(rows, dtype="<c16")))
+        self._write_at(self._written, rows)
         self._written += len(rows)
 
+    def reread(self, rows: slice) -> np.ndarray:
+        """The written rows ``rows`` (a slice of unit step), read back into
+        the writer's reread buffer, which the next call overwrites."""
+        start, stop = rows.start, rows.stop
+        if not 0 <= start <= stop <= self._written:
+            raise ValueError(f"{self.path}: cannot reread rows [{start}, {stop}) of "
+                             f"{self._written} written")
+        if self._buffer is None or len(self._buffer) < stop - start:
+            self._buffer = np.empty((stop - start, *self._dims), "<c16")
+        out = self._buffer[: stop - start]
+        self._fh.seek(self._offset + start * self._row_bytes)
+        if self._fh.readinto(out) != out.nbytes:
+            raise OSError(f"{self.path}: payload ends before row {stop}")
+        return out
+
+    def rewrite(self, start: int, rows: np.ndarray) -> None:
+        """Write the (n, k, m) sample rows ``rows`` over the written rows
+        from ``start`` on."""
+        if rows.shape[1:] != self._dims or not 0 <= start <= self._written - len(rows):
+            raise ValueError(
+                f"{self.path}: cannot rewrite rows of shape {rows.shape} from row "
+                f"{start} of {self._written} written rows of (k, m) = {self._dims}"
+            )
+        self._write_at(start, rows)
+
+    def _write_at(self, start: int, rows: np.ndarray) -> None:
+        self._fh.seek(self._offset + start * self._row_bytes)
+        # the rows' own buffer when already contiguous <c16: no payload copy
+        self._fh.write(memoryview(np.ascontiguousarray(rows, dtype="<c16")))
+
     def close(self) -> None:
-        self._fh.close()
-        if self._written != self.l:
-            raise ValueError(f"{self.path}: {self._written} rows written, header promises {self.l}")
+        """Put the magic in and close the file; without the magic when the
+        rows written are not one per stamp, which raises ``ValueError``."""
+        try:
+            if self._written != self.l:
+                raise ValueError(
+                    f"{self.path}: {self._written} rows written, header promises {self.l}")
+            self._fh.seek(0)
+            self._fh.write(RVC_MAGIC.encode("ascii"))
+        finally:
+            self._fh.close()
 
     def __enter__(self) -> ContainerWriter:
         return self
@@ -158,7 +217,8 @@ def write_container(
 ) -> None:
     """Write a cube (and its ground truth, when present) losslessly: its
     rows in one block through a ``ContainerWriter``, which writes them from
-    the samples' own buffer.
+    the samples' own buffer and puts the magic in last, so an interrupted
+    write leaves a file that readers reject.
 
     ``meta`` entries (e.g. a scenario id) are stored under ``meta.`` keys.
     """
@@ -177,6 +237,9 @@ def _read_header(fh: BinaryIO, path) -> tuple[dict[str, str], int]:
             raise RVCFormatError(f"{path}: missing end_header marker")
         data += chunk
     first, _, rest = data[:head_end].decode("utf-8", errors="replace").partition("\n")
+    if first.strip() == _UNFINISHED_MAGIC:
+        raise RVCFormatError(f"{path}: magic {_UNFINISHED_MAGIC!r} of a write that never "
+                             f"finished, expected {RVC_MAGIC!r}")
     if first.strip() != RVC_MAGIC:
         raise RVCFormatError(f"{path}: bad magic {first.strip()!r}, expected {RVC_MAGIC!r}")
     try:

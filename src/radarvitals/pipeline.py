@@ -53,7 +53,8 @@ from .dataio import read_container  # noqa: F401
 from .preprocess import segment, segment_count, sma_filter, sma_rows  # noqa: F401
 from .simulate import MeasurementCube, Scene
 from .trackeval import EvalReport, Track, check_radius, score_estimates, update_tracks
-from .vitals import averaged_periodogram, beamform, breathing_frequency, build_filter, check_band
+from .vitals import (averaged_periodogram, beamform, breathing_frequency, build_filter,
+                     check_band, check_window)
 from .vitals import displacement, extract_displacement  # noqa: F401
 
 # Most values a config may ask one stage to hold: the scan's spectrum cells
@@ -128,7 +129,7 @@ class PipelineConfig:
             self.moe_spec().validate(cfg.k, derived.m)
             check_signal_order(self.p_sub, self.w_k_music * self.w_m_music)
             check_band(self.band_lo, self.band_hi)
-            build_filter(PolarLocation(0.0, 0.0), cfg, derived, self.window)
+            check_window(self.window)
             for name in ("group_radius", "track_radius", "d_match"):
                 check_radius(name, getattr(self, name))
         except ValueError as exc:
@@ -182,9 +183,17 @@ class PipelineResult:
 def run_pipeline(
     source: MeasurementCube | ContainerReader | str | os.PathLike,
     config: PipelineConfig = PipelineConfig(),
+    *,
+    vitals: bool = True,
 ) -> PipelineResult:
     """Process an in-memory cube, or a container given by its path or as an
     open ``ContainerReader``.
+
+    With ``vitals=False`` only the detections are formed: no beamformer
+    weights are built, no displacement series formed and no breathing rate
+    estimated, so every track has no series and no estimate. The
+    detections, track labels, order diagnostics and spectra are those of a
+    full run.
 
     Deterministic for a fixed (recording, config): segments are processed
     in order and the spectrum accumulation follows that order. Segment
@@ -240,7 +249,7 @@ def run_pipeline(
                 # the filter is linear, so SMA(h^H x) = h^H SMA(x): beamform the
                 # raw rows and filter the outputs in 1-D
                 filters = []
-                for det in detections.detections:
+                for det in detections.detections if vitals else ():
                     if (filt := weights.get(det.location)) is None:
                         filt = weights[det.location] = build_filter(
                             det.location, cfg, derived, config.window)
@@ -266,10 +275,11 @@ def run_pipeline(
                 )
             )
 
-    for track in tracks:  # each track has the series of the segment that opened it
-        track.breathing_estimate = breathing_frequency(
-            track.series, (config.band_lo, config.band_hi), config.pad_factor
-        )
+    if vitals:
+        for track in tracks:  # each track has the series of the segment that opened it
+            track.breathing_estimate = breathing_frequency(
+                track.series, (config.band_lo, config.band_hi), config.pad_factor
+            )
     return PipelineResult(config, outcomes, tracks, accumulated)
 
 

@@ -143,34 +143,38 @@ def simulate(scene: Scene, cfg: RadarConfig) -> MeasurementCube:
     rounding of its whole phase instead, about 2 pi |f tau| 8 eps: 2e-12 at
     |f tau| = 170 turns.
 
-    The rows come one block at a time from ``synthesize_rows``, which the
-    CLI streams into a container instead. ``simulate`` lets it draw the real
-    noise parts into the returned cube's own real parts, so the peak is the
-    cube plus a few blocks.
+    The rows come from ``synthesize_rows`` in two passes over the row
+    blocks, which the CLI streams into a container instead: ``simulate``
+    copies each first-pass block into the cube and then adds each block's
+    imaginary noise to the cube's rows, so the peak is the cube plus a few
+    blocks.
     """
     cube = np.empty((scene.l, cfg.k, cfg.m_r * cfg.m_t), dtype=np.complex128)
-    slow_time, blocks = synthesize_rows(scene, cfg, cube.real)
+    slow_time, blocks, imag_noise = synthesize_rows(scene, cfg)
     for rows, block in blocks:
         cube[rows] = block
+    for rows, noise in imag_noise:
+        cube[rows].imag += noise
     return MeasurementCube(cube, slow_time, cfg, ground_truth=scene)
 
 
 def synthesize_rows(
-    scene: Scene, cfg: RadarConfig, real_noise: np.ndarray
-) -> tuple[np.ndarray, Iterator[tuple[slice, np.ndarray]]]:
-    """The slow-time stamps of ``simulate(scene, cfg)`` and a generator of
-    its (rows, samples) row blocks, in row order.
+    scene: Scene, cfg: RadarConfig
+) -> tuple[np.ndarray, Iterator[tuple[slice, np.ndarray]], Iterator[tuple[slice, np.ndarray]]]:
+    """The slow-time stamps of ``simulate(scene, cfg)`` and two passes over
+    its row blocks, each a generator of (rows, array) in row order.
 
-    Every check and warning runs first, then the jitter is drawn, then the
-    real parts of the whole noise stream into ``real_noise``, an (l, k, m)
-    float64 array that the caller owns: the stream holds every real part
-    before every imaginary part, so no row can be finished before all of
-    them are drawn. The block's rows of ``real_noise`` are read when the
-    block is formed and not after, so they may be the real parts of the
-    very rows the blocks are copied to. Each sample sees the operations of
-    a cube synthesized whole, in the same order: zero, each person, the
-    reflectors, plus the real noise, plus the imaginary noise drawn for its
-    block. A block is overwritten when the next is formed.
+    Every check and warning runs first, then the jitter is drawn. The noise
+    stream holds every real part before every imaginary part, so the rows
+    are formed in two passes. The first yields each block of samples without
+    its imaginary noise: zero, each person, the reflectors, plus the real
+    noise drawn for the block. A block is overwritten when the next is
+    formed. The second, which raises ``RuntimeError`` when started before
+    the first is exhausted, yields the imaginary noise parts drawn for each
+    block, (n, k, m) float64, for the caller to add to the block's rows; a
+    noiseless scene yields none. The real and imaginary parts are added
+    independently, so each sample sees the operations of a cube synthesized
+    whole, in the same order, and gets the same bytes.
     """
     if cfg.f_st != scene.f_st:
         raise ConfigError(
@@ -218,9 +222,6 @@ def synthesize_rows(
     row_blocks = [slice(a, min(a + rows_per_block, l)) for a in range(0, l, rows_per_block)]
     noisy = scene.clutter.noise_std > 0
     scale = scene.clutter.noise_std / np.sqrt(2.0)
-    if noisy:
-        for rows in row_blocks:
-            real_noise[rows] = scale * rng.standard_normal(real_noise[rows].shape)
 
     freqs = cfg.f0 + derived.delta_f * np.arange(k)
     chan = cfg.delta * np.arange(m)
@@ -242,7 +243,10 @@ def synthesize_rows(
         tau_m = (2.0 * loc.d + chan * np.sin(loc.theta)) / cfg.c
         reflectors.append(gain * np.exp(-2j * np.pi * np.outer(freqs, tau_m)))
 
-    def blocks():
+    first_done = False
+
+    def first_pass():
+        nonlocal first_done
         buffer = np.empty((min(rows_per_block, l), k, m), dtype=np.complex128)
         for rows in row_blocks:
             block = buffer[: rows.stop - rows.start]
@@ -255,11 +259,18 @@ def synthesize_rows(
             if noisy:
                 # adding scale * (re + 1j * im) one part at a time gives the
                 # same sums as adding it whole
-                block.real += real_noise[rows]
-                block.imag += scale * rng.standard_normal(block.imag.shape)
+                block.real += scale * rng.standard_normal(block.real.shape)
             yield rows, block
+        first_done = True
 
-    return t, blocks()
+    def second_pass():
+        if not first_done:
+            raise RuntimeError("the imaginary noise is drawn after every real part: "
+                               "exhaust the first pass first")
+        for rows in row_blocks if noisy else ():
+            yield rows, scale * rng.standard_normal((rows.stop - rows.start, k, m))
+
+    return t, first_pass(), second_pass()
 
 
 def range_profile(snapshot: np.ndarray, n: int) -> np.ndarray:

@@ -48,8 +48,7 @@ def build_filter(
     tightens with frequency, so the retained steps are exactly the ones
     free of grating lobes.
     """
-    if window not in _WINDOWS:
-        raise ValueError(f"unknown window {window!r}; choose from {sorted(_WINDOWS)}")
+    check_window(window)
     if derived is None:
         derived = derive_params(cfg)
     a = steering_matrix(target.d, target.theta, derived.k0, derived.m, cfg)
@@ -138,6 +137,12 @@ def averaged_periodogram(
     power /= len(series)
     freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
     return freqs, power
+
+
+def check_window(window: str) -> None:
+    """Raise ``ValueError`` unless ``window`` names a beamformer taper."""
+    if window not in _WINDOWS:
+        raise ValueError(f"unknown window {window!r}; choose from {sorted(_WINDOWS)}")
 
 
 def check_band(lo: float, hi: float) -> None:

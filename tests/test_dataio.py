@@ -260,6 +260,42 @@ def test_container_writer_takes_one_row_per_stamp(tmp_path):
             writer.write(cube.samples[:3])
 
 
+def test_a_container_reads_back_only_after_a_clean_close(tmp_path, walabot):
+    # the magic goes in last, so a writer not yet closed, or closed short of
+    # its rows, leaves a file that readers reject
+    cube = _random_cube(walabot, l=2)
+    path = tmp_path / "w.rvc"
+    writer = rv.ContainerWriter(path, cube.config, cube.slow_time)
+    writer.write(cube.samples)
+    with pytest.raises(rv.RVCFormatError, match=r"magic 'RVC\?' of a write that never finished"):
+        rv.ContainerReader(path)
+    writer.close()
+    assert np.array_equal(rv.read_container(path).samples, cube.samples)
+    with pytest.raises(ValueError, match="1 rows written, header promises 2"):
+        with rv.ContainerWriter(path, cube.config, cube.slow_time) as writer:
+            writer.write(cube.samples[:1])
+    with pytest.raises(rv.RVCFormatError, match=r"magic 'RVC\?'"):
+        rv.read_container(path)
+
+
+def test_container_writer_rewrites_written_rows_in_place(tmp_path):
+    cube = _random_cube(small_config(), l=5)
+    path = tmp_path / "w.rvc"
+    with rv.ContainerWriter(path, cube.config, cube.slow_time) as writer:
+        writer.write(np.zeros_like(cube.samples[:3]))
+        with pytest.raises(ValueError, match=r"cannot reread rows \[2, 4\) of 3 written"):
+            writer.reread(slice(2, 4))
+        with pytest.raises(ValueError, match="cannot rewrite rows of shape"):
+            writer.rewrite(2, cube.samples[:2])
+        writer.rewrite(1, cube.samples[1:3])
+        writer.write(cube.samples[3:])
+        back = writer.reread(slice(0, 2))
+        assert np.array_equal(back[1], cube.samples[1]) and not back[0].any()
+        back[0] = cube.samples[0]
+        writer.rewrite(0, back)
+    assert np.array_equal(rv.read_container(path).samples, cube.samples)
+
+
 def test_container_writer_forms_its_header_before_opening_the_file(tmp_path):
     cube = _random_cube(small_config(), l=4)
     path = tmp_path / "w.rvc"

@@ -421,8 +421,8 @@ def test_weights_are_built_once_per_detection_cell(walabot, monkeypatch, scene):
     result = run_pipeline(rv.simulate(scene, walabot))
     cells = [det.location for o in result.segments for det in o.detections.detections]
     assert len(set(cells)) < len(cells)  # detections repeat cells, so there is reuse
-    assert len(built) == len(set(cells)) + 1  # plus the config check's own call
-    for weights in built[1:]:
+    assert len(built) == len(set(cells))
+    for weights in built:
         with pytest.raises(ValueError, match="read-only"):
             weights[0, 0] = 0.0
 
@@ -785,6 +785,38 @@ def test_cli_dump_spectrum_of_one_segment(cli_tables, tmp_path):
     assert text == spectrum_csv(rv.music_spectrum(cov, config.p_sub, config.grid, cube.config))
     assert text != tables["spectrum"].read_text(encoding="utf-8")  # the accumulated one
     assert main(["dump-spectrum", "--in", str(rec), "--out", str(out), "--segment", "99"]) == 2
+
+
+def test_detect_and_dump_spectrum_form_no_vitals(cli_tables, tmp_path, monkeypatch):
+    rec, tables = cli_tables
+    segment = ["dump-spectrum", "--in", str(rec), "--out", str(tmp_path / "seg.csv"),
+               "--segment", "1"]
+    assert main(segment) == 0
+    expected = {"seg": (tmp_path / "seg.csv").read_bytes(),
+                **{name: tables[name].read_bytes() for name in ("detections", "order", "spectrum")}}
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("vitals work in a detections-only run")
+
+    monkeypatch.setattr(rv.pipeline, "build_filter", refuse)
+    monkeypatch.setattr(rv.pipeline, "beamform", refuse)
+    out = {name: tmp_path / f"{name}.csv" for name in expected}
+    assert main(["detect", "--in", str(rec), "--out", str(out["detections"]),
+                 "--order-diagnostics", str(out["order"])]) == 0
+    assert main(["dump-spectrum", "--in", str(rec), "--out", str(out["spectrum"])]) == 0
+    assert main(segment) == 0
+    assert {name: path.read_bytes() for name, path in out.items()} == expected
+    with pytest.raises(RuntimeError, match="vitals work"):
+        main(["vitals", "--in", str(rec), "--out", str(tmp_path / "vitals.csv")])
+
+
+def test_a_run_without_vitals_keeps_the_tracks_but_no_series(walabot):
+    cube = rv.simulate(_two_person_scene(700), walabot)
+    full, bare = run_pipeline(cube), run_pipeline(cube, vitals=False)
+    assert detections_csv(bare) == detections_csv(full)
+    assert [t.records for t in bare.tracks] == [t.records for t in full.tracks]
+    assert all(t.series for t in full.tracks)
+    assert not any(t.series or t.breathing_estimate is not None for t in bare.tracks)
 
 
 @pytest.fixture(scope="module")

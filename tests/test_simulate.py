@@ -1,3 +1,5 @@
+import importlib
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +11,9 @@ import radarvitals as rv
 from radarvitals.cli import main
 from radarvitals.kvfile import write_kv
 from helpers import breather, scene_of, small_config
+
+# the module, which the package's simulate function shadows as an attribute
+simulate_module = importlib.import_module("radarvitals.simulate")
 
 
 def test_empty_scene_gives_zero_cube(walabot):
@@ -312,14 +317,13 @@ def test_cli_simulate_validates_before_opening_out(tmp_path, capsys):
         assert out.read_bytes() == old
 
 
-def test_cli_simulate_holds_the_real_noise_plane_not_the_cube(walabot, tmp_path):
-    # the stream draws every real noise part before any imaginary one, so
-    # the real parts of the whole recording are the least it can hold
-    scene = scene_of((breather(1.5, -20.0), breather(2.5, 25.0)), l=4000, noise_std=0.1, seed=4)
+@pytest.mark.parametrize("l", [4000, 8000])
+def test_cli_simulate_holds_a_few_blocks_whatever_the_length(walabot, tmp_path, l):
+    # the container carries the first pass to the second, so no plane of
+    # noise parts or samples grows with the recording
+    scene = scene_of((breather(1.5, -20.0), breather(2.5, 25.0)), l=l, noise_std=0.1, seed=4)
     write_kv(tmp_path / "scene.kv", rv.scene_to_entries(scene))
-    m = walabot.m_r * walabot.m_t
-    plane_bytes = scene.l * walabot.k * m * 8
-    block_bytes = _rows_per_block(walabot) * walabot.k * m * 16
+    block_bytes = _rows_per_block(walabot) * walabot.k * walabot.m_r * walabot.m_t * 16
     tracemalloc.start()
     try:
         assert main(["simulate", "--scenario", str(tmp_path / "scene.kv"),
@@ -327,7 +331,66 @@ def test_cli_simulate_holds_the_real_noise_plane_not_the_cube(walabot, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < plane_bytes + 4 * block_bytes
+    assert peak < 6 * block_bytes
+
+
+def _interrupted(synthesize_rows, passes):
+    """``synthesize_rows`` whose pass ``passes`` fails after its second block."""
+    def failing(scene, cfg):
+        slow_time, *both = synthesize_rows(scene, cfg)
+
+        def fail_partway(items):
+            for i, item in enumerate(items):
+                if i == 2:
+                    raise OSError("disk full")
+                yield item
+
+        both[passes] = fail_partway(both[passes])
+        return slow_time, *both
+
+    return failing
+
+
+@pytest.mark.parametrize("passes", [0, 1], ids=["first_pass", "second_pass"])
+def test_an_interrupted_cli_simulate_leaves_a_file_readers_reject(walabot, tmp_path,
+                                                                   monkeypatch, passes):
+    monkeypatch.setattr(simulate_module, "synthesize_rows",
+                        _interrupted(simulate_module.synthesize_rows, passes))
+    scene = _multi_block_scene(walabot)
+    write_kv(tmp_path / "scene.kv", rv.scene_to_entries(scene))
+    out = tmp_path / "cli.rvc"
+    assert main(["simulate", "--scenario", str(tmp_path / "scene.kv"), "--out", str(out)]) == 3
+    assert out.stat().st_size > 0
+    with pytest.raises(rv.RVCFormatError, match=r"magic 'RVC\?' of a write that never finished"):
+        rv.ContainerReader(out)
+
+
+def test_synthesize_rows_draws_the_imaginary_noise_after_the_real(walabot):
+    _, blocks, imag_noise = simulate_module.synthesize_rows(_multi_block_scene(walabot), walabot)
+    next(blocks)
+    with pytest.raises(RuntimeError, match="exhaust the first pass first"):
+        next(imag_noise)
+
+
+def test_cli_simulate_refuses_an_out_that_is_not_a_regular_file(tmp_path, capsys):
+    # the container is finished in place, so --out must be seekable; the
+    # check runs before --out is opened, so a pipe gets nothing written. With
+    # a reader open and a container smaller than the pipe's buffer, a writer
+    # that did open the pipe would fail rather than block.
+    write_kv(tmp_path / "scene.kv", rv.scene_to_entries(scene_of([breather(1.5, 10.0)], l=8)))
+    write_kv(tmp_path / "radar.kv", rv.core.config_to_entries(small_config()))
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        for argv in (["simulate", "--scenario", str(tmp_path / "scene.kv"),
+                      "--config", str(tmp_path / "radar.kv")],
+                     ["convert", "--raw", str(tmp_path / "no_such_dir")]):
+            assert main([*argv, "--out", str(fifo)]) == 2
+            assert f"--out {fifo} is not a regular file" in capsys.readouterr().err
+        assert os.read(reader, 1) == b""
+    finally:
+        os.close(reader)
 
 
 def test_range_profile_zero_snapshot():
