@@ -54,8 +54,8 @@ from .preprocess import segment, segment_count, sma_filter, sma_rows  # noqa: F4
 from .simulate import MeasurementCube, Scene
 from .trackeval import EvalReport, Track, check_radius, score_estimates, update_tracks
 from .vitals import (averaged_periodogram, beamform, breathing_frequency, build_filter,
-                     check_band, check_window)
-from .vitals import displacement, extract_displacement  # noqa: F401
+                     check_band, check_window, displacements)
+from .vitals import extract_displacement  # noqa: F401
 
 # Most values a config may ask one stage to hold: the scan's spectrum cells
 # plus the phase tables it caches, or the points of a breathing periodogram.
@@ -255,8 +255,8 @@ def run_pipeline(
                             det.location, cfg, derived, config.window)
                         filt.flags.writeable = False
                     filters.append(filt)
-                outputs = sma_rows(beamform(filters, raw), w_st).T if filters else []
-                series = [displacement(y, slow_time, cfg, derived.f_c) for y in outputs]
+                series = displacements(sma_rows(beamform(filters, raw), w_st).T, slow_time,
+                                       cfg, derived.f_c) if filters else []
                 labels = update_tracks(tracks, detections, config.track_radius)
                 for label, vs in zip(labels, series):
                     tracks[label].series.append(vs)  # labels are list positions

@@ -99,28 +99,49 @@ def displacement(
 
     The phase of y, unwrapped over slow time, scales to displacement by
     -c / (4 pi f_c). Samples with vanishing |y| are flagged and repeat the
-    previous reliable sample.
+    previous reliable sample. The one-row case of ``displacements``.
     """
-    l_len = y.size
-    bad = np.abs(y) < _MAG_FLOOR
-    if bad.all():
-        warnings.warn("beamformer output vanished over the whole segment", stacklevel=3)
-        eta = np.zeros(l_len)
-    else:
-        last_good = np.maximum.accumulate(np.where(bad, -1, np.arange(l_len)))
-        first_good = int(np.nonzero(~bad)[0][0])
-        last_good[last_good < 0] = first_good
-        phi = np.unwrap(np.angle(y[last_good]))
-        eta = -cfg.c / (4 * np.pi * f_c) * phi
+    return displacements(np.asarray(y)[None], slow_time, cfg, f_c, stacklevel=4)[0]
+
+
+def displacements(
+    ys: np.ndarray, slow_time: np.ndarray, cfg: RadarConfig, f_c: float, *,
+    stacklevel: int = 3,
+) -> list[VitalSeries]:
+    """``displacement`` of each row of ``ys``, the (series, slow time)
+    beamformer outputs of one segment, in one pass over the stacked rows.
+
+    Every operation is elementwise or runs along a row, so a row's series
+    does not depend on the other rows. A row whose output vanished over the
+    whole segment warns, at ``stacklevel`` from here, and is all zeros.
+    """
+    l_len = ys.shape[1]
+    bad = np.abs(ys) < _MAG_FLOOR
+    # each sample reads the last reliable one at or before it, or the first
+    # reliable one of its row if there is none
+    last_good = np.maximum.accumulate(np.where(bad, -1, np.arange(l_len)), axis=1)
+    first_good = np.argmin(bad, axis=1)
+    last_good = np.where(last_good < 0, first_good[:, None], last_good)
+    phi = np.unwrap(np.angle(np.take_along_axis(ys, last_good, axis=1)), axis=1)
+    etas = -cfg.c / (4 * np.pi * f_c) * phi
+    for row, eta in zip(bad, etas):
+        if row.all():
+            warnings.warn("beamformer output vanished over the whole segment",
+                          stacklevel=stacklevel)
+            eta[:] = 0.0
     t = slow_time
-    f_st_actual = (t.size - 1) / (t[-1] - t[0]) if t.size > 1 else cfg.f_st
-    return VitalSeries(eta, float(f_st_actual), bad)
+    f_st_actual = float((t.size - 1) / (t[-1] - t[0]) if t.size > 1 else cfg.f_st)
+    return [VitalSeries(eta, f_st_actual, row) for eta, row in zip(etas, bad)]
 
 
 def averaged_periodogram(
     series: list[VitalSeries], pad_factor: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-detrended periodogram, zero padded and averaged over segments."""
+    """Mean-detrended periodogram, zero padded and averaged over segments.
+
+    The detrended series are transformed by one FFT over their stacked rows,
+    and the rows' powers summed in series order.
+    """
     if not series:
         raise ValueError("need at least one displacement series")
     length = series[0].eta.size
@@ -130,10 +151,11 @@ def averaged_periodogram(
         raise ValueError("series too short for a spectral estimate")
     fs = float(np.mean([s.f_st_actual for s in series]))
     nfft = pad_factor * length
+    x = np.stack([s.eta - s.eta.mean() for s in series])
+    rows = np.abs(np.fft.rfft(x, nfft, axis=1)) ** 2 / length
     power = np.zeros(nfft // 2 + 1)
-    for s in series:
-        x = s.eta - s.eta.mean()
-        power += np.abs(np.fft.rfft(x, nfft)) ** 2 / length
+    for row in rows:
+        power += row
     power /= len(series)
     freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
     return freqs, power

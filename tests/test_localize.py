@@ -612,6 +612,50 @@ def test_covariances_match_per_slice_reference(case):
     np.testing.assert_allclose(lam, expected, rtol=0, atol=1e-13 * expected[0])
 
 
+def _low_rank_samples(rng, l, k, m, sources, noise):
+    """``sources`` plane waves over (step, channel) with random complex
+    amplitudes per snapshot, plus white noise of scale ``noise``."""
+    samples = noise * _random_samples(rng, l, k, m)
+    for _ in range(sources):
+        wave = np.exp(2j * np.pi * (rng.uniform() * np.arange(k)[:, None]
+                                    + rng.uniform() * np.arange(m)[None, :]))
+        samples += (rng.standard_normal(l) + 1j * rng.standard_normal(l))[:, None, None] * wave
+    return samples
+
+
+@settings(max_examples=80, deadline=None)
+@given(_smoothing_cases(), st.integers(0, 3), st.sampled_from([1.0, 1e-3]))
+# w_m = 1 with an even and with an odd w_k, an odd w_k w_m, and the
+# localization window, whose 76 x 76 covariance is the one the pipeline solves
+@example((8, 3, 3, rv.SmoothingSpec(6, 1), 3, np.complex128, 0), 2, 1e-3)
+@example((8, 3, 3, rv.SmoothingSpec(7, 1), 2, np.complex64, 1), 1, 1e-3)
+@example((9, 5, 4, rv.SmoothingSpec(7, 3), 4, np.complex64, 2), 3, 1e-3)
+@example((9, 5, 4, rv.SmoothingSpec(5, 5), 3, np.complex128, 3), 0, 1.0)
+@example((1, 1, 1, rv.SmoothingSpec(1, 1), 1, np.complex128, 4), 0, 1.0)
+@example((45, 3, 6, rv.SmoothingSpec(38, 2), 6, np.complex128, 5), 3, 1e-3)
+def test_real_form_eigensolve_matches_the_complex_one(case, sources, noise):
+    # the eigenpairs solved as the real symmetric Q^H r_hat Q, mapped back by
+    # Q, against the complex eigh of the forward-backward matrix itself
+    k, m, l, spec, n_cov, dtype, seed = case
+    samples = _low_rank_samples(np.random.default_rng(seed), l, k, m, sources, noise)
+    cov = rv.smoothed_covariance(samples.astype(dtype), spec, n_cov)
+    lam, v = np.linalg.eigh(cov.r_hat)
+    lam, v = lam[::-1], v[:, ::-1]
+    dim = lam.size
+    np.testing.assert_allclose(cov.eigvals, lam, rtol=0, atol=1e-14 * lam[0])
+    basis = cov.eig_basis
+    assert basis.shape == (dim, dim) and basis.flags.c_contiguous
+    assert np.linalg.norm(cov.r_hat @ basis - basis * cov.eigvals) <= 1e-13 * lam[0]
+    assert np.linalg.norm(basis.conj().T @ basis - np.eye(dim)) <= 1e-13
+    # where the spectrum has a wide gap, both bases span the same subspace
+    for p_sub in range(1, dim):
+        gap = lam[p_sub - 1] - lam[p_sub]
+        if gap >= 1e-2 * lam[0]:
+            ours = basis[:, :p_sub] @ basis[:, :p_sub].conj().T
+            ref = v[:, :p_sub] @ v[:, :p_sub].conj().T
+            assert np.linalg.norm(ours - ref) <= 1e-12, (p_sub, gap / lam[0])
+
+
 def _per_slice_gram(snaps, spec, real_stacked):
     """Sum over every snapshot and every vectorized slice x of x x^H, or of
     [Re x; Im x] [Re x; Im x]^T for the real-stacked window."""

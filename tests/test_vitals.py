@@ -197,3 +197,62 @@ def test_breathing_error_under_jittered_slow_time_is_bounded(walabot, derived, f
     candidates = freqs[in_band][rms >= rms.max() - 2 * bin_shift - slack]
     assert estimate in candidates
     assert abs(estimate - f_b) <= np.abs(candidates - f_b).max()
+
+
+def _per_series_displacement(y, slow_time, cfg, f_c):
+    """The 1-D form ``displacements`` batches, one series at a time."""
+    l_len = y.size
+    bad = np.abs(y) < rv.vitals._MAG_FLOOR
+    if bad.all():
+        eta = np.zeros(l_len)
+    else:
+        last_good = np.maximum.accumulate(np.where(bad, -1, np.arange(l_len)))
+        last_good[last_good < 0] = int(np.nonzero(~bad)[0][0])
+        eta = -cfg.c / (4 * np.pi * f_c) * np.unwrap(np.angle(y[last_good]))
+    t = slow_time
+    return rv.VitalSeries(eta, float((t.size - 1) / (t[-1] - t[0])), bad)
+
+
+def _per_series_periodogram(series, pad_factor):
+    """The periodogram with one FFT per series."""
+    length = series[0].eta.size
+    nfft = pad_factor * length
+    power = np.zeros(nfft // 2 + 1)
+    for s in series:
+        power += np.abs(np.fft.rfft(s.eta - s.eta.mean(), nfft)) ** 2 / length
+    power /= len(series)
+    return power
+
+
+@pytest.mark.parametrize("length", [3, 4, 200, 263])
+def test_batched_vitals_match_the_per_series_forms_bit_for_bit(walabot, derived, length):
+    # the rows as run_pipeline forms them, a transposed (slow time, series)
+    # array: a clean row, rows with unreliable samples at the start, inside
+    # and at the end, and a row whose output vanished
+    rng = np.random.default_rng(length)
+    outputs = rng.standard_normal((length, 5)) + 1j * rng.standard_normal((length, 5))
+    outputs *= np.exp(1j * np.cumsum(rng.uniform(-4, 4, (length, 5)), axis=0))
+    outputs[0, 1] = outputs[-1, 1] = 0.0
+    outputs[: (length + 1) // 2, 2] = 1e-160
+    outputs[length // 2 :, 3] = 0.0
+    outputs[:, 4] = 0.0
+    stamps = np.cumsum(rng.uniform(0.09, 0.11, length))
+    rows = outputs.T
+    with pytest.warns(UserWarning, match="vanished") as caught:
+        batched = rv.vitals.displacements(rows, stamps, walabot, derived.f_c)
+    assert len(caught) == 1
+    assert len(batched) == 5
+    for y, got in zip(rows, batched):
+        expected = _per_series_displacement(y, stamps, walabot, derived.f_c)
+        assert got.eta.tobytes() == expected.eta.tobytes()
+        assert got.unreliable.tobytes() == expected.unreliable.tobytes()
+        assert got.f_st_actual == expected.f_st_actual
+    assert [int(s.unreliable.sum()) for s in batched] == [
+        0, 2, (length + 1) // 2, length - length // 2, length]
+    with pytest.warns(UserWarning, match="vanished"):
+        one = rv.vitals.displacement(rows[4], stamps, walabot, derived.f_c)
+    assert not one.eta.any() and one.unreliable.all()
+    for pad in (1, 8):
+        for series in (batched[:1], batched, batched[::-1]):
+            _, power = rv.averaged_periodogram(series, pad)
+            assert power.tobytes() == _per_series_periodogram(series, pad).tobytes()
