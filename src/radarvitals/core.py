@@ -7,6 +7,7 @@ so instances can be shared freely across threads.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 from dataclasses import dataclass
@@ -42,12 +43,14 @@ _EXPECTED = {bool: "one of " + "/".join(_BOOL_TEXT), int: "an int", float: "a fi
 _FORMAT = {bool: lambda v: "true" if v else "false", float: lambda v: repr(float(v))}
 
 
-def _scalar_fields(cls: type):
-    """Yield each ``bool``/``int``/``float``/``str`` field of a dataclass with its type."""
+@functools.cache
+def _scalar_fields(cls: type) -> tuple[tuple[dataclasses.Field, type], ...]:
+    """Each ``bool``/``int``/``float``/``str`` field of a dataclass with its
+    type, once per class: ``typing.get_type_hints`` compiles the string
+    annotations again on every call."""
     hints = typing.get_type_hints(cls)
-    for f in dataclasses.fields(cls):
-        if hints[f.name] in (bool, int, float, str):
-            yield f, hints[f.name]
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls)
+                 if hints[f.name] in (bool, int, float, str))
 
 
 def parse_config_value(key: str, text: str | None, typ: type) -> object:

@@ -275,8 +275,9 @@ class ContainerReader:
     recording) picks the rows it serves: ``l`` counts them, ``slow_time``
     holds their stamps, and row 0 is the recording's row ``rows.start``.
     ``read`` reads rows into a caller's buffer and checks each for
-    finiteness, so a sample is checked when, and only if, it is read. Close
-    it with ``close`` or use it as a context manager.
+    finiteness, so a sample is checked when, and only if, it is read;
+    ``read_unchecked`` leaves the check to its caller. Close it with
+    ``close`` or use it as a context manager.
     """
 
     def __init__(self, path: str | os.PathLike, rows: slice = slice(None)):
@@ -343,11 +344,21 @@ class ContainerReader:
         """Fill ``out``, a ``buffer``, with rows [start, start + len(out)) and
         raise ``DataError`` naming the first non-finite sample among them by
         its row in the recording."""
+        self.read_unchecked(start, out)
+        self.check(start, out)
+
+    def read_unchecked(self, start: int, out: np.ndarray) -> None:
+        """``read`` without the finiteness check, for a caller that checks
+        the rows itself (``run_pipeline`` screens them through its filter)."""
         self._fh.seek(self._offset + (self._first + start) * self._row_bytes)
         if self._fh.readinto(out) != out.nbytes:  # the file shrank since it was opened
             raise RVCFormatError(f"{self.path}: payload ends before row "
                                  f"{self._first + start + len(out)}")
-        check_finite(out, self.path, self._first + start)
+
+    def check(self, start: int, rows: np.ndarray) -> None:
+        """``check_finite`` of ``rows``, read from row ``start``, naming a
+        sample by the path and its row in the recording."""
+        check_finite(rows, self.path, self._first + start)
 
     def close(self) -> None:
         self._fh.close()

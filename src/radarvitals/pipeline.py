@@ -212,8 +212,12 @@ def run_pipeline(
     sample rows whatever the recording length. Validation runs in this
     order: the container header (when reading one), then the config, then
     the samples as they are read. Every sample row is checked for
-    finiteness once, when first read, and the rows past the last segment
-    after it; a non-finite sample is a ``DataError`` naming its [l, k, m].
+    finiteness once, the rows past the last segment after it; a non-finite
+    sample is a ``DataError`` naming its [l, k, m], raised before anything
+    is formed from it. With ``n_cov >= 2`` a segment's rows are screened by
+    one ``isfinite`` of its filtered snapshots, whose running sums add
+    every row, and ``check_finite`` runs only when that screen fails (see
+    ``_raw_segments``); so no separate pass over the samples is made.
     """
     on_disk = isinstance(source, (str, os.PathLike))
     with ContainerReader(source) if on_disk else nullcontext(source) as rec:
@@ -230,11 +234,9 @@ def run_pipeline(
         tracks: list[Track] = []
         outcomes: list[SegmentOutcome] = []
         accumulated: PseudoSpectrum | None = None
-        for i, raw in enumerate(_raw_segments(rec, count, w_st, l_st)):
+        for i, (raw, snaps) in enumerate(_raw_segments(rec, count, w_st, l_st, snapshots)):
             slow_time = rec.slow_time[i * l_st + w_st - 1 : (i + 1) * l_st + w_st - 1]
             try:
-                # only the covariance snapshots of the filtered segment are formed
-                snaps = sma_rows(raw, w_st, snapshots)
                 cov_music = smoothed_covariance(snaps, config.music_spec(), len(snaps))
                 spec = music_spectrum(cov_music, config.p_sub, config.grid, cfg)
                 if accumulated is None or not config.accumulate:
@@ -283,33 +285,62 @@ def run_pipeline(
     return PipelineResult(config, outcomes, tracks, accumulated)
 
 
-def _raw_segments(rec: MeasurementCube | ContainerReader, count: int, w_st: int, l_st: int):
+def _raw_segments(rec: MeasurementCube | ContainerReader, count: int, w_st: int, l_st: int,
+                  snapshots: np.ndarray):
     """Yield the raw rows ``[i * l_st, (i + 1) * l_st + w_st - 1)`` of each
-    segment ``i < count``, then check the rows past the last segment.
+    segment ``i < count`` with their filtered covariance snapshots
+    ``sma_rows(raw, w_st, snapshots)``, then check the rows past the last
+    segment.
 
-    Each row is checked for finiteness once, when first read. A cube yields
-    views of its samples. A reader reads into one buffer of
+    Each row is checked for finiteness once, by a screen or by
+    ``check_finite``. When the last snapshot's window ends on the span's
+    last row (``n_cov >= 2``), its running sum has added every row of the
+    span, and a nan or inf sample keeps that sum, and so the snapshot, not
+    finite. One ``isfinite`` of the snapshots then screens the span: only
+    when it fails does ``check_finite`` run over the rows not yet screened,
+    to name the first non-finite sample, or to find none when finite
+    samples overflowed a sum; then the snapshots are filtered again, so
+    that the overflow warns as an unscreened run would. Otherwise each
+    segment's new rows get ``check_finite`` before they are filtered. The
+    rows past the last segment always do.
+
+    A cube yields views of its samples. A reader reads into one buffer of
     ``l_st + w_st - 1`` rows, which each segment overwrites: the ``w_st - 1``
     rows that a segment shares with the one before it are moved to the
     front, and only its ``l_st`` new rows are read behind them. The rows
     past the last segment, fewer than a buffer, are read through it too.
     """
     span, done = l_st + w_st - 1, 0  # rows [0, done) are checked
-    if isinstance(rec, MeasurementCube):
-        for start in range(0, count * l_st, l_st):
-            check_finite(rec.samples[done : start + span], "recording", done)
-            done = start + span
-            yield rec.samples[start:done]
-        check_finite(rec.samples[done:], "recording", done)
-        return
-    buf = rec.buffer(min(span, rec.l))
+    screen = snapshots[-1] + w_st == span
+    cube = isinstance(rec, MeasurementCube)
+    if cube:
+        def check(start, rows):
+            check_finite(rows, "recording", start)
+    else:
+        check = rec.check
+        buf = rec.buffer(min(span, rec.l))
     for start in range(0, count * l_st, l_st):
         kept = done - start
-        buf[:kept] = buf[span - kept :]
-        rec.read(done, buf[kept:])
+        if cube:
+            raw = rec.samples[start : start + span]
+        else:
+            raw = buf
+            buf[:kept] = buf[span - kept :]
+            rec.read_unchecked(done, buf[kept:])
+        if not screen:
+            check(done, raw[kept:])
+        # a nan or inf sample would warn in the sums before its error
+        with np.errstate(over="ignore", invalid="ignore"):
+            snaps = sma_rows(raw, w_st, snapshots)
+        if screen and not np.isfinite(snaps).all():
+            check(done, raw[kept:])
+            snaps = sma_rows(raw, w_st, snapshots)
         done = start + span
-        yield buf
-    rec.read(done, buf[: rec.l - done])
+        yield raw, snaps
+    if cube:
+        check(done, rec.samples[done:])
+    else:
+        rec.read(done, buf[: rec.l - done])
 
 
 def evaluate_result(result: PipelineResult, truth: Scene) -> EvalReport:
@@ -401,13 +432,14 @@ def read_final_detections(path) -> tuple[list[PolarLocation], list[int]]:
 def vitals_csv(result: PipelineResult) -> str:
     """One row per track and slow-time sample. Every cell is a number, so the
     rows are written by the cell rule without ``csv.writer``: labels and
-    segments as ints, stamps and displacements by ``repr``."""
+    segments as ints, stamps and displacements by ``repr``. Each series
+    formats its label and segment once, as the prefix of its rows."""
     stamps = [[repr(t) for t in o.slow_time.tolist()] for o in result.segments]
     lines = [",".join(_VITALS)]
     for track in result.tracks:
         for (seg, _), series in zip(track.records, track.series):
-            lines += [f"{track.label},{seg},{t},{eta!r}"
-                      for t, eta in zip(stamps[seg], series.eta.tolist())]
+            prefix = f"{track.label},{seg},"
+            lines += [f"{prefix}{t},{eta!r}" for t, eta in zip(stamps[seg], series.eta.tolist())]
     lines.append("")
     return "\n".join(lines)
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import block_len
+from .localize import sorted_unique
 from .simulate import MeasurementCube
 
 
@@ -71,7 +72,7 @@ def sma_rows(x: np.ndarray, w_st: int, rows: np.ndarray | None = None) -> np.nda
     """
     if rows is not None:
         rows = np.asarray(rows, dtype=np.intp)
-        marks = np.unique(np.concatenate([rows - 1, rows + w_st - 1]))
+        marks = sorted_unique(np.concatenate([rows - 1, rows + w_st - 1]))
         sums = _running_sums(x, marks)
         window = sums[np.searchsorted(marks, rows + w_st - 1)]
         window -= sums[np.searchsorted(marks, rows - 1)]

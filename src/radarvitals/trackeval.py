@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,7 +139,7 @@ def match_and_score(
         matches=matches,
         location_errors=errors,
         mean_location_error=float(np.mean(errors)) if errors else None,
-        median_location_error=float(np.median(errors)) if errors else None,
+        median_location_error=float(statistics.median(errors)) if errors else None,
     )
 
 

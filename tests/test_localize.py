@@ -52,6 +52,13 @@ def test_snapshot_indices_spread():
         rv.localize.snapshot_indices(5, 6)
 
 
+@given(hnp.arrays(np.intp, st.integers(0, 12), elements=st.integers(-4, 4)))
+def test_sorted_unique_is_np_unique(a):
+    got = rv.localize.sorted_unique(a)
+    expected = np.unique(a)
+    assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+
+
 def test_forward_backward_hand_case():
     r = np.array([[2.0, 1j], [-1j, 1.0]])
     expected = np.array([[1.5, 1j], [-1j, 1.5]])

@@ -6,6 +6,7 @@ import string
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,34 @@ print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
     assert done.stdout.strip() == "[]"
 
 
+def test_pipeline_does_not_load_numpy_ma():
+    # numpy 2 imports numpy.ma (about 15 ms and 1.3 MB) on a first np.unique or
+    # np.median; numpy 1.24 imports it with numpy, so compare before and after
+    code = """
+import sys
+import radarvitals as rv
+def numpy_ma():
+    return {name for name in sys.modules if name == "numpy.ma" or name.startswith("numpy.ma.")}
+loaded = numpy_ma()
+scene = rv.Scene(
+    persons=(rv.PersonModel(location=rv.PolarLocation(2.0, 0.3)),),
+    clutter=rv.ClutterModel(noise_std=0.1, seed=1),
+    l=464,
+    f_st=10.0,
+)
+result = rv.run_pipeline(rv.simulate(scene, rv.walabot_config(f_st=10.0)))
+report = rv.evaluate_result(result, scene)
+assert result.segments and result.tracks and report.median_location_error is not None
+print(sorted(numpy_ma() - loaded))
+"""
+    src = str(Path(rv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_pipeline_memory_stays_below_the_recording(walabot):
     # each segment is filtered from its own raw rows; no filtered copy of the
     # whole recording is made
@@ -462,6 +491,24 @@ def test_vitals_csv_writes_floats_by_repr():
                                       "0,1,1e-07,-1e+16"]
     empty = rv.PipelineResult(rv.PipelineConfig(), [], [], None)
     assert vitals_csv(empty) == _vitals_reference(empty) == "track,segment,t_s,eta_m\n"
+
+
+def _vitals_lines(result):
+    """The vitals table by the cell rule applied to every line: both ints
+    formatted on each line, the floats by repr."""
+    lines = ["track,segment,t_s,eta_m"]
+    for track in result.tracks:
+        for (seg, _), series in zip(track.records, track.series):
+            lines += [f"{track.label},{seg},{t!r},{eta!r}"
+                      for t, eta in zip(result.segments[seg].slow_time.tolist(), series.eta.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def test_vitals_csv_equals_the_per_line_formula(walabot):
+    # vitals_csv formats each series' label and segment once, as a prefix
+    result = run_pipeline(rv.simulate(_two_person_scene(864), walabot))
+    assert sum(len(t.series) >= 3 for t in result.tracks) >= 2
+    assert vitals_csv(result) == _vitals_lines(result)
 
 
 def test_no_accumulate_first_segment_identical(walabot):
@@ -953,6 +1000,117 @@ def test_config_errors_are_reported_before_sample_errors(tmp_path, walabot, caps
     assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv"),
                  "--config", str(config)]) == 2
     assert "pad_factor" in capsys.readouterr().err
+
+
+# Two segments of 463 samples: segment 0 spans rows [0, 263), segment 1 rows
+# [200, 463), of which [263, 463) are new. Rows 0 and 262 are the first and
+# last of segment 0's span, 263 and 462 of segment 1's new rows; 300 is read
+# by no covariance snapshot.
+_SCREEN_ROWS = [0, 262, 263, 300, 462]
+_NON_FINITE = [complex(v, 0.0) for v in (np.nan, np.inf, -np.inf)] + [
+    complex(0.0, v) for v in (np.nan, np.inf, -np.inf)]
+
+
+@pytest.fixture(scope="module")
+def two_segments():
+    scene = scene_of([breather(2.0, 0.0)], l=463, noise_std=0.1, seed=2)
+    return rv.simulate(scene, rv.walabot_config(f_st=10.0))
+
+
+def _with_sample(cube, row, value, tmp_path):
+    """A copy of ``cube`` with sample [row, 4, 5] set to ``value``, and that
+    copy written to a container."""
+    samples = cube.samples.copy()
+    samples[row, 4, 5] = value
+    bad = rv.MeasurementCube(samples, cube.slow_time, cube.config, cube.ground_truth)
+    path = tmp_path / "bad.rvc"
+    rv.write_container(bad, path)
+    return bad, path
+
+
+def _entry_error(samples, source) -> str:
+    """The message of the entry check over the whole recording."""
+    with pytest.raises(rv.DataError) as info:
+        rv.dataio.check_finite(samples, source)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=str)
+@pytest.mark.parametrize("row", _SCREEN_ROWS)
+def test_screen_names_every_non_finite_sample(two_segments, tmp_path, row, value):
+    # the filtered snapshots screen each span; a sample they reject is named
+    # by check_finite, as a check of the whole recording would name it
+    bad, path = _with_sample(two_segments, row, value, tmp_path)
+    expected = _entry_error(bad.samples, "recording")
+    assert f"sample [{row}, 4, 5]" in expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing warns before the error
+        for source, message in ((bad, expected), (path, _entry_error(bad.samples, path))):
+            with pytest.raises(rv.DataError) as info:
+                run_pipeline(source)
+            assert str(info.value) == message
+            # raised before the segment loop's handler, which notes the segment
+            assert not getattr(info.value, "__notes__", None)
+
+
+@pytest.mark.parametrize("row", [262, 462])
+def test_a_single_snapshot_leaves_the_exact_check(two_segments, tmp_path, row):
+    # with n_cov = 1 the only window ends on row w_st - 1 of the span, so its
+    # sum does not reach the span's last row, which check_finite must cover
+    config = rv.PipelineConfig(n_cov=1)
+    assert (snapshot_indices(config.l_st, 1) + config.w_st).tolist() == [config.w_st]
+    bad, path = _with_sample(two_segments, row, np.nan, tmp_path)
+    for source in (bad, path):
+        with pytest.raises(rv.DataError, match=rf"sample \[{row}, 4, 5\] is \(nan"):
+            run_pipeline(source, config)
+
+
+@pytest.mark.parametrize("row, value", [(0, complex(np.nan, 0.0)), (300, complex(0.0, np.inf)),
+                                        (462, complex(-np.inf, 0.0))], ids=["nan", "inf_j", "-inf"])
+def test_detect_reports_a_screened_sample_as_the_entry_check(two_segments, tmp_path, capsys,
+                                                             row, value):
+    # the error is raised outside the segment loop's handler, which would
+    # prefix "segment i: " on Python 3.10, and no sum warns before it
+    bad, path = _with_sample(two_segments, row, value, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err == f"data error: {_entry_error(bad.samples, path)}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_a_finite_overflow_is_no_data_error(two_segments):
+    # finite samples whose running sum overflows fail the screen; check_finite
+    # finds nothing, and the run goes on and warns as an unscreened run does
+    samples = two_segments.samples.copy()
+    samples[[300, 301], 4, 5] = 1e308
+    bad = rv.MeasurementCube(samples, two_segments.slow_time, two_segments.config)
+    with pytest.warns(RuntimeWarning) as record:
+        with pytest.raises(ValueError) as info:  # the numeric failure of the inf sums
+            run_pipeline(bad)
+    assert not isinstance(info.value, rv.DataError)
+    assert "overflow encountered in add" in str(record[0].message)
+
+
+def test_a_finite_recording_is_checked_by_the_screen(walabot, tmp_path, monkeypatch):
+    # check_finite runs only over the rows past the last segment; the
+    # segments' rows are screened by their filtered snapshots
+    cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=700, noise_std=0.1, seed=2), walabot)
+    path = tmp_path / "rec.rvc"
+    rv.write_container(cube, path)
+    checked = []
+    real = rv.dataio.check_finite
+
+    def counting(samples, source, first_row=0):
+        checked.append((first_row, len(samples)))
+        real(samples, source, first_row)
+
+    monkeypatch.setattr(rv.pipeline, "check_finite", counting)
+    monkeypatch.setattr(rv.dataio, "check_finite", counting)
+    for source in (cube, path):
+        checked.clear()
+        assert len(run_pipeline(source).segments) == 3
+        assert checked == [(663, 37)]
 
 
 _DETECTIONS_HEAD = "segment,p_hat,track,d_m,theta_rad,x_m,y_m,value\n"
