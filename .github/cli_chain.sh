@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# The README's minimal scenario through the installed `radarvitals` script,
+# one fresh process per command, then two bad recordings that `detect` must
+# reject with exit code 3 and a data error, without a traceback. Run it from
+# the repository root with `bash -e .github/cli_chain.sh`; any unexpected
+# exit code fails it.
+set -euo pipefail
+
+dir=$(mktemp -d)
+python - "$dir/scene.kv" <<'EOF'
+import re
+import sys
+text = open("README.md", encoding="utf-8").read()
+(scenario,) = re.findall(r"A minimal scenario file.*?```\n(.*?)```", text, re.DOTALL)
+open(sys.argv[1], "w", encoding="utf-8").write(scenario)
+EOF
+radarvitals simulate --scenario "$dir/scene.kv" --out "$dir/rec.rvc"
+radarvitals detect --in "$dir/rec.rvc" --out "$dir/det.csv"
+radarvitals vitals --in "$dir/rec.rvc" --out "$dir/eta.csv" --breathing-out "$dir/breath.csv"
+radarvitals evaluate --in "$dir/det.csv" --truth "$dir/rec.rvc" --breathing "$dir/breath.csv" --out "$dir/report.csv"
+radarvitals dump-spectrum --in "$dir/rec.rvc" --out "$dir/spectrum.csv"
+radarvitals dump-spectrum --in "$dir/rec.rvc" --out "$dir/segment1.csv" --segment 1
+
+# the recording written back with one nan sample inside a segment, and with
+# two finite samples large enough to overflow the covariance sums
+python - "$dir/rec.rvc" "$dir" <<'EOF'
+import sys
+import numpy as np
+import radarvitals as rv
+cube = rv.read_container(sys.argv[1])
+cube.samples[1000, 4, 5] = np.nan
+rv.write_container(cube, f"{sys.argv[2]}/nan.rvc")
+cube.samples[[1000, 1001], 4, 5] = 1e160
+rv.write_container(cube, f"{sys.argv[2]}/big.rvc")
+EOF
+
+# detect on recording $1 exits 3 with a data error matching $2, no traceback
+expect_data_error() {
+  local code=0
+  radarvitals detect --in "$dir/$1.rvc" --out "$dir/$1.csv" 2> "$dir/$1.err" || code=$?
+  cat "$dir/$1.err"
+  test "$code" -eq 3
+  grep -q "$2" "$dir/$1.err"
+  if grep -q Traceback "$dir/$1.err"; then exit 1; fi
+}
+expect_data_error nan "data error: .* is (nan"
+expect_data_error big "data error: .* are finite, but"

@@ -27,7 +27,8 @@ from .core import (
     reject_unknown,
 )
 from .kvfile import format_kv, parse_kv, read_kv
-from .simulate import MeasurementCube, Scene, check_slow_time, scene_from_entries, scene_to_entries
+from .simulate import (MeasurementCube, Scene, check_rows, check_slow_time, scene_from_entries,
+                       scene_to_entries)
 
 RVC_MAGIC = "RVC1"
 # what a ContainerWriter puts in place of the magic until it is closed cleanly
@@ -53,22 +54,26 @@ class RVCFormatError(DataError):
     """Malformed measurement container."""
 
 
-def check_finite(samples: np.ndarray, source: object, first_row: int = 0) -> None:
+def check_finite(samples: np.ndarray, source: object, first_row: int = 0,
+                 bound: float | None = None) -> None:
     """Raise ``DataError`` naming the first non-finite [l, k, m] sample, its
-    row counted from ``first_row``.
+    row counted from ``first_row``; with ``bound``, naming finite samples'
+    rows and the bound their filtered values exceed (``run_pipeline``).
 
     One sum screens the samples: a nan or inf sample always makes it
     non-finite, so the element-wise scan runs only then (a finite sum that
     overflows merely triggers the scan, which finds nothing).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(samples.sum()):
-            return
-    finite = np.isfinite(samples)
-    if not finite.all():
+        finite_sum = np.isfinite(samples.sum())
+    if not finite_sum and not (finite := np.isfinite(samples)).all():
         bad = tuple(int(i) for i in np.argwhere(~finite)[0])
         index = [bad[0] + first_row, *bad[1:]]
         raise DataError(f"{source}: sample {index} is {samples[bad]}, not finite")
+    if bound is not None:
+        raise DataError(f"{source}: rows [{first_row}, {first_row + len(samples)}) are finite, "
+                        f"but their clutter-filtered samples exceed {bound!r} in magnitude, "
+                        f"above which the covariance sums may overflow")
 
 
 def _check_f_st(slow_time: np.ndarray, f_st: float, source: object) -> None:
@@ -92,7 +97,27 @@ def check_container_target(path: str | os.PathLike, name: str = "container path"
                          f"finished in place and needs a seekable file")
 
 
-class ContainerWriter:
+class _Payload:
+    """An open container file's sample rows, read by the one seek and
+    ``readinto`` of a payload, for the reader and the writer alike; each
+    sets ``path``, ``_fh``, ``_offset``, ``_row_bytes`` and ``_dims``."""
+
+    _buffer: np.ndarray | None = None
+
+    def _read_rows(self, start: int, stop: int) -> np.ndarray:
+        """Payload rows [start, stop) in one buffer, which grows to hold them
+        and which the next call overwrites; a payload that shrank since it
+        was opened is an ``RVCFormatError`` naming the row."""
+        if self._buffer is None or len(self._buffer) < stop - start:
+            self._buffer = np.empty((stop - start, *self._dims), "<c16")
+        out = self._buffer[: stop - start]
+        self._fh.seek(self._offset + start * self._row_bytes)
+        if self._fh.readinto(out) != out.nbytes:
+            raise RVCFormatError(f"{self.path}: payload ends before row {stop}")
+        return out
+
+
+class ContainerWriter(_Payload):
     """An "RVC1" container written one block of sample rows at a time, the
     one writer of the container rule.
 
@@ -131,7 +156,6 @@ class ContainerWriter:
         self._dims = (config.k, config.m_r * config.m_t)
         self._row_bytes = config.k * self._dims[1] * 16
         self._written = 0
-        self._buffer: np.ndarray | None = None
         entries = {"l": str(self.l), "m": str(self._dims[1]), **config_to_entries(config)}
         entries["slow_time"] = ",".join(repr(float(t)) for t in slow_time)
         if ground_truth is not None:
@@ -165,13 +189,7 @@ class ContainerWriter:
         if not 0 <= start <= stop <= self._written:
             raise ValueError(f"{self.path}: cannot reread rows [{start}, {stop}) of "
                              f"{self._written} written")
-        if self._buffer is None or len(self._buffer) < stop - start:
-            self._buffer = np.empty((stop - start, *self._dims), "<c16")
-        out = self._buffer[: stop - start]
-        self._fh.seek(self._offset + start * self._row_bytes)
-        if self._fh.readinto(out) != out.nbytes:
-            raise OSError(f"{self.path}: payload ends before row {stop}")
-        return out
+        return self._read_rows(start, stop)
 
     def rewrite(self, start: int, rows: np.ndarray) -> None:
         """Write the (n, k, m) sample rows ``rows`` over the written rows
@@ -265,7 +283,7 @@ def ground_truth_from_header(entries: Mapping[str, str], path) -> Scene | None:
         raise RVCFormatError(f"{path}: bad or missing header field: {exc}") from exc
 
 
-class ContainerReader:
+class ContainerReader(_Payload):
     """An open "RVC1" container whose sample rows are read on demand, the
     one reader of the container rule.
 
@@ -274,10 +292,8 @@ class ContainerReader:
     stamp and ``f_st``. ``rows`` (a slice of unit step, clipped to the
     recording) picks the rows it serves: ``l`` counts them, ``slow_time``
     holds their stamps, and row 0 is the recording's row ``rows.start``.
-    ``read`` reads rows into a caller's buffer and checks each for
-    finiteness, so a sample is checked when, and only if, it is read;
-    ``read_unchecked`` leaves the check to its caller. Close it with
-    ``close`` or use it as a context manager.
+    Like a ``MeasurementCube`` it serves ``rows``, unchecked, and ``check``.
+    Close it with ``close`` or use it as a context manager.
     """
 
     def __init__(self, path: str | os.PathLike, rows: slice = slice(None)):
@@ -332,33 +348,21 @@ class ContainerReader:
         if step != 1:
             raise ValueError(f"container rows must be read with step 1, got {step}")
         self.config = cfg
+        self._dims = (cfg.k, m)
         self._first = start
         self.l = max(stop - start, 0)
         self.slow_time = slow_time[start : start + self.l]
 
-    def buffer(self, n: int) -> np.ndarray:
-        """An uninitialized buffer for ``n`` rows, in the payload's dtype."""
-        return np.empty((n, self.config.k, self.config.m_r * self.config.m_t), "<c16")
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows [start, stop), read into the reader's one buffer, which the
+        next call overwrites; ``ValueError`` outside [0, ``l``]."""
+        check_rows(start, stop, self.l, self.path)
+        return self._read_rows(self._first + start, self._first + stop)
 
-    def read(self, start: int, out: np.ndarray) -> None:
-        """Fill ``out``, a ``buffer``, with rows [start, start + len(out)) and
-        raise ``DataError`` naming the first non-finite sample among them by
-        its row in the recording."""
-        self.read_unchecked(start, out)
-        self.check(start, out)
-
-    def read_unchecked(self, start: int, out: np.ndarray) -> None:
-        """``read`` without the finiteness check, for a caller that checks
-        the rows itself (``run_pipeline`` screens them through its filter)."""
-        self._fh.seek(self._offset + (self._first + start) * self._row_bytes)
-        if self._fh.readinto(out) != out.nbytes:  # the file shrank since it was opened
-            raise RVCFormatError(f"{self.path}: payload ends before row "
-                                 f"{self._first + start + len(out)}")
-
-    def check(self, start: int, rows: np.ndarray) -> None:
+    def check(self, start: int, rows: np.ndarray, bound: float | None = None) -> None:
         """``check_finite`` of ``rows``, read from row ``start``, naming a
         sample by the path and its row in the recording."""
-        check_finite(rows, self.path, self._first + start)
+        check_finite(rows, self.path, self._first + start, bound)
 
     def close(self) -> None:
         self._fh.close()
@@ -370,18 +374,16 @@ class ContainerReader:
         self.close()
 
 
-def read_container(path: str | os.PathLike, rows: slice = slice(None)) -> MeasurementCube:
-    """Read and strictly validate an "RVC1" container, or only the sample
-    rows ``rows`` of it (a slice of unit step, clipped to the recording).
+def read_container(path: str | os.PathLike) -> MeasurementCube:
+    """Read and strictly validate an "RVC1" container.
 
     A ``ContainerReader`` checks the header, its slow-time stamps, ``f_st``
     and the payload size in full, then reads the rows straight into the
-    sample array; of the samples, only the rows read are checked, and only
-    they are read.
+    sample array, and each sample is checked for finiteness.
     """
-    with ContainerReader(path, rows) as reader:
-        samples = reader.buffer(reader.l)
-        reader.read(0, samples)
+    with ContainerReader(path) as reader:
+        samples = reader.rows(0, reader.l)
+        reader.check(0, samples)
     return MeasurementCube(samples, reader.slow_time, reader.config, reader.ground_truth)
 
 

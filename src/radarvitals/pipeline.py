@@ -32,7 +32,7 @@ from .core import (
     polar_to_cartesian,
     reject_unknown,
 )
-from .dataio import ContainerReader, DataError, check_finite
+from .dataio import ContainerReader, DataError
 from .localize import (
     DetectionSet,
     GridSpec,
@@ -44,6 +44,7 @@ from .localize import (
     music_spectrum,
     smoothed_covariance,
     snapshot_indices,
+    sorted_unique,
     stacked_covariance_eigenvalues,
 )
 from .modelorder import ModelOrderConfig, OrderDiagnostics, order_diagnostics
@@ -206,18 +207,14 @@ def run_pipeline(
     are built once per run, when a detection first falls on it, and reused
     read-only by every later detection on that cell.
 
-    Both sources feed one segment loop through ``_raw_segments``. A
-    container is read one segment at a time into one reused buffer of
-    ``l_st + w_st - 1`` rows, so an on-disk run holds O(``l_st`` + ``w_st``)
-    sample rows whatever the recording length. Validation runs in this
-    order: the container header (when reading one), then the config, then
-    the samples as they are read. Every sample row is checked for
-    finiteness once, the rows past the last segment after it; a non-finite
-    sample is a ``DataError`` naming its [l, k, m], raised before anything
-    is formed from it. With ``n_cov >= 2`` a segment's rows are screened by
-    one ``isfinite`` of its filtered snapshots, whose running sums add
-    every row, and ``check_finite`` runs only when that screen fails (see
-    ``_raw_segments``); so no separate pass over the samples is made.
+    Both sources feed one segment loop, ``_raw_segments``, by ``rows``: a
+    view of a cube, or rows read into a reader's one buffer, so an on-disk
+    run holds O(``l_st`` + ``w_st``) sample rows whatever the recording
+    length. Validation runs in this order: the container header (when
+    reading one), then the config, then the samples as they are read,
+    screened through the filtered snapshots with no separate pass. A
+    non-finite sample, or finite ones that would overflow the covariance
+    sums, is a ``DataError`` raised before anything is formed from it.
     """
     on_disk = isinstance(source, (str, os.PathLike))
     with ContainerReader(source) if on_disk else nullcontext(source) as rec:
@@ -287,60 +284,41 @@ def run_pipeline(
 
 def _raw_segments(rec: MeasurementCube | ContainerReader, count: int, w_st: int, l_st: int,
                   snapshots: np.ndarray):
-    """Yield the raw rows ``[i * l_st, (i + 1) * l_st + w_st - 1)`` of each
-    segment ``i < count`` with their filtered covariance snapshots
-    ``sma_rows(raw, w_st, snapshots)``, then check the rows past the last
-    segment.
+    """Yield the raw rows ``rec.rows(i * l_st, (i + 1) * l_st + w_st - 1)``
+    of each segment ``i < count`` with their filtered covariance snapshots
+    ``sma_rows(raw, w_st, snapshots)``, then check the rows past the last.
 
-    Each row is checked for finiteness once, by a screen or by
-    ``check_finite``. When the last snapshot's window ends on the span's
-    last row (``n_cov >= 2``), its running sum has added every row of the
-    span, and a nan or inf sample keeps that sum, and so the snapshot, not
-    finite. One ``isfinite`` of the snapshots then screens the span: only
-    when it fails does ``check_finite`` run over the rows not yet screened,
-    to name the first non-finite sample, or to find none when finite
-    samples overflowed a sum; then the snapshots are filtered again, so
-    that the overflow warns as an unscreened run would. Otherwise each
-    segment's new rows get ``check_finite`` before they are filtered. The
-    rows past the last segment always do.
+    Each span is screened by its filtered snapshots and row ``l_st - 1``,
+    whose window ends on the span's last row: its running sum has added
+    every row, and a nan or inf sample keeps it, and the row, not finite.
+    No part of these rows may exceed ``bound`` in magnitude, which fails
+    for nan, inf and finite samples that would overflow the covariance
+    sums; ``rec.check`` then names the first non-finite sample of the
+    span, or else the span and ``bound``.
 
-    A cube yields views of its samples. A reader reads into one buffer of
-    ``l_st + w_st - 1`` rows, which each segment overwrites: the ``w_st - 1``
-    rows that a segment shares with the one before it are moved to the
-    front, and only its ``l_st`` new rows are read behind them. The rows
-    past the last segment, fewer than a buffer, are read through it too.
+    The bound: with each part of a snapshot at most B, a part of a product
+    of two is at most 2 B^2. An entry of ``localize._window_gram`` sums
+    ``snapshots.size * n_slices`` products, at most N = ``snapshots.size *
+    k * m``, and its diagonal recurrence adds a difference of two partial
+    sums, so no intermediate exceeds 4 N B^2. ``_parity_blocks`` folds 4
+    real entries of at most N B^2, ``_real_form`` 4 of the normalized
+    covariance. B^2 = max / (8 N), max the largest float, keeps every
+    value below max / 2.
     """
     span, done = l_st + w_st - 1, 0  # rows [0, done) are checked
-    screen = snapshots[-1] + w_st == span
-    cube = isinstance(rec, MeasurementCube)
-    if cube:
-        def check(start, rows):
-            check_finite(rows, "recording", start)
-    else:
-        check = rec.check
-        buf = rec.buffer(min(span, rec.l))
+    screened = sorted_unique(np.append(snapshots, l_st - 1))
+    n = snapshots.size * rec.config.k * rec.config.m_r * rec.config.m_t
+    bound = math.sqrt(np.finfo(np.float64).max / (8 * n))
     for start in range(0, count * l_st, l_st):
-        kept = done - start
-        if cube:
-            raw = rec.samples[start : start + span]
-        else:
-            raw = buf
-            buf[:kept] = buf[span - kept :]
-            rec.read_unchecked(done, buf[kept:])
-        if not screen:
-            check(done, raw[kept:])
-        # a nan or inf sample would warn in the sums before its error
+        raw = rec.rows(start, start + span)
+        # a nan, inf or overflowing sample would warn in the sums before its error
         with np.errstate(over="ignore", invalid="ignore"):
-            snaps = sma_rows(raw, w_st, snapshots)
-        if screen and not np.isfinite(snaps).all():
-            check(done, raw[kept:])
-            snaps = sma_rows(raw, w_st, snapshots)
+            snaps = sma_rows(raw, w_st, screened)
+        if not np.abs(snaps.view(np.float64)).max() <= bound:
+            rec.check(start, raw, bound)
         done = start + span
-        yield raw, snaps
-    if cube:
-        check(done, rec.samples[done:])
-    else:
-        rec.read(done, buf[: rec.l - done])
+        yield raw, snaps[: snapshots.size]
+    rec.check(done, rec.rows(done, rec.l))
 
 
 def evaluate_result(result: PipelineResult, truth: Scene) -> EvalReport:

@@ -91,7 +91,8 @@ class Scene:
 
 @dataclass
 class MeasurementCube:
-    """Complex stepped-frequency samples indexed [slow time, step, channel]."""
+    """Complex stepped-frequency samples indexed [slow time, step, channel],
+    a row source as a ``dataio.ContainerReader`` is."""
 
     samples: np.ndarray
     slow_time: np.ndarray
@@ -112,6 +113,24 @@ class MeasurementCube:
     @property
     def l(self) -> int:
         return self.samples.shape[0]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows [start, stop) of the samples, a view; ``ValueError`` outside
+        [0, ``l``]."""
+        check_rows(start, stop, self.l, "recording")
+        return self.samples[start:stop]
+
+    def check(self, start: int, rows: np.ndarray, bound: float | None = None) -> None:
+        """``dataio.check_finite`` of ``rows``, the samples from row ``start`` on."""
+        from .dataio import check_finite  # dataio imports this module
+
+        check_finite(rows, "recording", start, bound)
+
+
+def check_rows(start: int, stop: int, l: int, source: object) -> None:
+    """Raise ``ValueError`` naming rows [start, stop) unless within [0, l]."""
+    if not 0 <= start <= stop <= l:
+        raise ValueError(f"{source}: rows [{start}, {stop}) are not within [0, {l}]")
 
 
 def check_slow_time(slow_time: np.ndarray, error: type[Exception] = ValueError) -> None:

@@ -1,11 +1,14 @@
 import hashlib
 import re
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radarvitals as rv
 from radarvitals.cli import main
@@ -57,7 +60,76 @@ def test_container_reader_rejects_a_payload_that_shrank_after_opening(tmp_path):
         with open(path, "r+b") as fh:
             fh.truncate(path.stat().st_size - 8)
         with pytest.raises(rv.RVCFormatError, match="payload ends before row 4"):
-            reader.read(0, reader.buffer(4))
+            reader.rows(0, 4)
+
+
+def test_container_writer_rejects_a_payload_that_shrank_on_reread(tmp_path):
+    path = tmp_path / "cube.rvc"
+    # 40 rows of 768 bytes, so that the rows reread last lie past what the
+    # file object buffered on the first reread, which flushed the writes
+    cube = _random_cube(small_config(), l=40)
+    with rv.ContainerWriter(path, cube.config, cube.slow_time) as writer:
+        writer.write(cube.samples)
+        writer.reread(slice(0, 1))
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 8)
+        with pytest.raises(rv.RVCFormatError, match="payload ends before row 40"):
+            writer.reread(slice(30, 40))
+
+
+def _check_message(check, start, rows, source):
+    """The message of ``check(start, rows)`` without its ``source`` prefix,
+    None when it passes."""
+    try:
+        check(start, rows)
+    except rv.DataError as exc:
+        return str(exc).removeprefix(f"{source}: ")
+    return None
+
+
+_NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_container_serves_the_rows_of_its_cube(data):
+    # a reader of rows [first, stop) of a container, and the in-memory cube it
+    # was written from, give the same rows and name the same bad sample
+    cfg, l = small_config(), 12
+    cube = _random_cube(cfg, l=l, seed=data.draw(st.integers(0, 2**32 - 1)))
+    sample = st.tuples(st.integers(0, l - 1), st.integers(0, cfg.k - 1), st.integers(0, 3))
+    for index, value in data.draw(st.lists(st.tuples(sample, st.sampled_from(_NON_FINITE)),
+                                           max_size=3)):
+        cube.samples[index] = value
+    first = data.draw(st.integers(0, l))
+    stop = data.draw(st.integers(first, l))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.rvc"
+        rv.write_container(cube, path)
+        with rv.ContainerReader(path, slice(first, stop)) as reader:
+            n = reader.l
+            assert n == stop - first
+            row = st.integers(0, n)
+            ranges = data.draw(st.lists(st.tuples(row, row).map(sorted), max_size=6))
+            ranges += [(max(n - 3, 0), n), (n // 2, n // 2)]  # the tail and an empty range
+            for a, b in ranges:
+                rows = reader.rows(a, b)
+                own = cube.rows(first + a, first + b)
+                assert rows.tobytes() == own.tobytes()
+                assert (_check_message(reader.check, a, rows, path)
+                        == _check_message(cube.check, first + a, own, "recording"))
+
+
+def test_rows_outside_the_recording_are_a_value_error(tmp_path):
+    path = tmp_path / "cube.rvc"
+    cube = _random_cube(small_config())
+    rv.write_container(cube, path)
+    with rv.ContainerReader(path, slice(1, 4)) as reader:
+        for source, name in ((cube, "recording"), (reader, path)):
+            for a, b in ((-1, 2), (2, 1), (0, source.l + 1)):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{name}: rows [{a}, {b}) are not within [0, {source.l}]")):
+                    source.rows(a, b)
 
 
 def test_container_bad_magic(tmp_path):

@@ -919,15 +919,18 @@ def test_container_rows_are_checked_where_read(tmp_path):
     cube.samples[5, 3, 2] = np.nan
     path = tmp_path / "c.rvc"
     rv.write_container(cube, path)
-    part = rv.read_container(path, slice(1, 4))
-    np.testing.assert_array_equal(part.samples, cube.samples[1:4])
-    np.testing.assert_array_equal(part.slow_time, cube.slow_time[1:4])
+    with rv.ContainerReader(path, slice(1, 4)) as part:
+        samples = part.rows(0, part.l)
+        part.check(0, samples)
+        np.testing.assert_array_equal(samples, cube.samples[1:4])
+        np.testing.assert_array_equal(part.slow_time, cube.slow_time[1:4])
     with pytest.raises(rv.DataError, match=r"sample \[5, 3, 2\] is \(nan"):
-        rv.read_container(path, slice(4, 8))
+        with rv.ContainerReader(path, slice(4, 8)) as part:
+            part.check(0, part.rows(0, part.l))
     with pytest.raises(rv.DataError, match="payload holds"):
         with open(path, "ab") as fh:
             fh.write(b"\0")
-        rv.read_container(path, slice(1, 4))
+        rv.ContainerReader(path, slice(1, 4))
 
 
 def test_on_disk_run_holds_one_segment_of_rows(long_container, tmp_path):
@@ -937,7 +940,10 @@ def test_on_disk_run_holds_one_segment_of_rows(long_container, tmp_path):
     config = rv.PipelineConfig()
     segment_bytes = (config.l_st + config.w_st - 1) * 137 * 8 * 16
     short = tmp_path / "short.rvc"
-    rv.write_container(rv.read_container(long_container, slice(0, 2000)), short)
+    cube = rv.read_container(long_container)
+    rv.write_container(rv.MeasurementCube(cube.samples[:2000], cube.slow_time[:2000], cube.config),
+                       short)
+    del cube
     run_pipeline(short, config)
     peaks = []
     for path in (short, long_container):
@@ -1079,17 +1085,62 @@ def test_detect_reports_a_screened_sample_as_the_entry_check(two_segments, tmp_p
     assert not (tmp_path / "o.csv").exists()
 
 
-def test_a_finite_overflow_is_no_data_error(two_segments):
-    # finite samples whose running sum overflows fail the screen; check_finite
-    # finds nothing, and the run goes on and warns as an unscreened run does
+def _screen_bound(cfg, config=rv.PipelineConfig()):
+    """The bound of ``pipeline._raw_segments``: sqrt(max / (8 N)), N the
+    snapshots times k m, at least the products a covariance Gram entry sums."""
+    n = snapshot_indices(config.l_st, config.n_cov).size * cfg.k * cfg.m_r * cfg.m_t
+    return math.sqrt(sys.float_info.max / (8 * n))
+
+
+@pytest.mark.parametrize("value", [1e308, 1e160])
+def test_a_finite_overflow_is_a_data_error(two_segments, tmp_path, capsys, value):
+    # two finite samples whose sums overflow (1e308), or whose covariance
+    # products would (1e160), fail the screen of segment 1's span; with no
+    # non-finite sample to name, the error names the span and the bound
     samples = two_segments.samples.copy()
-    samples[[300, 301], 4, 5] = 1e308
+    samples[[300, 301], 4, 5] = value
     bad = rv.MeasurementCube(samples, two_segments.slow_time, two_segments.config)
-    with pytest.warns(RuntimeWarning) as record:
-        with pytest.raises(ValueError) as info:  # the numeric failure of the inf sums
-            run_pipeline(bad)
-    assert not isinstance(info.value, rv.DataError)
-    assert "overflow encountered in add" in str(record[0].message)
+    path = tmp_path / "big.rvc"
+    rv.write_container(bad, path)
+    bound = _screen_bound(bad.config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source in (bad, path):
+            with pytest.raises(rv.DataError) as info:
+                run_pipeline(source)
+            assert str(info.value) == (
+                f"{'recording' if source is bad else path}: rows [200, 463) are finite, but "
+                f"their clutter-filtered samples exceed {bound!r} in magnitude, above which "
+                f"the covariance sums may overflow")
+        assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: rows [200, 463) are finite")
+    assert "Traceback" not in err
+
+
+def test_the_screen_bound_keeps_the_covariance_finite(two_segments):
+    # the two samples at 1e150 pass the screen; so does every row alternating
+    # at +-(1 + 1j) c with c the bound, the same in every [k, m]: the clutter
+    # filter passes it unchanged and every covariance product adds
+    # coherently, the worst case of the bound's derivation
+    cfg, bound = two_segments.config, _screen_bound(two_segments.config)
+    samples = two_segments.samples.copy()
+    samples[[300, 301], 4, 5] = 1e150
+    alternating = (-1.0) ** np.arange(two_segments.l)[:, None, None] * (1 + 1j)
+    for rows, runs in ((samples, True), (bound * alternating, True),
+                       (np.nextafter(bound, np.inf) * alternating, False)):
+        cube = rv.MeasurementCube(np.broadcast_to(rows, samples.shape), two_segments.slow_time,
+                                  cfg)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            if runs:
+                result = run_pipeline(cube)
+                assert len(result.segments) == 2
+                assert np.isfinite(result.segments[0].order.lam).all()
+            else:
+                with pytest.raises(rv.DataError, match=r"rows \[0, 263\) are finite"):
+                    run_pipeline(cube)
+        assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
 
 
 def test_a_finite_recording_is_checked_by_the_screen(walabot, tmp_path, monkeypatch):
@@ -1101,11 +1152,10 @@ def test_a_finite_recording_is_checked_by_the_screen(walabot, tmp_path, monkeypa
     checked = []
     real = rv.dataio.check_finite
 
-    def counting(samples, source, first_row=0):
+    def counting(samples, source, first_row=0, bound=None):
         checked.append((first_row, len(samples)))
-        real(samples, source, first_row)
+        real(samples, source, first_row, bound)
 
-    monkeypatch.setattr(rv.pipeline, "check_finite", counting)
     monkeypatch.setattr(rv.dataio, "check_finite", counting)
     for source in (cube, path):
         checked.clear()
