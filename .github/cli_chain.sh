@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # The README's minimal scenario through the installed `radarvitals` script,
-# one fresh process per command, then two bad recordings that `detect` must
+# one fresh process per command, with every table it writes checked against
+# the in-process table strings, then two bad recordings that `detect` must
 # reject with exit code 3 and a data error, without a traceback. Run it from
 # the repository root with `bash -e .github/cli_chain.sh`; any unexpected
 # exit code fails it.
 set -euo pipefail
 
 dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
 python - "$dir/scene.kv" <<'EOF'
 import re
 import sys
@@ -15,11 +17,43 @@ text = open("README.md", encoding="utf-8").read()
 open(sys.argv[1], "w", encoding="utf-8").write(scenario)
 EOF
 radarvitals simulate --scenario "$dir/scene.kv" --out "$dir/rec.rvc"
-radarvitals detect --in "$dir/rec.rvc" --out "$dir/det.csv"
-radarvitals vitals --in "$dir/rec.rvc" --out "$dir/eta.csv" --breathing-out "$dir/breath.csv"
+radarvitals detect --in "$dir/rec.rvc" --out "$dir/det.csv" --order-diagnostics "$dir/order.csv"
+radarvitals vitals --in "$dir/rec.rvc" --out "$dir/eta.csv" --breathing-out "$dir/breath.csv" \
+  --periodogram-out "$dir/pgram.csv"
 radarvitals evaluate --in "$dir/det.csv" --truth "$dir/rec.rvc" --breathing "$dir/breath.csv" --out "$dir/report.csv"
 radarvitals dump-spectrum --in "$dir/rec.rvc" --out "$dir/spectrum.csv"
 radarvitals dump-spectrum --in "$dir/rec.rvc" --out "$dir/segment1.csv" --segment 1
+
+# each file holds the bytes of its pipeline.*_csv string from a run in this
+# process on the same container
+python - "$dir" <<'EOF'
+import sys
+import radarvitals as rv
+from radarvitals import pipeline
+from radarvitals.dataio import ground_truth_from_header
+d = sys.argv[1]
+result = rv.run_pipeline(f"{d}/rec.rvc")
+header = rv.read_header(f"{d}/rec.rvc")
+truth = ground_truth_from_header(header, f"{d}/rec.rvc")
+config = rv.PipelineConfig()
+rows = slice(config.l_st, 2 * config.l_st + config.w_st - 1)
+with rv.ContainerReader(f"{d}/rec.rvc", rows) as own:
+    segment1 = rv.run_pipeline(own, config, vitals=False).accumulated
+expected = {
+    "det.csv": pipeline.detections_csv(result),
+    "order.csv": pipeline.order_diagnostics_csv(result),
+    "eta.csv": pipeline.vitals_csv(result),
+    "breath.csv": pipeline.breathing_csv(result),
+    "pgram.csv": pipeline.periodogram_csv(result),
+    "report.csv": pipeline.report_csv(rv.evaluate_result(result, truth),
+                                      header.get("meta.id", ""), header.get("meta.obstacle", "")),
+    "spectrum.csv": pipeline.spectrum_csv(result.accumulated),
+    "segment1.csv": pipeline.spectrum_csv(segment1),
+}
+for name, text in expected.items():
+    if open(f"{d}/{name}", "rb").read() != text.encode("utf-8"):
+        sys.exit(f"{name} differs from its pipeline table string")
+EOF
 
 # the recording written back with one nan sample inside a segment, and with
 # two finite samples large enough to overflow the covariance sums

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,6 +72,12 @@ def _load_pipeline_config(path: str | None, accumulate: bool = True):
     return replace(config, accumulate=config.accumulate and accumulate)
 
 
+def _write(path: str, write, *args) -> None:
+    """Stream a table into ``path`` as ``write(fh, *args)`` formats it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write(fh, *args)
+
+
 def _cmd_simulate(args) -> int:
     from .core import radar_config_from_entries, walabot_config
     from .dataio import ContainerWriter, check_container_target
@@ -113,30 +118,28 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    from .pipeline import detections_csv, order_diagnostics_csv, run_pipeline
+    from .pipeline import run_pipeline, write_detections, write_order_diagnostics
 
     config = _load_pipeline_config(args.config, accumulate=not args.no_accumulate)
     result = run_pipeline(args.infile, config, vitals=False)
-    Path(args.out).write_text(detections_csv(result), encoding="utf-8")
+    _write(args.out, write_detections, result)
     if args.order_diagnostics:
-        Path(args.order_diagnostics).write_text(
-            order_diagnostics_csv(result), encoding="utf-8"
-        )
+        _write(args.order_diagnostics, write_order_diagnostics, result)
     found = len(result.final_detections.detections)
     print(f"{len(result.segments)} segments, final detection count {found}")
     return 0
 
 
 def _cmd_vitals(args) -> int:
-    from .pipeline import breathing_csv, periodogram_csv, run_pipeline, vitals_csv
+    from .pipeline import run_pipeline, write_breathing, write_periodogram, write_vitals
 
     config = _load_pipeline_config(args.config)
     result = run_pipeline(args.infile, config)
-    Path(args.out).write_text(vitals_csv(result), encoding="utf-8")
+    _write(args.out, write_vitals, result)
     if args.breathing_out:
-        Path(args.breathing_out).write_text(breathing_csv(result), encoding="utf-8")
+        _write(args.breathing_out, write_breathing, result)
     if args.periodogram_out:
-        Path(args.periodogram_out).write_text(periodogram_csv(result), encoding="utf-8")
+        _write(args.periodogram_out, write_periodogram, result)
     for track in result.tracks:
         if track.breathing_estimate is not None:
             loc = track.last_location
@@ -149,7 +152,7 @@ def _cmd_vitals(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     from .dataio import DataError, ground_truth_from_header, read_header
-    from .pipeline import PipelineConfig, read_breathing_rates, read_final_detections, report_csv
+    from .pipeline import PipelineConfig, read_breathing_rates, read_final_detections, write_report
     from .trackeval import score_estimates
 
     header = read_header(args.truth)
@@ -163,14 +166,12 @@ def _cmd_evaluate(args) -> int:
     for ref_i, err in errors.items():
         print(f"person {ref_i}: breathing error {100 * err:+.1f} %")
 
-    text = report_csv(
-        report, header.get("meta.id", ""), header.get("meta.obstacle", "")
-    )
     tpp = "n/a" if report.tpp is None else f"{report.tpp:.3f}"
     print(f"P={report.p} P_hat={report.p_hat} P_MD={report.p_md} "
           f"P_FD={report.p_fd} TPP={tpp} FDP={report.fdp:.3f}")
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, write_report, report, header.get("meta.id", ""),
+               header.get("meta.obstacle", ""))
     return 0
 
 
@@ -189,7 +190,7 @@ def _segment_spectrum(path: str, segment: int, config):
 
 
 def _cmd_dump_spectrum(args) -> int:
-    from .pipeline import run_pipeline, spectrum_csv
+    from .pipeline import run_pipeline, write_spectrum
 
     config = _load_pipeline_config(args.config)
     if args.segment is None:
@@ -198,7 +199,7 @@ def _cmd_dump_spectrum(args) -> int:
         spectrum = _segment_spectrum(args.infile, args.segment, config)
     if spectrum is None:
         raise ValueError("recording produced no spectrum (too short?)")
-    Path(args.out).write_text(spectrum_csv(spectrum), encoding="utf-8")
+    _write(args.out, write_spectrum, spectrum)
     return 0
 
 

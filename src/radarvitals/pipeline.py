@@ -335,6 +335,8 @@ def evaluate_result(result: PipelineResult, truth: Scene) -> EvalReport:
 # CSV tables: one header per table, shared by its writer and reader. A cell is
 # empty for None, 0/1 for a flag, an int as is and a float by its shortest
 # round-trip repr, and is quoted only when it holds ",", '"' or a line break.
+# Each table has one writer, write_<table>(fh, ...), which streams it into an
+# open text file; <table>_csv(...) returns the same text as a string.
 
 _DETECTIONS = ("segment", "p_hat", "track", "d_m", "theta_rad", "x_m", "y_m", "value")
 _VITALS = ("track", "segment", "t_s", "eta_m")
@@ -356,18 +358,25 @@ def _cell(value):
     return int(value) if isinstance(value, (int, np.integer, np.bool_)) else float(value)
 
 
-def _table(columns: tuple[str, ...], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_table(fh, columns: tuple[str, ...], rows) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(map(_cell, row) for row in rows)
+
+
+def _text(write, *args) -> str:
+    """The table ``write(fh, *args)`` writes, as a string."""
+    buf = io.StringIO()
+    write(buf, *args)
     return buf.getvalue()
 
 
-def _read_table(path, columns: tuple[str, ...], types: tuple[type, ...]) -> list[tuple]:
+def _read_table(path, columns: tuple[str, ...], types: tuple[type, ...],
+                blank: tuple[str, ...] = ()) -> list[tuple]:
     """Rows as tuples in ``columns`` order, each cell parsed by its type. A
     missing column or a cell that is not a finite number of its type is a
-    ``DataError`` naming file, line and column."""
+    ``DataError`` naming file, line and column. A row whose ``blank`` cells
+    are all empty holds None in them."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for column in columns:
@@ -375,9 +384,13 @@ def _read_table(path, columns: tuple[str, ...], types: tuple[type, ...]) -> list
                 raise DataError(f"{path}: line {reader.line_num or 1}: missing column {column!r}")
         rows = []
         for row in reader:
+            empty = blank if all(row[column] == "" for column in blank) else ()
             cells = []
             for column, typ in zip(columns, types):
                 text = row[column]  # None when the row is short
+                if column in empty:
+                    cells.append(None)
+                    continue
                 try:
                     value = typ(text)
                 except (TypeError, ValueError):
@@ -390,44 +403,64 @@ def _read_table(path, columns: tuple[str, ...], types: tuple[type, ...]) -> list
     return rows
 
 
+def write_detections(fh, result: PipelineResult) -> None:
+    """One row per detection, and one for each segment without detections,
+    whose detection cells are empty."""
+    def rows():
+        for i, o in enumerate(result.segments):
+            if not o.detections.detections:
+                yield (i, o.order.p_hat) + (None,) * (len(_DETECTIONS) - 2)
+            for label, det in zip(o.track_labels, o.detections.detections):
+                xy = polar_to_cartesian(det.location)
+                yield (i, o.order.p_hat, label, det.location.d, det.location.theta, xy.x, xy.y,
+                       det.value)
+
+    _write_table(fh, _DETECTIONS, rows())
+
+
 def detections_csv(result: PipelineResult) -> str:
-    return _table(_DETECTIONS, (
-        (i, o.order.p_hat, label, det.location.d, det.location.theta, xy.x, xy.y, det.value)
-        for i, o in enumerate(result.segments)
-        for label, det in zip(o.track_labels, o.detections.detections)
-        for xy in [polar_to_cartesian(det.location)]
-    ))
+    return _text(write_detections, result)
 
 
 def read_final_detections(path) -> tuple[list[PolarLocation], list[int]]:
-    """Locations and track labels of the last segment of a detections CSV."""
-    rows = _read_table(path, _DETECTIONS, (int, int, int, float, float, float, float, float))
+    """Locations and track labels of the last segment of a detections CSV; a
+    row with empty detection cells stands for a segment without detections."""
+    rows = _read_table(path, _DETECTIONS, (int, int, int, float, float, float, float, float),
+                       blank=_DETECTIONS[2:])
     last = max((row[0] for row in rows), default=None)
-    final = [row for row in rows if row[0] == last]
+    final = [row for row in rows if row[0] == last and row[2] is not None]
     return [PolarLocation(row[3], row[4]) for row in final], [row[2] for row in final]
 
 
-def vitals_csv(result: PipelineResult) -> str:
-    """One row per track and slow-time sample. Every cell is a number, so the
-    rows are written by the cell rule without ``csv.writer``: labels and
-    segments as ints, stamps and displacements by ``repr``. Each series
-    formats its label and segment once, as the prefix of its rows."""
+def write_vitals(fh, result: PipelineResult) -> None:
+    """One row per track and slow-time sample, written one series at a time.
+    Every cell is a number, so the rows are written by the cell rule without
+    ``csv.writer``: labels and segments as ints, stamps and displacements by
+    ``repr``. Each series formats its label and segment once, as the prefix
+    of its rows."""
     stamps = [[repr(t) for t in o.slow_time.tolist()] for o in result.segments]
-    lines = [",".join(_VITALS)]
+    fh.write(",".join(_VITALS) + "\n")
     for track in result.tracks:
         for (seg, _), series in zip(track.records, track.series):
             prefix = f"{track.label},{seg},"
-            lines += [f"{prefix}{t},{eta!r}" for t, eta in zip(stamps[seg], series.eta.tolist())]
-    lines.append("")
-    return "\n".join(lines)
+            fh.write("".join([f"{prefix}{t},{eta!r}\n"
+                              for t, eta in zip(stamps[seg], series.eta.tolist())]))
 
 
-def breathing_csv(result: PipelineResult) -> str:
-    return _table(_BREATHING, (
+def vitals_csv(result: PipelineResult) -> str:
+    return _text(write_vitals, result)
+
+
+def write_breathing(fh, result: PipelineResult) -> None:
+    _write_table(fh, _BREATHING, (
         (t.label, t.last_location.d, t.last_location.theta, t.breathing_estimate)
         for t in result.tracks
         if t.breathing_estimate is not None
     ))
+
+
+def breathing_csv(result: PipelineResult) -> str:
+    return _text(write_breathing, result)
 
 
 def read_breathing_rates(path) -> dict[int, float]:
@@ -435,17 +468,21 @@ def read_breathing_rates(path) -> dict[int, float]:
     return {row[0]: row[3] for row in _read_table(path, _BREATHING, (int, float, float, float))}
 
 
-def periodogram_csv(result: PipelineResult) -> str:
+def write_periodogram(fh, result: PipelineResult) -> None:
     """Averaged breathing periodogram of every track."""
     def rows():
         for track in result.tracks:
             freqs, power = averaged_periodogram(track.series, result.config.pad_factor)
             yield from ((track.label, f, p) for f, p in zip(freqs.tolist(), power.tolist()))
 
-    return _table(_PERIODOGRAM, rows())
+    _write_table(fh, _PERIODOGRAM, rows())
 
 
-def order_diagnostics_csv(result: PipelineResult) -> str:
+def periodogram_csv(result: PipelineResult) -> str:
+    return _text(write_periodogram, result)
+
+
+def write_order_diagnostics(fh, result: PipelineResult) -> None:
     def rows():
         for seg, o in enumerate(result.segments):
             rd, cand = o.order.rd.tolist(), set(o.order.candidates)
@@ -453,21 +490,33 @@ def order_diagnostics_csv(result: PipelineResult) -> str:
                 yield (seg, i + 1, lam, rd[i] if i < len(rd) else None, i in cand,
                        o.order.beta, o.order.p_hat)
 
-    return _table(_ORDER, rows())
+    _write_table(fh, _ORDER, rows())
 
 
-def report_csv(report: EvalReport, scenario_id: str = "", obstacle: str = "") -> str:
-    return _table(_REPORT, [(
+def order_diagnostics_csv(result: PipelineResult) -> str:
+    return _text(write_order_diagnostics, result)
+
+
+def write_report(fh, report: EvalReport, scenario_id: str = "", obstacle: str = "") -> None:
+    _write_table(fh, _REPORT, [(
         scenario_id, obstacle, report.p, report.p_hat, report.p_md, report.p_fd,
         report.tpp, report.fdp, report.mean_location_error, report.median_location_error,
     )])
 
 
-def spectrum_csv(spectrum: PseudoSpectrum) -> str:
+def report_csv(report: EvalReport, scenario_id: str = "", obstacle: str = "") -> str:
+    return _text(write_report, report, scenario_id, obstacle)
+
+
+def write_spectrum(fh, spectrum: PseudoSpectrum) -> None:
     """Flatten a pseudo-spectrum into one ``d, theta, value`` row per grid cell."""
     thetas = spectrum.theta_axis.tolist()
-    return _table(_SPECTRUM, (
+    _write_table(fh, _SPECTRUM, (
         (d, theta, value)
         for d, values in zip(spectrum.d_axis.tolist(), spectrum.values.tolist())
         for theta, value in zip(thetas, values)
     ))
+
+
+def spectrum_csv(spectrum: PseudoSpectrum) -> str:
+    return _text(write_spectrum, spectrum)

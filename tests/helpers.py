@@ -1,4 +1,7 @@
-"""Shared scene builders and raw-profile synthesis for the test suite."""
+"""Shared scene builders, raw-profile synthesis and text comparison for the
+test suite."""
+
+from itertools import zip_longest
 
 import numpy as np
 
@@ -95,3 +98,16 @@ def raw_recording_of(cube):
         [profiles[:, tx * cfg.m_r + rx, :] for tx, rx in pairs], axis=1
     )
     return rv.RawRecording(per_pair, pairs, f_s, cube.slow_time)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Fail naming the first differing line and both versions of it.
+
+    pytest's own report of a failed ``==`` diffs the two strings whole,
+    which takes minutes for a table of tens of thousands of lines.
+    """
+    if got == want:
+        return
+    lines = zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    number, (a, b) = next((i, pair) for i, pair in enumerate(lines, 1) if pair[0] != pair[1])
+    raise AssertionError(f"texts differ first at line {number}: got {a!r}, want {b!r}")

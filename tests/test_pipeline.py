@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -24,12 +25,13 @@ from radarvitals.pipeline import (
     periodogram_csv,
     pipeline_config_from_entries,
     pipeline_config_to_entries,
+    report_csv,
     run_pipeline,
     spectrum_csv,
     vitals_csv,
 )
 from radarvitals.preprocess import sma_rows
-from helpers import breather, m16_scene, scene_of
+from helpers import assert_same_text, breather, m16_scene, scene_of
 
 
 def test_kv_parse_and_format():
@@ -229,7 +231,8 @@ def test_m16_golden_output(walabot):
     np.testing.assert_allclose(
         [float(r["value"]) for r in got], [float(r["value"]) for r in expected], rtol=1e-9
     )
-    assert breathing_csv(result) == (golden / "m16_seed7_breathing.csv").read_text(encoding="utf-8")
+    assert_same_text(breathing_csv(result),
+                     (golden / "m16_seed7_breathing.csv").read_text(encoding="utf-8"))
 
 
 def test_pipeline_does_not_import_scipy_linalg():
@@ -393,9 +396,8 @@ def test_pipeline_deterministic(walabot):
     scene = scene_of([breather(2.0, 10.0, amp=0.0015)], l=464, noise_std=0.1, seed=6)
     a = run_pipeline(rv.simulate(scene, walabot))
     b = run_pipeline(rv.simulate(scene, walabot))
-    assert detections_csv(a) == detections_csv(b)
-    assert vitals_csv(a) == vitals_csv(b)
-    assert breathing_csv(a) == breathing_csv(b)
+    for table in (detections_csv, vitals_csv, breathing_csv):
+        assert_same_text(table(a), table(b))
 
 
 def test_pipeline_single_person_tracked(walabot):
@@ -471,7 +473,7 @@ def _vitals_reference(result):
 def test_vitals_csv_matches_the_csv_writer(walabot):
     result = run_pipeline(rv.simulate(_two_person_scene(864), walabot))
     assert sum(len(t.series) >= 3 for t in result.tracks) >= 2
-    assert vitals_csv(result) == _vitals_reference(result)
+    assert_same_text(vitals_csv(result), _vitals_reference(result))
 
 
 def test_vitals_csv_writes_floats_by_repr():
@@ -484,7 +486,7 @@ def test_vitals_csv_writes_floats_by_repr():
                 for seg, t in enumerate(stamps)]
     result = rv.PipelineResult(rv.PipelineConfig(), segments, tracks, None)
     text = vitals_csv(result)
-    assert text == _vitals_reference(result)
+    assert_same_text(text, _vitals_reference(result))
     # the shortest repr that reads back the same double, not the literal typed
     assert text.splitlines()[1:5] == ["0,0,0.0,-0.0", "0,0,0.1,5e-324",
                                       "0,1,0.30000000000000004,1.2345678901234568e-05",
@@ -508,7 +510,7 @@ def test_vitals_csv_equals_the_per_line_formula(walabot):
     # vitals_csv formats each series' label and segment once, as a prefix
     result = run_pipeline(rv.simulate(_two_person_scene(864), walabot))
     assert sum(len(t.series) >= 3 for t in result.tracks) >= 2
-    assert vitals_csv(result) == _vitals_lines(result)
+    assert_same_text(vitals_csv(result), _vitals_lines(result))
 
 
 def test_no_accumulate_first_segment_identical(walabot):
@@ -589,7 +591,8 @@ def test_cli_rerun_byte_identical(tmp_path):
     assert (tmp_path / "a.rvc").read_bytes() == (tmp_path / "b.rvc").read_bytes()
     main(["detect", "--in", str(tmp_path / "a.rvc"), "--out", str(tmp_path / "a.csv")])
     main(["detect", "--in", str(tmp_path / "b.rvc"), "--out", str(tmp_path / "b.csv")])
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert_same_text((tmp_path / "a.csv").read_bytes().decode(),
+                     (tmp_path / "b.csv").read_bytes().decode())
 
 
 def test_cli_convert_roundtrip(tmp_path):
@@ -829,7 +832,8 @@ def test_cli_dump_spectrum_of_one_segment(cli_tables, tmp_path):
     raw = cube.samples[config.l_st : 2 * config.l_st + config.w_st - 1]
     snaps = sma_rows(raw, config.w_st, snapshot_indices(config.l_st, config.n_cov))
     cov = rv.smoothed_covariance(snaps, config.music_spec(), len(snaps))
-    assert text == spectrum_csv(rv.music_spectrum(cov, config.p_sub, config.grid, cube.config))
+    assert_same_text(text, spectrum_csv(rv.music_spectrum(cov, config.p_sub, config.grid,
+                                                          cube.config)))
     assert text != tables["spectrum"].read_text(encoding="utf-8")  # the accumulated one
     assert main(["dump-spectrum", "--in", str(rec), "--out", str(out), "--segment", "99"]) == 2
 
@@ -852,15 +856,103 @@ def test_detect_and_dump_spectrum_form_no_vitals(cli_tables, tmp_path, monkeypat
                  "--order-diagnostics", str(out["order"])]) == 0
     assert main(["dump-spectrum", "--in", str(rec), "--out", str(out["spectrum"])]) == 0
     assert main(segment) == 0
-    assert {name: path.read_bytes() for name, path in out.items()} == expected
+    for name, path in out.items():
+        assert_same_text(path.read_bytes().decode(), expected[name].decode())
     with pytest.raises(RuntimeError, match="vitals work"):
         main(["vitals", "--in", str(rec), "--out", str(tmp_path / "vitals.csv")])
+
+
+def test_cli_tables_equal_their_csv_strings(tmp_path, walabot):
+    # each table the CLI streams into its file has the bytes of its *_csv string
+    path = tmp_path / "rec.rvc"
+    cube = rv.simulate(_two_person_scene(700), walabot)
+    rv.write_container(cube, path)
+    out = {name: tmp_path / f"{name}.csv" for name in
+           ("detections", "order", "vitals", "breathing", "periodogram", "spectrum", "segment1")}
+    for argv in (
+        ["detect", "--in", path, "--out", out["detections"], "--order-diagnostics", out["order"]],
+        ["vitals", "--in", path, "--out", out["vitals"], "--breathing-out", out["breathing"],
+         "--periodogram-out", out["periodogram"]],
+        ["dump-spectrum", "--in", path, "--out", out["spectrum"]],
+        ["dump-spectrum", "--in", path, "--out", out["segment1"], "--segment", "1"],
+    ):
+        assert main([str(arg) for arg in argv]) == 0
+    config = rv.PipelineConfig()
+    result = run_pipeline(cube, config)
+    assert len(result.segments) == 3 and sum(len(t.series) >= 2 for t in result.tracks) >= 2
+    rows = slice(config.l_st, 2 * config.l_st + config.w_st - 1)
+    segment1 = rv.MeasurementCube(cube.samples[rows], cube.slow_time[rows], cube.config)
+    expected = {
+        "detections": detections_csv(result),
+        "order": order_diagnostics_csv(result),
+        "vitals": vitals_csv(result),
+        "breathing": breathing_csv(result),
+        "periodogram": periodogram_csv(result),
+        "spectrum": spectrum_csv(result.accumulated),
+        "segment1": spectrum_csv(run_pipeline(segment1, config, vitals=False).accumulated),
+    }
+    for name, text in expected.items():
+        assert_same_text(out[name].read_bytes().decode(), text)
+
+
+def test_vitals_streams_its_displacement_table(tmp_path, walabot):
+    # the displacement table is written one series at a time: writing it
+    # adds less than a quarter of its length to the run's traced peak,
+    # where the line list, the joined text and its encoding took 0.7 of
+    # it. 60 frequency steps and five persons with 4 mm of chest motion
+    # give a long table next to the run's working set.
+    cfg = dataclasses.replace(walabot, k=60, b=walabot.b * 60 / walabot.k)
+    persons = [breather(d, th, f_b=f) for (d, th), f in
+               zip([(1.5, -20.0), (2.5, 25.0), (2.0, 0.0), (3.0, -40.0), (1.2, 45.0)],
+                   [0.3, 0.25, 0.2, 0.35, 0.4])]
+    path = tmp_path / "rec.rvc"
+    rv.write_container(rv.simulate(scene_of(persons, l=4500, noise_std=0.1, seed=3), cfg), path)
+    out = tmp_path / "vitals.csv"
+    argv = ["vitals", "--in", str(path), "--out", str(out)]
+    assert main(argv) == 0  # caches the scan's phase tables
+    peaks = []
+    for run in (lambda: run_pipeline(path), lambda: main(argv)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    table = out.stat().st_size
+    assert table > 1 << 20
+    assert peaks[1] - peaks[0] < table / 4
+
+
+def test_evaluate_scores_a_last_segment_that_found_nobody(tmp_path, walabot):
+    # the detections table keeps a row for a segment without detections, so
+    # evaluate scores the last segment as evaluate_result does, not the
+    # last segment that found someone
+    scene = scene_of([breather(2.0, 0.0)], l=4)
+    truth = tmp_path / "truth.rvc"
+    rv.write_container(rv.simulate(scene, walabot), truth)
+    det = rv.Detection(rv.PolarLocation(2.0, 0.0), 1.0)
+    order = rv.OrderDiagnostics(np.ones(2), np.ones(1), [0], 1, 1)
+    segments = [
+        rv.pipeline.SegmentOutcome(order, rv.DetectionSet([det], 0, 1), [0], np.zeros(1)),
+        rv.pipeline.SegmentOutcome(dataclasses.replace(order, p_hat=0), rv.DetectionSet([], 1, 0),
+                                   [], np.zeros(1)),
+    ]
+    result = rv.PipelineResult(rv.PipelineConfig(), segments, [rv.Track(0, [(0, det)])], None)
+    text = detections_csv(result)
+    (tmp_path / "det.csv").write_text(text, encoding="utf-8")
+    report = tmp_path / "report.csv"
+    assert main(["evaluate", "--in", str(tmp_path / "det.csv"), "--truth", str(truth),
+                 "--out", str(report)]) == 0
+    expected = rv.evaluate_result(result, scene)
+    assert expected.p_hat == 0
+    assert report.read_text(encoding="utf-8") == report_csv(expected)
+    assert text.splitlines()[2] == "1,0,,,,,,"
 
 
 def test_a_run_without_vitals_keeps_the_tracks_but_no_series(walabot):
     cube = rv.simulate(_two_person_scene(700), walabot)
     full, bare = run_pipeline(cube), run_pipeline(cube, vitals=False)
-    assert detections_csv(bare) == detections_csv(full)
+    assert_same_text(detections_csv(bare), detections_csv(full))
     assert [t.records for t in bare.tracks] == [t.records for t in full.tracks]
     assert all(t.series for t in full.tracks)
     assert not any(t.series or t.breathing_estimate is not None for t in bare.tracks)
@@ -906,7 +998,8 @@ def test_cli_dump_spectrum_of_a_segment_matches_the_whole_recording_read(long_co
         assert main(argv) == 0
         rows = slice(segment * config.l_st, (segment + 1) * config.l_st + config.w_st - 1)
         own = rv.MeasurementCube(cube.samples[rows], cube.slow_time[rows], cube.config)
-        assert out.read_bytes() == spectrum_csv(run_pipeline(own, config).accumulated).encode()
+        assert_same_text(out.read_bytes().decode(),
+                         spectrum_csv(run_pipeline(own, config).accumulated))
     for segment in ("19", "-1"):
         argv[-1] = segment
         assert main(argv) == 2
@@ -974,8 +1067,8 @@ def test_streamed_run_equals_in_memory_run(tmp_path, walabot, l, accumulate):
     assert len(streamed.segments) == (l - config.w_st + 1) // config.l_st
     assert streamed.tracks
     for table in _TABLES:
-        assert table(streamed) == table(in_memory), table.__name__
-    assert spectrum_csv(streamed.accumulated) == spectrum_csv(in_memory.accumulated)
+        assert_same_text(table(streamed), table(in_memory))
+    assert_same_text(spectrum_csv(streamed.accumulated), spectrum_csv(in_memory.accumulated))
 
 
 @pytest.mark.parametrize("row", [410, 690], ids=["overlap", "tail"])
@@ -1171,7 +1264,8 @@ _DETECTIONS_HEAD = "segment,p_hat,track,d_m,theta_rad,x_m,y_m,value\n"
     (_DETECTIONS_HEAD + "0,1,0,1.5,0.0,0.0,1.5,9.0\n", "track,d_m,theta_rad\n0,1.5,0.0\n",
      "f_hat_hz"),
     (_DETECTIONS_HEAD + "0,1,0,x,0.0,0.0,1.5,9.0\n", None, "d_m"),
-], ids=["two-columns", "no-f_hat_hz", "bad-d_m"])
+    (_DETECTIONS_HEAD + "0,1,0,1.5,0.0,0.0,1.5,9.0\n1,0,,,,,,9.0\n", None, "track"),
+], ids=["two-columns", "no-f_hat_hz", "bad-d_m", "some-detection-cells-empty"])
 def test_cli_evaluate_bad_csv_is_data_error(tmp_path, capsys, detections, breathing, column):
     container = tmp_path / "rec.rvc"
     rv.write_container(rv.simulate(scene_of([breather(1.5, 0.0)], l=4), rv.walabot_config(10.0)),
