@@ -23,7 +23,9 @@ class ConfigError(ValueError):
 # Working set of one block of the streamed kernels (the slow-time filter, the
 # MUSIC scan and its near-null recompute, and simulate's row blocks): it stays
 # in cache, and buffers this small are reused from the heap instead of being
-# mapped and page-faulted afresh for every block.
+# mapped and page-faulted afresh for every block. The filter's block is four
+# arrays of B rows (input rows, their running sums, the sums w_st rows back
+# and output rows), so B = block_len(4 × row bytes): 14 walabot rows.
 _BLOCK_BYTES = 1 << 20
 
 

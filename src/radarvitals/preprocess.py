@@ -23,10 +23,12 @@ class SegmentedCube:
 
 # Row width (elements per input row) from which the all-rows path of
 # sma_rows forms its running sums by adding one input row at a time rather
-# than by np.cumsum, whose accumulate loop runs once per column. Medians on
-# 263 complex128 rows, one thread: width 128 cumsum 0.14 ms against the row
-# loop 0.39 ms; 320, 0.39 against 0.50; 384, 0.50 against 0.45; 512, 0.84
-# against 0.66; 1096 (a walabot row), 1.59 against 0.96.
+# than by np.cumsum, whose accumulate loop runs once per column. Medians per
+# ring block of B complex128 rows, carried sum included, one thread: width
+# 128 (B = 128) cumsum 86-87 us against the row loop 162-185 us; 320 (51),
+# 74-94 against 57-101; 352 (46), 83-89 against 70-85; 384 (42), 95-101
+# against 79-82; 512 (32), 106-120 against 69-79; 1096 (14, a walabot
+# row), 92-103 against 46-51.
 _ROW_LOOP_WIDTH = 384
 
 
@@ -58,10 +60,16 @@ def sma_rows(x: np.ndarray, w_st: int, rows: np.ndarray | None = None) -> np.nda
     array, as long as ``x`` is finite (see ``_divide``); ``run_pipeline``
     and ``read_container`` reject non-finite samples before filtering.
 
-    All rows: the running sum is carried through blocks of at least ``w_st``
-    input rows; a block's first row gets the previous block's last sum added
-    before its sums are formed, so every element sees exactly the additions
-    of one cumsum, and nothing but the output is the size of the input.
+    All rows: the input goes through in blocks of B = min(block_len(4 × row
+    bytes), len(x)) rows, and the running sums through one ring of
+    ``w_st`` + B rows, csum[n] in slot (n + 1) % (w_st + B), so that a
+    block's input rows, their sums, the sums ``w_st`` rows back and its
+    output rows fit ``core._BLOCK_BYTES`` together. A block's sums, and the
+    sums csum[r] and csum[j - 1] that its output rows read, are slices of
+    the ring; one that crosses the ring's end splits into two runs. Each
+    run of sums starts from the sum before it, the first one from x[0]
+    itself, so every element sees exactly the additions of one cumsum, and
+    nothing but the output is the size of the input.
     Rows of ``_ROW_LOOP_WIDTH`` elements or more are summed by ``_add_rows``
     one input row at a time, narrower ones by np.cumsum: the same additions
     in the same order.
@@ -83,36 +91,43 @@ def sma_rows(x: np.ndarray, w_st: int, rows: np.ndarray | None = None) -> np.nda
     if out.size == 0:
         return out
     by_row = math.prod(tail) >= _ROW_LOOP_WIDTH
-    block = block_len(no_rows.itemsize * math.prod(tail), w_st)
-    # buffer row 0 holds csum[a - 1], rows 1..n hold csum[a .. a + n - 1]
-    bufs = np.empty((2, block + 1, *tail), no_rows.dtype)
-    for step, a in enumerate(range(0, l, block)):
+    block = min(block_len(4 * no_rows.itemsize * math.prod(tail)), l)
+    # csum[n] sits in slot (n + 1) % size, so csum[-1] = +0 starts in slot 0;
+    # row size - 1 overwrites it only after output row 0's block
+    size = w_st + block
+    ring = np.empty((size, *tail), no_rows.dtype)
+    ring[0] = 0
+    for a in range(0, l, block):
         b = min(a + block, l)
-        cur, prev = bufs[step % 2], bufs[(step - 1) % 2]
-        cur[0] = prev[block] if a else 0
-        # the first block's sums start from x[0] itself: +0 + x[0] would
-        # turn a -0 into +0
-        s = int(a == 0)
-        if by_row:
-            if s:
-                cur[1] = x[0]
-            _add_rows(cur[s], x[a + s : b], cur[s + 1 : b - a + 1])
-        else:
-            cur[1 : b - a + 1] = x[a:b]
-            np.cumsum(cur[s : b - a + 1], axis=0, out=cur[s : b - a + 1])
-        # output rows j whose last input row r lies in [a, b); csum[j - 1]
-        # sits in prev for j < a and in cur from j = a on
-        for j0, j1, src, src_first in (
-            (max(a - w_st + 1, 0), min(a, b - w_st + 1), prev, a - block - 1),
-            (a, b - w_st + 1, cur, a - 1),
-        ):
-            if j0 >= j1:
-                continue
-            r0, s0, n = j0 + w_st - 1, j0 - 1 - src_first, j1 - j0
+        n0 = a
+        while n0 < b:  # the block's sums, in at most two runs of slots
+            p = (n0 + 1) % size
+            n1 = min(b, n0 + size - p)
+            sums = ring[p : p + n1 - n0]
+            # csum[0] is x[0] itself: +0 + x[0] would turn a -0 into +0;
+            # a later run starts from csum[n0 - 1] in slot p - 1
+            s = int(n0 == 0)
+            if by_row:
+                if s:
+                    sums[0] = x[0]
+                _add_rows(sums[0] if s else ring[p - 1], x[n0 + s : n1], sums[s:])
+            else:
+                sums[...] = x[n0:n1]
+                if not s:
+                    np.add(ring[p - 1], sums[:1], out=sums[:1])
+                np.cumsum(sums, axis=0, out=sums)
+            n0 = n1
+        # output rows j whose last input row r = j + w_st - 1 lies in [a, b),
+        # in runs over which the slots of csum[r] and of csum[j - 1] are slices
+        j0, j_stop = max(a - w_st + 1, 0), b - w_st + 1
+        while j0 < j_stop:
+            r0, rs, ps = j0 + w_st - 1, (j0 + w_st) % size, j0 % size
+            j1 = min(j_stop, j0 + size - rs, j0 + size - ps)
             o = out[j0:j1]
-            np.subtract(cur[r0 - a + 1 : r0 - a + 1 + n], src[s0 : s0 + n], out=o)
+            np.subtract(ring[rs : rs + j1 - j0], ring[ps : ps + j1 - j0], out=o)
             _divide(o, w_st, int(j0 == 0))
-            np.subtract(x[r0 : r0 + n], o, out=o)
+            np.subtract(x[r0 : r0 + j1 - j0], o, out=o)
+            j0 = j1
     return out
 
 

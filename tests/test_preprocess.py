@@ -147,27 +147,33 @@ def _cumsum_filter(x, w):
     w_frac=st.floats(0.0, 1.0),
     k=st.integers(2, 4),
     m=st.integers(1, 3),
-    budget=st.sampled_from([1, 100, 1000, 1 << 20]),
+    block=st.integers(1, 41),
     seed=st.integers(0, 2**32 - 1),
     wide=st.booleans(),
 )
-@example(l=40, w_frac=0.0, k=3, m=2, budget=1, seed=0, wide=False)
-@example(l=40, w_frac=1.0, k=3, m=2, budget=1, seed=0, wide=False)
+@example(l=40, w_frac=0.0, k=3, m=2, block=1, seed=0, wide=False)
+@example(l=40, w_frac=1.0, k=3, m=2, block=1, seed=0, wide=False)
+# blocks of 1 < B < w_st rows with w_st no multiple of B, so that the ring
+# of w_st + B sums wraps inside a block's sums and inside its output rows:
+# w_st = 7 with B = 3, w_st = 13 with B = 5
+@example(l=40, w_frac=0.16, k=3, m=2, block=3, seed=4, wide=False)
+@example(l=40, w_frac=0.31, k=2, m=3, block=5, seed=5, wide=False)
 # rows of at least _ROW_LOOP_WIDTH elements, summed one input row at a time:
-# w_st = 7 and 40 with blocks of exactly w_st rows, and w_st = 1
-@example(l=40, w_frac=0.16, k=3, m=2, budget=1, seed=0, wide=True)
-@example(l=40, w_frac=1.0, k=2, m=3, budget=1, seed=1, wide=True)
-@example(l=40, w_frac=0.0, k=4, m=1, budget=1 << 20, seed=2, wide=True)
-@example(l=23, w_frac=0.5, k=2, m=2, budget=1000, seed=3, wide=True)
-def test_sma_filter_is_bit_equal_to_one_cumsum(l, w_frac, k, m, budget, seed, wide):
-    # the running sum carried through blocks of w_st or more rows does the
-    # additions of one cumsum over the whole array, so the output is
-    # bit-equal to it (signed zeros included) however the rows are blocked
-    # and whichever way each block is summed; a 1-byte budget gives blocks
-    # of exactly w_st rows. The last column stays (-0, -0), and so do its
-    # running sums: only those started from x[0] (or -0) keep it, and its
-    # window sum at output row 0 must be divided by w_st (giving (-0, +0)),
-    # not multiplied by 1/w_st
+# the same ring cases, w_st = 40 with one-row blocks, w_st = 1 in one block
+@example(l=40, w_frac=0.16, k=3, m=2, block=3, seed=0, wide=True)
+@example(l=40, w_frac=0.31, k=2, m=3, block=5, seed=6, wide=True)
+@example(l=40, w_frac=1.0, k=2, m=3, block=1, seed=1, wide=True)
+@example(l=40, w_frac=0.0, k=4, m=1, block=41, seed=2, wide=True)
+@example(l=23, w_frac=0.5, k=2, m=2, block=7, seed=3, wide=True)
+def test_sma_filter_is_bit_equal_to_one_cumsum(l, w_frac, k, m, block, seed, wide):
+    # the running sums kept in a ring of w_st + B rows, B = min(block, l)
+    # rows per block, do the additions of one cumsum over the whole array,
+    # so the output is bit-equal to it (signed zeros included) however the
+    # rows are blocked, wherever a block's sums or outputs cross the ring's
+    # end, and whichever way each block is summed. The last column stays
+    # (-0, -0), and so do its running sums: only those started from x[0]
+    # (or -0) keep it, and its window sum at output row 0 must be divided
+    # by w_st (giving (-0, +0)), not multiplied by 1/w_st
     if wide:
         k += -(-preprocess._ROW_LOOP_WIDTH // m)
     w = 1 + int(w_frac * (l - 1))
@@ -180,7 +186,10 @@ def test_sma_filter_is_bit_equal_to_one_cumsum(l, w_frac, k, m, budget, seed, wi
     expected = _cumsum_filter(x, w)
     rows = np.flatnonzero(rng.random(l - w + 1) < 0.3)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_BLOCK_BYTES", budget)
+        # blocks of `block` rows: the filter's budget covers four arrays of
+        # a block's rows (input, new sums, the sums w_st rows back, output)
+        mp.setattr(core, "_BLOCK_BYTES", block * 4 * x[0].nbytes)
+        assert core.block_len(4 * x[0].nbytes) == block
         got = rv.sma_filter(_cube_from(x, small_config(k=k, n=2 * k, m_r=m, m_t=1)), w)
         picked = sma_rows(x, w, rows)
         flat = sma_rows(x.reshape(l, -1), w, rows)
@@ -239,7 +248,7 @@ def test_sma_rows_at_the_covariance_snapshots_is_bit_equal():
 
 
 def test_sma_filter_working_set_stays_near_its_output(walabot):
-    """The blocked filter allocates its output and two block buffers only.
+    """The blocked filter allocates its output and one ring of block sums only.
 
     The one-pass cumsum formula made four recording-sized complex
     temporaries (4.0x its output). Large frees like those also kept
@@ -258,3 +267,25 @@ def test_sma_filter_working_set_stays_near_its_output(walabot):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * out.samples.nbytes
+
+
+def test_sma_filter_scratch_is_one_ring_of_sums(walabot):
+    # besides its output, sma_filter holds one ring of w_st + B running-sum
+    # rows, B the rows of a block whose four row arrays (input, new sums,
+    # the sums w_st rows back, output) fit core._BLOCK_BYTES: 14 walabot
+    # rows. Two rows of slack cover the small objects around it. Two
+    # buffers of w_st + 1 rows each would exceed it
+    cfg = walabot
+    rng = np.random.default_rng(4)
+    shape = (2000, cfg.k, cfg.m_r * cfg.m_t)
+    cube = rv.MeasurementCube(rng.standard_normal(shape) + 0j, np.arange(2000) / 10.0, cfg)
+    row = cube.samples[0].nbytes
+    block = core.block_len(4 * row)
+    tracemalloc.start()
+    try:
+        out = rv.sma_filter(cube, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block == 14
+    assert peak - out.samples.nbytes < (64 + block + 2) * row
