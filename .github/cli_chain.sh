@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The README's minimal scenario through the installed `radarvitals` script,
 # one fresh process per command, with every table it writes checked against
-# the in-process table strings, then two bad recordings that `detect` must
-# reject with exit code 3 and a data error, without a traceback. Run it from
-# the repository root with `bash -e .github/cli_chain.sh`; any unexpected
-# exit code fails it.
+# the in-process table strings, and the five tables of one `detect` call
+# compared with those of `detect` + `vitals`. Then two bad recordings that
+# `detect` must reject with exit code 3 and a data error, without a
+# traceback. Run it from the repository root with
+# `bash -e .github/cli_chain.sh`; any unexpected exit code fails it.
 set -euo pipefail
 
 dir=$(mktemp -d)
@@ -20,6 +21,9 @@ radarvitals simulate --scenario "$dir/scene.kv" --out "$dir/rec.rvc"
 radarvitals detect --in "$dir/rec.rvc" --out "$dir/det.csv" --order-diagnostics "$dir/order.csv"
 radarvitals vitals --in "$dir/rec.rvc" --out "$dir/eta.csv" --breathing-out "$dir/breath.csv" \
   --periodogram-out "$dir/pgram.csv"
+radarvitals detect --in "$dir/rec.rvc" --out "$dir/one_det.csv" --order-diagnostics "$dir/one_order.csv" \
+  --vitals-out "$dir/one_eta.csv" --breathing-out "$dir/one_breath.csv" --periodogram-out "$dir/one_pgram.csv"
+for name in det order eta breath pgram; do cmp "$dir/$name.csv" "$dir/one_$name.csv"; done
 radarvitals evaluate --in "$dir/det.csv" --truth "$dir/rec.rvc" --breathing "$dir/breath.csv" --out "$dir/report.csv"
 radarvitals dump-spectrum --in "$dir/rec.rvc" --out "$dir/spectrum.csv"
 radarvitals dump-spectrum --in "$dir/rec.rvc" --out "$dir/segment1.csv" --segment 1

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands cover the whole chain: ``simulate`` a scene into a container,
-``convert`` raw recordings, ``detect`` persons, extract ``vitals``,
+``convert`` raw recordings, ``detect`` persons and extract ``vitals`` (one
+``run_pipeline`` call that writes each table of ``_TABLES`` named on the
+command line; the two differ only in the table that ``--out`` names),
 ``evaluate`` against ground truth and ``dump-spectrum`` for plotting.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
@@ -11,7 +13,18 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+# each table a run writes by ``pipeline.write_<table>``: flag, needs vitals, help
+_TABLES = {
+    "detections": ("--detections-out", False, "detections CSV path"),
+    "order_diagnostics": ("--order-diagnostics", False, "eigenvalue/criterion CSV path"),
+    "vitals": ("--vitals-out", True, "displacement CSV path"),
+    "breathing": ("--breathing-out", True, "per-track breathing CSV path"),
+    "periodogram": ("--periodogram-out", True, "per-track averaged periodogram CSV path"),
+}
+_OUT = {"detect": "detections", "vitals": "vitals"}  # the table each run's --out names
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,20 +44,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", required=True, help="raw recording directory")
     p.add_argument("--out", required=True, help="output container path")
 
-    p = sub.add_parser("detect", help="run detection/localization on a container")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True, help="detections CSV path")
-    p.add_argument("--config", help="pipeline config key/value file")
-    p.add_argument("--no-accumulate", action="store_true",
-                   help="score each segment on its own spectrum")
-    p.add_argument("--order-diagnostics", help="eigenvalue/criterion CSV path")
-
-    p = sub.add_parser("vitals", help="extract displacement series and breathing rates")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True, help="displacement CSV path")
-    p.add_argument("--breathing-out", help="per-track breathing CSV path")
-    p.add_argument("--periodogram-out", help="per-track averaged periodogram CSV path")
-    p.add_argument("--config", help="pipeline config key/value file")
+    for command, help in (("detect", "run detection/localization on a container"),
+                          ("vitals", "extract displacement series and breathing rates")):
+        p = sub.add_parser(command, help=help)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--config", help="pipeline config key/value file")
+        p.add_argument("--no-accumulate", action="store_true", help="score each segment on "
+                       "its own spectrum; applies to every table of the call")
+        for table, (flag, _, path_help) in _TABLES.items():
+            mine = table == _OUT[command]
+            p.add_argument("--out" if mine else flag, dest=table, required=mine, help=path_help)
 
     p = sub.add_parser("evaluate", help="score detections against container ground truth")
     p.add_argument("--in", dest="infile", required=True, help="detections CSV from 'detect'")
@@ -86,10 +95,8 @@ def _cmd_simulate(args) -> int:
 
     check_container_target(args.out, "--out")
     scene, extras = scene_from_entries(read_kv(args.scenario))
-    if args.config:
-        cfg = radar_config_from_entries(read_kv(args.config), strict=True)
-    else:
-        cfg = walabot_config(f_st=scene.f_st)
+    cfg = (radar_config_from_entries(read_kv(args.config), strict=True) if args.config
+           else walabot_config(f_st=scene.f_st))
     # every check passes before --out is opened; no cube is formed
     slow_time, blocks, imag_noise = synthesize_rows(scene, cfg)
     meta = {key.removeprefix("meta."): value for key, value in extras.items()}
@@ -111,42 +118,34 @@ def _cmd_convert(args) -> int:
 
     check_container_target(args.out, "--out")
     raw, cfg = read_raw_dir(args.raw)
-    cube = convert_recording(raw, cfg)
-    write_container(cube, args.out)
+    write_container(convert_recording(raw, cfg), args.out)
     print(f"converted {raw.profiles.shape[0]} sweeps to {args.out}")
     return 0
 
 
-def _cmd_detect(args) -> int:
-    from .pipeline import run_pipeline, write_detections, write_order_diagnostics
+def _cmd_run(args) -> int:
+    """One run, then each table asked for; a directory, --in or one path twice is refused first."""
+    from . import pipeline
 
+    tables = {table: path for table in _TABLES if (path := getattr(args, table)) is not None}
+    seen = {os.path.realpath(args.infile): "--in"}
+    for table, path in tables.items():
+        flag = "--out" if table == _OUT[args.command] else _TABLES[table][0]
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} names a directory: {path}")
+        if (other := seen.setdefault(os.path.realpath(path), flag)) != flag:
+            raise ValueError(f"{other} and {flag} name one path: {path}")
     config = _load_pipeline_config(args.config, accumulate=not args.no_accumulate)
-    result = run_pipeline(args.infile, config, vitals=False)
-    _write(args.out, write_detections, result)
-    if args.order_diagnostics:
-        _write(args.order_diagnostics, write_order_diagnostics, result)
+    result = pipeline.run_pipeline(args.infile, config, vitals=any(_TABLES[t][1] for t in tables))
+    for table, path in tables.items():
+        _write(path, getattr(pipeline, f"write_{table}"), result)
     found = len(result.final_detections.detections)
     print(f"{len(result.segments)} segments, final detection count {found}")
-    return 0
-
-
-def _cmd_vitals(args) -> int:
-    from .pipeline import run_pipeline, write_breathing, write_periodogram, write_vitals
-
-    config = _load_pipeline_config(args.config)
-    result = run_pipeline(args.infile, config)
-    _write(args.out, write_vitals, result)
-    if args.breathing_out:
-        _write(args.breathing_out, write_breathing, result)
-    if args.periodogram_out:
-        _write(args.periodogram_out, write_periodogram, result)
     for track in result.tracks:
         if track.breathing_estimate is not None:
             loc = track.last_location
-            print(
-                f"track {track.label}: d={loc.d:.3f} m theta={loc.theta:.3f} rad "
-                f"breathing {track.breathing_estimate:.4f} Hz"
-            )
+            print(f"track {track.label}: d={loc.d:.3f} m theta={loc.theta:.3f} rad "
+                  f"breathing {track.breathing_estimate:.4f} Hz")
     return 0
 
 
@@ -206,8 +205,8 @@ def _cmd_dump_spectrum(args) -> int:
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "convert": _cmd_convert,
-    "detect": _cmd_detect,
-    "vitals": _cmd_vitals,
+    "detect": _cmd_run,
+    "vitals": _cmd_run,
     "evaluate": _cmd_evaluate,
     "dump-spectrum": _cmd_dump_spectrum,
 }

@@ -863,20 +863,28 @@ def test_detect_and_dump_spectrum_form_no_vitals(cli_tables, tmp_path, monkeypat
 
 
 def test_cli_tables_equal_their_csv_strings(tmp_path, walabot):
-    # each table the CLI streams into its file has the bytes of its *_csv string
+    # each table the CLI streams into its file has the bytes of its *_csv
+    # string, and one detect call writes the five tables of detect + vitals
     path = tmp_path / "rec.rvc"
     cube = rv.simulate(_two_person_scene(700), walabot)
     rv.write_container(cube, path)
     out = {name: tmp_path / f"{name}.csv" for name in
            ("detections", "order", "vitals", "breathing", "periodogram", "spectrum", "segment1")}
+    one = {name: tmp_path / f"one_{name}.csv" for name in
+           ("detections", "order", "vitals", "breathing", "periodogram")}
     for argv in (
         ["detect", "--in", path, "--out", out["detections"], "--order-diagnostics", out["order"]],
         ["vitals", "--in", path, "--out", out["vitals"], "--breathing-out", out["breathing"],
          "--periodogram-out", out["periodogram"]],
         ["dump-spectrum", "--in", path, "--out", out["spectrum"]],
         ["dump-spectrum", "--in", path, "--out", out["segment1"], "--segment", "1"],
+        ["detect", "--in", path, "--out", one["detections"], "--order-diagnostics", one["order"],
+         "--vitals-out", one["vitals"], "--breathing-out", one["breathing"],
+         "--periodogram-out", one["periodogram"]],
     ):
         assert main([str(arg) for arg in argv]) == 0
+    for name, file in one.items():
+        assert file.read_bytes() == out[name].read_bytes(), name
     config = rv.PipelineConfig()
     result = run_pipeline(cube, config)
     assert len(result.segments) == 3 and sum(len(t.series) >= 2 for t in result.tracks) >= 2
@@ -893,6 +901,66 @@ def test_cli_tables_equal_their_csv_strings(tmp_path, walabot):
     }
     for name, text in expected.items():
         assert_same_text(out[name].read_bytes().decode(), text)
+
+
+@pytest.mark.parametrize("flag", ["--vitals-out", "--breathing-out", "--periodogram-out"])
+def test_detect_with_a_vitals_side_table_forms_vitals(cli_tables, tmp_path, monkeypatch, flag):
+    rec, _ = cli_tables
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("vitals work")
+
+    monkeypatch.setattr(rv.pipeline, "build_filter", refuse)
+    with pytest.raises(RuntimeError, match="vitals work"):
+        main(["detect", "--in", str(rec), "--out", str(tmp_path / "d.csv"),
+              flag, str(tmp_path / "v.csv")])
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_detect_no_accumulate_covers_every_table(tmp_path, walabot):
+    # the breathing rows are those of the same non-accumulating run as the
+    # detections, whose labels a separate accumulating vitals run would not give
+    path = tmp_path / "rec.rvc"
+    rv.write_container(rv.simulate(_two_person_scene(700), walabot), path)
+    det, breath = tmp_path / "det.csv", tmp_path / "breath.csv"
+    assert main(["detect", "--in", str(path), "--out", str(det), "--no-accumulate",
+                 "--breathing-out", str(breath)]) == 0
+    result = run_pipeline(path, rv.PipelineConfig(accumulate=False))
+    assert_same_text(det.read_bytes().decode(), detections_csv(result))
+    assert_same_text(breath.read_bytes().decode(), breathing_csv(result))
+    assert breathing_csv(result) != breathing_csv(run_pipeline(path))
+
+
+def _refuse_runs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_pipeline ran")
+
+    monkeypatch.setattr(rv.pipeline, "run_pipeline", refuse)
+
+
+def test_cli_rejects_two_tables_on_one_path(cli_tables, tmp_path, capsys, monkeypatch):
+    rec, _ = cli_tables
+    _refuse_runs(monkeypatch)
+    out = tmp_path / "x.csv"
+    assert main(["vitals", "--in", str(rec), "--out", str(out),
+                 "--breathing-out", str(tmp_path / "." / "x.csv")]) == 2
+    assert "--out and --breathing-out name one path" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["detect", "--in", str(rec), "--out", str(tmp_path / "d.csv"),
+                 "--order-diagnostics", str(out), "--periodogram-out", str(out)]) == 2
+    assert "--order-diagnostics and --periodogram-out" in capsys.readouterr().err
+    assert main(["detect", "--in", str(rec), "--out", str(rec)]) == 2
+    assert "--in and --out name one path" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_table_path_that_is_a_directory(cli_tables, tmp_path, capsys, monkeypatch):
+    rec, _ = cli_tables
+    _refuse_runs(monkeypatch)
+    out = tmp_path / "eta.csv"
+    assert main(["vitals", "--in", str(rec), "--out", str(out),
+                 "--breathing-out", str(tmp_path)]) == 2
+    assert "--breathing-out names a directory" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_vitals_streams_its_displacement_table(tmp_path, walabot):
