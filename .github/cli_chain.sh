@@ -4,7 +4,9 @@
 # the in-process table strings, and the five tables of one `detect` call
 # compared with those of `detect` + `vitals`. Then two bad recordings that
 # `detect` must reject with exit code 3 and a data error, without a
-# traceback. Run it from the repository root with
+# traceback. Last, a raw recording directory through `convert` and `detect`,
+# and a raw.kv with an unknown key, which `convert` must reject with exit
+# code 2. Run it from the repository root with
 # `bash -e .github/cli_chain.sh`; any unexpected exit code fails it.
 set -euo pipefail
 
@@ -83,3 +85,39 @@ expect_data_error() {
 }
 expect_data_error nan "data error: .* is (nan"
 expect_data_error big "data error: .* are finite, but"
+
+# a raw recording directory one segment long, of the sensor's array with
+# 256-point range profiles instead of its 8192, which would take 280 MB
+python - "$dir/raw" <<'EOF'
+import sys
+sys.path.insert(0, "tests")
+import radarvitals as rv
+from helpers import breather, raw_recording_of, scene_of
+cfg = rv.RadarConfig(f0=6.3e9, k=137, b=1.7e9, n=256, delta=0.02, m_r=4, m_t=2, f_st=10.0)
+cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=300, noise_std=0.1, seed=1), cfg)
+rv.write_raw_dir(sys.argv[1], raw_recording_of(cube), cfg)
+EOF
+radarvitals convert --raw "$dir/raw" --out "$dir/conv.rvc"
+radarvitals detect --in "$dir/conv.rvc" --out "$dir/conv_det.csv"
+
+# the file holds the detections of the directory converted in this process
+python - "$dir" <<'EOF'
+import sys
+import radarvitals as rv
+from radarvitals import pipeline
+d = sys.argv[1]
+result = rv.run_pipeline(rv.convert_recording(*rv.read_raw_dir(f"{d}/raw")), vitals=False)
+if not result.final_detections.detections:
+    sys.exit("the converted recording gives no detection")
+if open(f"{d}/conv_det.csv", "rb").read() != pipeline.detections_csv(result).encode("utf-8"):
+    sys.exit("conv_det.csv differs from the detections of the directory converted in process")
+EOF
+
+# convert exits 2 naming a raw.kv key it does not know, without a traceback
+echo "bogus 1" >> "$dir/raw/raw.kv"
+code=0
+radarvitals convert --raw "$dir/raw" --out "$dir/bogus.rvc" 2> "$dir/bogus.err" || code=$?
+cat "$dir/bogus.err"
+test "$code" -eq 2
+grep -q "unknown raw.kv key 'bogus'" "$dir/bogus.err"
+if grep -q Traceback "$dir/bogus.err"; then exit 1; fi

@@ -106,9 +106,7 @@ def _cmd_simulate(args) -> int:
         # the container holds the first pass; each block's imaginary noise
         # is added to its rows read back
         for rows, noise in imag_noise:
-            block = writer.reread(rows)
-            block.imag += noise
-            writer.rewrite(rows.start, block)
+            writer.add_imag(rows.start, noise)
     print(f"wrote {scene.l} x {cfg.k} x {cfg.m_r * cfg.m_t} cube to {args.out}")
     return 0
 

@@ -29,9 +29,9 @@ class ConfigError(ValueError):
 _BLOCK_BYTES = 1 << 20
 
 
-def block_len(item_bytes: int, minimum: int = 1) -> int:
-    """How many items of ``item_bytes`` bytes fit one block, at least ``minimum``."""
-    return max(minimum, _BLOCK_BYTES // max(1, item_bytes))
+def block_len(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` bytes fit one block, at least one."""
+    return max(1, _BLOCK_BYTES // max(1, item_bytes))
 
 
 # Key/value codec of radar configs, pipeline configs and scenes: keys, types
@@ -146,6 +146,16 @@ class RadarConfig:
             raise ConfigError("antenna counts m_r and m_t must be >= 1")
 
 
+def radar_config_keys(cfg: RadarConfig) -> list[str]:
+    """``cfg``'s keys plus the legacy keys ``radar_config_from_entries`` reads."""
+    return [*config_to_entries(cfg), "delta_t", "t_tone", "t_sweep"]
+
+
+def metadata_keys(entries) -> list[str]:
+    """The dataset metadata among ``entries``, carried through unread."""
+    return [k for k in entries if k in ("id", "obstacle") or k.startswith("meta.")]
+
+
 def radar_config_from_entries(entries: dict[str, str], strict: bool = False) -> RadarConfig:
     """Build a ``RadarConfig`` from its entries. Older files may also carry
     ``t_tone`` and ``t_sweep``, which were never read and are ignored, and
@@ -155,8 +165,7 @@ def radar_config_from_entries(entries: dict[str, str], strict: bool = False) -> 
     is neither a radar-config key nor one of these is a ``ConfigError`` too."""
     cfg = config_from_entries(RadarConfig, entries)
     if strict:
-        legacy = ("delta_t", "t_tone", "t_sweep")
-        reject_unknown(entries, [*config_to_entries(cfg), *legacy], "radar config")
+        reject_unknown(entries, radar_config_keys(cfg), "radar config")
     uniform = cfg.m_r * cfg.delta
     if "delta_t" in entries and not math.isclose(
         parse_config_value("delta_t", entries["delta_t"], float), uniform, rel_tol=1e-9

@@ -22,8 +22,10 @@ from .core import (
     RadarConfig,
     config_to_entries,
     derive_params,
+    metadata_keys,
     parse_config_value,
     radar_config_from_entries,
+    radar_config_keys,
     reject_unknown,
 )
 from .kvfile import format_kv, parse_kv, read_kv
@@ -76,7 +78,7 @@ def check_finite(samples: np.ndarray, source: object, first_row: int = 0,
                         f"above which the covariance sums may overflow")
 
 
-def _check_f_st(slow_time: np.ndarray, f_st: float, source: object) -> None:
+def check_f_st(slow_time: np.ndarray, f_st: float, source: object) -> None:
     """Raise ``DataError`` naming ``f_st`` when the mean interval of the
     stamps lies more than ``_F_ST_SIGMAS`` standard errors from 1 / f_st."""
     if slow_time.size < 2:
@@ -125,13 +127,14 @@ class ContainerWriter(_Payload):
     finite and strictly increasing, or a value that cannot be stored
     exactly (see ``kvfile.format_kv``), raise ``ValueError`` and leave any
     file at ``path`` as it was; so does a ``path`` that is not a regular
-    file (``check_container_target``). Opening it writes the header: the
+    file (``check_container_target``), and so do stamps whose rate
+    contradicts ``config.f_st`` as the readers check it, which raise
+    ``DataError``. Opening it writes the header: the
     dimensions, the radar config, the slow-time stamps, the ground truth
     under ``truth.`` keys when there is one and ``meta`` entries (e.g. a
     scenario id) under ``meta.`` keys. ``write`` appends sample rows, one
-    (rows, k, m) block per call, in row order. Written rows can be revised
-    in place: ``reread`` reads a block of them back into the writer's one
-    reread buffer and ``rewrite`` writes rows over them.
+    (rows, k, m) block per call, in row order. ``add_imag`` adds noise to
+    the imaginary parts of written rows in place, one block per call.
 
     The header starts with a placeholder of the magic's length, and only a
     clean ``close`` puts the magic in, as the last write. ``close`` raises
@@ -149,7 +152,9 @@ class ContainerWriter(_Payload):
         ground_truth: Scene | None = None,
         meta: Mapping[str, str] | None = None,
     ):
-        check_slow_time(np.asarray(slow_time, dtype=np.float64))
+        slow_time = np.asarray(slow_time, dtype=np.float64)
+        check_slow_time(slow_time)
+        check_f_st(slow_time, config.f_st, path)
         check_container_target(path)
         self.path = path
         self.l = len(slow_time)
@@ -182,23 +187,17 @@ class ContainerWriter(_Payload):
         self._write_at(self._written, rows)
         self._written += len(rows)
 
-    def reread(self, rows: slice) -> np.ndarray:
-        """The written rows ``rows`` (a slice of unit step), read back into
-        the writer's reread buffer, which the next call overwrites."""
-        start, stop = rows.start, rows.stop
-        if not 0 <= start <= stop <= self._written:
-            raise ValueError(f"{self.path}: cannot reread rows [{start}, {stop}) of "
-                             f"{self._written} written")
-        return self._read_rows(start, stop)
-
-    def rewrite(self, start: int, rows: np.ndarray) -> None:
-        """Write the (n, k, m) sample rows ``rows`` over the written rows
-        from ``start`` on."""
-        if rows.shape[1:] != self._dims or not 0 <= start <= self._written - len(rows):
+    def add_imag(self, start: int, noise: np.ndarray) -> None:
+        """Add the (n, k, m) float64 ``noise`` to the imaginary parts of the
+        written rows from ``start`` on: they are read back into the writer's
+        one buffer, added to and written over themselves."""
+        if noise.shape[1:] != self._dims or not 0 <= start <= self._written - len(noise):
             raise ValueError(
-                f"{self.path}: cannot rewrite rows of shape {rows.shape} from row "
+                f"{self.path}: cannot add noise of shape {noise.shape} from row "
                 f"{start} of {self._written} written rows of (k, m) = {self._dims}"
             )
+        rows = self._read_rows(start, start + len(noise))
+        rows.imag += noise
         self._write_at(start, rows)
 
     def _write_at(self, start: int, rows: np.ndarray) -> None:
@@ -343,7 +342,7 @@ class ContainerReader(_Payload):
             check_slow_time(slow_time)
         except ValueError as exc:
             raise RVCFormatError(f"{path}: {exc}") from exc
-        _check_f_st(slow_time, cfg.f_st, path)
+        check_f_st(slow_time, cfg.f_st, path)
         start, stop, step = rows.indices(l)
         if step != 1:
             raise ValueError(f"container rows must be read with step 1, got {step}")
@@ -492,10 +491,11 @@ def convert_recording(raw: RawRecording, cfg: RadarConfig) -> MeasurementCube:
 def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
     """Load the on-disk raw layout: ``raw.kv`` metadata plus npy payloads.
 
-    ``raw.kv`` carries the radar config keys, ``f_s_ft`` and the pair table
-    (``pair.<i>.tx`` / ``pair.<i>.rx``, i = 0, 1, ... without gaps; any other
-    ``pair.`` key is a ``ConfigError``); ``profiles.npy`` and
-    ``slow_time.npy`` hold the arrays.
+    ``raw.kv`` carries the radar config keys (``core.radar_config_keys``),
+    ``f_s_ft``, the pair table (``pair.<i>.tx`` / ``pair.<i>.rx``, i = 0,
+    1, ... without gaps) and, unread, the dataset metadata keys ``id``,
+    ``obstacle`` and ``meta.*``; any other key is a ``ConfigError`` naming
+    it. ``profiles.npy`` and ``slow_time.npy`` hold the arrays.
     """
     root = Path(path)
     try:
@@ -509,7 +509,7 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
         rx = f"pair.{len(pairs)}.rx"
         pairs.append(tuple(parse_config_value(key, meta.get(key), int) for key in (tx, rx)))
     read = [f"pair.{i}.{end}" for i in range(len(pairs)) for end in ("tx", "rx")]
-    reject_unknown([k for k in meta if k.startswith("pair.")], read, "raw.kv")
+    reject_unknown(meta, [*radar_config_keys(cfg), "f_s_ft", *read, *metadata_keys(meta)], "raw.kv")
     if not pairs:
         raise DataError(f"{root}: raw.kv names no antenna pairs")
     try:
@@ -521,25 +521,22 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
         raw = RawRecording(profiles, tuple(pairs), f_s_ft, slow_time)
     except DataError as exc:
         raise DataError(f"{root}: {exc}") from exc
-    _check_f_st(raw.slow_time, cfg.f_st, root)
+    check_f_st(raw.slow_time, cfg.f_st, root)
     return raw, cfg
 
 
-def write_raw_dir(
-    path: str | os.PathLike,
-    raw: RawRecording,
-    cfg: RadarConfig,
-    extra: Mapping[str, str] | None = None,
-) -> None:
+def write_raw_dir(path: str | os.PathLike, raw: RawRecording, cfg: RadarConfig) -> None:
+    """Write the layout ``read_raw_dir`` loads. Stamps that contradict
+    ``cfg.f_st``, as the reader checks it, are a ``DataError`` raised before
+    anything is created or written."""
     root = Path(path)
+    check_f_st(raw.slow_time, cfg.f_st, root)
     root.mkdir(parents=True, exist_ok=True)
     meta = config_to_entries(cfg)
     meta["f_s_ft"] = repr(float(raw.f_s_ft))
     for i, (tx, rx) in enumerate(raw.pair_table):
         meta[f"pair.{i}.tx"] = str(tx)
         meta[f"pair.{i}.rx"] = str(rx)
-    for key in sorted(extra or {}):
-        meta[key] = str(extra[key])
     (root / "raw.kv").write_text(format_kv(meta), encoding="utf-8")
     np.save(root / "profiles.npy", raw.profiles)
     np.save(root / "slow_time.npy", raw.slow_time)

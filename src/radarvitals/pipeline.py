@@ -32,7 +32,7 @@ from .core import (
     polar_to_cartesian,
     reject_unknown,
 )
-from .dataio import ContainerReader, DataError
+from .dataio import ContainerReader, DataError, check_f_st
 from .localize import (
     DetectionSet,
     GridSpec,
@@ -210,8 +210,9 @@ def run_pipeline(
     Both sources feed one segment loop, ``_raw_segments``, by ``rows``: a
     view of a cube, or rows read into a reader's one buffer, so an on-disk
     run holds O(``l_st`` + ``w_st``) sample rows whatever the recording
-    length. Validation runs in this order: the container header (when
-    reading one), then the config, then the samples as they are read,
+    length. Validation runs in this order: the container header when
+    reading one, or else the cube's stamps against ``f_st`` by the readers'
+    check, then the config, then the samples as they are read,
     screened through the filtered snapshots with no separate pass. A
     non-finite sample, or finite ones that would overflow the covariance
     sums, is a ``DataError`` raised before anything is formed from it.
@@ -219,6 +220,8 @@ def run_pipeline(
     on_disk = isinstance(source, (str, os.PathLike))
     with ContainerReader(source) if on_disk else nullcontext(source) as rec:
         cfg = rec.config
+        if isinstance(rec, MeasurementCube):  # a reader checked them when opened
+            check_f_st(rec.slow_time, cfg.f_st, "recording")
         derived = derive_params(cfg)
         config.validate(cfg, derived)
 

@@ -24,6 +24,7 @@ from .core import (
     config_from_entries,
     config_to_entries,
     derive_params,
+    metadata_keys,
     parse_config_value,
     reject_unknown,
 )
@@ -389,7 +390,7 @@ def scene_from_entries(entries: dict[str, str]) -> tuple[Scene, dict[str, str]]:
     )
     clutter = config_from_entries(ClutterModel, entries, static_reflectors=reflectors)
     scene = config_from_entries(Scene, entries, persons=persons, clutter=clutter)
-    extras = {k: v for k, v in entries.items() if k in ("id", "obstacle") or k.startswith("meta.")}
+    extras = {k: entries[k] for k in metadata_keys(entries)}
     items = [k for k in entries if k.startswith(("person.", "reflector."))]
     reject_unknown(entries, [*scene_to_entries(scene), *items, *extras], "scene")
     return scene, extras

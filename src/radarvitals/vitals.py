@@ -65,7 +65,7 @@ def extract_displacement(
     ``build_filter`` and convert the output phase to displacement.
 
     The filter output y(l) is the inner product of the conjugated weights
-    with the first k0 rows of each snapshot; ``displacement`` turns it into
+    with the first k0 rows of each snapshot; ``displacements`` turns it into
     chest motion.
     """
     k0, m = filt.shape
@@ -77,8 +77,7 @@ def extract_displacement(
         )
     if f_c is None:
         f_c = derive_params(cube.config).f_c
-    y = beamform([filt], cube.samples)[:, 0]
-    return displacement(y, cube.slow_time, cube.config, f_c)
+    return displacements(beamform([filt], cube.samples).T, cube.slow_time, cube.config, f_c)[0]
 
 
 def beamform(filters: list[np.ndarray], samples: np.ndarray) -> np.ndarray:
@@ -92,28 +91,18 @@ def beamform(filters: list[np.ndarray], samples: np.ndarray) -> np.ndarray:
     return samples[:, :k0].reshape(samples.shape[0], -1) @ h
 
 
-def displacement(
-    y: np.ndarray, slow_time: np.ndarray, cfg: RadarConfig, f_c: float
-) -> VitalSeries:
-    """Chest displacement from a beamformer output series over slow time.
-
-    The phase of y, unwrapped over slow time, scales to displacement by
-    -c / (4 pi f_c). Samples with vanishing |y| are flagged and repeat the
-    previous reliable sample. The one-row case of ``displacements``.
-    """
-    return displacements(np.asarray(y)[None], slow_time, cfg, f_c, stacklevel=4)[0]
-
-
 def displacements(
-    ys: np.ndarray, slow_time: np.ndarray, cfg: RadarConfig, f_c: float, *,
-    stacklevel: int = 3,
+    ys: np.ndarray, slow_time: np.ndarray, cfg: RadarConfig, f_c: float
 ) -> list[VitalSeries]:
-    """``displacement`` of each row of ``ys``, the (series, slow time)
+    """Chest displacement from each row of ``ys``, the (series, slow time)
     beamformer outputs of one segment, in one pass over the stacked rows.
 
-    Every operation is elementwise or runs along a row, so a row's series
-    does not depend on the other rows. A row whose output vanished over the
-    whole segment warns, at ``stacklevel`` from here, and is all zeros.
+    The phase of a row, unwrapped over slow time, scales to displacement by
+    -c / (4 pi f_c). Samples with vanishing |y| are flagged and repeat the
+    previous reliable sample. Every operation is elementwise or runs along a
+    row, so a row's series does not depend on the other rows. A row whose
+    output vanished over the whole segment is all zeros and warns at the
+    caller of ``extract_displacement`` or ``run_pipeline``.
     """
     l_len = ys.shape[1]
     bad = np.abs(ys) < _MAG_FLOOR
@@ -126,8 +115,7 @@ def displacements(
     etas = -cfg.c / (4 * np.pi * f_c) * phi
     for row, eta in zip(bad, etas):
         if row.all():
-            warnings.warn("beamformer output vanished over the whole segment",
-                          stacklevel=stacklevel)
+            warnings.warn("beamformer output vanished over the whole segment", stacklevel=3)
             eta[:] = 0.0
     t = slow_time
     f_st_actual = float((t.size - 1) / (t[-1] - t[0]) if t.size > 1 else cfg.f_st)

@@ -65,16 +65,17 @@ def test_container_reader_rejects_a_payload_that_shrank_after_opening(tmp_path):
 
 def test_container_writer_rejects_a_payload_that_shrank_on_reread(tmp_path):
     path = tmp_path / "cube.rvc"
-    # 40 rows of 768 bytes, so that the rows reread last lie past what the
-    # file object buffered on the first reread, which flushed the writes
+    # 40 rows of 768 bytes, so that the rows add_imag reads last lie past what
+    # the file object buffered on the first add_imag, which flushed the writes
     cube = _random_cube(small_config(), l=40)
+    noise = np.zeros(cube.samples.shape)
     with rv.ContainerWriter(path, cube.config, cube.slow_time) as writer:
         writer.write(cube.samples)
-        writer.reread(slice(0, 1))
+        writer.add_imag(0, noise[:1])
         with open(path, "r+b") as fh:
             fh.truncate(path.stat().st_size - 8)
         with pytest.raises(rv.RVCFormatError, match="payload ends before row 40"):
-            writer.reread(slice(30, 40))
+            writer.add_imag(30, noise[30:40])
 
 
 def _check_message(check, start, rows, source):
@@ -353,18 +354,18 @@ def test_a_container_reads_back_only_after_a_clean_close(tmp_path, walabot):
 def test_container_writer_rewrites_written_rows_in_place(tmp_path):
     cube = _random_cube(small_config(), l=5)
     path = tmp_path / "w.rvc"
+    real, imag = cube.samples.real.astype(complex), cube.samples.imag
     with rv.ContainerWriter(path, cube.config, cube.slow_time) as writer:
-        writer.write(np.zeros_like(cube.samples[:3]))
-        with pytest.raises(ValueError, match=r"cannot reread rows \[2, 4\) of 3 written"):
-            writer.reread(slice(2, 4))
-        with pytest.raises(ValueError, match="cannot rewrite rows of shape"):
-            writer.rewrite(2, cube.samples[:2])
-        writer.rewrite(1, cube.samples[1:3])
-        writer.write(cube.samples[3:])
-        back = writer.reread(slice(0, 2))
-        assert np.array_equal(back[1], cube.samples[1]) and not back[0].any()
-        back[0] = cube.samples[0]
-        writer.rewrite(0, back)
+        writer.write(real[:3])
+        with pytest.raises(ValueError, match=r"noise of shape \(2, 12, 4\) from row 2 of 3 written"):
+            writer.add_imag(2, imag[:2])
+        with pytest.raises(ValueError, match=r"noise of shape \(1, 12, 5\) from row 0"):
+            writer.add_imag(0, np.zeros((1, 12, 5)))
+        writer.add_imag(1, imag[1:3])
+        writer.write(real[3:])
+        writer.add_imag(0, imag[:1])
+        writer.add_imag(3, imag[3:])
+    # each row's noise added once, and none by the calls refused
     assert np.array_equal(rv.read_container(path).samples, cube.samples)
 
 
@@ -535,9 +536,51 @@ def test_header_f_st_that_the_stamps_contradict_is_data_error(tmp_path, capsys, 
     assert main(["vitals", "--in", str(path), "--out", str(tmp_path / "v.csv")]) == 3
     assert "f_st" in capsys.readouterr().err
     raw = raw_recording_of(rv.simulate(replace(scene, l=4, slow_time_jitter=0.002), walabot))
-    rv.write_raw_dir(tmp_path / "raw", raw, replace(walabot, f_st=float(f_st)))
+    rv.write_raw_dir(tmp_path / "raw", raw, walabot)
+    raw_kv = tmp_path / "raw" / "raw.kv"
+    raw_kv.write_bytes(raw_kv.read_bytes().replace(b"\nf_st 10.0\n", f"\nf_st {f_st}\n".encode(), 1))
     assert main(["convert", "--raw", str(tmp_path / "raw"), "--out", str(tmp_path / "c.rvc")]) == 3
     assert f"f_st {f_st} Hz contradicts" in capsys.readouterr().err
+
+
+def _cube_at_5_hz_under_f_st_10(walabot, l):
+    """A recording stamped at 5 Hz under a config whose f_st is 10 Hz."""
+    cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=l, f_st=5.0, noise_std=0.1, seed=1),
+                       rv.walabot_config(5.0))
+    return rv.MeasurementCube(cube.samples, cube.slow_time, walabot)
+
+
+def test_container_writer_checks_the_stamps_against_f_st(tmp_path, walabot):
+    cube = _cube_at_5_hz_under_f_st_10(walabot, 264)
+    path = tmp_path / "rec.rvc"
+    path.write_bytes(b"kept")
+    with pytest.raises(rv.DataError, match=f"{re.escape(str(path))}: f_st 10.0 Hz contradicts"):
+        rv.write_container(cube, path)
+    with pytest.raises(rv.DataError, match="f_st 10.0 Hz contradicts the slow_time stamps"):
+        rv.ContainerWriter(path, walabot, cube.slow_time)
+    assert path.read_bytes() == b"kept"
+
+
+def test_write_raw_dir_checks_the_stamps_against_f_st(tmp_path, walabot):
+    raw = raw_recording_of(_cube_at_5_hz_under_f_st_10(walabot, 4))
+    with pytest.raises(rv.DataError, match="f_st 10.0 Hz contradicts the slow_time stamps"):
+        rv.write_raw_dir(tmp_path / "raw", raw, walabot)
+    assert not (tmp_path / "raw").exists()
+
+
+def test_run_pipeline_checks_a_cube_s_stamps_against_f_st_as_a_reader_does(tmp_path, walabot):
+    cube = _cube_at_5_hz_under_f_st_10(walabot, 264)
+    path = tmp_path / "rec.rvc"
+    rv.write_container(rv.MeasurementCube(cube.samples, cube.slow_time, rv.walabot_config(5.0)),
+                       path)
+    path.write_bytes(path.read_bytes().replace(b"\nf_st 5.0\n", b"\nf_st 10.0\n", 1))
+    with pytest.raises(rv.DataError) as on_disk:
+        rv.run_pipeline(path)
+    with pytest.raises(rv.DataError) as in_memory:
+        rv.run_pipeline(cube)
+    message = str(on_disk.value).removeprefix(f"{path}: ")
+    assert message.startswith("f_st 10.0 Hz contradicts the slow_time stamps")
+    assert str(in_memory.value) == f"recording: {message}"
 
 
 def test_raw_dir_roundtrip(tmp_path, walabot):

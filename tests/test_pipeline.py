@@ -365,13 +365,16 @@ def test_short_recordings(tmp_path, walabot, l, segments):
 def test_non_finite_sample_is_rejected_at_entry(tmp_path, walabot):
     cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=200), walabot)
     cube.samples[123, 4, 5] = np.nan
-    with pytest.raises(rv.DataError, match=r"\[123, 4, 5\]"):
-        run_pipeline(cube)
+    # no segment fits in 200 samples: the rows past the last one are checked
+    with pytest.warns(UserWarning, match="shorter than one segment"):
+        with pytest.raises(rv.DataError, match=r"\[123, 4, 5\]"):
+            run_pipeline(cube)
     path = tmp_path / "nan.rvc"
     rv.write_container(cube, path)
     with pytest.raises(rv.DataError, match=r"\[123, 4, 5\]"):
         rv.read_container(path)
-    assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+    with pytest.warns(UserWarning, match="shorter than one segment"):
+        assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 3
 
 
 def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch):
@@ -1388,6 +1391,26 @@ def test_cli_convert_raw_kv_pair_gap_is_usage_error(tmp_path, capsys):
     entries = {k.replace("pair.7.", "pair.8."): v for k, v in entries.items()}
     write_kv(raw_dir / "raw.kv", entries)
     _convert_is_usage_error(tmp_path, capsys, raw_dir, "pair.8.rx")
+
+
+def test_raw_kv_key_set_is_closed(tmp_path, capsys):
+    # a misspelt radar key would leave its field at the default, and a stray
+    # key would be dropped by the conversion: each is refused by name
+    raw_dir, entries = _raw_dir_of_two_samples(tmp_path)
+    misspelt = {("C" if k == "c" else k): v for k, v in entries.items()}
+    for bad, key in (({**misspelt, "bogus": "1"}, "C"), ({**entries, "bogus": "1"}, "bogus")):
+        write_kv(raw_dir / "raw.kv", bad)
+        with pytest.raises(rv.ConfigError, match=f"unknown raw.kv key {key!r}"):
+            rv.read_raw_dir(raw_dir)
+        _convert_is_usage_error(tmp_path, capsys, raw_dir, key)
+    # the dataset metadata that scene files also carry is read past unread
+    converted = []
+    for meta in ({}, {"id": "s01", "obstacle": "free", "meta.room": "a"}):
+        write_kv(raw_dir / "raw.kv", {**entries, **meta})
+        out = tmp_path / f"{len(meta)}.rvc"
+        assert main(["convert", "--raw", str(raw_dir), "--out", str(out)]) == 0
+        converted.append((rv.read_raw_dir(raw_dir)[1], out.read_bytes()))
+    assert converted[0] == converted[1]
 
 
 def test_legacy_radar_keys_read_by_one_rule(tmp_path, capsys):

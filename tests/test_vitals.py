@@ -108,6 +108,29 @@ def test_all_zero_segment_warns(walabot, derived):
     assert np.all(series.eta == 0)
 
 
+def _vanished_at(caught):
+    return [w.filename for w in caught if "vanished" in str(w.message)]
+
+
+def test_vanished_warning_names_the_caller(walabot, derived, monkeypatch):
+    # the warning points at the line that called extract_displacement or
+    # run_pipeline, not at a line inside the package
+    filt = rv.build_filter(rv.PolarLocation(1.5, 0.0), walabot, derived)
+    cube = rv.MeasurementCube(
+        np.zeros((6, walabot.k, 8), dtype=complex), np.arange(6) / 10.0, walabot
+    )
+    with pytest.warns(UserWarning, match="vanished") as caught:
+        rv.extract_displacement(filt, cube, derived.f_c)
+    assert _vanished_at(caught) == [__file__]
+    # every beamformer output zero, so every detection's series vanishes
+    monkeypatch.setattr(rv.pipeline, "beamform",
+                        lambda filters, raw: np.zeros((len(raw), len(filters)), complex))
+    cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=264, noise_std=0.1, seed=1), walabot)
+    with pytest.warns(UserWarning, match="vanished") as caught:
+        rv.run_pipeline(cube)
+    assert _vanished_at(caught) and set(_vanished_at(caught)) == {__file__}
+
+
 def test_f_st_actual_from_stamps(walabot, derived):
     filt = rv.build_filter(rv.PolarLocation(1.5, 0.0), walabot, derived)
     cube = _cube_from_output(filt, np.zeros(11), walabot)
@@ -182,7 +205,7 @@ def test_breathing_error_under_jittered_slow_time_is_bounded(walabot, derived, f
         stamps = t_uniform + rng.uniform(-jitter, jitter, length)
         eta = amp * np.sin(2 * np.pi * f_b * stamps + phase)
         y = np.exp(-4j * np.pi * derived.f_c / walabot.c * eta)
-        series.append(rv.vitals.displacement(y, stamps, walabot, derived.f_c))
+        series.append(rv.vitals.displacements(y[None], stamps, walabot, derived.f_c)[0])
         u = amp * np.sin(2 * np.pi * f_b * t_uniform + phase)
         spectra.append(np.abs(np.fft.rfft(u - u.mean(), nfft)) ** 2)
         rates.append((length - 1) / (stamps[-1] - stamps[0]))
@@ -250,7 +273,7 @@ def test_batched_vitals_match_the_per_series_forms_bit_for_bit(walabot, derived,
     assert [int(s.unreliable.sum()) for s in batched] == [
         0, 2, (length + 1) // 2, length - length // 2, length]
     with pytest.warns(UserWarning, match="vanished"):
-        one = rv.vitals.displacement(rows[4], stamps, walabot, derived.f_c)
+        one = rv.vitals.displacements(rows[4][None], stamps, walabot, derived.f_c)[0]
     assert not one.eta.any() and one.unreliable.all()
     for pad in (1, 8):
         for series in (batched[:1], batched, batched[::-1]):
