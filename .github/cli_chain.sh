@@ -5,8 +5,9 @@
 # compared with those of `detect` + `vitals`. Then two bad recordings that
 # `detect` must reject with exit code 3 and a data error, without a
 # traceback. Last, a raw recording directory through `convert` and `detect`,
-# and a raw.kv with an unknown key, which `convert` must reject with exit
-# code 2. Run it from the repository root with
+# then an empty profiles.npy and a nan profile sample, which `convert` must
+# reject with exit code 3, and a raw.kv with an unknown key, which it must
+# reject with exit code 2. Run it from the repository root with
 # `bash -e .github/cli_chain.sh`; any unexpected exit code fails it.
 set -euo pipefail
 
@@ -112,6 +113,31 @@ if not result.final_detections.detections:
 if open(f"{d}/conv_det.csv", "rb").read() != pipeline.detections_csv(result).encode("utf-8"):
     sys.exit("conv_det.csv differs from the detections of the directory converted in process")
 EOF
+
+# convert on directory $1 exits 3 with a data error matching $2, no
+# traceback and no --out
+expect_convert_data_error() {
+  local code=0
+  radarvitals convert --raw "$dir/$1" --out "$dir/$1.rvc" 2> "$dir/$1.err" || code=$?
+  cat "$dir/$1.err"
+  test "$code" -eq 3
+  grep -q "$2" "$dir/$1.err"
+  if grep -q Traceback "$dir/$1.err"; then exit 1; fi
+  test ! -e "$dir/$1.rvc"
+}
+# copies of the directory with an empty profiles.npy and with a nan profile sample
+cp -r "$dir/raw" "$dir/raw_empty"
+: > "$dir/raw_empty/profiles.npy"
+expect_convert_data_error raw_empty "data error: .*cannot load raw arrays: profiles.npy"
+cp -r "$dir/raw" "$dir/raw_nan"
+python - "$dir/raw_nan/profiles.npy" <<'EOF'
+import sys
+import numpy as np
+profiles = np.load(sys.argv[1])
+profiles[5, 2, 7] = np.nan
+np.save(sys.argv[1], profiles)
+EOF
+expect_convert_data_error raw_nan "data error: .*profiles: sample \\[5, 2, 7\\] is (nan"
 
 # convert exits 2 naming a raw.kv key it does not know, without a traceback
 echo "bogus 1" >> "$dir/raw/raw.kv"

@@ -27,7 +27,6 @@ from .dataio import (
     DataError,
     RawRecording,
     RVCFormatError,
-    assemble_virtual_array,
     convert_recording,
     downconvert_decimate,
     read_container,

@@ -58,9 +58,10 @@ class RVCFormatError(DataError):
 
 def check_finite(samples: np.ndarray, source: object, first_row: int = 0,
                  bound: float | None = None) -> None:
-    """Raise ``DataError`` naming the first non-finite [l, k, m] sample, its
-    row counted from ``first_row``; with ``bound``, naming finite samples'
-    rows and the bound their filtered values exceed (``run_pipeline``).
+    """Raise ``DataError`` naming the first non-finite sample by its index
+    ([l, k, m] for a cube, [sweep, column, bin] for raw profiles), its row
+    counted from ``first_row``; with ``bound``, naming finite samples' rows
+    and the bound their filtered values exceed (``run_pipeline``).
 
     One sum screens the samples: a nan or inf sample always makes it
     non-finite, so the element-wise scan runs only then (a finite sum that
@@ -422,34 +423,15 @@ def downconvert_decimate(
     return spectrum[..., offsets % n] / n
 
 
-def assemble_virtual_array(
-    per_pair: Mapping[tuple[int, int], np.ndarray], cfg: RadarConfig
-) -> np.ndarray:
-    """Stack per-(tx, rx) signals into virtual channel order.
-
-    Channel m = tx * m_r + rx, i.e. the signals of the second transmit
-    antenna are appended to those of the first. Pure reindexing; any common
-    leading shape is allowed and channels land on a new last axis.
-    """
-    channels = []
-    for tx in range(cfg.m_t):
-        for rx in range(cfg.m_r):
-            try:
-                channels.append(np.asarray(per_pair[(tx, rx)]))
-            except KeyError:
-                raise DataError(
-                    f"missing signal for antenna pair (tx={tx}, rx={rx})"
-                ) from None
-    return np.stack(channels, axis=-1)
-
-
 @dataclass
 class RawRecording:
     """Per-antenna-pair range profiles straight off a recording.
 
     ``profiles`` is indexed [slow time, pair, fast time]; ``pair_table``
     names the (tx index, rx index) of each pair column. Hardware profiles
-    are real; synthetic analytic profiles may be complex.
+    are real; synthetic analytic profiles may be complex. A profile sample
+    that is not finite is a ``DataError`` naming its [sweep, column, bin],
+    and so are stamps that are not 1-D, finite and strictly increasing.
     """
 
     profiles: np.ndarray
@@ -472,19 +454,23 @@ class RawRecording:
         if self.slow_time.size != self.profiles.shape[0]:
             raise DataError("slow_time length does not match the profile count")
         check_slow_time(self.slow_time, DataError)
+        check_finite(self.profiles, "profiles")
 
 
 def convert_recording(raw: RawRecording, cfg: RadarConfig) -> MeasurementCube:
-    """Down-convert every pair and assemble the virtual-array cube."""
-    per_pair = {}
-    for col, pair in enumerate(raw.pair_table):
-        tx, rx = pair
-        if not (0 <= tx < cfg.m_t and 0 <= rx < cfg.m_r):
+    """Down-convert each pair column straight into its virtual channel
+    m = tx * m_r + rx of one cube. A pair outside the array (the first in
+    column order), then a missing pair (the first in tx-major order), is a
+    ``DataError`` raised before any pair is down-converted."""
+    for pair in raw.pair_table:
+        if not (0 <= pair[0] < cfg.m_t and 0 <= pair[1] < cfg.m_r):
             raise DataError(f"pair {pair} outside the {cfg.m_t} x {cfg.m_r} array")
-        per_pair[pair] = downconvert_decimate(
-            raw.profiles[:, col, :], cfg, raw.f_s_ft
-        )
-    samples = assemble_virtual_array(per_pair, cfg)
+    for tx, rx in np.ndindex(cfg.m_t, cfg.m_r):
+        if (tx, rx) not in raw.pair_table:
+            raise DataError(f"missing signal for antenna pair (tx={tx}, rx={rx})")
+    samples = np.empty((len(raw.profiles), cfg.k, cfg.m_t * cfg.m_r), np.complex128)
+    for column, (tx, rx) in zip(raw.profiles.swapaxes(0, 1), raw.pair_table):
+        samples[..., tx * cfg.m_r + rx] = downconvert_decimate(column, cfg, raw.f_s_ft)
     return MeasurementCube(samples, raw.slow_time, cfg)
 
 
@@ -495,7 +481,8 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
     ``f_s_ft``, the pair table (``pair.<i>.tx`` / ``pair.<i>.rx``, i = 0,
     1, ... without gaps) and, unread, the dataset metadata keys ``id``,
     ``obstacle`` and ``meta.*``; any other key is a ``ConfigError`` naming
-    it. ``profiles.npy`` and ``slow_time.npy`` hold the arrays.
+    it. ``profiles.npy`` and ``slow_time.npy`` hold the arrays; one that
+    cannot be loaded is a ``DataError`` naming its file.
     """
     root = Path(path)
     try:
@@ -512,13 +499,14 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
     reject_unknown(meta, [*radar_config_keys(cfg), "f_s_ft", *read, *metadata_keys(meta)], "raw.kv")
     if not pairs:
         raise DataError(f"{root}: raw.kv names no antenna pairs")
+    arrays = []
+    for name in ("profiles.npy", "slow_time.npy"):
+        try:
+            arrays.append(np.load(root / name))
+        except (OSError, ValueError, EOFError) as exc:
+            raise DataError(f"{root}: cannot load raw arrays: {name}: {exc}") from exc
     try:
-        profiles = np.load(root / "profiles.npy")
-        slow_time = np.load(root / "slow_time.npy")
-    except OSError as exc:
-        raise DataError(f"{root}: cannot load raw arrays: {exc}") from exc
-    try:
-        raw = RawRecording(profiles, tuple(pairs), f_s_ft, slow_time)
+        raw = RawRecording(arrays[0], tuple(pairs), f_s_ft, arrays[1])
     except DataError as exc:
         raise DataError(f"{root}: {exc}") from exc
     check_f_st(raw.slow_time, cfg.f_st, root)

@@ -135,7 +135,9 @@ def check_rows(start: int, stop: int, l: int, source: object) -> None:
 
 
 def check_slow_time(slow_time: np.ndarray, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` unless the stamps are finite and strictly increasing."""
+    """Raise ``error`` unless the stamps are 1-D, finite and strictly increasing."""
+    if slow_time.ndim != 1:
+        raise error(f"slow_time must be 1-D, got shape {slow_time.shape}")
     if not np.isfinite(slow_time).all():
         raise error("slow_time must be finite")
     if np.any(np.diff(slow_time) <= 0):

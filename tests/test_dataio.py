@@ -377,7 +377,16 @@ def test_container_writer_forms_its_header_before_opening_the_file(tmp_path):
         rv.ContainerWriter(path, cube.config, cube.slow_time, meta={"note": "a # b"})
     with pytest.raises(ValueError, match="strictly increasing"):
         rv.ContainerWriter(path, cube.config, cube.slow_time[::-1])
+    with pytest.raises(ValueError, match=re.escape("slow_time must be 1-D, got shape (4, 1)")):
+        rv.ContainerWriter(path, cube.config, cube.slow_time[:, None])
     assert path.read_bytes() == b"kept"
+
+
+def test_cube_slow_time_must_be_1d():
+    # a column of stamps has the right size, but no intervals along its last axis
+    cube = _random_cube(small_config(), l=4)
+    with pytest.raises(ValueError, match=re.escape("slow_time must be 1-D, got shape (4, 1)")):
+        rv.MeasurementCube(cube.samples, cube.slow_time[:, None], cube.config)
 
 
 def test_check_finite_passes_a_finite_cube_whose_sum_overflows():
@@ -459,45 +468,78 @@ def test_simulator_roundtrip_recovers_samples(walabot):
     assert err < 1e-6
 
 
-def test_assemble_channel_order(walabot):
-    per_pair = {
-        (tx, rx): np.full(3, tx * 10 + rx, dtype=complex)
-        for tx in range(2) for rx in range(4)
-    }
-    out = rv.assemble_virtual_array(per_pair, walabot)
-    assert out.shape == (3, 8)
-    np.testing.assert_array_equal(out[0].real, [0, 1, 2, 3, 10, 11, 12, 13])
+# the sensor's array geometry with 256-point range profiles
+ARRAY_256 = rv.RadarConfig(f0=6.3e9, k=137, b=1.7e9, n=256, delta=0.02, m_r=4, m_t=2, f_st=10.0)
 
 
-def test_assemble_single_transmit_is_identity():
-    cfg = small_config(m_t=1, m_r=3)
-    per_pair = {(0, rx): np.array([rx + 1.0]) for rx in range(3)}
-    out = rv.assemble_virtual_array(per_pair, cfg)
-    np.testing.assert_array_equal(out[0], [1.0, 2.0, 3.0])
+def _raw_of_channels(cfg, samples):
+    """A RawRecording whose pair (tx, rx) carries channel tx * m_r + rx of
+    the [l, k, m] samples, one column per pair in tx-major order."""
+    return raw_recording_of(rv.MeasurementCube(samples, np.arange(len(samples)) / cfg.f_st, cfg))
 
 
-def test_assemble_missing_pair_raises(walabot):
-    per_pair = {(0, rx): np.zeros(2) for rx in range(4)}
-    with pytest.raises(rv.DataError, match=r"tx=1, rx=0"):
-        rv.assemble_virtual_array(per_pair, walabot)
+def _permuted(raw, order):
+    return rv.RawRecording(raw.profiles[:, order], tuple(raw.pair_table[i] for i in order),
+                           raw.f_s_ft, raw.slow_time)
 
 
-def test_virtual_array_phase_slope(walabot, derived):
+def test_convert_puts_pair_tx_rx_in_channel_tx_m_r_plus_rx():
+    values = np.array([0, 1, 2, 3, 10, 11, 12, 13], dtype=complex)
+    raw = _raw_of_channels(ARRAY_256, np.broadcast_to(values, (3, ARRAY_256.k, 8)))
+    assert raw.pair_table == ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3))
+    out = rv.convert_recording(raw, ARRAY_256).samples
+    assert out.shape == (3, ARRAY_256.k, 8)
+    np.testing.assert_allclose(out, np.broadcast_to(values, out.shape), atol=1e-9)
+    # the channel follows the pair, not its column
+    permuted = rv.convert_recording(_permuted(raw, [5, 0, 7, 2, 1, 6, 3, 4]), ARRAY_256).samples
+    assert permuted.tobytes() == out.tobytes()
+
+
+def test_convert_single_transmit_channel_is_rx():
+    cfg = small_config(k=11, m_t=1, m_r=3)
+    raw = _raw_of_channels(cfg, np.broadcast_to(np.arange(1.0, 4.0), (1, cfg.k, 3)))
+    out = rv.convert_recording(raw, cfg).samples
+    np.testing.assert_allclose(out[0], np.broadcast_to([1.0, 2.0, 3.0], (cfg.k, 3)), atol=1e-12)
+
+
+def _no_downconversion(*args):
+    raise AssertionError("a pair was down-converted")
+
+
+def test_convert_missing_pair_raises_before_any_downconversion(monkeypatch):
+    raw = _raw_of_channels(ARRAY_256, np.ones((2, ARRAY_256.k, 8)))
+    # only the first transmitter's pairs, the first one last
+    raw = _permuted(raw, [1, 2, 3, 0])
+    monkeypatch.setattr(rv.dataio, "downconvert_decimate", _no_downconversion)
+    with pytest.raises(rv.DataError, match=re.escape("missing signal for antenna pair (tx=1, rx=0)")):
+        rv.convert_recording(raw, ARRAY_256)
+
+
+def test_convert_pair_outside_the_array_raises_first(monkeypatch):
+    raw = _raw_of_channels(ARRAY_256, np.ones((2, ARRAY_256.k, 8)))
+    # two pairs outside the array, and so (0, 1) and (1, 2) missing
+    pairs = list(raw.pair_table)
+    pairs[1], pairs[6] = (2, 0), (0, 4)
+    raw = rv.RawRecording(raw.profiles, tuple(pairs), raw.f_s_ft, raw.slow_time)
+    monkeypatch.setattr(rv.dataio, "downconvert_decimate", _no_downconversion)
+    with pytest.raises(rv.DataError, match=re.escape("pair (2, 0) outside the 2 x 4 array")):
+        rv.convert_recording(raw, ARRAY_256)
+    with pytest.raises(rv.DataError, match=re.escape("pair (0, 4) outside the 2 x 4 array")):
+        rv.convert_recording(_permuted(raw, [6, *range(6), 7]), ARRAY_256)
+
+
+def test_converted_virtual_array_phase_slope():
     # far-field target: consecutive virtual channels differ by the same
-    # phase factor exp(-2j pi f delta sin(theta) / c)
+    # phase factor exp(-2j pi f delta sin(theta) / c) at every step f
+    cfg = ARRAY_256
     theta = np.deg2rad(20.0)
-    d = 2.5
-    f = walabot.f0 + 5 * derived.delta_f
-    per_pair = {}
-    for tx in range(walabot.m_t):
-        for rx in range(walabot.m_r):
-            m = tx * walabot.m_r + rx
-            tau = (2 * d + m * walabot.delta * np.sin(theta)) / walabot.c
-            per_pair[(tx, rx)] = np.array([np.exp(-2j * np.pi * f * tau)])
-    out = rv.assemble_virtual_array(per_pair, walabot)[0]
-    ratios = out[1:] / out[:-1]
-    expected = np.exp(-2j * np.pi * f * walabot.delta * np.sin(theta) / walabot.c)
-    np.testing.assert_allclose(ratios, expected, rtol=1e-12)
+    f = cfg.f0 + np.arange(cfg.k) * rv.derive_params(cfg).delta_f
+    tau = (2 * 2.5 + np.arange(8) * cfg.delta * np.sin(theta)) / cfg.c
+    raw = _raw_of_channels(cfg, np.exp(-2j * np.pi * np.outer(f, tau))[None])
+    out = rv.convert_recording(raw, cfg).samples[0]
+    expected = np.exp(-2j * np.pi * f * cfg.delta * np.sin(theta) / cfg.c)
+    np.testing.assert_allclose(out[:, 1:] / out[:, :-1],
+                               np.broadcast_to(expected[:, None], (cfg.k, 7)), rtol=1e-11)
 
 
 def test_raw_recording_validation():
@@ -511,6 +553,12 @@ def test_raw_recording_validation():
         rv.RawRecording(np.zeros((2, 1, 8)), ((0, 0),), 1e9, np.array([0.0, np.nan]))
     with pytest.raises(rv.DataError, match="slow_time must be strictly increasing"):
         rv.RawRecording(np.zeros((2, 1, 8)), ((0, 0),), 1e9, np.array([0.1, 0.1]))
+    with pytest.raises(rv.DataError, match=re.escape("slow_time must be 1-D, got shape (2, 1)")):
+        rv.RawRecording(np.zeros((2, 1, 8)), ((0, 0),), 1e9, np.array([[0.0], [0.1]]))
+    profiles = np.zeros((2, 1, 8))
+    profiles[1, 0, 7] = np.inf
+    with pytest.raises(rv.DataError, match=re.escape("profiles: sample [1, 0, 7] is inf, not finite")):
+        rv.RawRecording(profiles, ((0, 0),), 1e9, np.arange(2.0))
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.002, 0.02])

@@ -629,18 +629,42 @@ def _pair_outside_the_array(raw_dir):
     write_kv(raw_dir / "raw.kv", {**read_kv(raw_dir / "raw.kv"), "pair.0.tx": "2"})
 
 
+def _truncate_profiles(raw_dir):
+    path = raw_dir / "profiles.npy"
+    path.write_bytes(path.read_bytes()[:-100])
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda raw_dir: (raw_dir / "raw.kv").unlink(), "cannot read raw.kv"),
     (_drop_pair_keys, "names no antenna pairs"),
     (lambda raw_dir: (raw_dir / "profiles.npy").unlink(), "cannot load raw arrays"),
     (_pair_outside_the_array, "pair (2, 0) outside the 2 x 4 array"),
-], ids=["no raw.kv", "no pair keys", "no profiles.npy", "pair outside the array"])
+    (lambda raw_dir: (raw_dir / "profiles.npy").write_bytes(b""),
+     "cannot load raw arrays: profiles.npy"),
+    (_truncate_profiles, "cannot load raw arrays: profiles.npy"),
+    (lambda raw_dir: (raw_dir / "slow_time.npy").write_bytes(b"not an npy file"),
+     "cannot load raw arrays: slow_time.npy"),
+], ids=["no raw.kv", "no pair keys", "no profiles.npy", "pair outside the array",
+        "empty profiles.npy", "truncated profiles.npy", "slow_time.npy not npy"])
 def test_cli_convert_unusable_raw_dir_is_data_error(tmp_path, capsys, edit, message):
     raw_dir, _ = _raw_dir_of_two_samples(tmp_path)
     edit(raw_dir)
     assert main(["convert", "--raw", str(raw_dir), "--out", str(tmp_path / "x.rvc")]) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x.rvc").exists()
+
+
+def test_cli_convert_refuses_an_inf_profile_sample_before_down_conversion(tmp_path, capsys):
+    # an FFT of the inf would warn and write a container of nan samples
+    raw_dir, _ = _raw_dir_of_two_samples(tmp_path)
+    profiles = np.load(raw_dir / "profiles.npy")
+    profiles[1, 5, 7] = np.inf
+    np.save(raw_dir / "profiles.npy", profiles)
+    out = tmp_path / "x.rvc"
+    out.write_bytes(b"kept")
+    assert main(["convert", "--raw", str(raw_dir), "--out", str(out)]) == 3
+    assert f"data error: {raw_dir}: profiles: sample [1, 5, 7] is (inf" in capsys.readouterr().err
+    assert out.read_bytes() == b"kept"
 
 
 @pytest.mark.parametrize("key", ["person.x.d", "person.0"])
@@ -1450,7 +1474,8 @@ def test_legacy_radar_keys_read_by_one_rule(tmp_path, capsys):
 @pytest.mark.parametrize("stamps, message", [
     ([0.0, np.nan], "slow_time must be finite"),
     ([0.1, 0.1], "slow_time must be strictly increasing"),
-], ids=["nan", "repeated"])
+    ([[0.0], [0.1]], "slow_time must be 1-D, got shape (2, 1)"),
+], ids=["nan", "repeated", "column"])
 def test_cli_convert_bad_raw_slow_time_is_data_error(tmp_path, capsys, stamps, message):
     from helpers import raw_recording_of
 
