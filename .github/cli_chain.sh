@@ -2,12 +2,14 @@
 # The README's minimal scenario through the installed `radarvitals` script,
 # one fresh process per command, with every table it writes checked against
 # the in-process table strings, and the five tables of one `detect` call
-# compared with those of `detect` + `vitals`. Then two bad recordings that
+# compared with those of `detect` + `vitals`. Then three bad recordings that
 # `detect` must reject with exit code 3 and a data error, without a
-# traceback. Last, a raw recording directory through `convert` and `detect`,
-# then an empty profiles.npy and a nan profile sample, which `convert` must
-# reject with exit code 3, and a raw.kv with an unknown key, which it must
-# reject with exit code 2. Run it from the repository root with
+# traceback: a nan sample, two samples that overflow the covariance sums and
+# a header with the key `bogus 1`, which no reader takes. Last, a raw
+# recording directory through `convert` and `detect`, then an empty
+# profiles.npy, a nan profile sample and a profiles.npy of strings, which
+# `convert` must reject with exit code 3, and a raw.kv with an unknown key,
+# which it must reject with exit code 2. Run it from the repository root with
 # `bash -e .github/cli_chain.sh`; any unexpected exit code fails it.
 set -euo pipefail
 
@@ -63,11 +65,15 @@ for name, text in expected.items():
 EOF
 
 # the recording written back with one nan sample inside a segment, and with
-# two finite samples large enough to overflow the covariance sums
+# two finite samples large enough to overflow the covariance sums; its bytes
+# with a stray header key
 python - "$dir/rec.rvc" "$dir" <<'EOF'
 import sys
 import numpy as np
 import radarvitals as rv
+data = open(sys.argv[1], "rb").read()
+with open(f"{sys.argv[2]}/stray.rvc", "wb") as fh:
+    fh.write(data.replace(b"\nend_header\n", b"\nbogus 1\nend_header\n", 1))
 cube = rv.read_container(sys.argv[1])
 cube.samples[1000, 4, 5] = np.nan
 rv.write_container(cube, f"{sys.argv[2]}/nan.rvc")
@@ -86,6 +92,7 @@ expect_data_error() {
 }
 expect_data_error nan "data error: .* is (nan"
 expect_data_error big "data error: .* are finite, but"
+expect_data_error stray "data error: .*unknown container header key 'bogus'"
 
 # a raw recording directory one segment long, of the sensor's array with
 # 256-point range profiles instead of its 8192, which would take 280 MB
@@ -138,6 +145,14 @@ profiles[5, 2, 7] = np.nan
 np.save(sys.argv[1], profiles)
 EOF
 expect_convert_data_error raw_nan "data error: .*profiles: sample \\[5, 2, 7\\] is (nan"
+# and a copy whose profiles.npy holds strings of the same shape
+cp -r "$dir/raw" "$dir/raw_str"
+python - "$dir/raw_str/profiles.npy" <<'EOF'
+import sys
+import numpy as np
+np.save(sys.argv[1], np.full(np.load(sys.argv[1], mmap_mode="r").shape, "a"))
+EOF
+expect_convert_data_error raw_str "data error: .*profiles must be bool, int, float or complex"
 
 # convert exits 2 naming a raw.kv key it does not know, without a traceback
 echo "bogus 1" >> "$dir/raw/raw.kv"

@@ -88,15 +88,18 @@ def _write(path: str, write, *args) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    from .core import radar_config_from_entries, walabot_config
+    from .core import radar_config_from_entries, reject_unknown, walabot_config
     from .dataio import ContainerWriter, check_container_target
     from .kvfile import read_kv
     from .simulate import scene_from_entries, synthesize_rows
 
     check_container_target(args.out, "--out")
     scene, extras = scene_from_entries(read_kv(args.scenario))
-    cfg = (radar_config_from_entries(read_kv(args.config), strict=True) if args.config
-           else walabot_config(f_st=scene.f_st))
+    if args.config:
+        cfg = radar_config_from_entries(entries := read_kv(args.config))
+        reject_unknown(entries, "radar config")
+    else:
+        cfg = walabot_config(f_st=scene.f_st)
     # every check passes before --out is opened; no cube is formed
     slow_time, blocks, imag_noise = synthesize_rows(scene, cfg)
     meta = {key.removeprefix("meta."): value for key, value in extras.items()}

@@ -73,8 +73,8 @@ def config_from_entries(cls: type, entries: dict[str, str], prefix: str = "", **
     """Build the dataclass ``cls`` from its ``prefix + field`` entries.
 
     Scalar fields are parsed with ``parse_config_value``; one without a
-    default must be present. Other fields are passed in ``given``, and
-    entries under other keys are ignored.
+    default must be present. Other fields are passed in ``given``. Each key
+    read is taken out of ``entries``, and entries under other keys stay.
     """
     kwargs = dict(given)
     for f, typ in _scalar_fields(cls):
@@ -83,14 +83,15 @@ def config_from_entries(cls: type, entries: dict[str, str], prefix: str = "", **
         key = prefix + f.name
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         if key in entries or required:
-            kwargs[f.name] = parse_config_value(key, entries.get(key), typ)
+            kwargs[f.name] = parse_config_value(key, entries.pop(key, None), typ)
     return cls(**kwargs)
 
 
-def reject_unknown(keys, known, what: str) -> None:
-    """Raise ``ConfigError`` naming the first sorted key of ``keys`` not in ``known``."""
-    if unknown := sorted(set(keys) - set(known)):
-        raise ConfigError(f"unknown {what} key {unknown[0]!r}")
+def reject_unknown(rest, what: str) -> None:
+    """Raise ``ConfigError`` naming the first sorted key of ``rest``, the
+    entries that no reader took."""
+    if rest:
+        raise ConfigError(f"unknown {what} key {min(rest)!r}")
 
 
 def config_to_entries(obj: object, prefix: str = "") -> dict[str, str]:
@@ -146,31 +147,26 @@ class RadarConfig:
             raise ConfigError("antenna counts m_r and m_t must be >= 1")
 
 
-def radar_config_keys(cfg: RadarConfig) -> list[str]:
-    """``cfg``'s keys plus the legacy keys ``radar_config_from_entries`` reads."""
-    return [*config_to_entries(cfg), "delta_t", "t_tone", "t_sweep"]
+def take_metadata(entries: dict[str, str]) -> dict[str, str]:
+    """Take the dataset metadata, ``id``, ``obstacle`` and ``meta.*``, out of ``entries``."""
+    return {k: entries.pop(k) for k in list(entries)
+            if k in ("id", "obstacle") or k.startswith("meta.")}
 
 
-def metadata_keys(entries) -> list[str]:
-    """The dataset metadata among ``entries``, carried through unread."""
-    return [k for k in entries if k in ("id", "obstacle") or k.startswith("meta.")]
-
-
-def radar_config_from_entries(entries: dict[str, str], strict: bool = False) -> RadarConfig:
-    """Build a ``RadarConfig`` from its entries. Older files may also carry
-    ``t_tone`` and ``t_sweep``, which were never read and are ignored, and
-    ``delta_t``, which only restated the transmit spacing: one within rel 1e-9
-    of ``m_r * delta`` is ignored, and any other describes an array no model
-    handles and is a ``ConfigError`` naming it. With ``strict``, any key that
-    is neither a radar-config key nor one of these is a ``ConfigError`` too."""
+def radar_config_from_entries(entries: dict[str, str]) -> RadarConfig:
+    """Build a ``RadarConfig`` from its entries, taking its keys out of them.
+    Older files may also carry ``t_tone`` and ``t_sweep``, which were never
+    read and are ignored, and ``delta_t``, which only restated the transmit
+    spacing: one within rel 1e-9 of ``m_r * delta`` is ignored, and any other
+    describes an array no model handles and is a ``ConfigError`` naming it.
+    These three are taken too."""
     cfg = config_from_entries(RadarConfig, entries)
-    if strict:
-        reject_unknown(entries, radar_config_keys(cfg), "radar config")
+    delta_t, *_ = (entries.pop(key, None) for key in ("delta_t", "t_tone", "t_sweep"))
     uniform = cfg.m_r * cfg.delta
-    if "delta_t" in entries and not math.isclose(
-        parse_config_value("delta_t", entries["delta_t"], float), uniform, rel_tol=1e-9
+    if delta_t is not None and not math.isclose(
+        parse_config_value("delta_t", delta_t, float), uniform, rel_tol=1e-9
     ):
-        raise ConfigError(f"config key 'delta_t' is {entries['delta_t']}, but only the "
+        raise ConfigError(f"config key 'delta_t' is {delta_t}, but only the "
                           f"uniform array m_r * delta = {uniform!r} is modelled")
     return cfg
 

@@ -22,11 +22,10 @@ from .core import (
     RadarConfig,
     config_to_entries,
     derive_params,
-    metadata_keys,
     parse_config_value,
     radar_config_from_entries,
-    radar_config_keys,
     reject_unknown,
+    take_metadata,
 )
 from .kvfile import format_kv, parse_kv, read_kv
 from .simulate import (MeasurementCube, Scene, check_rows, check_slow_time, scene_from_entries,
@@ -273,10 +272,10 @@ def read_header(path: str | os.PathLike) -> dict[str, str]:
         return _read_header(fh, path)[0]
 
 
-def ground_truth_from_header(entries: Mapping[str, str], path) -> Scene | None:
+def ground_truth_from_header(entries: dict[str, str], path) -> Scene | None:
     """The scene stored under the ``truth.`` keys of a container header,
-    ``None`` when there are none."""
-    truth = {k.removeprefix("truth."): v for k, v in entries.items() if k.startswith("truth.")}
+    which it takes out of ``entries``; ``None`` when there are none."""
+    truth = {k[len("truth."):]: entries.pop(k) for k in list(entries) if k.startswith("truth.")}
     try:
         return scene_from_entries(truth)[0] if truth else None
     except (KeyError, ValueError) as exc:
@@ -288,12 +287,13 @@ class ContainerReader(_Payload):
     one reader of the container rule.
 
     Opening it reads and checks the header in full: the dimensions against
-    the radar config, the ground truth, the payload size, every slow-time
-    stamp and ``f_st``. ``rows`` (a slice of unit step, clipped to the
-    recording) picks the rows it serves: ``l`` counts them, ``slow_time``
-    holds their stamps, and row 0 is the recording's row ``rows.start``.
-    Like a ``MeasurementCube`` it serves ``rows``, unchecked, and ``check``.
-    Close it with ``close`` or use it as a context manager.
+    the radar config, the ground truth, that no key but ``meta.*`` is left
+    unread, the payload size, every slow-time stamp and ``f_st``. ``rows``
+    (a slice of unit step, clipped to the recording) picks the rows it
+    serves: ``l`` counts them, ``slow_time`` holds their stamps, and row 0
+    is the recording's row ``rows.start``. Like a ``MeasurementCube`` it
+    serves ``rows``, unchecked, and ``check``. Close it with ``close`` or
+    use it as a context manager.
     """
 
     def __init__(self, path: str | os.PathLike, rows: slice = slice(None)):
@@ -309,12 +309,14 @@ class ContainerReader(_Payload):
         path = self.path
         entries, self._offset = _read_header(self._fh, path)
         try:
-            l = int(entries["l"])
-            m = int(entries["m"])
+            l = int(entries.pop("l"))
+            m = int(entries.pop("m"))
             cfg = radar_config_from_entries(entries)
+            self.ground_truth = ground_truth_from_header(entries, path)
+            stamps = entries.pop("slow_time", None)
+            reject_unknown([k for k in entries if not k.startswith("meta.")], "container header")
         except (KeyError, ValueError) as exc:
             raise RVCFormatError(f"{path}: bad or missing header field: {exc}") from exc
-        self.ground_truth = ground_truth_from_header(entries, path)
         if m != cfg.m_r * cfg.m_t:
             raise RVCFormatError(
                 f"{path}: header m={m} inconsistent with m_r*m_t={cfg.m_r * cfg.m_t}"
@@ -327,11 +329,11 @@ class ContainerReader(_Payload):
                 f"{path}: payload holds {actual} bytes but the header promises "
                 f"{expected} (l*k*m complex128) starting at byte offset {self._offset}"
             )
-        if "slow_time" not in entries:
+        if stamps is None:
             raise RVCFormatError(f"{path}: header lacks the slow_time vector")
         try:
             slow_time = np.array(
-                [parse_config_value("slow_time", v, float) for v in entries["slow_time"].split(",")]
+                [parse_config_value("slow_time", v, float) for v in stamps.split(",")]
             )
         except ConfigError as exc:
             raise RVCFormatError(f"{path}: {exc}") from exc
@@ -392,12 +394,13 @@ def downconvert_decimate(
 ) -> np.ndarray:
     """Recover stepped-frequency samples from fast-time range profiles.
 
-    Mixes the profile down by the center frequency, Fourier transforms over
-    fast time and keeps the ``k`` bins inside [-b/2, b/2], symmetric about
-    DC with the extra bin on the positive side when the count is even. The
-    output is ordered by ascending frequency so index k maps to the tone
-    f0 + k * delta_f. Works on any leading batch shape; the profile axis is
-    the last one.
+    Mixes the profile down by f0 + n_neg * delta_f, the tone that the DC bin
+    keeps, Fourier transforms over fast time and keeps the ``k`` bins inside
+    [-b/2, b/2]: n_neg = k - 1 - k // 2 below DC and k // 2 above it, so the
+    mixing tone is the center frequency for an odd ``k`` and half a step
+    below it for an even one. The output is ordered by ascending frequency
+    so index k maps to the tone f0 + k * delta_f. Works on any leading batch
+    shape; the profile axis is the last one.
     """
     profiles = np.asarray(profiles)
     n = cfg.n
@@ -407,12 +410,11 @@ def downconvert_decimate(
         )
     if f_s_ft <= cfg.b:
         raise ValueError("fast-time rate f_s_ft must exceed the bandwidth b")
-    derived = derive_params(cfg)
-    carrier = np.exp(-2j * np.pi * derived.f_c * np.arange(n) / f_s_ft)
-    spectrum = np.fft.fft(profiles * carrier, axis=-1)
     k = cfg.k
     n_pos = k // 2
     n_neg = k - 1 - n_pos
+    f_dc = cfg.f0 + n_neg * derive_params(cfg).delta_f
+    spectrum = np.fft.fft(profiles * np.exp(-2j * np.pi * f_dc * np.arange(n) / f_s_ft), axis=-1)
     spacing = f_s_ft / n
     half_band = cfg.b / 2 * (1 + 1e-9)
     if n_pos * spacing > half_band or n_neg * spacing > half_band:
@@ -429,9 +431,11 @@ class RawRecording:
 
     ``profiles`` is indexed [slow time, pair, fast time]; ``pair_table``
     names the (tx index, rx index) of each pair column. Hardware profiles
-    are real; synthetic analytic profiles may be complex. A profile sample
-    that is not finite is a ``DataError`` naming its [sweep, column, bin],
-    and so are stamps that are not 1-D, finite and strictly increasing.
+    are real; synthetic analytic profiles may be complex. Profiles that are
+    not bool, int, float or complex, and stamps that are not int or float,
+    are a ``DataError`` naming the array and its dtype. So is a profile
+    sample that is not finite, naming its [sweep, column, bin], and stamps
+    that are not 1-D, finite and strictly increasing.
     """
 
     profiles: np.ndarray
@@ -441,6 +445,10 @@ class RawRecording:
 
     def __post_init__(self) -> None:
         self.profiles = np.asarray(self.profiles)
+        for name, kinds, what in (("profiles", "biufc", "bool, int, float or complex"),
+                                  ("slow_time", "iuf", "int or float")):
+            if (dtype := np.asarray(getattr(self, name)).dtype).kind not in kinds:
+                raise DataError(f"{name} must be {what}, got dtype {dtype}")
         self.slow_time = np.asarray(self.slow_time, dtype=np.float64)
         if self.profiles.ndim != 3:
             raise DataError("profiles must be indexed [slow time, pair, fast time]")
@@ -477,7 +485,7 @@ def convert_recording(raw: RawRecording, cfg: RadarConfig) -> MeasurementCube:
 def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
     """Load the on-disk raw layout: ``raw.kv`` metadata plus npy payloads.
 
-    ``raw.kv`` carries the radar config keys (``core.radar_config_keys``),
+    ``raw.kv`` carries the radar config keys (``core.radar_config_from_entries``),
     ``f_s_ft``, the pair table (``pair.<i>.tx`` / ``pair.<i>.rx``, i = 0,
     1, ... without gaps) and, unread, the dataset metadata keys ``id``,
     ``obstacle`` and ``meta.*``; any other key is a ``ConfigError`` naming
@@ -490,13 +498,13 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
     except OSError as exc:
         raise DataError(f"{root}: cannot read raw.kv: {exc}") from exc
     cfg = radar_config_from_entries(meta)
-    f_s_ft = parse_config_value("f_s_ft", meta.get("f_s_ft"), float)
+    f_s_ft = parse_config_value("f_s_ft", meta.pop("f_s_ft", None), float)
     pairs = []
     while (tx := f"pair.{len(pairs)}.tx") in meta:
         rx = f"pair.{len(pairs)}.rx"
-        pairs.append(tuple(parse_config_value(key, meta.get(key), int) for key in (tx, rx)))
-    read = [f"pair.{i}.{end}" for i in range(len(pairs)) for end in ("tx", "rx")]
-    reject_unknown(meta, [*radar_config_keys(cfg), "f_s_ft", *read, *metadata_keys(meta)], "raw.kv")
+        pairs.append(tuple(parse_config_value(key, meta.pop(key, None), int) for key in (tx, rx)))
+    take_metadata(meta)
+    reject_unknown(meta, "raw.kv")
     if not pairs:
         raise DataError(f"{root}: raw.kv names no antenna pairs")
     arrays = []

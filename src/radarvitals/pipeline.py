@@ -147,10 +147,13 @@ class PipelineConfig:
 
 
 def pipeline_config_from_entries(entries: dict[str, str]) -> PipelineConfig:
-    """Build a config from key/value entries; the grid is read under ``grid.``."""
-    reject_unknown(entries, pipeline_config_to_entries(PipelineConfig()), "pipeline config")
-    grid = config_from_entries(GridSpec, entries, "grid.")
-    return config_from_entries(PipelineConfig, entries, grid=grid)
+    """Build a config from a copy of the entries, the grid under ``grid.``,
+    and reject any key left over."""
+    rest = dict(entries)
+    grid = config_from_entries(GridSpec, rest, "grid.")
+    config = config_from_entries(PipelineConfig, rest, grid=grid)
+    reject_unknown(rest, "pipeline config")
+    return config
 
 
 def pipeline_config_to_entries(config: PipelineConfig) -> dict[str, str]:

@@ -24,9 +24,9 @@ from .core import (
     config_from_entries,
     config_to_entries,
     derive_params,
-    metadata_keys,
     parse_config_value,
     reject_unknown,
+    take_metadata,
 )
 from .localize import steering_matrix
 
@@ -312,9 +312,10 @@ def range_profile(snapshot: np.ndarray, n: int) -> np.ndarray:
 
 
 def _polar_from_entries(entries: dict[str, str], key: str, default: complex) -> complex:
-    """A complex gain stored as magnitude ``key`` and phase (rad) ``key_phase``."""
+    """A complex gain stored as magnitude ``key`` and phase (rad) ``key_phase``,
+    both keys taken out of ``entries``."""
     magnitude, phase = (
-        parse_config_value(k, entries[k], float) if k in entries else fallback
+        parse_config_value(k, entries.pop(k), float) if k in entries else fallback
         for k, fallback in ((key, abs(default)), (key + "_phase", float(np.angle(default))))
     )
     return complex(magnitude * np.exp(1j * phase))
@@ -350,51 +351,44 @@ def _reflector_to_entries(reflector: tuple, prefix: str) -> dict[str, str]:
     return {**config_to_entries(location, prefix), **_polar_to_entries(gain, prefix + "gain")}
 
 
-def _read_indexed(entries: dict[str, str], kind: str, read, write) -> tuple:
-    """Read every ``kind.<index>.<field>`` group in index order; a field is
-    known when ``write`` stores it for the item read. An invalid item is a
-    ``ConfigError`` naming its ``kind.<index>``."""
-    groups: dict[int, dict[str, str]] = {}
-    for key, value in entries.items():
-        if not key.startswith(kind + "."):
-            continue
-        idx_text, _, name = key[len(kind) + 1 :].partition(".")
-        if not name:
-            raise ConfigError(f"malformed key {key!r}")
-        try:
-            idx = int(idx_text)
-        except ValueError:
-            raise ConfigError(f"malformed key {key!r}") from None
-        groups.setdefault(idx, {})[f"{kind}.{idx}.{name}"] = value
+def _read_indexed(entries: dict[str, str], kind: str, read) -> tuple:
+    """Read every ``kind.<index>.<field>`` group in index order, each item
+    taking its keys out of ``entries``. An index that is not in canonical
+    decimal form is a malformed key, and an invalid item is a ``ConfigError``
+    naming its ``kind.<index>``."""
+    indices = set()
+    for key in entries:
+        if key.startswith(kind + "."):
+            idx_text, _, name = key[len(kind) + 1 :].partition(".")
+            if not (name and idx_text.isdecimal() and str(int(idx_text)) == idx_text):
+                raise ConfigError(f"malformed key {key!r}")
+            indices.add(int(idx_text))
     items = []
-    for idx in sorted(groups):
+    for idx in sorted(indices):
         prefix = f"{kind}.{idx}."
         try:
-            item = read(groups[idx], prefix)
+            items.append(read(entries, prefix))
         except ValueError as exc:
             if prefix in str(exc):  # a parse error already names its key
                 raise
             raise ConfigError(f"{prefix[:-1]}: {exc}") from exc
-        reject_unknown(groups[idx], write(item, prefix), "scene")
-        items.append(item)
     return tuple(items)
 
 
 def scene_from_entries(entries: dict[str, str]) -> tuple[Scene, dict[str, str]]:
-    """Build a scene from key/value entries.
+    """Build a scene from key/value entries, read from a copy.
 
-    Returns the scene plus any leftover entries (``id``, ``obstacle`` and
-    ``meta.*`` passthrough keys); anything else unknown is an error.
+    Returns the scene plus the dataset metadata (``id``, ``obstacle`` and
+    ``meta.*`` passthrough keys); any other key that no field reads is a
+    ``ConfigError`` naming it.
     """
-    persons = _read_indexed(entries, "person", _person_from_entries, _person_to_entries)
-    reflectors = _read_indexed(
-        entries, "reflector", _reflector_from_entries, _reflector_to_entries
-    )
-    clutter = config_from_entries(ClutterModel, entries, static_reflectors=reflectors)
-    scene = config_from_entries(Scene, entries, persons=persons, clutter=clutter)
-    extras = {k: entries[k] for k in metadata_keys(entries)}
-    items = [k for k in entries if k.startswith(("person.", "reflector."))]
-    reject_unknown(entries, [*scene_to_entries(scene), *items, *extras], "scene")
+    rest = dict(entries)
+    persons = _read_indexed(rest, "person", _person_from_entries)
+    reflectors = _read_indexed(rest, "reflector", _reflector_from_entries)
+    clutter = config_from_entries(ClutterModel, rest, static_reflectors=reflectors)
+    scene = config_from_entries(Scene, rest, persons=persons, clutter=clutter)
+    extras = take_metadata(rest)
+    reject_unknown(rest, "scene")
     return scene, extras
 
 

@@ -204,6 +204,19 @@ def test_bad_config_entry_names_its_key(read, entries, key):
         read(entries)
 
 
+@pytest.mark.parametrize("read, entries", [
+    (rv.scene_from_entries, {"l": "10", **_PERSON, "person.0.amplitude_phase": "0.5",
+                             "reflector.0.d": "1.0", "reflector.0.theta": "0", "id": "s01",
+                             "meta.room": "a"}),
+    (rv.pipeline_config_from_entries, {"w_st": "32", "grid.d_step": "0.1"}),
+])
+def test_entry_reader_leaves_the_callers_entries_as_they_were(read, entries):
+    # the reader takes the keys it reads out of a copy of its own
+    before = dict(entries)
+    read(entries)
+    assert entries == before
+
+
 @pytest.mark.parametrize("text", ["1", "true", "Yes", "ON", "0", "False", "no", "OFF"])
 def test_bool_entry_spellings(text):
     config = rv.pipeline_config_from_entries({"accumulate": text})

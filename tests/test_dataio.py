@@ -302,6 +302,12 @@ def test_simulated_container_golden_sha256(tmp_path):
     assert hashlib.sha256(legacy).hexdigest() == (
         "666680537b4bde4fafbe24d2c0e785d675836cd0bf11b7aa82a3e4b759e857dd"
     )
+    # and it loads: the radar reader takes delta_t, so the header check
+    # finds no key left over
+    (tmp_path / "legacy.rvc").write_bytes(legacy)
+    fresh, old = rv.read_container(out), rv.read_container(tmp_path / "legacy.rvc")
+    assert (old.config, old.ground_truth) == (fresh.config, fresh.ground_truth)
+    assert old.samples.tobytes() == fresh.samples.tobytes()
 
 
 def test_write_container_makes_no_payload_copy(tmp_path, walabot):
@@ -495,6 +501,19 @@ def test_convert_puts_pair_tx_rx_in_channel_tx_m_r_plus_rx():
     assert permuted.tobytes() == out.tobytes()
 
 
+@pytest.mark.parametrize("cfg", [small_config(k=11, m_t=1, m_r=3), small_config(k=12, m_t=1, m_r=3),
+                                 replace(ARRAY_256, k=137), replace(ARRAY_256, k=138)],
+                         ids=["k=11", "k=12", "k=137", "k=138"])
+def test_convert_recovers_random_samples_at_odd_and_even_k(cfg):
+    # the profile is mixed by the tone the DC bin keeps, which for an even k
+    # lies half a step below the center frequency
+    rng = np.random.default_rng(cfg.k)
+    shape = (3, cfg.k, cfg.m_r * cfg.m_t)
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = rv.convert_recording(_raw_of_channels(cfg, samples), cfg).samples
+    np.testing.assert_allclose(out, samples, rtol=0, atol=1e-11)
+
+
 def test_convert_single_transmit_channel_is_rx():
     cfg = small_config(k=11, m_t=1, m_r=3)
     raw = _raw_of_channels(cfg, np.broadcast_to(np.arange(1.0, 4.0), (1, cfg.k, 3)))
@@ -555,6 +574,13 @@ def test_raw_recording_validation():
         rv.RawRecording(np.zeros((2, 1, 8)), ((0, 0),), 1e9, np.array([0.1, 0.1]))
     with pytest.raises(rv.DataError, match=re.escape("slow_time must be 1-D, got shape (2, 1)")):
         rv.RawRecording(np.zeros((2, 1, 8)), ((0, 0),), 1e9, np.array([[0.0], [0.1]]))
+    with pytest.raises(rv.DataError, match="profiles must be bool, int, float or complex, "
+                                           "got dtype <U1"):
+        rv.RawRecording(np.full((2, 1, 8), "a"), ((0, 0),), 1e9, np.arange(2.0))
+    with pytest.raises(rv.DataError, match="slow_time must be int or float, got dtype <U1"):
+        rv.RawRecording(np.zeros((2, 1, 8)), ((0, 0),), 1e9, np.array(["a", "b"]))
+    with pytest.raises(rv.DataError, match="slow_time must be int or float, got dtype complex"):
+        rv.RawRecording(np.zeros((2, 1, 8)), ((0, 0),), 1e9, np.arange(2.0) + 0j)
     profiles = np.zeros((2, 1, 8))
     profiles[1, 0, 7] = np.inf
     with pytest.raises(rv.DataError, match=re.escape("profiles: sample [1, 0, 7] is inf, not finite")):

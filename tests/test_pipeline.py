@@ -644,8 +644,13 @@ def _truncate_profiles(raw_dir):
     (_truncate_profiles, "cannot load raw arrays: profiles.npy"),
     (lambda raw_dir: (raw_dir / "slow_time.npy").write_bytes(b"not an npy file"),
      "cannot load raw arrays: slow_time.npy"),
+    (lambda raw_dir: np.save(raw_dir / "profiles.npy", np.full((2, 8, 8192), "a")),
+     "profiles must be bool, int, float or complex, got dtype <U1"),
+    (lambda raw_dir: np.save(raw_dir / "slow_time.npy", np.array(["0.0", "0.1"])),
+     "slow_time must be int or float, got dtype <U3"),
 ], ids=["no raw.kv", "no pair keys", "no profiles.npy", "pair outside the array",
-        "empty profiles.npy", "truncated profiles.npy", "slow_time.npy not npy"])
+        "empty profiles.npy", "truncated profiles.npy", "slow_time.npy not npy",
+        "string profiles.npy", "string slow_time.npy"])
 def test_cli_convert_unusable_raw_dir_is_data_error(tmp_path, capsys, edit, message):
     raw_dir, _ = _raw_dir_of_two_samples(tmp_path)
     edit(raw_dir)
@@ -667,7 +672,10 @@ def test_cli_convert_refuses_an_inf_profile_sample_before_down_conversion(tmp_pa
     assert out.read_bytes() == b"kept"
 
 
-@pytest.mark.parametrize("key", ["person.x.d", "person.0"])
+# an index is read only in its canonical decimal form, so person.01.d is
+# not taken for person.1.d
+@pytest.mark.parametrize("key", ["person.x.d", "person.0", "person.01.d", "person.-1.d",
+                                 "reflector.+1.d"])
 def test_cli_malformed_scene_item_key_is_usage_error(tmp_path, capsys, key):
     scene_path = tmp_path / "scene.kv"
     scene_path.write_text(f"l 10\n{key} 1.0\n", encoding="utf-8")
@@ -1435,6 +1443,54 @@ def test_raw_kv_key_set_is_closed(tmp_path, capsys):
         assert main(["convert", "--raw", str(raw_dir), "--out", str(out)]) == 0
         converted.append((rv.read_raw_dir(raw_dir)[1], out.read_bytes()))
     assert converted[0] == converted[1]
+
+
+def _stray(entries):
+    """``entries`` with ``C`` in place of any ``c`` and a ``bogus`` key."""
+    return {**{("C" if k == "c" else k): v for k, v in entries.items()}, "bogus": "1"}
+
+
+@pytest.mark.parametrize("surface, key, code", [
+    ("pipeline config", "bogus", 2),
+    ("radar config", "C", 2),
+    ("scene", "bogus", 2),
+    ("raw.kv", "C", 2),
+    ("container header", "C", 3),
+])
+def test_cli_stray_key_on_each_key_value_surface(tmp_path, capsys, surface, key, code):
+    # every reader takes the keys it reads, and the first key left over, in
+    # sorted order, is refused by name; a misspelt C would otherwise leave c
+    # at its default
+    cfg = rv.walabot_config(10.0)
+    container = tmp_path / "rec.rvc"  # one segment long, so that detect runs
+    rv.write_container(rv.simulate(scene_of([], l=264, noise_std=0.1, seed=4), cfg), container)
+    raw_dir, _ = _raw_dir_of_two_samples(tmp_path)
+    pipe, radar, scene = tmp_path / "pipe.kv", tmp_path / "radar.kv", tmp_path / "scene.kv"
+    write_kv(pipe, pipeline_config_to_entries(rv.PipelineConfig()))
+    write_kv(radar, rv.core.config_to_entries(cfg))
+    scene.write_text("l 4\nid s01\nmeta.room a\n", encoding="utf-8")
+    out = tmp_path / "out"
+    runs = {
+        "pipeline config": (pipe, ["detect", "--in", container, "--config", pipe]),
+        "radar config": (radar, ["simulate", "--scenario", scene, "--config", radar]),
+        "scene": (scene, ["simulate", "--scenario", scene]),
+        "raw.kv": (raw_dir / "raw.kv", ["convert", "--raw", raw_dir]),
+        "container header": (container, ["detect", "--in", container]),
+    }
+    path, argv = runs[surface]
+    argv = [str(arg) for arg in argv] + ["--out", str(out)]
+    assert main(argv) == 0
+    out.unlink()
+    if surface == "container header":
+        head, sep, payload = path.read_bytes().partition(b"\nend_header\n")
+        lines = dict(line.split(" ", 1) for line in head.decode("utf-8").split("\n")[1:])
+        path.write_bytes(b"RVC1\n" + format_kv(_stray(lines)).encode("utf-8")[:-1] + sep + payload)
+    else:
+        write_kv(path, _stray(read_kv(path)))
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert f"unknown {surface} key {key!r}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_legacy_radar_keys_read_by_one_rule(tmp_path, capsys):
