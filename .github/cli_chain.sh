@@ -5,7 +5,9 @@
 # compared with those of `detect` + `vitals`. Then three bad recordings that
 # `detect` must reject with exit code 3 and a data error, without a
 # traceback: a nan sample, two samples that overflow the covariance sums and
-# a header with the key `bogus 1`, which no reader takes. Last, a raw
+# a header with the key `bogus 1`, which no reader takes and which
+# `evaluate --truth` must reject the same way. `dump-spectrum` with `--out`
+# naming its `--in` recording must exit 2 and leave it as it was. Last, a raw
 # recording directory through `convert` and `detect`, then an empty
 # profiles.npy, a nan profile sample and a profiles.npy of strings, which
 # `convert` must reject with exit code 3, and a raw.kv with an unknown key,
@@ -39,11 +41,11 @@ python - "$dir" <<'EOF'
 import sys
 import radarvitals as rv
 from radarvitals import pipeline
-from radarvitals.dataio import ground_truth_from_header
 d = sys.argv[1]
 result = rv.run_pipeline(f"{d}/rec.rvc")
 header = rv.read_header(f"{d}/rec.rvc")
-truth = ground_truth_from_header(header, f"{d}/rec.rvc")
+with rv.ContainerReader(f"{d}/rec.rvc") as reader:
+    truth = reader.ground_truth
 config = rv.PipelineConfig()
 rows = slice(config.l_st, 2 * config.l_st + config.w_st - 1)
 with rv.ContainerReader(f"{d}/rec.rvc", rows) as own:
@@ -93,6 +95,22 @@ expect_data_error() {
 expect_data_error nan "data error: .* is (nan"
 expect_data_error big "data error: .* are finite, but"
 expect_data_error stray "data error: .*unknown container header key 'bogus'"
+# evaluate reads the header by the same rule
+code=0
+radarvitals evaluate --in "$dir/det.csv" --truth "$dir/stray.rvc" 2> "$dir/stray_eval.err" || code=$?
+cat "$dir/stray_eval.err"
+test "$code" -eq 3
+grep -q "data error: .*unknown container header key 'bogus'" "$dir/stray_eval.err"
+if grep -q Traceback "$dir/stray_eval.err"; then exit 1; fi
+
+# an output that names an input exits 2 before anything is read or written
+sha=$(sha256sum "$dir/rec.rvc")
+code=0
+radarvitals dump-spectrum --in "$dir/rec.rvc" --out "$dir/rec.rvc" 2> "$dir/same.err" || code=$?
+cat "$dir/same.err"
+test "$code" -eq 2
+grep -q "error: --in and --out name one path" "$dir/same.err"
+test "$(sha256sum "$dir/rec.rvc")" = "$sha"
 
 # a raw recording directory one segment long, of the sensor's array with
 # 256-point range profiles instead of its 8192, which would take 280 MB

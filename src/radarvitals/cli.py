@@ -5,6 +5,8 @@ Subcommands cover the whole chain: ``simulate`` a scene into a container,
 ``run_pipeline`` call that writes each table of ``_TABLES`` named on the
 command line; the two differ only in the table that ``--out`` names),
 ``evaluate`` against ground truth and ``dump-spectrum`` for plotting.
+Before any command starts, ``_check_files`` refuses an output path that is
+a directory, one of the command's inputs or another of its outputs.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 4 numeric failure.
@@ -28,6 +30,8 @@ _OUT = {"detect": "detections", "vitals": "vitals"}  # the table each run's --ou
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .dataio import RAW_FILES
+
     parser = argparse.ArgumentParser(
         prog="radarvitals",
         description="Multi-person localization and breathing estimation "
@@ -35,40 +39,71 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each command's files for _check_files: (input arguments, output
+    # arguments, the file names an input directory stands for)
     p = sub.add_parser("simulate", help="synthesize a measurement container from a scene file")
-    p.add_argument("--scenario", required=True, help="scene key/value file")
-    p.add_argument("--config", help="radar config key/value file (default: built-in sensor)")
-    p.add_argument("--out", required=True, help="output container path")
+    inputs = [p.add_argument("--scenario", required=True, help="scene key/value file"),
+              p.add_argument("--config", help="radar config key/value file "
+                             "(default: built-in sensor)")]
+    p.set_defaults(files=(inputs, [p.add_argument("--out", required=True,
+                                                  help="output container path")], ()))
 
     p = sub.add_parser("convert", help="convert a raw recording directory to a container")
-    p.add_argument("--raw", required=True, help="raw recording directory")
-    p.add_argument("--out", required=True, help="output container path")
+    inputs = [p.add_argument("--raw", required=True, help="raw recording directory")]
+    p.set_defaults(files=(inputs, [p.add_argument("--out", required=True,
+                                                  help="output container path")], RAW_FILES))
 
     for command, help in (("detect", "run detection/localization on a container"),
                           ("vitals", "extract displacement series and breathing rates")):
         p = sub.add_parser(command, help=help)
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--config", help="pipeline config key/value file")
+        inputs = [p.add_argument("--in", dest="infile", required=True),
+                  p.add_argument("--config", help="pipeline config key/value file")]
         p.add_argument("--no-accumulate", action="store_true", help="score each segment on "
                        "its own spectrum; applies to every table of the call")
-        for table, (flag, _, path_help) in _TABLES.items():
-            mine = table == _OUT[command]
-            p.add_argument("--out" if mine else flag, dest=table, required=mine, help=path_help)
+        outputs = [p.add_argument("--out" if table == _OUT[command] else flag, dest=table,
+                                  required=table == _OUT[command], help=path_help)
+                   for table, (flag, _, path_help) in _TABLES.items()]
+        p.set_defaults(files=(inputs, outputs, ()))
 
     p = sub.add_parser("evaluate", help="score detections against container ground truth")
-    p.add_argument("--in", dest="infile", required=True, help="detections CSV from 'detect'")
-    p.add_argument("--truth", required=True, help="container with ground truth")
-    p.add_argument("--breathing", help="breathing CSV from 'vitals'")
-    p.add_argument("--out", help="report CSV path")
+    inputs = [p.add_argument("--in", dest="infile", required=True,
+                             help="detections CSV from 'detect'"),
+              p.add_argument("--truth", required=True, help="container with ground truth"),
+              p.add_argument("--breathing", help="breathing CSV from 'vitals'")]
+    p.set_defaults(files=(inputs, [p.add_argument("--out", help="report CSV path")], ()))
     p.add_argument("--d-match", type=float, default=None)
 
     p = sub.add_parser("dump-spectrum", help="export a pseudo-spectrum as CSV")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    inputs = [p.add_argument("--in", dest="infile", required=True)]
+    outputs = [p.add_argument("--out", required=True)]
     p.add_argument("--segment", type=int, default=None,
                    help="single segment index (default: accumulated)")
-    p.add_argument("--config", help="pipeline config key/value file")
+    inputs.append(p.add_argument("--config", help="pipeline config key/value file"))
+    p.set_defaults(files=(inputs, outputs, ()))
     return parser
+
+
+def _check_files(args) -> None:
+    """Refuse an output path that is a directory, an input or another output,
+    before the command starts; inputs may coincide with each other. An input
+    directory stands for its files that the command declares (``convert``'s
+    ``--raw`` for ``dataio.RAW_FILES``)."""
+    inputs, outputs, within = args.files
+    seen = {}
+    for action in inputs:
+        if (path := getattr(args, action.dest)) is not None:
+            flag = action.option_strings[0]
+            files = [(f"{flag} {name}", os.path.join(path, name)) for name in within]
+            for name, file in files or [(flag, path)]:
+                seen.setdefault(os.path.realpath(file), name)
+    for action in outputs:
+        if (path := getattr(args, action.dest)) is None:
+            continue
+        flag = action.option_strings[0]
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} names a directory: {path}")
+        if (other := seen.setdefault(os.path.realpath(path), flag)) != flag:
+            raise ValueError(f"{other} and {flag} name one path: {path}")
 
 
 def _load_pipeline_config(path: str | None, accumulate: bool = True):
@@ -125,17 +160,10 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    """One run, then each table asked for; a directory, --in or one path twice is refused first."""
+    """One run, then each table asked for."""
     from . import pipeline
 
     tables = {table: path for table in _TABLES if (path := getattr(args, table)) is not None}
-    seen = {os.path.realpath(args.infile): "--in"}
-    for table, path in tables.items():
-        flag = "--out" if table == _OUT[args.command] else _TABLES[table][0]
-        if os.path.isdir(path):
-            raise ValueError(f"{flag} names a directory: {path}")
-        if (other := seen.setdefault(os.path.realpath(path), flag)) != flag:
-            raise ValueError(f"{other} and {flag} name one path: {path}")
     config = _load_pipeline_config(args.config, accumulate=not args.no_accumulate)
     result = pipeline.run_pipeline(args.infile, config, vitals=any(_TABLES[t][1] for t in tables))
     for table, path in tables.items():
@@ -151,12 +179,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .dataio import DataError, ground_truth_from_header, read_header
+    from .dataio import DataError, check_header, read_header
     from .pipeline import PipelineConfig, read_breathing_rates, read_final_detections, write_report
     from .trackeval import score_estimates
 
     header = read_header(args.truth)
-    truth = ground_truth_from_header(header, args.truth)
+    _, _, truth = check_header(header, args.truth)
     if truth is None:
         raise DataError(f"{args.truth} carries no ground truth")
     estimates, labels = read_final_detections(args.infile)
@@ -221,6 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np
 
     try:
+        _check_files(args)
         return _COMMANDS[args.command](args)
     # LinAlgError subclasses ValueError, so it is caught first
     except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:

@@ -28,8 +28,8 @@ from .core import (
     take_metadata,
 )
 from .kvfile import format_kv, parse_kv, read_kv
-from .simulate import (MeasurementCube, Scene, check_rows, check_slow_time, scene_from_entries,
-                       scene_to_entries)
+from .simulate import (MeasurementCube, Scene, check_rows, check_slow_time, scene_to_entries,
+                       take_scene)
 
 RVC_MAGIC = "RVC1"
 # what a ContainerWriter puts in place of the magic until it is closed cleanly
@@ -267,31 +267,69 @@ def _read_header(fh: BinaryIO, path) -> tuple[dict[str, str], int]:
 
 
 def read_header(path: str | os.PathLike) -> dict[str, str]:
-    """Header entries only (cheap way to get meta/ground-truth keys)."""
+    """Header entries only, reading no further than the ``end_header`` line.
+
+    It checks only the magic and the ``key value`` syntax; ``check_header``
+    is the one check of what the entries hold."""
     with open(path, "rb") as fh:
         return _read_header(fh, path)[0]
 
 
-def ground_truth_from_header(entries: dict[str, str], path) -> Scene | None:
-    """The scene stored under the ``truth.`` keys of a container header,
-    which it takes out of ``entries``; ``None`` when there are none."""
-    truth = {k[len("truth."):]: entries.pop(k) for k in list(entries) if k.startswith("truth.")}
+def check_header(entries: Mapping[str, str],
+                 path: str | os.PathLike) -> tuple[RadarConfig, np.ndarray, Scene | None]:
+    """The one check of what a container header holds: the radar config,
+    slow-time stamps and ground truth (``None`` without ``truth.*`` keys)
+    of the header ``entries`` of ``path``, read from a copy.
+
+    It checks the dimensions against the radar config, the ``truth.*``
+    scene, that no key but ``meta.*`` is left unread, every slow-time stamp
+    and ``f_st``; a failure is a ``DataError`` naming ``path`` and the
+    header key. The payload is not read (see ``ContainerReader``).
+    """
+    entries = dict(entries)
+    has_truth = any(k.startswith("truth.") for k in entries)
     try:
-        return scene_from_entries(truth)[0] if truth else None
+        l = int(entries.pop("l"))
+        m = int(entries.pop("m"))
+        cfg = radar_config_from_entries(entries)
+        truth = take_scene(entries, "truth.") if has_truth else None
+        stamps = entries.pop("slow_time", None)
+        reject_unknown([k for k in entries if not k.startswith("meta.")], "container header")
     except (KeyError, ValueError) as exc:
         raise RVCFormatError(f"{path}: bad or missing header field: {exc}") from exc
+    if m != cfg.m_r * cfg.m_t:
+        raise RVCFormatError(
+            f"{path}: header m={m} inconsistent with m_r*m_t={cfg.m_r * cfg.m_t}"
+        )
+    if stamps is None:
+        raise RVCFormatError(f"{path}: header lacks the slow_time vector")
+    try:
+        slow_time = np.array(
+            [parse_config_value("slow_time", v, float) for v in stamps.split(",")]
+        )
+    except ConfigError as exc:
+        raise RVCFormatError(f"{path}: {exc}") from exc
+    if slow_time.size != l:
+        raise RVCFormatError(
+            f"{path}: slow_time has {slow_time.size} entries, header promises {l}"
+        )
+    try:
+        check_slow_time(slow_time)
+    except ValueError as exc:
+        raise RVCFormatError(f"{path}: {exc}") from exc
+    check_f_st(slow_time, cfg.f_st, path)
+    return cfg, slow_time, truth
 
 
 class ContainerReader(_Payload):
     """An open "RVC1" container whose sample rows are read on demand, the
     one reader of the container rule.
 
-    Opening it reads and checks the header in full: the dimensions against
-    the radar config, the ground truth, that no key but ``meta.*`` is left
-    unread, the payload size, every slow-time stamp and ``f_st``. ``rows``
-    (a slice of unit step, clipped to the recording) picks the rows it
-    serves: ``l`` counts them, ``slow_time`` holds their stamps, and row 0
-    is the recording's row ``rows.start``. Like a ``MeasurementCube`` it
+    Opening it reads the header, checks it in full (``check_header``) and
+    checks the payload size against it. ``rows`` (a slice of unit step,
+    clipped to the recording) picks the rows it serves: ``l`` counts them,
+    ``slow_time`` holds their stamps, and row 0 is the recording's row
+    ``rows.start``. Like a ``MeasurementCube`` it
     serves ``rows``, unchecked, and ``check``. Close it with ``close`` or
     use it as a context manager.
     """
@@ -306,51 +344,21 @@ class ContainerReader(_Payload):
             raise
 
     def _check_header(self, rows: slice) -> None:
-        path = self.path
-        entries, self._offset = _read_header(self._fh, path)
-        try:
-            l = int(entries.pop("l"))
-            m = int(entries.pop("m"))
-            cfg = radar_config_from_entries(entries)
-            self.ground_truth = ground_truth_from_header(entries, path)
-            stamps = entries.pop("slow_time", None)
-            reject_unknown([k for k in entries if not k.startswith("meta.")], "container header")
-        except (KeyError, ValueError) as exc:
-            raise RVCFormatError(f"{path}: bad or missing header field: {exc}") from exc
-        if m != cfg.m_r * cfg.m_t:
-            raise RVCFormatError(
-                f"{path}: header m={m} inconsistent with m_r*m_t={cfg.m_r * cfg.m_t}"
-            )
-        self._row_bytes = cfg.k * m * 16
+        entries, self._offset = _read_header(self._fh, self.path)
+        cfg, slow_time, self.ground_truth = check_header(entries, self.path)
+        l, self._dims = len(slow_time), (cfg.k, cfg.m_r * cfg.m_t)
+        self._row_bytes = cfg.k * self._dims[1] * 16
         expected = l * self._row_bytes
         actual = os.fstat(self._fh.fileno()).st_size - self._offset
         if actual != expected:
             raise RVCFormatError(
-                f"{path}: payload holds {actual} bytes but the header promises "
+                f"{self.path}: payload holds {actual} bytes but the header promises "
                 f"{expected} (l*k*m complex128) starting at byte offset {self._offset}"
             )
-        if stamps is None:
-            raise RVCFormatError(f"{path}: header lacks the slow_time vector")
-        try:
-            slow_time = np.array(
-                [parse_config_value("slow_time", v, float) for v in stamps.split(",")]
-            )
-        except ConfigError as exc:
-            raise RVCFormatError(f"{path}: {exc}") from exc
-        if slow_time.size != l:
-            raise RVCFormatError(
-                f"{path}: slow_time has {slow_time.size} entries, header promises {l}"
-            )
-        try:
-            check_slow_time(slow_time)
-        except ValueError as exc:
-            raise RVCFormatError(f"{path}: {exc}") from exc
-        check_f_st(slow_time, cfg.f_st, path)
         start, stop, step = rows.indices(l)
         if step != 1:
             raise ValueError(f"container rows must be read with step 1, got {step}")
         self.config = cfg
-        self._dims = (cfg.k, m)
         self._first = start
         self.l = max(stop - start, 0)
         self.slow_time = slow_time[start : start + self.l]
@@ -482,6 +490,10 @@ def convert_recording(raw: RawRecording, cfg: RadarConfig) -> MeasurementCube:
     return MeasurementCube(samples, raw.slow_time, cfg)
 
 
+# the files of the raw layout that read_raw_dir loads: metadata, then the arrays
+RAW_FILES = ("raw.kv", "profiles.npy", "slow_time.npy")
+
+
 def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
     """Load the on-disk raw layout: ``raw.kv`` metadata plus npy payloads.
 
@@ -494,9 +506,9 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
     """
     root = Path(path)
     try:
-        meta = read_kv(root / "raw.kv")
+        meta = read_kv(root / RAW_FILES[0])
     except OSError as exc:
-        raise DataError(f"{root}: cannot read raw.kv: {exc}") from exc
+        raise DataError(f"{root}: cannot read {RAW_FILES[0]}: {exc}") from exc
     cfg = radar_config_from_entries(meta)
     f_s_ft = parse_config_value("f_s_ft", meta.pop("f_s_ft", None), float)
     pairs = []
@@ -508,7 +520,7 @@ def read_raw_dir(path: str | os.PathLike) -> tuple[RawRecording, RadarConfig]:
     if not pairs:
         raise DataError(f"{root}: raw.kv names no antenna pairs")
     arrays = []
-    for name in ("profiles.npy", "slow_time.npy"):
+    for name in RAW_FILES[1:]:
         try:
             arrays.append(np.load(root / name))
         except (OSError, ValueError, EOFError) as exc:
@@ -533,6 +545,6 @@ def write_raw_dir(path: str | os.PathLike, raw: RawRecording, cfg: RadarConfig) 
     for i, (tx, rx) in enumerate(raw.pair_table):
         meta[f"pair.{i}.tx"] = str(tx)
         meta[f"pair.{i}.rx"] = str(rx)
-    (root / "raw.kv").write_text(format_kv(meta), encoding="utf-8")
-    np.save(root / "profiles.npy", raw.profiles)
-    np.save(root / "slow_time.npy", raw.slow_time)
+    (root / RAW_FILES[0]).write_text(format_kv(meta), encoding="utf-8")
+    for name, array in zip(RAW_FILES[1:], (raw.profiles, raw.slow_time)):
+        np.save(root / name, array)

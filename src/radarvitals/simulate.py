@@ -375,6 +375,15 @@ def _read_indexed(entries: dict[str, str], kind: str, read) -> tuple:
     return tuple(items)
 
 
+def take_scene(entries: dict[str, str], prefix: str) -> Scene:
+    """Build a scene from its ``prefix + key`` entries, each taken out of
+    ``entries``; entries under other keys stay, and errors name full keys."""
+    persons = _read_indexed(entries, prefix + "person", _person_from_entries)
+    reflectors = _read_indexed(entries, prefix + "reflector", _reflector_from_entries)
+    clutter = config_from_entries(ClutterModel, entries, prefix, static_reflectors=reflectors)
+    return config_from_entries(Scene, entries, prefix, persons=persons, clutter=clutter)
+
+
 def scene_from_entries(entries: dict[str, str]) -> tuple[Scene, dict[str, str]]:
     """Build a scene from key/value entries, read from a copy.
 
@@ -383,10 +392,7 @@ def scene_from_entries(entries: dict[str, str]) -> tuple[Scene, dict[str, str]]:
     ``ConfigError`` naming it.
     """
     rest = dict(entries)
-    persons = _read_indexed(rest, "person", _person_from_entries)
-    reflectors = _read_indexed(rest, "reflector", _reflector_from_entries)
-    clutter = config_from_entries(ClutterModel, rest, static_reflectors=reflectors)
-    scene = config_from_entries(Scene, rest, persons=persons, clutter=clutter)
+    scene = take_scene(rest, "")
     extras = take_metadata(rest)
     reject_unknown(rest, "scene")
     return scene, extras

@@ -171,7 +171,7 @@ def test_container_malformed_truth_names_key(tmp_path):
     rv.write_container(_random_cube(small_config(), truth=truth), path)
     data = path.read_bytes()
     path.write_bytes(data.replace(b"truth.person.0.d 1.5\n", b""))
-    with pytest.raises(rv.RVCFormatError, match="'person.0.d'"):
+    with pytest.raises(rv.RVCFormatError, match="'truth.person.0.d'"):
         rv.read_container(path)
     det = tmp_path / "det.csv"
     det.write_text("segment,p_hat,track,d_m,theta_rad,x_m,y_m,value\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -1417,6 +1418,44 @@ def test_cli_convert_bad_raw_kv_is_usage_error(tmp_path, capsys, key, value):
     _convert_is_usage_error(tmp_path, capsys, raw_dir, key)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(argv, flag, id=f"{argv[0]} {flag}") for argv, flag in [
+        (["simulate", "--scenario", "scene.kv", "--out", "scene.kv"], "--scenario"),
+        (["simulate", "--scenario", "scene.kv", "--config", "radar.kv", "--out", "radar.kv"],
+         "--config"),
+        *((["convert", "--raw", "raw", "--out", f"raw/{name}"], f"--raw {name}")
+          for name in ("raw.kv", "profiles.npy", "slow_time.npy")),
+        (["evaluate", "--in", "det.csv", "--truth", "rec.rvc", "--out", "det.csv"], "--in"),
+        (["evaluate", "--in", "det.csv", "--truth", "rec.rvc", "--out", "rec.rvc"], "--truth"),
+        (["evaluate", "--in", "det.csv", "--truth", "rec.rvc", "--breathing", "breath.csv",
+          "--out", "breath.csv"], "--breathing"),
+        (["dump-spectrum", "--in", "rec.rvc", "--out", "rec.rvc"], "--in"),
+        (["dump-spectrum", "--in", "rec.rvc", "--config", "pipe.kv", "--out", "pipe.kv"],
+         "--config"),
+        (["detect", "--in", "rec.rvc", "--config", "pipe.kv", "--out", "pipe.kv"], "--config"),
+    ]
+])
+def test_cli_refuses_an_output_that_names_an_input(tmp_path, capsys, monkeypatch, argv, flag):
+    # one check in main refuses it before the command starts, for every
+    # command: the input keeps its bytes and nothing runs
+    def refuse(args):
+        raise AssertionError(f"{args.command} ran")
+
+    for command in rv.cli._COMMANDS:
+        monkeypatch.setitem(rv.cli._COMMANDS, command, refuse)
+    (tmp_path / "raw").mkdir()
+    for name in ("scene.kv", "radar.kv", "raw/raw.kv", "raw/profiles.npy", "raw/slow_time.npy",
+                 "det.csv", "rec.rvc", "breath.csv", "pipe.kv"):
+        (tmp_path / name).write_text(f"{name}\n", encoding="utf-8")
+    out = tmp_path / argv[-1]
+    before = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert main([arg if arg.startswith("-") or arg == argv[0] else str(tmp_path / arg)
+                 for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag} and --out name one path: {out}" in err and "Traceback" not in err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == before
+
+
 def test_cli_convert_raw_kv_pair_gap_is_usage_error(tmp_path, capsys):
     # profile column i is pair.<i>, so a pair table with a gap is rejected
     raw_dir, entries = _raw_dir_of_two_samples(tmp_path)
@@ -1445,8 +1484,11 @@ def test_raw_kv_key_set_is_closed(tmp_path, capsys):
     assert converted[0] == converted[1]
 
 
-def _stray(entries):
-    """``entries`` with ``C`` in place of any ``c`` and a ``bogus`` key."""
+def _stray(entries, key):
+    """``entries`` with the ``truth.`` key ``key`` added, or else with ``C``
+    in place of any ``c`` and a ``bogus`` key."""
+    if key.startswith("truth."):
+        return {**entries, key: "1"}
     return {**{("C" if k == "c" else k): v for k, v in entries.items()}, "bogus": "1"}
 
 
@@ -1456,11 +1498,13 @@ def _stray(entries):
     ("scene", "bogus", 2),
     ("raw.kv", "C", 2),
     ("container header", "C", 3),
+    ("container header", "truth.bogus", 3),
 ])
 def test_cli_stray_key_on_each_key_value_surface(tmp_path, capsys, surface, key, code):
     # every reader takes the keys it reads, and the first key left over, in
     # sorted order, is refused by name; a misspelt C would otherwise leave c
-    # at its default
+    # at its default. evaluate reads the container header by the same rule
+    # as detect, and a stray truth key is named as the header holds it.
     cfg = rv.walabot_config(10.0)
     container = tmp_path / "rec.rvc"  # one segment long, so that detect runs
     rv.write_container(rv.simulate(scene_of([], l=264, noise_std=0.1, seed=4), cfg), container)
@@ -1480,17 +1524,25 @@ def test_cli_stray_key_on_each_key_value_surface(tmp_path, capsys, surface, key,
     path, argv = runs[surface]
     argv = [str(arg) for arg in argv] + ["--out", str(out)]
     assert main(argv) == 0
-    out.unlink()
+    det = out.rename(tmp_path / "det.csv")
+    evaluate = ["evaluate", "--in", str(det), "--truth", str(container)]
     if surface == "container header":
+        assert main(evaluate) == 0
         head, sep, payload = path.read_bytes().partition(b"\nend_header\n")
         lines = dict(line.split(" ", 1) for line in head.decode("utf-8").split("\n")[1:])
-        path.write_bytes(b"RVC1\n" + format_kv(_stray(lines)).encode("utf-8")[:-1] + sep + payload)
+        path.write_bytes(b"RVC1\n" + format_kv(_stray(lines, key)).encode("utf-8")[:-1]
+                         + sep + payload)
     else:
-        write_kv(path, _stray(read_kv(path)))
+        write_kv(path, _stray(read_kv(path), key))
     assert main(argv) == code
     err = capsys.readouterr().err
     assert f"unknown {surface} key {key!r}" in err and "Traceback" not in err
     assert not out.exists()
+    if surface == "container header":
+        assert main(evaluate) == 3
+        err = capsys.readouterr().err
+        assert f"{container}: bad or missing header field: unknown container header key " \
+               f"{key!r}" in err and "Traceback" not in err
 
 
 def test_legacy_radar_keys_read_by_one_rule(tmp_path, capsys):
