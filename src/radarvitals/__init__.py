@@ -16,7 +16,6 @@ from .core import (
     DerivedParams,
     PolarLocation,
     RadarConfig,
-    cartesian_to_polar,
     derive_params,
     polar_to_cartesian,
     walabot_config,

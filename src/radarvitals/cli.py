@@ -6,7 +6,8 @@ Subcommands cover the whole chain: ``simulate`` a scene into a container,
 command line; the two differ only in the table that ``--out`` names),
 ``evaluate`` against ground truth and ``dump-spectrum`` for plotting.
 Before any command starts, ``_check_files`` refuses an output path that is
-a directory, one of the command's inputs or another of its outputs.
+a directory, lies in a missing directory, or names one of the command's
+inputs or another of its outputs.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 4 numeric failure.
@@ -84,10 +85,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_files(args) -> None:
-    """Refuse an output path that is a directory, an input or another output,
-    before the command starts; inputs may coincide with each other. An input
-    directory stands for its files that the command declares (``convert``'s
-    ``--raw`` for ``dataio.RAW_FILES``)."""
+    """Refuse an output path that is a directory, lies in a directory that
+    does not exist, or names an input or another output, before the command
+    starts; inputs may coincide with each other. A path that exists is one
+    file by its device and inode, so a hard link names the file it links,
+    and one that does not exist yet by its real path. An input directory
+    stands for its files that the command declares (``convert``'s ``--raw``
+    for ``dataio.RAW_FILES``)."""
+    def key(path):
+        try:
+            stat = os.stat(path)
+        except OSError:
+            return os.path.realpath(path)
+        return stat.st_dev, stat.st_ino
+
     inputs, outputs, within = args.files
     seen = {}
     for action in inputs:
@@ -95,14 +106,16 @@ def _check_files(args) -> None:
             flag = action.option_strings[0]
             files = [(f"{flag} {name}", os.path.join(path, name)) for name in within]
             for name, file in files or [(flag, path)]:
-                seen.setdefault(os.path.realpath(file), name)
+                seen.setdefault(key(file), name)
     for action in outputs:
         if (path := getattr(args, action.dest)) is None:
             continue
         flag = action.option_strings[0]
         if os.path.isdir(path):
             raise ValueError(f"{flag} names a directory: {path}")
-        if (other := seen.setdefault(os.path.realpath(path), flag)) != flag:
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} names a file in a missing directory: {path}")
+        if (other := seen.setdefault(key(path), flag)) != flag:
             raise ValueError(f"{other} and {flag} name one path: {path}")
 
 

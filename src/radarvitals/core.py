@@ -246,8 +246,3 @@ class CartesianLocation:
 
 def polar_to_cartesian(loc: PolarLocation) -> CartesianLocation:
     return CartesianLocation(loc.d * math.sin(loc.theta), loc.d * math.cos(loc.theta))
-
-
-def cartesian_to_polar(loc: CartesianLocation) -> PolarLocation:
-    return PolarLocation(math.hypot(loc.x, loc.y), math.atan2(loc.x, loc.y))
-

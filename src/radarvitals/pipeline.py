@@ -342,7 +342,8 @@ def evaluate_result(result: PipelineResult, truth: Scene) -> EvalReport:
 # empty for None, 0/1 for a flag, an int as is and a float by its shortest
 # round-trip repr, and is quoted only when it holds ",", '"' or a line break.
 # Each table has one writer, write_<table>(fh, ...), which streams it into an
-# open text file; <table>_csv(...) returns the same text as a string.
+# open text file; detections_csv, breathing_csv and report_csv return the
+# same text as a string.
 
 _DETECTIONS = ("segment", "p_hat", "track", "d_m", "theta_rad", "x_m", "y_m", "value")
 _VITALS = ("track", "segment", "t_s", "eta_m")
@@ -453,10 +454,6 @@ def write_vitals(fh, result: PipelineResult) -> None:
                               for t, eta in zip(stamps[seg], series.eta.tolist())]))
 
 
-def vitals_csv(result: PipelineResult) -> str:
-    return _text(write_vitals, result)
-
-
 def write_breathing(fh, result: PipelineResult) -> None:
     _write_table(fh, _BREATHING, (
         (t.label, t.last_location.d, t.last_location.theta, t.breathing_estimate)
@@ -484,10 +481,6 @@ def write_periodogram(fh, result: PipelineResult) -> None:
     _write_table(fh, _PERIODOGRAM, rows())
 
 
-def periodogram_csv(result: PipelineResult) -> str:
-    return _text(write_periodogram, result)
-
-
 def write_order_diagnostics(fh, result: PipelineResult) -> None:
     def rows():
         for seg, o in enumerate(result.segments):
@@ -497,10 +490,6 @@ def write_order_diagnostics(fh, result: PipelineResult) -> None:
                        o.order.beta, o.order.p_hat)
 
     _write_table(fh, _ORDER, rows())
-
-
-def order_diagnostics_csv(result: PipelineResult) -> str:
-    return _text(write_order_diagnostics, result)
 
 
 def write_report(fh, report: EvalReport, scenario_id: str = "", obstacle: str = "") -> None:
@@ -522,7 +511,3 @@ def write_spectrum(fh, spectrum: PseudoSpectrum) -> None:
         for d, values in zip(spectrum.d_axis.tolist(), spectrum.values.tolist())
         for theta, value in zip(thetas, values)
     ))
-
-
-def spectrum_csv(spectrum: PseudoSpectrum) -> str:
-    return _text(write_spectrum, spectrum)

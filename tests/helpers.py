@@ -1,11 +1,13 @@
-"""Shared scene builders, raw-profile synthesis and text comparison for the
-test suite."""
+"""Shared scene builders, raw-profile synthesis, table strings and text
+comparison for the test suite."""
 
+import io
 from itertools import zip_longest
 
 import numpy as np
 
 import radarvitals as rv
+from radarvitals import pipeline
 
 
 def small_config(k=12, n=24, m_r=2, m_t=2, f0=6.3e9, b=0.3e9, delta=0.02, f_st=10.0):
@@ -111,3 +113,10 @@ def assert_same_text(got: str, want: str) -> None:
     lines = zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
     number, (a, b) = next((i, pair) for i, pair in enumerate(lines, 1) if pair[0] != pair[1])
     raise AssertionError(f"texts differ first at line {number}: got {a!r}, want {b!r}")
+
+
+def table_text(table: str, *args) -> str:
+    """The text ``pipeline.write_<table>(fh, *args)`` writes, as a string."""
+    buf = io.StringIO()
+    getattr(pipeline, f"write_{table}")(buf, *args)
+    return buf.getvalue()

@@ -85,16 +85,6 @@ def test_polar_to_cartesian_evaluates_trig():
     assert cart.x == pytest.approx(-1.299, abs=5e-4)
 
 
-def test_polar_roundtrip_property():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        d = float(rng.uniform(1e-3, 50.0))
-        theta = float(rng.uniform(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6))
-        back = rv.cartesian_to_polar(rv.polar_to_cartesian(rv.PolarLocation(d, theta)))
-        assert back.d == pytest.approx(d, rel=1e-12)
-        assert back.theta == pytest.approx(theta, rel=1e-12, abs=1e-12)
-
-
 def test_location_validation():
     with pytest.raises(ValueError):
         rv.PolarLocation(-1.0, 0.0)

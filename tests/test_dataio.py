@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import radarvitals as rv
 from radarvitals.cli import main
 from helpers import breather, raw_recording_of, scene_of, small_config
+from test_cli import in_process_tests
 
 
 def _random_cube(cfg, l=4, seed=0, truth=None):
@@ -173,9 +174,6 @@ def test_container_malformed_truth_names_key(tmp_path):
     path.write_bytes(data.replace(b"truth.person.0.d 1.5\n", b""))
     with pytest.raises(rv.RVCFormatError, match="'truth.person.0.d'"):
         rv.read_container(path)
-    det = tmp_path / "det.csv"
-    det.write_text("segment,p_hat,track,d_m,theta_rad,x_m,y_m,value\n", encoding="utf-8")
-    assert main(["evaluate", "--in", str(det), "--truth", str(path)]) == 3
 
 
 def _edit_header(path, edit):
@@ -217,35 +215,6 @@ def test_container_header_rejections(tmp_path, edit, message):
     with pytest.raises(rv.RVCFormatError) as err:
         rv.read_container(path)
     assert str(err.value) == f"{path}: {message}"
-
-
-def test_cli_detect_on_inconsistent_header_is_data_error(tmp_path, capsys):
-    path = tmp_path / "cube.rvc"
-    rv.write_container(_random_cube(small_config()), path)
-    _edit_header(path, lambda lines: [("m 5" if line == "m 4" else line) for line in lines])
-    assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 3
-    assert "inconsistent with m_r*m_t=4" in capsys.readouterr().err
-
-
-def test_cli_detect_on_bad_slow_time_is_data_error(tmp_path, capsys):
-    path = tmp_path / "cube.rvc"
-    rv.write_container(_random_cube(small_config()), path)
-    _edit_header(path, _last_stamp("nan"))
-    assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 3
-    assert f"{path}: bad value for config key 'slow_time'" in capsys.readouterr().err
-
-
-def test_cli_simulate_rejects_a_radar_rate_other_than_the_scene_s(tmp_path, capsys):
-    radar = tmp_path / "radar.kv"
-    radar.write_text("f0 6300000000.0\nk 12\nb 300000000.0\nn 24\ndelta 0.02\n"
-                     "m_r 2\nm_t 2\nf_st 5.0\n", encoding="utf-8")
-    scene = tmp_path / "scene.kv"
-    scene.write_text("l 8\nf_st 10.0\nperson.0.d 1.5\nperson.0.theta 0.2\n", encoding="utf-8")
-    out = tmp_path / "c.rvc"
-    assert main(["simulate", "--scenario", str(scene), "--config", str(radar),
-                 "--out", str(out)]) == 2
-    assert "radar f_st 5.0 Hz differs from the scene's f_st 10.0 Hz" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_read_header_stops_at_end_header(tmp_path):
@@ -669,3 +638,7 @@ def test_raw_dir_roundtrip(tmp_path, walabot):
     np.testing.assert_array_equal(back.profiles, raw.profiles)
     recovered = rv.convert_recording(back, cfg)
     np.testing.assert_allclose(recovered.samples, cube.samples, atol=1e-8)
+
+
+# the tests of this module's groups of test_cli.CASES, which run the CLI in process
+globals().update(in_process_tests(__name__))

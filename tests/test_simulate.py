@@ -11,6 +11,7 @@ import radarvitals as rv
 from radarvitals.cli import main
 from radarvitals.kvfile import write_kv
 from helpers import breather, scene_of, small_config
+from test_cli import in_process_tests
 
 # the module, which the package's simulate function shadows as an attribute
 simulate_module = importlib.import_module("radarvitals.simulate")
@@ -295,28 +296,6 @@ def test_cli_container_equals_the_written_in_memory_cube(walabot, tmp_path, name
     assert _cli_container(scene, tmp_path) == (tmp_path / "memory.rvc").read_bytes()
 
 
-def test_cli_simulate_validates_before_opening_out(tmp_path, capsys):
-    # a failing scene leaves a file already at --out as it was
-    radar = small_config(f_st=5.0)
-    failing = [
-        (scene_of([breather(1.5, 10.0)], l=8), radar, "radar f_st 5.0 Hz differs"),
-        (scene_of([breather(1.5, 10.0, f_b=6.0)], l=8), None, "breath_freq 6.0 Hz"),
-        (scene_of([_HEART_ABOVE_NYQUIST], l=8), None, "heart_freq 6.0 Hz"),
-    ]
-    out = tmp_path / "cli.rvc"
-    old = b"RVC1\nnot to be overwritten\n"
-    for scene, cfg, message in failing:
-        out.write_bytes(old)
-        write_kv(tmp_path / "scene.kv", rv.scene_to_entries(scene))
-        argv = ["simulate", "--scenario", str(tmp_path / "scene.kv"), "--out", str(out)]
-        if cfg is not None:
-            write_kv(tmp_path / "radar.kv", rv.core.config_to_entries(cfg))
-            argv += ["--config", str(tmp_path / "radar.kv")]
-        assert main(argv) == 2
-        assert message in capsys.readouterr().err
-        assert out.read_bytes() == old
-
-
 @pytest.mark.parametrize("l", [4000, 8000])
 def test_cli_simulate_holds_a_few_blocks_whatever_the_length(walabot, tmp_path, l):
     # the container carries the first pass to the second, so no plane of
@@ -538,3 +517,7 @@ def test_scene_entries_roundtrip_property(scene):
 def test_scene_unknown_key_rejected():
     with pytest.raises(rv.ConfigError, match="unknown scene key"):
         rv.scene_from_entries({"l": "10", "bogus": "1"})
+
+
+# the tests of this module's groups of test_cli.CASES, which run the CLI in process
+globals().update(in_process_tests(__name__))
