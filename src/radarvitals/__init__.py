@@ -43,7 +43,6 @@ from .localize import (
     SmoothingSpec,
     accumulate_spectrum,
     extract_peaks,
-    forward_backward,
     music_spectrum,
     smoothed_covariance,
     stacked_covariance_eigenvalues,
@@ -70,7 +69,6 @@ from .simulate import (
     MeasurementCube,
     PersonModel,
     Scene,
-    range_profile,
     scene_from_entries,
     scene_to_entries,
     simulate,

@@ -194,15 +194,16 @@ def _cmd_run(args) -> int:
 def _cmd_evaluate(args) -> int:
     from .dataio import DataError, check_header, read_header
     from .pipeline import PipelineConfig, read_breathing_rates, read_final_detections, write_report
-    from .trackeval import score_estimates
+    from .trackeval import check_radius, score_estimates
 
+    d_match = args.d_match if args.d_match is not None else PipelineConfig().d_match
+    check_radius("d_match", d_match)  # before any file is read
     header = read_header(args.truth)
     _, _, truth = check_header(header, args.truth)
     if truth is None:
         raise DataError(f"{args.truth} carries no ground truth")
     estimates, labels = read_final_detections(args.infile)
     rates = read_breathing_rates(args.breathing) if args.breathing else None
-    d_match = args.d_match if args.d_match is not None else PipelineConfig().d_match
     report, errors = score_estimates(estimates, labels, rates, truth, d_match)
     for ref_i, err in errors.items():
         print(f"person {ref_i}: breathing error {100 * err:+.1f} %")
@@ -225,21 +226,25 @@ def _segment_spectrum(path: str, segment: int, config):
     start = segment * config.l_st
     rows = slice(start, start + config.l_st + config.w_st - 1)
     with ContainerReader(path, rows) as own:
-        if segment < 0 or own.l < rows.stop - start:
+        if own.l < rows.stop - start:
             raise ValueError(f"segment {segment} out of range")
         return run_pipeline(own, config, vitals=False).accumulated
 
 
 def _cmd_dump_spectrum(args) -> int:
+    from .dataio import DataError
     from .pipeline import run_pipeline, write_spectrum
 
+    if args.segment is not None and args.segment < 0:  # before any file is read
+        raise ValueError(f"segment {args.segment} out of range")
     config = _load_pipeline_config(args.config)
     if args.segment is None:
         spectrum = run_pipeline(args.infile, config, vitals=False).accumulated
     else:  # the segment's rows are freed before the CSV is formed
         spectrum = _segment_spectrum(args.infile, args.segment, config)
     if spectrum is None:
-        raise ValueError("recording produced no spectrum (too short?)")
+        raise DataError(f"{args.infile}: recording is shorter than one segment, "
+                        "so it has no spectrum")
     _write(args.out, write_spectrum, spectrum)
     return 0
 

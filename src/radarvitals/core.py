@@ -116,7 +116,8 @@ class RadarConfig:
         f0: start frequency of the sweep.
         k: number of frequency steps per sweep.
         b: swept bandwidth.
-        n: range-profile length (inverse-DFT size), n >= k.
+        n: fast-time samples per raw range profile, the length that
+            ``dataio.downconvert_decimate`` reads; n >= k.
         delta: receive inter-antenna spacing.
         m_r: number of physical receive antennas.
         m_t: number of transmit antennas.
@@ -182,7 +183,6 @@ class DerivedParams:
         d_max: maximum unambiguous range, ``c / (2 delta_f)``.
         range_resolution: minimum separation of two resolvable targets,
             ``c / (2 b)``.
-        profile_granularity: range-profile bin spacing, ``c / (2 delta_f n)``.
         k0: number of low frequency steps whose wavelength still satisfies
             the half-wavelength spatial sampling bound for spacing ``delta``,
             clamped to ``[1, k]``.
@@ -193,7 +193,6 @@ class DerivedParams:
     m: int
     d_max: float
     range_resolution: float
-    profile_granularity: float
     k0: int
 
 
@@ -211,7 +210,6 @@ def derive_params(cfg: RadarConfig) -> DerivedParams:
         m=cfg.m_r * cfg.m_t,
         d_max=cfg.c / (2 * delta_f),
         range_resolution=cfg.c / (2 * cfg.b),
-        profile_granularity=cfg.c / (2 * delta_f * cfg.n),
         k0=max(1, min(cfg.k, k0_raw)),
     )
 

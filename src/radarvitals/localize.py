@@ -50,18 +50,17 @@ class SmoothingSpec:
 
 @dataclass
 class CovarianceEstimate:
-    """Smoothed, forward-backward-averaged sample covariance.
+    """Eigen-decomposition of a smoothed, forward-backward-averaged sample
+    covariance r_fb, which itself is not kept.
 
-    ``r_hat`` is the complex forward-backward matrix. ``eigvals`` are real
-    and sorted descending; ``eig_basis`` columns are the matching
-    eigenvectors, V = Q W for the unitary Q and the real eigenvectors W of
-    the real symmetric Q^H r_hat Q (see ``smoothed_covariance``).
+    ``eigvals`` are real and sorted descending; ``eig_basis`` columns are
+    the matching eigenvectors, V = Q W for the unitary Q and the real
+    eigenvectors W of the real symmetric Q^H r_fb Q (see
+    ``smoothed_covariance``), so r_fb = V diag(eigvals) V^H.
     """
 
-    r_hat: np.ndarray
     eigvals: np.ndarray
     eig_basis: np.ndarray
-    n_snapshots: int
     spec: SmoothingSpec
 
 
@@ -80,16 +79,6 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     keep = np.ones(a.size, bool)
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
-
-
-def forward_backward(r: np.ndarray) -> np.ndarray:
-    """Average a covariance with its rotated conjugate.
-
-    Equivalent to averaging the estimates of the forward and the
-    index-reversed (backward) array; the result of a Hermitian input is
-    Hermitian and persymmetric.
-    """
-    return 0.5 * (r + np.flip(r).conj())
 
 
 def _window_gram(snaps: np.ndarray, w_k: int, w_m: int) -> np.ndarray:
@@ -191,15 +180,16 @@ def smoothed_covariance(
     """Estimate the smoothed covariance of one segment.
 
     Averages slice outer products over ``n_cov`` uniformly spaced slow-time
-    snapshots, applies forward-backward averaging once, and returns the
-    eigen-decomposition sorted descending.
+    snapshots into a Hermitian r, and returns the eigen-decomposition,
+    sorted descending, of its forward-backward average r_fb = (r + J conj(r)
+    J) / 2, J the exchange matrix.
 
-    The forward-backward matrix r_hat is centro-Hermitian, so a fixed
-    sparse unitary Q makes Q^H r_hat Q real symmetric (``_real_form``;
-    Huarng & Yeh, IEEE TSP 39(4), 1991; Pesavento, Gershman & Haardt, IEEE
-    TSP 48(5), 2000). Its real ``eigh`` costs about half the complex one of
-    r_hat, and the basis is mapped back as V = Q W (``_unitary_basis``).
-    ``r_hat`` is still returned as the complex matrix.
+    r_fb is centro-Hermitian, so a fixed sparse unitary Q makes Q^H r_fb Q
+    real symmetric (``_real_form``; Huarng & Yeh, IEEE TSP 39(4), 1991;
+    Pesavento, Gershman & Haardt, IEEE TSP 48(5), 2000). It is formed from
+    r directly, so r_fb itself never is. Its real ``eigh`` costs about half
+    the complex one of r_fb, and the basis is mapped back as V = Q W
+    (``_unitary_basis``).
     """
     snaps = _snapshots(samples, spec, n_cov)
     n, k, m = snaps.shape
@@ -208,10 +198,8 @@ def smoothed_covariance(
     r = 0.5 * (r + r.conj().T)  # exact hermitization before the FB step
     eigvals, w = np.linalg.eigh(_real_form(r))
     return CovarianceEstimate(
-        r_hat=forward_backward(r),
         eigvals=np.ascontiguousarray(eigvals[::-1]),
         eig_basis=_unitary_basis(w[:, ::-1]),
-        n_snapshots=n,
         spec=spec,
     )
 
@@ -476,7 +464,7 @@ def music_spectrum(
     recomputed on average, at most 6.8 % of a segment; the GEMM form, whose
     rounding term was taken as 2 dim eps dim, recomputed 1.3 %.
     """
-    dim = cov.r_hat.shape[0]
+    dim = cov.eig_basis.shape[0]
     check_signal_order(p_sub, dim)
     w_k, w_m = cov.spec.w_k, cov.spec.w_m
     basis = cov.eig_basis

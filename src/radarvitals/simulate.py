@@ -295,22 +295,6 @@ def synthesize_rows(
     return t, first_pass(), second_pass()
 
 
-def range_profile(snapshot: np.ndarray, n: int) -> np.ndarray:
-    """Magnitude range profile of one stepped-frequency snapshot.
-
-    Computes the length-``n`` inverse DFT of the ``k`` recorded steps,
-    scaled by 1/k, and returns its absolute value. Choosing ``n > k``
-    oversamples the profile envelope without adding information.
-    """
-    snapshot = np.asarray(snapshot)
-    if snapshot.ndim != 1:
-        raise ValueError("snapshot must be a 1-d vector over frequency steps")
-    k = snapshot.shape[0]
-    if n < k:
-        raise ValueError(f"profile length n={n} must be >= snapshot length k={k}")
-    return np.abs(np.fft.ifft(snapshot, n=n) * (n / k))
-
-
 def _polar_from_entries(entries: dict[str, str], key: str, default: complex) -> complex:
     """A complex gain stored as magnitude ``key`` and phase (rad) ``key_phase``,
     both keys taken out of ``entries``."""

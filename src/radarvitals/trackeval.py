@@ -107,7 +107,6 @@ class EvalReport:
     tpp: float | None
     fdp: float
     matches: list[tuple[int, int, float]]  # (reference idx, estimate idx, distance)
-    location_errors: list[float]
     mean_location_error: float | None
     median_location_error: float | None
     breathing_errors: list[float] | None = None
@@ -137,7 +136,6 @@ def match_and_score(
         tpp=None if p == 0 else (p - p_md) / p,
         fdp=p_fd / max(1, p_hat),
         matches=matches,
-        location_errors=errors,
         mean_location_error=float(np.mean(errors)) if errors else None,
         median_location_error=float(statistics.median(errors)) if errors else None,
     )

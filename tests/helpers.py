@@ -57,20 +57,6 @@ def m16_scene(seed=7, l=2000, noise_std=0.1):
     )
 
 
-def location_errors(detections, truth_locations):
-    """Per-truth distance to the nearest detection, meters."""
-    errs = []
-    for loc in truth_locations:
-        tx, ty = loc.d * np.sin(loc.theta), loc.d * np.cos(loc.theta)
-        best = np.inf
-        for det in detections:
-            x = det.location.d * np.sin(det.location.theta)
-            y = det.location.d * np.cos(det.location.theta)
-            best = min(best, float(np.hypot(tx - x, ty - y)))
-        errs.append(best)
-    return errs
-
-
 def analytic_profiles(cube):
     """Raw fast-time profiles whose down-conversion reproduces the cube.
 

@@ -10,11 +10,10 @@ import pytest
 
 import radarvitals as rv
 from radarvitals.pipeline import run_pipeline
+from radarvitals.preprocess import sma_rows
+from radarvitals.vitals import beamform, displacements
 from helpers import (
-    M16_BREATH_FREQS,
-    M16_LOCATIONS,
     breather,
-    location_errors,
     m16_scene,
     scene_of,
     small_config,
@@ -57,19 +56,19 @@ def test_criterion_1_derived_parameters(walabot):
 
 def test_criterion_2_noiseless_single_target(walabot):
     # one coherent return leaves a rank-deficient covariance, so the scan
-    # uses a matching one-dimensional signal subspace
-    grid = rv.GridSpec()
+    # uses a matching one-dimensional signal subspace; the strongest
+    # detection of the run's one segment is scored
+    config = rv.PipelineConfig(p_sub=1)
+    grid = config.grid
     worst = 0.0
     start = time.perf_counter()
     for d0, theta_deg in [(2.0, 0.0), (3.0, -30.0)]:
         scene = scene_of([breather(d0, theta_deg)], l=264)
-        cube = rv.simulate(scene, walabot)
-        seg = rv.segment(rv.sma_filter(cube, 64), 200).segments[0]
-        cov = rv.smoothed_covariance(seg.samples, rv.SmoothingSpec(38, 2), 10)
-        spec = rv.music_spectrum(cov, 1, grid, walabot)
-        det = rv.extract_peaks(spec, 1, 0.3).detections[0]
+        result = run_pipeline(rv.simulate(scene, walabot), config, vitals=False)
+        det = result.final_detections.detections[0]
         truth = rv.PolarLocation(d0, np.deg2rad(theta_deg))
-        err = location_errors([det], [truth])[0]
+        matches = rv.match_and_score([det.location], [truth], config.d_match).matches
+        err = matches[0][2] if matches else math.inf
         cell = math.hypot(grid.d_step, d0 * grid.theta_step)
         worst = max(worst, err / cell)
         assert err <= cell
@@ -82,9 +81,8 @@ def test_criterion_3_m16_multi_target(m16_result):
     scene, result, report = m16_result
     truth = [p.location for p in scene.persons]
     persistent = [t for t in result.tracks if len(t.records) >= len(result.segments) // 2]
-    track_errs = location_errors(
-        [t.records[-1][1] for t in persistent], truth
-    )
+    # every person is matched by a persistent track's last location
+    tracks = rv.match_and_score([t.last_location for t in persistent], truth, 0.3)
     detail = (
         f"TPP={report.tpp} FDP={report.fdp:.3f} "
         f"median={report.median_location_error} over {len(result.segments)} segments, "
@@ -96,7 +94,7 @@ def test_criterion_3_m16_multi_target(m16_result):
         and report.median_location_error is not None
         and report.median_location_error < 0.15
         and len(persistent) == 5
-        and max(track_errs) < 0.3
+        and tracks.p_md == 0
     )
     _report(3, ok, detail)
 
@@ -120,8 +118,6 @@ def test_criterion_5_model_order(walabot):
     locations = [(1.2, -40.0), (1.7, 25.0), (2.2, -15.0), (2.7, 40.0), (3.2, 0.0)]
     freqs = [0.30, 0.25, 0.35, 0.20, 0.40]
     config = rv.PipelineConfig()
-    derived = rv.derive_params(walabot)
-    order_cfg = config.order_config(walabot.k, derived.m)
     details = []
     ok = True
     for p in range(6):
@@ -130,15 +126,8 @@ def test_criterion_5_model_order(walabot):
             for i, ((d, th), f) in enumerate(zip(locations[:p], freqs[:p]))
         ]
         scene = scene_of(persons, l=2064, noise_std=0.1, seed=101 + p)
-        cube = rv.simulate(scene, walabot)
-        segments = rv.segment(rv.sma_filter(cube, config.w_st), config.l_st).segments
-        estimates = [
-            rv.estimate_order(
-                rv.stacked_covariance_eigenvalues(s.samples, config.moe_spec(), config.n_cov),
-                order_cfg,
-            )
-            for s in segments
-        ]
+        result = run_pipeline(rv.simulate(scene, walabot), config, vitals=False)
+        estimates = [o.order.p_hat for o in result.segments]
         correct = sum(1 for e in estimates if e == p)
         share = correct / len(estimates)
         details.append(f"P={p}:{correct}/{len(estimates)}")
@@ -150,13 +139,15 @@ def test_criterion_6_property_suites(walabot):
     rng = np.random.default_rng(2024)
     failures = []
 
-    # covariance: Hermitian, persymmetric, spectrum bounded below
+    # covariance V diag(lambda) V^H from the eigenpairs the scan reads:
+    # Hermitian, persymmetric, spectrum bounded below
     for _ in range(100):
         k, m, l = int(rng.integers(3, 9)), int(rng.integers(2, 5)), int(rng.integers(2, 6))
         samples = rng.standard_normal((l, k, m)) + 1j * rng.standard_normal((l, k, m))
         spec = rv.SmoothingSpec(int(rng.integers(1, k + 1)), int(rng.integers(1, m + 1)))
         cov = rv.smoothed_covariance(samples, spec, int(rng.integers(1, l + 1)))
-        r, scale = cov.r_hat, np.linalg.norm(cov.r_hat)
+        r = (cov.eig_basis * cov.eigvals) @ cov.eig_basis.conj().T
+        scale = np.linalg.norm(r)
         if np.linalg.norm(r - r.conj().T) > 1e-12 * scale:
             failures.append("hermitian")
         if np.linalg.norm(np.flip(r).conj() - r) > 1e-12 * scale:
@@ -174,26 +165,30 @@ def test_criterion_6_property_suites(walabot):
         if np.max(np.abs(np.abs(a) - 1.0)) > 1e-12:
             failures.append("steering modulus")
 
-    # range profile equals the direct transform sum
+    # down-conversion recovers a k-step snapshot from its analytic profile
+    # of n + 1 > k fast-time samples, for odd and even k
     for _ in range(100):
         k = int(rng.integers(2, 12))
         n = int(rng.integers(k, 40))
         snap = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        brute = np.abs(
-            np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(k)) / n) @ snap / k
-        )
-        if np.max(np.abs(rv.range_profile(snap, n) - brute)) > 1e-9 * max(brute.max(), 1):
-            failures.append("range profile")
+        radar = small_config(k=k, n=n + 1)
+        delta_f = radar.b / k
+        tones = np.outer(np.arange(n + 1), radar.f0 / delta_f + np.arange(k)) / (n + 1)
+        profile = np.exp(2j * np.pi * tones) @ snap
+        got = rv.downconvert_decimate(profile, radar, (n + 1) * delta_f)
+        if np.max(np.abs(got - snap)) > 1e-9 * max(np.abs(snap).max(), 1):
+            failures.append("down-conversion")
 
-    # the slow-time filter annihilates constants
+    # the slow-time filter annihilates constants, on all rows and on picked ones
     for _ in range(100):
         l = int(rng.integers(4, 30))
         w = int(rng.integers(1, l + 1))
         const = rng.standard_normal((1, cfg.k, 4)) + 1j * rng.standard_normal((1, cfg.k, 4))
-        cube = rv.MeasurementCube(np.repeat(const, l, axis=0), np.arange(l) / 10.0, cfg)
-        out = rv.sma_filter(cube, w)
-        if np.max(np.abs(out.samples)) > 1e-12 * max(np.max(np.abs(const)), 1.0):
-            failures.append("sma annihilation")
+        x = np.repeat(const, l, axis=0)
+        picked = np.arange((l - w) % 2, l - w + 1, 2)
+        for out in (sma_rows(x, w), sma_rows(x, w, picked)):
+            if np.max(np.abs(out)) > 1e-12 * max(np.max(np.abs(const)), 1.0):
+                failures.append("sma annihilation")
 
     # phase unwrapping is exact for sub-half-cycle increments
     derived = rv.derive_params(walabot)
@@ -206,21 +201,22 @@ def test_criterion_6_property_suites(walabot):
         ).cumsum()
         samples = np.zeros((l, walabot.k, 8), dtype=complex)
         samples[:, :96, :] = filt[None] * np.exp(1j * phases)[:, None, None]
-        cube = rv.MeasurementCube(samples, np.arange(l) / 10.0, walabot)
-        eta = rv.extract_displacement(filt, cube, derived.f_c).eta
-        if np.max(np.abs(np.diff(eta) / scale - np.diff(phases))) > 1e-9:
+        [series] = displacements(beamform([filt], samples).T, np.arange(l) / 10.0, walabot,
+                                 derived.f_c)
+        if np.max(np.abs(np.diff(series.eta) / scale - np.diff(phases))) > 1e-9:
             failures.append("unwrap")
 
     # person-count criterion: scale invariance and alpha monotonicity
+    def p_hat(lam, order_cfg):
+        return rv.order_diagnostics(lam, order_cfg).p_hat
+
     for _ in range(100):
         lam = np.sort(rng.gamma(2.0, 1.0, int(rng.integers(6, 40))))[::-1] + 1e-9
         cfg_a = rv.ModelOrderConfig(alpha=float(rng.uniform(1, 4)))
-        if rv.estimate_order(lam, cfg_a) != rv.estimate_order(
-            lam * float(rng.uniform(1e-6, 1e6)), cfg_a
-        ):
+        if p_hat(lam, cfg_a) != p_hat(lam * float(rng.uniform(1e-6, 1e6)), cfg_a):
             failures.append("scale invariance")
         hi = rv.ModelOrderConfig(alpha=cfg_a.alpha + float(rng.uniform(0, 4)))
-        if rv.estimate_order(lam, cfg_a) < rv.estimate_order(lam, hi):
+        if p_hat(lam, cfg_a) < p_hat(lam, hi):
             failures.append("alpha monotonicity")
 
     # matching count identity

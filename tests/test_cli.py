@@ -229,6 +229,16 @@ CASES: dict[str, Case | dict[str, Case] | list[Case]] = {
         "convert unknown raw.kv key": convert(raw_kv(lambda entries: {**entries, "bogus": "1"}),
                                               "error: unknown raw.kv key 'bogus'", 2),
     },
+    # an argument that needs no file is refused before any input is read, so
+    # a missing input does not hide it
+    "test_cli::test_cli_argument_checked_before_the_inputs": {
+        "evaluate --d-match": Case("evaluate --in nope.csv --truth nope.rvc --d-match=nan", 2,
+                                   _exactly("error: d_match must be a positive finite number, "
+                                            "got nan")),
+        "dump-spectrum --segment": Case("dump-spectrum --in nope.rvc --out s.csv --segment -1", 2,
+                                        _exactly("error: segment -1 out of range"),
+                                        absent=("s.csv",)),
+    },
     # the path rule's cases past those of the three groups of test_pipeline
     "test_cli::test_cli_path_rule": {
         "dump-spectrum --out names its --in": Case(
@@ -318,9 +328,9 @@ CASES: dict[str, Case | dict[str, Case] | list[Case]] = {
         detect((container(edit=lambda data: data.replace(b",26.3\n", b",nan\n", 1)),),
                "rec.rvc: bad value for config key 'slow_time': 'nan'"),
     "test_pipeline::test_cli_dump_spectrum_of_a_recording_without_a_segment":
-        Case("dump-spectrum --in short.rvc --out s.csv", 2,
+        Case("dump-spectrum --in short.rvc --out s.csv", 3,
              r"UserWarning: .*which needs w_st - 1 \+ l_st = 64 - 1 \+ 200 = 263(.|\n)*"
-             r"error: recording produced no spectrum",
+             r"data error: short\.rvc: recording is shorter than one segment",
              (container("short.rvc", l=100),), absent=("s.csv",)),
     "test_pipeline::test_cli_evaluate_rejects_bad_d_match": {
         value: Case(f"evaluate --in det.csv --truth rec.rvc --d-match={value}", 2,

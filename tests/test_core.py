@@ -21,9 +21,6 @@ def test_walabot_derived_values(walabot, derived):
     assert abs(derived.f_c - 7.15e9) < 0.01e9
     assert derived.m == 8
     assert derived.delta_f == pytest.approx(1.7e9 / 137, rel=1e-12)
-    assert derived.profile_granularity == pytest.approx(
-        walabot.c / (2 * derived.delta_f * walabot.n), rel=1e-12
-    )
 
 
 def test_derive_params_deterministic(walabot):

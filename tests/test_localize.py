@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 import radarvitals as rv
-from helpers import breather, location_errors, m16_scene, scene_of, small_config
+from helpers import breather, m16_scene, scene_of, small_config
 
 M16_TRUTH = [rv.PolarLocation(d, np.deg2rad(t)) for d, t in
              [(1.50, -60.0), (2.00, 0.0), (2.15, -30.0), (1.85, 45.0), (3.00, 30.0)]]
@@ -30,6 +30,27 @@ def _slice_rows(snapshot, spec):
     n_i, n_j = view.shape[:2]
     # rows ordered with the fast-time offset i varying fastest
     return view.transpose(1, 0, 3, 2).reshape(n_j * n_i, spec.w_m * spec.w_k)
+
+
+def _fb_reference(samples, spec, n_cov):
+    """The forward-backward smoothed covariance of ``smoothed_covariance``,
+    summed over every vectorized slice of every snapshot in double precision."""
+    exact = np.asarray(samples).astype(np.complex128)
+    l, k, m = exact.shape
+    dim = spec.w_k * spec.w_m
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    idx = rv.localize.snapshot_indices(l, n_cov)
+    for li in idx:
+        rows = _slice_rows(exact[li], spec)
+        acc += rows.T @ rows.conj()
+    r = acc / (len(idx) * spec.n_slices(k, m))
+    r = 0.5 * (r + r.conj().T)
+    return 0.5 * (r + np.flip(r).conj())
+
+
+def _reconstruct(cov):
+    """V diag(eigvals) V^H of a ``CovarianceEstimate``."""
+    return (cov.eig_basis * cov.eigvals) @ cov.eig_basis.conj().T
 
 
 def test_slice_counts_match_tuning_values():
@@ -60,9 +81,15 @@ def test_sorted_unique_is_np_unique(a):
 
 
 def test_forward_backward_hand_case():
-    r = np.array([[2.0, 1j], [-1j, 1.0]])
-    expected = np.array([[1.5, 1j], [-1j, 1.5]])
-    np.testing.assert_array_equal(rv.forward_backward(r), expected)
+    # one 2-sample slice x = (1 + 1j, 1): the forward covariance x x^H is
+    # [[2, 1 + 1j], [1 - 1j, 1]], and averaging it with its conjugate
+    # exchange (the backward copy) evens out the diagonal
+    samples = np.array([[[1 + 1j], [1.0]]])
+    cov = rv.smoothed_covariance(samples, rv.SmoothingSpec(2, 1), 1)
+    expected = np.array([[1.5, 1 + 1j], [1 - 1j, 1.5]])
+    np.testing.assert_allclose(_reconstruct(cov), expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(cov.eigvals, [1.5 + np.sqrt(2), 1.5 - np.sqrt(2)],
+                               rtol=0, atol=1e-14)
 
 
 def test_single_slice_covariance_is_rank_one():
@@ -75,16 +102,16 @@ def test_single_slice_covariance_is_rank_one():
     forward_eigs = np.linalg.eigvalsh(forward)[::-1]
     assert forward_eigs[1] <= 1e-10 * forward_eigs[0]
     cov = rv.smoothed_covariance(samples, rv.SmoothingSpec(8, 4), 1)
-    np.testing.assert_allclose(cov.r_hat, rv.forward_backward(forward), atol=1e-12)
+    np.testing.assert_allclose(_reconstruct(cov), 0.5 * (forward + np.flip(forward).conj()),
+                               atol=1e-12)
     assert cov.eigvals[2] <= 1e-10 * cov.eigvals[0]
 
 
-def test_covariance_shape_and_counts():
+def test_covariance_shape():
     rng = np.random.default_rng(1)
     samples = _random_samples(rng, 12, 10, 4)
     cov = rv.smoothed_covariance(samples, rv.SmoothingSpec(4, 2), 5)
-    assert cov.r_hat.shape == (8, 8)
-    assert cov.n_snapshots == 5
+    assert cov.eigvals.shape == (8,) and cov.eig_basis.shape == (8, 8)
     assert cov.spec == rv.SmoothingSpec(4, 2)
 
 
@@ -99,15 +126,16 @@ def test_covariance_invariants_property():
         w_m = int(rng.integers(1, m + 1))
         n_cov = int(rng.integers(1, l + 1))
         samples = _random_samples(rng, l, k, m)
-        cov = rv.smoothed_covariance(samples, rv.SmoothingSpec(w_k, w_m), n_cov)
-        r = cov.r_hat
+        spec = rv.SmoothingSpec(w_k, w_m)
+        cov = rv.smoothed_covariance(samples, spec, n_cov)
+        r = _fb_reference(samples, spec, n_cov)
+        recon = _reconstruct(cov)
         scale = np.linalg.norm(r)
-        assert np.linalg.norm(r - r.conj().T) <= 1e-12 * scale
-        exchange_sym = np.flip(r).conj()
-        assert np.linalg.norm(exchange_sym - r) <= 1e-12 * scale
+        assert np.linalg.norm(recon - recon.conj().T) <= 1e-12 * scale
+        exchange_sym = np.flip(recon).conj()
+        assert np.linalg.norm(exchange_sym - recon) <= 1e-12 * scale
         assert np.all(np.diff(cov.eigvals) <= 1e-12 * cov.eigvals[0])
         assert cov.eigvals.min() >= -1e-10 * cov.eigvals[0]
-        recon = (cov.eig_basis * cov.eigvals) @ cov.eig_basis.conj().T
         assert np.linalg.norm(recon - r) <= 1e-10 * scale
 
 
@@ -186,6 +214,21 @@ def test_noiseless_single_target_argmax(walabot):
     assert det.location.theta == pytest.approx(np.deg2rad(-30.0), abs=1e-9)
 
 
+def test_range_peak_tracks_distance(walabot):
+    # one noiseless person at a random distance: the strongest detection of
+    # the run lies within one grid step of it in range and in azimuth
+    rng = np.random.default_rng(9)
+    grid = rv.PipelineConfig().grid
+    for _ in range(5):
+        d = float(rng.uniform(0.8, 4.2))
+        theta = float(rng.uniform(-40.0, 40.0))
+        cube = rv.simulate(scene_of([breather(d, theta)], l=264), walabot)
+        result = rv.run_pipeline(cube, rv.PipelineConfig(p_sub=1), vitals=False)
+        det = result.final_detections.detections[0]
+        assert abs(det.location.d - d) <= grid.d_step
+        assert abs(det.location.theta - np.deg2rad(theta)) <= grid.theta_step
+
+
 def test_spectrum_positive_and_scale_invariant(walabot):
     cube = rv.simulate(scene_of([breather(2.0, 10.0)], l=264), walabot)
     spec = _localize_single(cube, p_sub=1)
@@ -219,8 +262,8 @@ def test_same_range_pair_with_larger_subspace(walabot):
     spec = _localize_single(cube, p_sub=4)
     dets = rv.extract_peaks(spec, 2, 0.3).detections
     truth = [rv.PolarLocation(2.0, np.deg2rad(-30.0)), rv.PolarLocation(2.0, np.deg2rad(30.0))]
-    errs = location_errors(dets, truth)
-    assert max(errs) < 0.15
+    report = rv.match_and_score([d.location for d in dets], truth, 0.15)
+    assert report.p_md == 0
 
 
 def test_music_subspace_validation(walabot):
@@ -427,6 +470,11 @@ def test_accumulate_grid_mismatch():
         rv.accumulate_spectrum(a, b)
 
 
+def _hits(dets):
+    """Persons of the m16 layout matched by a detection within 0.3 m."""
+    return len(rv.match_and_score([d.location for d in dets], M16_TRUTH, 0.3).matches)
+
+
 def test_accumulation_recovers_weak_person(walabot):
     # at low SNR at least one segment misses a person in its top five
     # peaks while the accumulated spectrum keeps all five
@@ -440,10 +488,8 @@ def test_accumulation_recovers_weak_person(walabot):
         spec = rv.music_spectrum(cov, 15, rv.GridSpec(), walabot)
         running = spec if running is None else rv.accumulate_spectrum(running, spec)
         dets = rv.extract_peaks(spec, 5, 0.3).detections
-        errs = location_errors(dets, M16_TRUTH)
-        per_segment_hits.append(sum(e < 0.3 for e in errs))
-    acc_dets = rv.extract_peaks(running, 5, 0.3).detections
-    acc_hits = sum(e < 0.3 for e in location_errors(acc_dets, M16_TRUTH))
+        per_segment_hits.append(_hits(dets))
+    acc_hits = _hits(rv.extract_peaks(running, 5, 0.3).detections)
     assert acc_hits == 5
     assert min(per_segment_hits) < 5
 
@@ -597,22 +643,19 @@ def test_covariances_match_per_slice_reference(case):
     samples = _random_samples(np.random.default_rng(seed), l, k, m).astype(dtype)
     exact = samples.astype(np.complex128)
     dim = spec.w_k * spec.w_m
-    acc = np.zeros((dim, dim), dtype=np.complex128)
     acc_ri = np.zeros((2 * dim, 2 * dim))
     idx = rv.localize.snapshot_indices(l, n_cov)
     for li in idx:
         rows = _slice_rows(exact[li], spec)
-        acc += rows.T @ rows.conj()
         for x in (rows, rows[:, ::-1].conj()):
             stacked = np.concatenate([x.real, x.imag], axis=1)
             acc_ri += stacked.T @ stacked
     n = len(idx) * spec.n_slices(k, m)
-    r = acc / n
-    r_hat = rv.forward_backward(0.5 * (r + r.conj().T))
+    r_fb = _fb_reference(samples, spec, n_cov)
     cov = rv.smoothed_covariance(samples, spec, n_cov)
-    scale = np.abs(r_hat).max()
-    np.testing.assert_allclose(cov.r_hat, r_hat, rtol=0, atol=1e-13 * scale)
-    expected = np.linalg.eigvalsh(r_hat)[::-1]
+    scale = np.abs(r_fb).max()
+    np.testing.assert_allclose(_reconstruct(cov), r_fb, rtol=0, atol=1e-13 * scale)
+    expected = np.linalg.eigvalsh(r_fb)[::-1]
     np.testing.assert_allclose(cov.eigvals, expected, rtol=0, atol=1e-13 * expected[0])
     expected = np.linalg.eigvalsh(acc_ri / (2 * n))[::-1]
     lam = rv.stacked_covariance_eigenvalues(samples, spec, n_cov)
@@ -641,18 +684,19 @@ def _low_rank_samples(rng, l, k, m, sources, noise):
 @example((1, 1, 1, rv.SmoothingSpec(1, 1), 1, np.complex128, 4), 0, 1.0)
 @example((45, 3, 6, rv.SmoothingSpec(38, 2), 6, np.complex128, 5), 3, 1e-3)
 def test_real_form_eigensolve_matches_the_complex_one(case, sources, noise):
-    # the eigenpairs solved as the real symmetric Q^H r_hat Q, mapped back by
+    # the eigenpairs solved as the real symmetric Q^H r_fb Q, mapped back by
     # Q, against the complex eigh of the forward-backward matrix itself
     k, m, l, spec, n_cov, dtype, seed = case
     samples = _low_rank_samples(np.random.default_rng(seed), l, k, m, sources, noise)
     cov = rv.smoothed_covariance(samples.astype(dtype), spec, n_cov)
-    lam, v = np.linalg.eigh(cov.r_hat)
+    r_fb = _fb_reference(samples.astype(dtype), spec, n_cov)
+    lam, v = np.linalg.eigh(r_fb)
     lam, v = lam[::-1], v[:, ::-1]
     dim = lam.size
     np.testing.assert_allclose(cov.eigvals, lam, rtol=0, atol=1e-14 * lam[0])
     basis = cov.eig_basis
     assert basis.shape == (dim, dim) and basis.flags.c_contiguous
-    assert np.linalg.norm(cov.r_hat @ basis - basis * cov.eigvals) <= 1e-13 * lam[0]
+    assert np.linalg.norm(r_fb @ basis - basis * cov.eigvals) <= 1e-13 * lam[0]
     assert np.linalg.norm(basis.conj().T @ basis - np.eye(dim)) <= 1e-13
     # where the spectrum has a wide gap, both bases span the same subspace
     for p_sub in range(1, dim):

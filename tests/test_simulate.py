@@ -122,6 +122,25 @@ def test_static_reflector_constant_over_slow_time(walabot):
         np.testing.assert_array_equal(cube.samples[l], cube.samples[0])
 
 
+def test_static_reflector_phase_steps_with_delay(walabot, derived):
+    # each frequency step turns a reflector's sample by -2 pi delta_f tau_m,
+    # tau_m = (2 d + x_m sin(theta)) / c, at the reflector's gain modulus
+    rng = np.random.default_rng(9)
+    chan = walabot.delta * np.arange(derived.m)
+    for _ in range(10):
+        d = float(rng.uniform(0.5, 10.0))
+        theta = float(rng.uniform(-1.2, 1.2))
+        gain = complex(rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0))
+        scene = rv.Scene(persons=(), l=1, f_st=10.0, clutter=rv.ClutterModel(
+            static_reflectors=((rv.PolarLocation(d, theta), gain),)))
+        snap = rv.simulate(scene, walabot).samples[0]
+        np.testing.assert_allclose(np.abs(snap), abs(gain), rtol=1e-12)
+        tau = (2 * d + chan * np.sin(theta)) / walabot.c
+        step = np.exp(-2j * np.pi * derived.delta_f * tau)
+        np.testing.assert_allclose(snap[1:] / snap[:-1], np.broadcast_to(step, snap[1:].shape),
+                                   rtol=0, atol=1e-9)
+
+
 def test_slow_time_jitter_monotonic(walabot):
     scene = rv.Scene(persons=(), clutter=rv.ClutterModel(seed=5), l=200,
                      f_st=10.0, slow_time_jitter=0.02)
@@ -370,55 +389,6 @@ def test_cli_simulate_refuses_an_out_that_is_not_a_regular_file(tmp_path, capsys
         assert os.read(reader, 1) == b""
     finally:
         os.close(reader)
-
-
-def test_range_profile_zero_snapshot():
-    assert np.all(rv.range_profile(np.zeros(8, dtype=complex), 32) == 0)
-
-
-def test_range_profile_rejects_short_transform():
-    with pytest.raises(ValueError):
-        rv.range_profile(np.ones(8, dtype=complex), 4)
-
-
-def test_range_profile_single_target_peak_index(walabot, derived):
-    # tau = 20 ns lands between profile bins 2033 and 2034; the envelope
-    # argmax computed by direct evaluation of the sum picks 2033
-    tau = 20e-9
-    freqs = walabot.f0 + derived.delta_f * np.arange(walabot.k)
-    snapshot = np.exp(-2j * np.pi * freqs * tau)
-    profile = rv.range_profile(snapshot, walabot.n)
-    n_axis = np.arange(walabot.n)
-    brute = np.abs(
-        np.exp(2j * np.pi * np.outer(n_axis, np.arange(walabot.k)) / walabot.n)
-        @ snapshot / walabot.k
-    )
-    assert np.argmax(brute) == 2033
-    assert np.argmax(profile) == 2033
-
-
-def test_range_profile_matches_brute_force_property():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        k = int(rng.integers(2, 16))
-        n = int(rng.integers(k, 48))
-        snapshot = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        profile = rv.range_profile(snapshot, n)
-        brute = np.abs(
-            np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(k)) / n)
-            @ snapshot / k
-        )
-        np.testing.assert_allclose(profile, brute, atol=1e-9, rtol=1e-9)
-
-
-def test_envelope_peak_tracks_delay(walabot, derived):
-    rng = np.random.default_rng(9)
-    freqs = walabot.f0 + derived.delta_f * np.arange(walabot.k)
-    for _ in range(10):
-        d = float(rng.uniform(0.5, 10.0))
-        tau = 2 * d / walabot.c
-        profile = rv.range_profile(np.exp(-2j * np.pi * freqs * tau), walabot.n)
-        assert abs(int(np.argmax(profile)) - walabot.n * derived.delta_f * tau) <= 1.0
 
 
 def test_cube_validation(walabot):

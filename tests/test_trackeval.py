@@ -64,7 +64,19 @@ def test_match_small_offset():
         [rv.PolarLocation(2.0, 0.0)], [rv.PolarLocation(2.1, 0.0)]
     )
     assert len(report.matches) == 1
-    assert report.location_errors[0] == pytest.approx(0.1, rel=1e-9)
+    assert report.matches[0][2] == pytest.approx(0.1, rel=1e-9)
+
+
+def test_location_error_summaries_come_from_the_matches():
+    # three persons matched at 0.1, 0.05 and 0.2 m, one far estimate left over
+    refs = [rv.PolarLocation(d, 0.0) for d in (1.0, 2.0, 3.0)]
+    ests = [rv.PolarLocation(d, 0.0) for d in (1.1, 2.05, 3.2, 4.5)]
+    report = rv.match_and_score(ests, refs)
+    assert (report.p_md, report.p_fd) == (0, 1)
+    dists = sorted(dist for _, _, dist in report.matches)
+    np.testing.assert_allclose(dists, [0.05, 0.1, 0.2], rtol=1e-9)
+    assert report.mean_location_error == pytest.approx(np.mean(dists), rel=1e-12)
+    assert report.median_location_error == pytest.approx(dists[1], rel=1e-12)
 
 
 def test_chord_beyond_match_radius():
