@@ -13,6 +13,7 @@ from .core import (
     SPEED_OF_LIGHT,
     CartesianLocation,
     ConfigError,
+    DataError,
     DerivedParams,
     PolarLocation,
     RadarConfig,
@@ -23,7 +24,6 @@ from .core import (
 from .dataio import (
     ContainerReader,
     ContainerWriter,
-    DataError,
     RawRecording,
     RVCFormatError,
     convert_recording,
@@ -51,7 +51,6 @@ from .localize import (
 from .modelorder import (
     ModelOrderConfig,
     OrderDiagnostics,
-    estimate_order,
     order_diagnostics,
     relative_distances,
 )
@@ -63,7 +62,6 @@ from .pipeline import (
     pipeline_config_to_entries,
     run_pipeline,
 )
-from .preprocess import SegmentedCube, segment, sma_filter
 from .simulate import (
     ClutterModel,
     MeasurementCube,

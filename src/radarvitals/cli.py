@@ -222,11 +222,11 @@ def _segment_spectrum(path: str, segment: int, config):
     which make a recording of exactly one segment; only they are read."""
     from .dataio import ContainerReader
     from .pipeline import run_pipeline
+    from .preprocess import segment_rows
 
-    start = segment * config.l_st
-    rows = slice(start, start + config.l_st + config.w_st - 1)
+    rows = segment_rows(segment, config.w_st, config.l_st)
     with ContainerReader(path, rows) as own:
-        if own.l < rows.stop - start:
+        if own.l < rows.stop - rows.start:
             raise ValueError(f"segment {segment} out of range")
         return run_pipeline(own, config, vitals=False).accumulated
 
@@ -261,8 +261,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    from .core import ConfigError
-    from .dataio import DataError
+    from .core import ConfigError, DataError
 
     import numpy as np
 

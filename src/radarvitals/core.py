@@ -20,6 +20,10 @@ class ConfigError(ValueError):
     """Invalid radar, scene or pipeline configuration."""
 
 
+class DataError(Exception):
+    """Recording data is structurally unusable."""
+
+
 # Working set of one block of the streamed kernels (the slow-time filter, the
 # MUSIC scan and its near-null recompute, and simulate's row blocks): it stays
 # in cache, and buffers this small are reused from the heap instead of being

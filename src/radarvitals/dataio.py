@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    DataError,
     RadarConfig,
     config_to_entries,
     derive_params,
@@ -28,8 +29,8 @@ from .core import (
     take_metadata,
 )
 from .kvfile import format_kv, parse_kv, read_kv
-from .simulate import (MeasurementCube, Scene, check_rows, check_slow_time, scene_to_entries,
-                       take_scene)
+from .simulate import (MeasurementCube, Scene, check_finite, check_rows, check_slow_time,
+                       scene_to_entries, take_scene)
 
 RVC_MAGIC = "RVC1"
 # what a ContainerWriter puts in place of the magic until it is closed cleanly
@@ -47,35 +48,8 @@ _HEADER_END = b"end_header\n"
 _F_ST_SIGMAS = 10.0
 
 
-class DataError(Exception):
-    """Recording data is structurally unusable."""
-
-
 class RVCFormatError(DataError):
     """Malformed measurement container."""
-
-
-def check_finite(samples: np.ndarray, source: object, first_row: int = 0,
-                 bound: float | None = None) -> None:
-    """Raise ``DataError`` naming the first non-finite sample by its index
-    ([l, k, m] for a cube, [sweep, column, bin] for raw profiles), its row
-    counted from ``first_row``; with ``bound``, naming finite samples' rows
-    and the bound their filtered values exceed (``run_pipeline``).
-
-    One sum screens the samples: a nan or inf sample always makes it
-    non-finite, so the element-wise scan runs only then (a finite sum that
-    overflows merely triggers the scan, which finds nothing).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite_sum = np.isfinite(samples.sum())
-    if not finite_sum and not (finite := np.isfinite(samples)).all():
-        bad = tuple(int(i) for i in np.argwhere(~finite)[0])
-        index = [bad[0] + first_row, *bad[1:]]
-        raise DataError(f"{source}: sample {index} is {samples[bad]}, not finite")
-    if bound is not None:
-        raise DataError(f"{source}: rows [{first_row}, {first_row + len(samples)}) are finite, "
-                        f"but their clutter-filtered samples exceed {bound!r} in magnitude, "
-                        f"above which the covariance sums may overflow")
 
 
 def check_f_st(slow_time: np.ndarray, f_st: float, source: object) -> None:

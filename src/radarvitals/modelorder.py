@@ -128,5 +128,6 @@ def order_diagnostics(
 def estimate_order(
     lam: np.ndarray, cfg: ModelOrderConfig = ModelOrderConfig()
 ) -> int:
-    """Estimated number of persons from a descending eigenvalue vector."""
+    """Estimated number of persons from a descending eigenvalue vector,
+    ``order_diagnostics(lam, cfg).p_hat``; it stays for the benchmark."""
     return order_diagnostics(lam, cfg).p_hat

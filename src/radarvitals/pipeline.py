@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    DataError,
     DerivedParams,
     PolarLocation,
     RadarConfig,
@@ -32,7 +33,7 @@ from .core import (
     polar_to_cartesian,
     reject_unknown,
 )
-from .dataio import ContainerReader, DataError, check_f_st
+from .dataio import ContainerReader, check_f_st
 from .localize import (
     DetectionSet,
     GridSpec,
@@ -51,7 +52,7 @@ from .modelorder import ModelOrderConfig, OrderDiagnostics, order_diagnostics
 # perfbench wraps read_container, segment, sma_filter and extract_displacement
 # by these names
 from .dataio import read_container  # noqa: F401
-from .preprocess import segment, segment_count, sma_filter, sma_rows  # noqa: F401
+from .preprocess import segment, segment_count, segment_rows, sma_filter, sma_rows  # noqa: F401
 from .simulate import MeasurementCube, Scene
 from .trackeval import EvalReport, Track, check_radius, score_estimates, update_tracks
 from .vitals import (averaged_periodogram, beamform, breathing_frequency, build_filter,
@@ -201,12 +202,12 @@ def run_pipeline(
 
     Deterministic for a fixed (recording, config): segments are processed
     in order and the spectrum accumulation follows that order. Segment
-    ``i`` is the clutter filter applied to raw rows ``[i * l_st, (i + 1) *
-    l_st + w_st - 1)``, the same rows the filtered whole recording would
-    hold. Only the rows the stages read are filtered: the ``n_cov``
-    covariance snapshots, and each detection's beamformer output, filtered
-    in 1-D after beamforming the raw rows. No filtered copy of a segment or
-    of the recording is made. The beamformer weights of a detection cell
+    ``i`` is the clutter filter applied to raw rows ``segment_rows(i, w_st,
+    l_st)``, the same rows the filtered whole recording would hold. Only
+    the rows the stages read are filtered: the ``n_cov`` covariance
+    snapshots, and each detection's beamformer output, filtered in 1-D
+    after beamforming the raw rows. No filtered copy of a segment or of the
+    recording is made. The beamformer weights of a detection cell
     are built once per run, when a detection first falls on it, and reused
     read-only by every later detection on that cell.
 
@@ -238,7 +239,7 @@ def run_pipeline(
         outcomes: list[SegmentOutcome] = []
         accumulated: PseudoSpectrum | None = None
         for i, (raw, snaps) in enumerate(_raw_segments(rec, count, w_st, l_st, snapshots)):
-            slow_time = rec.slow_time[i * l_st + w_st - 1 : (i + 1) * l_st + w_st - 1]
+            slow_time = rec.slow_time[segment_rows(i, w_st, l_st)][w_st - 1 :]
             try:
                 cov_music = smoothed_covariance(snaps, config.music_spec(), len(snaps))
                 spec = music_spectrum(cov_music, config.p_sub, config.grid, cfg)
@@ -290,8 +291,8 @@ def run_pipeline(
 
 def _raw_segments(rec: MeasurementCube | ContainerReader, count: int, w_st: int, l_st: int,
                   snapshots: np.ndarray):
-    """Yield the raw rows ``rec.rows(i * l_st, (i + 1) * l_st + w_st - 1)``
-    of each segment ``i < count`` with their filtered covariance snapshots
+    """Yield the raw rows ``segment_rows(i, w_st, l_st)`` of each segment
+    ``i < count``, read by ``rec.rows``, with their filtered covariance snapshots
     ``sma_rows(raw, w_st, snapshots)``, then check the rows past the last.
 
     Each span is screened by its filtered snapshots and row ``l_st - 1``,
@@ -311,18 +312,19 @@ def _raw_segments(rec: MeasurementCube | ContainerReader, count: int, w_st: int,
     covariance. B^2 = max / (8 N), max the largest float, keeps every
     value below max / 2.
     """
-    span, done = l_st + w_st - 1, 0  # rows [0, done) are checked
+    done = 0  # rows [0, done) are checked
     screened = sorted_unique(np.append(snapshots, l_st - 1))
     n = snapshots.size * rec.config.k * rec.config.m_r * rec.config.m_t
     bound = math.sqrt(np.finfo(np.float64).max / (8 * n))
-    for start in range(0, count * l_st, l_st):
-        raw = rec.rows(start, start + span)
+    for i in range(count):
+        rows = segment_rows(i, w_st, l_st)
+        raw = rec.rows(rows.start, rows.stop)
         # a nan, inf or overflowing sample would warn in the sums before its error
         with np.errstate(over="ignore", invalid="ignore"):
             snaps = sma_rows(raw, w_st, screened)
         if not np.abs(snaps.view(np.float64)).max() <= bound:
-            rec.check(start, raw, bound)
-        done = start + span
+            rec.check(rows.start, raw, bound)
+        done = rows.stop
         yield raw, snaps[: snapshots.size]
     rec.check(done, rec.rows(done, rec.l))
 
@@ -379,17 +381,18 @@ def _text(write, *args) -> str:
 
 
 def _read_table(path, columns: tuple[str, ...], types: tuple[type, ...],
-                blank: tuple[str, ...] = ()) -> list[tuple]:
+                blank: tuple[str, ...] = (), key: tuple[str, ...] = ()) -> list[tuple]:
     """Rows as tuples in ``columns`` order, each cell parsed by its type. A
     missing column or a cell that is not a finite number of its type is a
     ``DataError`` naming file, line and column. A row whose ``blank`` cells
-    are all empty holds None in them."""
+    are all empty holds None in them. A row whose ``key`` cells, the last not
+    None, repeat those of an earlier row is a ``DataError`` naming both lines."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for column in columns:
             if column not in (reader.fieldnames or ()):
                 raise DataError(f"{path}: line {reader.line_num or 1}: missing column {column!r}")
-        rows = []
+        rows, lines = [], {}
         for row in reader:
             empty = blank if all(row[column] == "" for column in blank) else ()
             cells = []
@@ -406,6 +409,11 @@ def _read_table(path, columns: tuple[str, ...], types: tuple[type, ...],
                     raise DataError(f"{path}: line {reader.line_num}, column {column!r}: "
                                     f"{text!r} is not a finite {typ.__name__}")
                 cells.append(value)
+            named = tuple(cells[columns.index(column)] for column in key)
+            if named and named[-1] is not None:
+                if (first := lines.setdefault(named, reader.line_num)) != reader.line_num:
+                    raise DataError(f"{path}: line {reader.line_num}, column {key[-1]!r}: "
+                                    f"{named[-1]} repeats line {first}")
             rows.append(tuple(cells))
     return rows
 
@@ -433,7 +441,7 @@ def read_final_detections(path) -> tuple[list[PolarLocation], list[int]]:
     """Locations and track labels of the last segment of a detections CSV; a
     row with empty detection cells stands for a segment without detections."""
     rows = _read_table(path, _DETECTIONS, (int, int, int, float, float, float, float, float),
-                       blank=_DETECTIONS[2:])
+                       blank=_DETECTIONS[2:], key=("segment", "track"))
     last = max((row[0] for row in rows), default=None)
     final = [row for row in rows if row[0] == last and row[2] is not None]
     return [PolarLocation(row[3], row[4]) for row in final], [row[2] for row in final]
@@ -468,7 +476,8 @@ def breathing_csv(result: PipelineResult) -> str:
 
 def read_breathing_rates(path) -> dict[int, float]:
     """Breathing rate per track label from a breathing CSV."""
-    return {row[0]: row[3] for row in _read_table(path, _BREATHING, (int, float, float, float))}
+    rows = _read_table(path, _BREATHING, (int, float, float, float), key=("track",))
+    return {row[0]: row[3] for row in rows}
 
 
 def write_periodogram(fh, result: PipelineResult) -> None:

@@ -40,8 +40,9 @@ def sma_filter(cube: MeasurementCube, w_st: int) -> MeasurementCube:
     cancels and the first ``w_st - 1`` rows carry no valid output and are
     dropped. The window must span at least one breathing cycle, otherwise
     the filter attenuates the signal of interest as well. The samples are
-    filtered by ``sma_rows``, bit-equal to one cumsum over the recording
-    for finite samples.
+    ``sma_rows(cube.samples, w_st)``, bit-equal to one cumsum over the
+    recording for finite samples. ``run_pipeline`` filters each segment's
+    own raw rows instead; this whole-recording form stays for the benchmark.
     """
     segment_count(cube.l, w_st)
     return MeasurementCube(
@@ -191,8 +192,8 @@ def _running_sums(x: np.ndarray, marks: np.ndarray) -> np.ndarray:
 def segment_count(l: int, w_st: int, l_st: int | None = None) -> int:
     """Segments of ``l_st`` rows (without ``l_st``, rows) that ``l`` raw samples
     give behind the ``w_st``-sample clutter filter, the one length rule of
-    ``sma_filter``, ``segment`` and ``run_pipeline``: fewer than ``w_st`` raise
-    ``ValueError``, fewer than ``w_st - 1 + l_st`` warn and give 0."""
+    ``run_pipeline``: fewer than ``w_st`` raise ``ValueError``, fewer than
+    ``w_st - 1 + l_st`` warn and give 0."""
     if w_st < 1:
         raise ValueError(f"window w_st must be >= 1, got {w_st}")
     if l_st is not None and l_st < 2:
@@ -207,8 +208,16 @@ def segment_count(l: int, w_st: int, l_st: int | None = None) -> int:
     return count
 
 
+def segment_rows(i: int, w_st: int, l_st: int) -> slice:
+    """The raw rows [i * l_st, (i + 1) * l_st + w_st - 1) of segment ``i``:
+    the ``w_st``-sample clutter filter over them gives the segment's ``l_st``
+    rows, and its slow-time stamps are those of the last ``l_st``."""
+    return slice(i * l_st, (i + 1) * l_st + w_st - 1)
+
+
 def segment(cube: MeasurementCube, l_st: int) -> SegmentedCube:
-    """Slice a filtered recording into full-length segments; the tail is dropped."""
+    """Views of the full-length segments of a filtered recording; the tail is
+    dropped. Like ``sma_filter``, it stays for the benchmark."""
     count = segment_count(cube.l, 1, l_st)
     segments = [
         MeasurementCube(

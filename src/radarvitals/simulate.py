@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    DataError,
     PolarLocation,
     RadarConfig,
     block_len,
@@ -122,9 +123,7 @@ class MeasurementCube:
         return self.samples[start:stop]
 
     def check(self, start: int, rows: np.ndarray, bound: float | None = None) -> None:
-        """``dataio.check_finite`` of ``rows``, the samples from row ``start`` on."""
-        from .dataio import check_finite  # dataio imports this module
-
+        """``check_finite`` of ``rows``, the samples from row ``start`` on."""
         check_finite(rows, "recording", start, bound)
 
 
@@ -132,6 +131,29 @@ def check_rows(start: int, stop: int, l: int, source: object) -> None:
     """Raise ``ValueError`` naming rows [start, stop) unless within [0, l]."""
     if not 0 <= start <= stop <= l:
         raise ValueError(f"{source}: rows [{start}, {stop}) are not within [0, {l}]")
+
+
+def check_finite(samples: np.ndarray, source: object, first_row: int = 0,
+                 bound: float | None = None) -> None:
+    """Raise ``DataError`` naming the first non-finite sample by its index
+    ([l, k, m] for a cube, [sweep, column, bin] for raw profiles), its row
+    counted from ``first_row``; with ``bound``, naming finite samples' rows
+    and the bound their filtered values exceed (``run_pipeline``).
+
+    One sum screens the samples: a nan or inf sample always makes it
+    non-finite, so the element-wise scan runs only then (a finite sum that
+    overflows merely triggers the scan, which finds nothing).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite_sum = np.isfinite(samples.sum())
+    if not finite_sum and not (finite := np.isfinite(samples)).all():
+        bad = tuple(int(i) for i in np.argwhere(~finite)[0])
+        index = [bad[0] + first_row, *bad[1:]]
+        raise DataError(f"{source}: sample {index} is {samples[bad]}, not finite")
+    if bound is not None:
+        raise DataError(f"{source}: rows [{first_row}, {first_row + len(samples)}) are finite, "
+                        f"but their clutter-filtered samples exceed {bound!r} in magnitude, "
+                        f"above which the covariance sums may overflow")
 
 
 def check_slow_time(slow_time: np.ndarray, error: type[Exception] = ValueError) -> None:

@@ -1,5 +1,5 @@
-"""Shared scene builders, raw-profile synthesis, table strings and text
-comparison for the test suite."""
+"""Shared scene builders, filtered segments, raw-profile synthesis, table
+strings and text comparison for the test suite."""
 
 import io
 from itertools import zip_longest
@@ -8,6 +8,7 @@ import numpy as np
 
 import radarvitals as rv
 from radarvitals import pipeline
+from radarvitals.preprocess import segment_count, segment_rows, sma_rows
 
 
 def small_config(k=12, n=24, m_r=2, m_t=2, f0=6.3e9, b=0.3e9, delta=0.02, f_st=10.0):
@@ -55,6 +56,23 @@ def m16_scene(seed=7, l=2000, noise_std=0.1):
         l=l,
         f_st=10.0,
     )
+
+
+def filtered_segments(cube, w_st=64, l_st=200):
+    """Each segment's filtered rows as ``run_pipeline`` forms them: the
+    clutter filter over the segment's own raw rows."""
+    return [sma_rows(cube.samples[segment_rows(i, w_st, l_st)], w_st)
+            for i in range(segment_count(cube.l, w_st, l_st))]
+
+
+def cumsum_filter(x, w):
+    """The clutter filter of ``x`` over axis 0 by one cumsum over all of it:
+    the one-pass formula the blocked kernel replaced, kept as the oracle."""
+    l = x.shape[0]
+    csum = np.cumsum(x, axis=0)
+    window_sum = csum[w - 1 :].copy()
+    window_sum[1:] -= csum[: l - w]
+    return x[w - 1 :] - window_sum / w
 
 
 def analytic_profiles(cube):

@@ -350,6 +350,19 @@ CASES: dict[str, Case | dict[str, Case] | list[Case]] = {
              DETECTIONS_HEAD + "0,1,0,1.5,0.0,0.0,1.5,9.0\n1,0,,,,,,9.0\n", None, "track"),
         ]
     },
+    # the program writes each track once per table (per segment for
+    # detections); a repeated track would score a second estimate or
+    # replace a breathing rate
+    "test_cli::test_cli_evaluate_rejects_a_repeated_track": {
+        "breathing": evaluate(
+            (REC, text("det.csv", DETECTIONS_HEAD + "0,1,0,2.0,0.0,0.0,2.0,9.0\n"),
+             text("br.csv", "track,d_m,theta_rad,f_hat_hz\n0,2.0,0.0,0.3\n0,2.0,0.0,0.5\n")),
+            "data error: br.csv: line 3, column 'track': 0 repeats line 2", " --breathing br.csv"),
+        "detections": evaluate(
+            (REC, text("det.csv", DETECTIONS_HEAD + "0,1,,,,,,\n1,2,0,2.0,0.0,0.0,2.0,9.0\n"
+                                                    "1,2,0,2.1,0.0,0.0,2.1,8.0\n")),
+            "data error: det.csv: line 4, column 'track': 0 repeats line 3"),
+    },
     "test_pipeline::test_cli_convert_unusable_raw_dir_is_data_error": {
         name: convert(edit, re.escape(message), 3) for name, edit, message in [
             ("no raw.kv", raw_file("raw.kv", None), "cannot read raw.kv"),

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 import radarvitals as rv
-from helpers import breather, m16_scene, scene_of, small_config
+from helpers import breather, filtered_segments, m16_scene, scene_of, small_config
 
 M16_TRUTH = [rv.PolarLocation(d, np.deg2rad(t)) for d, t in
              [(1.50, -60.0), (2.00, 0.0), (2.15, -30.0), (1.85, 45.0), (3.00, 30.0)]]
@@ -199,8 +199,7 @@ def test_grid_shape_formula():
 
 
 def _localize_single(cube, p_sub=1, n_cov=10):
-    seg = rv.segment(rv.sma_filter(cube, 64), 200).segments[0]
-    cov = rv.smoothed_covariance(seg.samples, rv.SmoothingSpec(38, 2), n_cov)
+    cov = rv.smoothed_covariance(filtered_segments(cube)[0], rv.SmoothingSpec(38, 2), n_cov)
     spec = rv.music_spectrum(cov, p_sub, rv.GridSpec(), cube.config)
     return spec
 
@@ -371,8 +370,7 @@ def test_music_spectrum_working_set_is_bounded(walabot):
     per-angle buffers without the blocks.
     """
     cube = rv.simulate(scene_of([breather(2.0, 20.0)], l=264, noise_std=0.1, seed=4), walabot)
-    seg = rv.segment(rv.sma_filter(cube, 64), 200).segments[0]
-    cov = rv.smoothed_covariance(seg.samples, rv.SmoothingSpec(38, 2), 10)
+    cov = rv.smoothed_covariance(filtered_segments(cube)[0], rv.SmoothingSpec(38, 2), 10)
     for grid in (rv.GridSpec(), rv.GridSpec(theta_step=math.pi / 1800)):
         rv.localize._scan_factors.cache_clear()
         tracemalloc.start()
@@ -388,8 +386,7 @@ def test_music_spectrum_working_set_is_bounded(walabot):
 
 def test_music_spectrum_repeat_calls_bit_identical(walabot):
     cube = rv.simulate(scene_of([breather(2.0, 20.0)], l=264, noise_std=0.1, seed=4), walabot)
-    seg = rv.segment(rv.sma_filter(cube, 64), 200).segments[0]
-    cov = rv.smoothed_covariance(seg.samples, rv.SmoothingSpec(38, 2), 10)
+    cov = rv.smoothed_covariance(filtered_segments(cube)[0], rv.SmoothingSpec(38, 2), 10)
     first = rv.music_spectrum(cov, 15, rv.GridSpec(), walabot)
     second = rv.music_spectrum(cov, 15, rv.GridSpec(), walabot)
     assert first.values.tobytes() == second.values.tobytes()
@@ -420,11 +417,11 @@ def test_music_spectrum_matches_noise_subspace_scan_on_m16(walabot):
     # every cell of every segment spectrum of the five-person scene, the
     # cells near the peaks (recomputed) and the rest (complement) alike
     cube = rv.simulate(m16_scene(seed=7), walabot)
-    segments = rv.segment(rv.sma_filter(cube, 64), 200).segments
+    segments = filtered_segments(cube)
     assert len(segments) == 9
     grid = rv.GridSpec()
     for seg in segments:
-        cov = rv.smoothed_covariance(seg.samples, rv.SmoothingSpec(38, 2), 10)
+        cov = rv.smoothed_covariance(seg, rv.SmoothingSpec(38, 2), 10)
         spec = rv.music_spectrum(cov, 15, grid, walabot)
         expected = _music_noise_scan(cov, 15, grid, walabot)
         np.testing.assert_allclose(spec.values, expected, rtol=1e-10, atol=0)
@@ -480,11 +477,10 @@ def test_accumulation_recovers_weak_person(walabot):
     # peaks while the accumulated spectrum keeps all five
     scene = m16_scene(seed=5, noise_std=0.5)
     cube = rv.simulate(scene, walabot)
-    seg = rv.segment(rv.sma_filter(cube, 64), 200)
     running = None
     per_segment_hits = []
-    for s in seg.segments:
-        cov = rv.smoothed_covariance(s.samples, rv.SmoothingSpec(38, 2), 10)
+    for seg in filtered_segments(cube):
+        cov = rv.smoothed_covariance(seg, rv.SmoothingSpec(38, 2), 10)
         spec = rv.music_spectrum(cov, 15, rv.GridSpec(), walabot)
         running = spec if running is None else rv.accumulate_spectrum(running, spec)
         dets = rv.extract_peaks(spec, 5, 0.3).detections
@@ -586,8 +582,8 @@ def test_extract_peaks_rejects_nan(p_hat):
 def test_stacked_eigenvalues_pairing(walabot):
     # a lone return occupies two comparable real directions
     cube = rv.simulate(scene_of([breather(2.0, -40.0)], l=264), walabot)
-    seg = rv.segment(rv.sma_filter(cube, 64), 200).segments[0]
-    lam = rv.stacked_covariance_eigenvalues(seg.samples, rv.SmoothingSpec(38, 3), 10)
+    [seg] = filtered_segments(cube)
+    lam = rv.stacked_covariance_eigenvalues(seg, rv.SmoothingSpec(38, 3), 10)
     assert lam.shape == (2 * 38 * 3,)
     assert lam[0] / lam[1] < 1.05
     assert np.all(np.diff(lam) <= 1e-12 * lam[0])
@@ -818,8 +814,7 @@ def m16_snapshots(walabot):
     """The ``n_cov`` = 10 covariance snapshots of three segments of the
     five-person scene, as the pipeline takes them."""
     cube = rv.simulate(m16_scene(seed=7), walabot)
-    segments = rv.segment(rv.sma_filter(cube, 64), 200).segments
-    return [seg.samples[rv.localize.snapshot_indices(200, 10)] for seg in segments[::4]]
+    return [seg[rv.localize.snapshot_indices(200, 10)] for seg in filtered_segments(cube)[::4]]
 
 
 @pytest.mark.parametrize("segment", [0, 1, 2], ids=["seg0", "seg4", "seg8"])

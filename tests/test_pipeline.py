@@ -23,8 +23,8 @@ from radarvitals.pipeline import (
     pipeline_config_to_entries,
     run_pipeline,
 )
-from radarvitals.preprocess import sma_rows
-from helpers import assert_same_text, breather, m16_scene, scene_of, table_text
+from radarvitals.preprocess import segment_rows, sma_rows
+from helpers import assert_same_text, breather, cumsum_filter, m16_scene, scene_of, table_text
 from test_cli import in_process_tests, raw
 
 
@@ -299,11 +299,14 @@ def test_segments_match_the_filtered_recording(walabot):
     # filtered whole recording, up to the summation order of the cumsum
     config = rv.PipelineConfig()
     cube = rv.simulate(scene_of([breather(2.0, 10.0)], l=664, noise_std=0.1, seed=6), walabot)
-    reference = rv.segment(rv.sma_filter(cube, config.w_st), config.l_st).segments
+    filtered = cumsum_filter(cube.samples, config.w_st)
+    stamps = cube.slow_time[config.w_st - 1 :]
     result = run_pipeline(cube, config)
-    for outcome, seg in zip(result.segments, reference, strict=True):
-        np.testing.assert_array_equal(outcome.slow_time, seg.slow_time)
-        lam = rv.stacked_covariance_eigenvalues(seg.samples, config.moe_spec(), config.n_cov)
+    assert len(result.segments) == len(filtered) // config.l_st == 3
+    for i, outcome in enumerate(result.segments):
+        rows = slice(i * config.l_st, (i + 1) * config.l_st)
+        np.testing.assert_array_equal(outcome.slow_time, stamps[rows])
+        lam = rv.stacked_covariance_eigenvalues(filtered[rows], config.moe_spec(), config.n_cov)
         np.testing.assert_allclose(outcome.order.lam, lam, rtol=0, atol=1e-12 * lam[0])
 
 
@@ -321,10 +324,9 @@ def test_pipeline_matches_the_filtered_segment_rows(walabot):
               for (i, _), vs in zip(t.records, t.series, strict=True)}
     assert len(result.segments) == 4 and len(series) >= 2
     for index, outcome in enumerate(result.segments):
-        start = index * config.l_st
-        raw = cube.samples[start : start + config.l_st + config.w_st - 1]
-        stamps = cube.slow_time[start : start + config.l_st + config.w_st - 1]
-        seg = rv.sma_filter(rv.MeasurementCube(raw, stamps, walabot), config.w_st)
+        rows = segment_rows(index, config.w_st, config.l_st)
+        seg = rv.MeasurementCube(sma_rows(cube.samples[rows], config.w_st),
+                                 cube.slow_time[rows][config.w_st - 1 :], walabot)
         lam = rv.stacked_covariance_eigenvalues(seg.samples, config.moe_spec(), config.n_cov)
         assert outcome.order.lam.tobytes() == lam.tobytes()
         for label, det in zip(outcome.track_labels, outcome.detections.detections):
@@ -1102,7 +1104,9 @@ def test_a_finite_recording_is_checked_by_the_screen(walabot, tmp_path, monkeypa
         checked.append((first_row, len(samples)))
         real(samples, source, first_row, bound)
 
-    monkeypatch.setattr(rv.dataio, "check_finite", counting)
+    # a cube checks by the name in its own module, a container reader by dataio's
+    for module in (sys.modules["radarvitals.simulate"], rv.dataio):
+        monkeypatch.setattr(module, "check_finite", counting)
     for source in (cube, path):
         checked.clear()
         assert len(run_pipeline(source).segments) == 3

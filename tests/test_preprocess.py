@@ -6,139 +6,106 @@ from hypothesis import example, given, settings, strategies as st
 
 import radarvitals as rv
 from radarvitals import core, preprocess
-from radarvitals.preprocess import sma_rows
-from helpers import small_config
+from radarvitals.preprocess import segment_count, segment_rows, sma_rows
+from helpers import cumsum_filter, small_config
 
 
-def _cube_from(samples, cfg, f_st=10.0):
-    l = samples.shape[0]
-    return rv.MeasurementCube(samples, np.arange(l) / f_st, cfg)
-
-
-def test_constant_cube_annihilated():
-    cfg = small_config()
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        const = rng.standard_normal((1, cfg.k, 4)) + 1j * rng.standard_normal((1, cfg.k, 4))
-        l = int(rng.integers(8, 40))
-        w = int(rng.integers(1, l + 1))
-        cube = _cube_from(np.repeat(const, l, axis=0), cfg)
-        out = rv.sma_filter(cube, w)
-        assert out.samples.shape[0] == l - w + 1
-        assert np.max(np.abs(out.samples)) <= 1e-12 * max(np.max(np.abs(const)), 1.0)
+def _random_rows(rng, l):
+    return rng.standard_normal((l, 12, 4)) + 1j * rng.standard_normal((l, 12, 4))
 
 
 def test_alternating_sequence_passes_even_window():
-    cfg = small_config()
     l, w = 32, 8
     sign = (-1.0) ** np.arange(l)
-    samples = sign[:, None, None] * np.ones((l, cfg.k, 4), dtype=complex)
-    out = rv.sma_filter(_cube_from(samples, cfg), w)
-    np.testing.assert_allclose(out.samples, samples[w - 1:], atol=1e-13)
+    samples = sign[:, None, None] * np.ones((l, 12, 4), dtype=complex)
+    np.testing.assert_allclose(sma_rows(samples, w), samples[w - 1:], atol=1e-13)
 
 
 def test_matches_direct_window_evaluation():
     # brute-force the defining sum as the oracle
-    cfg = small_config()
-    rng = np.random.default_rng(5)
     l, w = 50, 7
-    x = rng.standard_normal((l, cfg.k, 4)) + 1j * rng.standard_normal((l, cfg.k, 4))
-    out = rv.sma_filter(_cube_from(x, cfg), w)
+    x = _random_rows(np.random.default_rng(5), l)
+    out = sma_rows(x, w)
     for j in range(l - w + 1):
         expected = x[j + w - 1] - x[j : j + w].mean(axis=0)
-        np.testing.assert_allclose(out.samples[j], expected, atol=1e-12)
+        np.testing.assert_allclose(out[j], expected, atol=1e-12)
 
 
 def test_sinusoid_transfer_amplitude():
     # a slow-time complex tone is scaled by |1 - D_w(f)| where D_w is the
     # mean of the window phasors
-    cfg = small_config()
     f, f_st, l, w = 0.3, 10.0, 400, 64
     tone = np.exp(2j * np.pi * f * np.arange(l) / f_st)
-    samples = tone[:, None, None] * np.ones((l, cfg.k, 4))
-    out = rv.sma_filter(_cube_from(samples, cfg), w)
+    out = sma_rows(tone[:, None, None] * np.ones((l, 12, 4)), w)
     phasors = np.exp(-2j * np.pi * f * np.arange(w) / f_st)
     transfer = 1 - phasors.mean()
     expected = tone[w - 1:] * transfer
-    np.testing.assert_allclose(out.samples[:, 0, 0], expected, rtol=1e-9)
+    np.testing.assert_allclose(out[:, 0, 0], expected, rtol=1e-9)
 
 
 def test_linearity():
-    cfg = small_config()
     rng = np.random.default_rng(8)
-    a = rng.standard_normal((30, cfg.k, 4)) + 1j * rng.standard_normal((30, cfg.k, 4))
-    b = rng.standard_normal((30, cfg.k, 4)) + 1j * rng.standard_normal((30, cfg.k, 4))
-    out_sum = rv.sma_filter(_cube_from(a + 2.5 * b, cfg), 6)
-    out_a = rv.sma_filter(_cube_from(a, cfg), 6)
-    out_b = rv.sma_filter(_cube_from(b, cfg), 6)
+    a, b = _random_rows(rng, 30), _random_rows(rng, 30)
     np.testing.assert_allclose(
-        out_sum.samples, out_a.samples + 2.5 * out_b.samples, atol=1e-12
+        sma_rows(a + 2.5 * b, 6), sma_rows(a, 6) + 2.5 * sma_rows(b, 6), atol=1e-12
     )
 
 
 def test_window_larger_than_recording_rejected():
-    cfg = small_config()
-    cube = _cube_from(np.zeros((5, cfg.k, 4), dtype=complex), cfg)
     with pytest.raises(ValueError, match="exceeds"):
-        rv.sma_filter(cube, 6)
+        segment_count(5, 6)
     with pytest.raises(ValueError):
-        rv.sma_filter(cube, 0)
+        segment_count(5, 0)
 
 
-def test_slow_time_stamps_trimmed():
+def test_sma_filter_is_sma_rows_with_the_stamps_trimmed():
+    # the whole-recording form the benchmark times is the filter of all the
+    # cube's rows, bit for bit, with the stamps of its output rows
     cfg = small_config()
-    cube = _cube_from(np.zeros((10, cfg.k, 4), dtype=complex), cfg)
-    out = rv.sma_filter(cube, 4)
-    np.testing.assert_array_equal(out.slow_time, cube.slow_time[3:])
+    x = _random_rows(np.random.default_rng(5), 50)
+    cube = rv.MeasurementCube(x, np.arange(50) / 10.0, cfg)
+    out = preprocess.sma_filter(cube, 7)
+    assert out.samples.tobytes() == sma_rows(x, 7).tobytes()
+    np.testing.assert_array_equal(out.slow_time, cube.slow_time[6:])
+    assert out.config is cfg
 
 
 @pytest.mark.parametrize(
-    "l,l_st,count,dropped",
-    [(2000, 200, 10, 0), (401, 200, 2, 1), (200, 200, 1, 0)],
+    "l,count,unread",
+    [(2063, 10, 0), (464, 2, 1), (263, 1, 0)],
 )
-def test_segment_counts(l, l_st, count, dropped):
-    cfg = small_config()
-    cube = _cube_from(np.zeros((l, cfg.k, 4), dtype=complex), cfg)
-    seg = rv.segment(cube, l_st)
-    assert len(seg.segments) == count
-    assert all(s.l == l_st for s in seg.segments)
-    total = sum(s.l for s in seg.segments)
-    assert l - total == dropped
+def test_segment_counts(l, count, unread):
+    # segment i filters raw rows [200 i, 200 i + 263): consecutive segments
+    # share the 63 rows that the window reaches back, and the tail is unread
+    assert segment_count(l, 64, 200) == count
+    rows = [segment_rows(i, 64, 200) for i in range(count)]
+    assert [r.start for r in rows] == [200 * i for i in range(count)]
+    assert all(r.stop - r.start == 263 for r in rows)
+    assert l - rows[-1].stop == unread
 
 
 def test_segment_too_short_warns():
-    cfg = small_config()
-    cube = _cube_from(np.zeros((199, cfg.k, 4), dtype=complex), cfg)
     with pytest.warns(UserWarning, match="shorter"):
-        seg = rv.segment(cube, 200)
-    assert seg.segments == []
+        assert segment_count(262, 64, 200) == 0
 
 
 def test_segment_is_view_preserving_samples_and_stamps():
+    # the whole-recording slicer the benchmark times: each segment is a
+    # view of its rows of the filtered recording, stamps included
     cfg = small_config()
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((20, cfg.k, 4)) + 0j
-    cube = _cube_from(x, cfg)
-    seg = rv.segment(cube, 8)
-    assert np.shares_memory(seg.segments[0].samples, cube.samples)
-    np.testing.assert_array_equal(seg.segments[1].samples, x[8:16])
-    np.testing.assert_array_equal(seg.segments[1].slow_time, cube.slow_time[8:16])
+    x = np.random.default_rng(2).standard_normal((20, cfg.k, 4)) + 0j
+    cube = rv.MeasurementCube(x, np.arange(20) / 10.0, cfg)
+    seg = preprocess.segment(cube, 8)
+    assert len(seg.segments) == 2 and seg.l_st == 8
+    for i, part in enumerate(seg.segments):
+        assert np.shares_memory(part.samples, cube.samples)
+        assert part.samples.tobytes() == x[8 * i : 8 * i + 8].tobytes()
+        np.testing.assert_array_equal(part.slow_time, cube.slow_time[8 * i : 8 * i + 8])
 
 
 def test_segment_length_validation():
-    cfg = small_config()
-    cube = _cube_from(np.zeros((20, cfg.k, 4), dtype=complex), cfg)
     with pytest.raises(ValueError):
-        rv.segment(cube, 1)
-
-
-def _cumsum_filter(x, w):
-    # the one-pass formula the blocked kernel replaced, kept as the oracle
-    l = x.shape[0]
-    csum = np.cumsum(x, axis=0)
-    window_sum = csum[w - 1 :].copy()
-    window_sum[1:] -= csum[: l - w]
-    return x[w - 1 :] - window_sum / w
+        segment_count(20, 1, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,7 +132,7 @@ def _cumsum_filter(x, w):
 @example(l=40, w_frac=1.0, k=2, m=3, block=1, seed=1, wide=True)
 @example(l=40, w_frac=0.0, k=4, m=1, block=41, seed=2, wide=True)
 @example(l=23, w_frac=0.5, k=2, m=2, block=7, seed=3, wide=True)
-def test_sma_filter_is_bit_equal_to_one_cumsum(l, w_frac, k, m, block, seed, wide):
+def test_sma_rows_is_bit_equal_to_one_cumsum(l, w_frac, k, m, block, seed, wide):
     # the running sums kept in a ring of w_st + B rows, B = min(block, l)
     # rows per block, do the additions of one cumsum over the whole array,
     # so the output is bit-equal to it (signed zeros included) however the
@@ -183,19 +150,19 @@ def test_sma_filter_is_bit_equal_to_one_cumsum(l, w_frac, k, m, block, seed, wid
     x = x + 1j * rng.standard_normal(shape)
     x[rng.random(shape) < 0.1] = -0.0
     x[:, -1, -1] = complex(-0.0, -0.0)
-    expected = _cumsum_filter(x, w)
+    expected = cumsum_filter(x, w)
     rows = np.flatnonzero(rng.random(l - w + 1) < 0.3)
     with pytest.MonkeyPatch.context() as mp:
         # blocks of `block` rows: the filter's budget covers four arrays of
         # a block's rows (input, new sums, the sums w_st rows back, output)
         mp.setattr(core, "_BLOCK_BYTES", block * 4 * x[0].nbytes)
         assert core.block_len(4 * x[0].nbytes) == block
-        got = rv.sma_filter(_cube_from(x, small_config(k=k, n=2 * k, m_r=m, m_t=1)), w)
+        got = sma_rows(x, w)
         picked = sma_rows(x, w, rows)
         flat = sma_rows(x.reshape(l, -1), w, rows)
         series = sma_rows(x[:, 0, 0], w, rows)
-    assert got.samples.shape == expected.shape
-    assert got.samples.tobytes() == expected.tobytes()
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
     assert picked.shape == (rows.size, k, m)
     assert picked.tobytes() == expected[rows].tobytes()
     assert flat.tobytes() == expected[rows].tobytes()
@@ -240,14 +207,28 @@ def test_sma_rows_at_the_covariance_snapshots_is_bit_equal():
     x.imag[rng.random(shape) < 0.1] = -0.0
     x[:, 0, 0] = complex(-0.0, -0.0)
     x[:, 1, 0] = complex(-0.0, 1.0)
-    expected = _cumsum_filter(x, w)[rows]
+    expected = cumsum_filter(x, w)[rows]
     got = sma_rows(x, w, rows)
     assert np.signbit(got[0, 0, 0].real) == np.signbit(expected[0, 0, 0].real)
     assert got.tobytes() == expected.tobytes()
     assert sma_rows(x, w, rows[:0]).shape == (0, 5, 3)
 
 
-def test_sma_filter_working_set_stays_near_its_output(walabot):
+def _traced_filter(walabot, seed):
+    """sma_rows of all rows of 2000 random walabot rows at w_st = 64, with
+    the traced peak of the call."""
+    shape = (2000, walabot.k, walabot.m_r * walabot.m_t)
+    x = np.random.default_rng(seed).standard_normal(shape) + 0j
+    tracemalloc.start()
+    try:
+        out = sma_rows(x, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return x, out, peak
+
+
+def test_sma_rows_working_set_stays_near_its_output(walabot):
     """The blocked filter allocates its output and one ring of block sums only.
 
     The one-pass cumsum formula made four recording-sized complex
@@ -256,36 +237,18 @@ def test_sma_filter_working_set_stays_near_its_output(walabot):
     what let the MUSIC scan's blocks come from the heap without fresh page
     faults, so both working sets are bounded together.
     """
-    cfg = walabot
-    rng = np.random.default_rng(3)
-    shape = (2000, cfg.k, cfg.m_r * cfg.m_t)
-    cube = rv.MeasurementCube(rng.standard_normal(shape) + 0j, np.arange(2000) / 10.0, cfg)
-    tracemalloc.start()
-    try:
-        out = rv.sma_filter(cube, 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * out.samples.nbytes
+    _, out, peak = _traced_filter(walabot, 3)
+    assert peak < 1.25 * out.nbytes
 
 
-def test_sma_filter_scratch_is_one_ring_of_sums(walabot):
-    # besides its output, sma_filter holds one ring of w_st + B running-sum
-    # rows, B the rows of a block whose four row arrays (input, new sums,
-    # the sums w_st rows back, output) fit core._BLOCK_BYTES: 14 walabot
-    # rows. Two rows of slack cover the small objects around it. Two
-    # buffers of w_st + 1 rows each would exceed it
-    cfg = walabot
-    rng = np.random.default_rng(4)
-    shape = (2000, cfg.k, cfg.m_r * cfg.m_t)
-    cube = rv.MeasurementCube(rng.standard_normal(shape) + 0j, np.arange(2000) / 10.0, cfg)
-    row = cube.samples[0].nbytes
+def test_sma_rows_scratch_is_one_ring_of_sums(walabot):
+    # besides its output, the all-rows path holds one ring of w_st + B
+    # running-sum rows, B the rows of a block whose four row arrays (input,
+    # new sums, the sums w_st rows back, output) fit core._BLOCK_BYTES: 14
+    # walabot rows. Two rows of slack cover the small objects around it.
+    # Two buffers of w_st + 1 rows each would exceed it
+    x, out, peak = _traced_filter(walabot, 4)
+    row = x[0].nbytes
     block = core.block_len(4 * row)
-    tracemalloc.start()
-    try:
-        out = rv.sma_filter(cube, 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert block == 14
-    assert peak - out.samples.nbytes < (64 + block + 2) * row
+    assert peak - out.nbytes < (64 + block + 2) * row
