@@ -83,7 +83,6 @@ from .vitals import (
     averaged_periodogram,
     breathing_frequency,
     build_filter,
-    extract_displacement,
 )
 
 __version__ = "0.1.0"

@@ -219,16 +219,24 @@ def _cmd_evaluate(args) -> int:
 
 def _segment_spectrum(path: str, segment: int, config):
     """Segment ``segment``'s own spectrum, formed from its raw rows alone,
-    which make a recording of exactly one segment; only they are read."""
+    which make a recording of exactly one segment; only they are read. A
+    recording without a segment gets the whole recording's run, and so its
+    warning and error, whatever the index."""
     from .dataio import ContainerReader
     from .pipeline import run_pipeline
-    from .preprocess import segment_rows
+    from .preprocess import segment_count, segment_rows
 
     rows = segment_rows(segment, config.w_st, config.l_st)
+    span = rows.stop - rows.start  # the raw rows of any one segment
     with ContainerReader(path, rows) as own:
-        if own.l < rows.stop - rows.start:
-            raise ValueError(f"segment {segment} out of range")
-        return run_pipeline(own, config, vitals=False).accumulated
+        if own.l == span:
+            return run_pipeline(own, config, vitals=False).accumulated
+    with ContainerReader(path) as whole:
+        if whole.l < span:
+            return run_pipeline(whole, config, vitals=False).accumulated
+        count = segment_count(whole.l, config.w_st, config.l_st)
+    raise ValueError(f"segment {segment} out of range: the recording has {count} "
+                     f"segment{'s' * (count > 1)}")
 
 
 def _cmd_dump_spectrum(args) -> int:

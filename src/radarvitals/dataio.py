@@ -44,7 +44,9 @@ _HEADER_END = b"end_header\n"
 # deviation, the deviation follows Student's t with n - 1 degrees of freedom,
 # which exceeds 10 with probability 6e-4 at 5 intervals, 2e-6 at 11 and
 # below 1e-18 for the 263 samples of one default segment. A relative 1e-9
-# more admits stamps computed in float64 without jitter.
+# more admits stamps computed in float64 without jitter. One interval has no
+# spread to scale its deviation by, so the statistic is undefined and the rate
+# is tested from two intervals on.
 _F_ST_SIGMAS = 10.0
 
 
@@ -54,11 +56,12 @@ class RVCFormatError(DataError):
 
 def check_f_st(slow_time: np.ndarray, f_st: float, source: object) -> None:
     """Raise ``DataError`` naming ``f_st`` when the mean interval of the
-    stamps lies more than ``_F_ST_SIGMAS`` standard errors from 1 / f_st."""
-    if slow_time.size < 2:
+    stamps lies more than ``_F_ST_SIGMAS`` standard errors from 1 / f_st;
+    fewer than two intervals are not tested."""
+    if slow_time.size < 3:
         return
     dt = np.diff(slow_time)
-    spread = dt.std(ddof=1) / math.sqrt(dt.size) if dt.size > 1 else 0.0
+    spread = dt.std(ddof=1) / math.sqrt(dt.size)
     if not abs(dt.mean() - 1 / f_st) <= _F_ST_SIGMAS * spread + 1e-9 * dt.mean():
         raise DataError(f"{source}: f_st {f_st} Hz contradicts the slow_time stamps, "
                         f"whose mean rate is {1 / dt.mean()} Hz")
@@ -363,7 +366,9 @@ def read_container(path: str | os.PathLike) -> MeasurementCube:
 
     A ``ContainerReader`` checks the header, its slow-time stamps, ``f_st``
     and the payload size in full, then reads the rows straight into the
-    sample array, and each sample is checked for finiteness.
+    sample array, and each sample is checked for finiteness. ``run_pipeline``
+    reads a container through a ``ContainerReader`` one segment at a time;
+    this whole-recording form stays for the benchmark.
     """
     with ContainerReader(path) as reader:
         samples = reader.rows(0, reader.l)

@@ -66,7 +66,8 @@ def extract_displacement(
 
     The filter output y(l) is the inner product of the conjugated weights
     with the first k0 rows of each snapshot; ``displacements`` turns it into
-    chest motion.
+    chest motion. ``run_pipeline`` beamforms each segment's raw rows itself;
+    this whole-cube form stays for the benchmark.
     """
     k0, m = filt.shape
     _, k_len, m_len = cube.samples.shape

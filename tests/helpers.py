@@ -1,7 +1,8 @@
 """Shared scene builders, filtered segments, raw-profile synthesis, table
-strings and text comparison for the test suite."""
+strings, text comparison and traced peaks for the test suite."""
 
 import io
+import tracemalloc
 from itertools import zip_longest
 
 import numpy as np
@@ -9,6 +10,15 @@ import numpy as np
 import radarvitals as rv
 from radarvitals import pipeline
 from radarvitals.preprocess import segment_count, segment_rows, sma_rows
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak of the memory it traced while running."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def small_config(k=12, n=24, m_r=2, m_t=2, f0=6.3e9, b=0.3e9, delta=0.02, f_st=10.0):

@@ -221,8 +221,13 @@ CASES: dict[str, Case | dict[str, Case] | list[Case]] = {
            ]},
         **{f"dump-spectrum segment {segment}": Case(
             f"dump-spectrum --in rec.rvc --out s.csv --segment {segment}", 2,
-            re.escape(f"error: segment {segment} out of range"), (REC,), absent=("s.csv",))
-           for segment in (1, -1)},
+            _exactly(f"error: segment {segment} out of range{message}"), (REC,),
+            absent=("s.csv",))
+           for segment, message in ((1, ": the recording has 1 segment"), (-1, ""))},
+        # one interval has no spread to scale its deviation from 1 / f_st by
+        "simulate two jittered samples": Case(
+            "simulate --scenario scene.kv --out x.rvc", 0,
+            setup=(text("scene.kv", "l 2\nslow_time_jitter 0.002\nseed 1\n"),)),
         "convert nan profile sample": convert(
             profiles((1, 2, 7), np.nan), r"data error: raw: profiles: sample \[1, 2, 7\] is \(nan",
             3),
@@ -327,11 +332,17 @@ CASES: dict[str, Case | dict[str, Case] | list[Case]] = {
     "test_dataio::test_cli_detect_on_bad_slow_time_is_data_error":
         detect((container(edit=lambda data: data.replace(b",26.3\n", b",nan\n", 1)),),
                "rec.rvc: bad value for config key 'slow_time': 'nan'"),
-    "test_pipeline::test_cli_dump_spectrum_of_a_recording_without_a_segment":
-        Case("dump-spectrum --in short.rvc --out s.csv", 3,
-             r"UserWarning: .*which needs w_st - 1 \+ l_st = 64 - 1 \+ 200 = 263(.|\n)*"
-             r"data error: short\.rvc: recording is shorter than one segment",
-             (container("short.rvc", l=100),), absent=("s.csv",)),
+    # no index names a segment of a recording without one, so --segment gets
+    # the whole recording's warning, error and exit code
+    "test_pipeline::test_cli_dump_spectrum_of_a_recording_without_a_segment": [
+        Case(f"dump-spectrum --in short.rvc --out s.csv{segment}", code, err,
+             (container("short.rvc", l=l),), absent=("s.csv",))
+        for l, code, err in [
+            (100, 3, r"UserWarning: .*which needs w_st - 1 \+ l_st = 64 - 1 \+ 200 = 263(.|\n)*"
+                     r"data error: short\.rvc: recording is shorter than one segment"),
+            (10, 2, _exactly("error: window w_st=64 exceeds recording length 10"))]
+        for segment in ("", " --segment 0", " --segment 3")
+    ],
     "test_pipeline::test_cli_evaluate_rejects_bad_d_match": {
         value: Case(f"evaluate --in det.csv --truth rec.rvc --d-match={value}", 2,
                     "error: .*d_match", (REC, DETECTIONS))

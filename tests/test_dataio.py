@@ -1,7 +1,6 @@
 import hashlib
 import re
 import tempfile
-import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import radarvitals as rv
 from radarvitals.cli import main
-from helpers import breather, raw_recording_of, scene_of, small_config
+from helpers import breather, raw_recording_of, scene_of, small_config, traced_peak
 from test_cli import in_process_tests
 
 
@@ -23,21 +22,46 @@ def _random_cube(cfg, l=4, seed=0, truth=None):
     return rv.MeasurementCube(samples, np.arange(l) / cfg.f_st, cfg, ground_truth=truth)
 
 
+def _read_back(path):
+    """Every sample row of the container at ``path``, read and checked by a
+    ``ContainerReader`` as a run reads a segment's rows."""
+    with rv.ContainerReader(path) as reader:
+        rows = reader.rows(0, reader.l)
+        reader.check(0, rows)
+    return rows
+
+
 def test_container_roundtrip_bit_identical(tmp_path):
     cfg = small_config()
     truth = scene_of([breather(1.5, -20.0, f_b=0.27)], l=4, noise_std=0.05, seed=3)
     cube = _random_cube(cfg, truth=truth)
     path = tmp_path / "cube.rvc"
     rv.write_container(cube, path, meta={"id": "T1", "obstacle": "free"})
-    back = rv.read_container(path)
-    assert np.array_equal(back.samples, cube.samples)
-    assert np.array_equal(back.slow_time, cube.slow_time)
-    assert back.config == cfg
-    assert back.ground_truth is not None
-    assert back.ground_truth.persons[0].breath_freq == 0.27
+    with rv.ContainerReader(path) as back:
+        assert np.array_equal(back.rows(0, back.l), cube.samples)
+        assert np.array_equal(back.slow_time, cube.slow_time)
+        assert (back.config, back.ground_truth) == (cfg, truth)
     header = rv.read_header(path)
-    assert header["meta.id"] == "T1"
-    assert header["meta.obstacle"] == "free"
+    assert (header["meta.id"], header["meta.obstacle"]) == ("T1", "free")
+
+
+def test_read_container_is_every_row_read_and_checked(tmp_path):
+    # the whole-recording form the benchmark times: a reader's rows, checked,
+    # with its stamps, config and truth, and the check's error for a bad sample
+    cube = _random_cube(small_config(), l=6, truth=scene_of([breather(1.5, -20.0)], l=6))
+    path = tmp_path / "cube.rvc"
+    rv.write_container(cube, path)
+    back = rv.read_container(path)
+    assert back.samples.tobytes() == _read_back(path).tobytes()
+    with rv.ContainerReader(path) as reader:
+        assert back.slow_time.tobytes() == reader.slow_time.tobytes()
+        assert (back.config, back.ground_truth) == (reader.config, reader.ground_truth)
+    cube.samples[4, 2, 1] = np.nan
+    rv.write_container(cube, path)
+    with rv.ContainerReader(path) as reader:
+        message = _check_message(reader.check, 0, reader.rows(0, reader.l), path)
+    with pytest.raises(rv.DataError, match=re.escape(f"{path}: {message}")):
+        rv.read_container(path)
 
 
 def test_container_truncation_reports_sizes(tmp_path):
@@ -47,11 +71,14 @@ def test_container_truncation_reports_sizes(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(rv.RVCFormatError) as err:
-        rv.read_container(path)
+        rv.ContainerReader(path)
     expected = 4 * cfg.k * cfg.m_r * cfg.m_t * 16
     assert str(expected) in str(err.value)
     assert str(expected - 8) in str(err.value)
     assert "offset" in str(err.value)
+    path.write_bytes(data + b"\0")  # a reader of some rows checks the whole payload
+    with pytest.raises(rv.RVCFormatError, match=f"payload holds {expected + 1} bytes but"):
+        rv.ContainerReader(path, slice(1, 4))
 
 
 def test_container_reader_rejects_a_payload_that_shrank_after_opening(tmp_path):
@@ -96,7 +123,8 @@ _NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.i
 @given(st.data())
 def test_a_container_serves_the_rows_of_its_cube(data):
     # a reader of rows [first, stop) of a container, and the in-memory cube it
-    # was written from, give the same rows and name the same bad sample
+    # was written from, give the same rows and stamps and name the same bad
+    # sample; a bad sample outside the rows read goes unread
     cfg, l = small_config(), 12
     cube = _random_cube(cfg, l=l, seed=data.draw(st.integers(0, 2**32 - 1)))
     sample = st.tuples(st.integers(0, l - 1), st.integers(0, cfg.k - 1), st.integers(0, 3))
@@ -111,6 +139,7 @@ def test_a_container_serves_the_rows_of_its_cube(data):
         with rv.ContainerReader(path, slice(first, stop)) as reader:
             n = reader.l
             assert n == stop - first
+            assert reader.slow_time.tobytes() == cube.slow_time[first:stop].tobytes()
             row = st.integers(0, n)
             ranges = data.draw(st.lists(st.tuples(row, row).map(sorted), max_size=6))
             ranges += [(max(n - 3, 0), n), (n // 2, n // 2)]  # the tail and an empty range
@@ -134,28 +163,20 @@ def test_rows_outside_the_recording_are_a_value_error(tmp_path):
                     source.rows(a, b)
 
 
-def test_container_bad_magic(tmp_path):
-    path = tmp_path / "cube.rvc"
-    path.write_bytes(b"BOGUS\nend_header\n")
-    with pytest.raises(rv.RVCFormatError, match="magic"):
-        rv.read_container(path)
-
-
 def test_container_consistent_small_dims(tmp_path):
     # l=2, k=3, m=4 with a matching payload is accepted
     cfg = rv.RadarConfig(f0=6e9, k=3, b=1e9, n=3, delta=0.02, m_r=2, m_t=2, f_st=10.0)
     cube = _random_cube(cfg, l=2)
     path = tmp_path / "small.rvc"
     rv.write_container(cube, path)
-    back = rv.read_container(path)
-    assert back.samples.shape == (2, 3, 4)
+    assert np.array_equal(_read_back(path), cube.samples)
 
 
 def test_container_missing_end_marker(tmp_path):
     path = tmp_path / "cube.rvc"
     path.write_bytes(b"RVC1\nl 1\n")
     with pytest.raises(rv.RVCFormatError, match="end_header"):
-        rv.read_container(path)
+        rv.ContainerReader(path)
 
 
 def test_container_meta_may_contain_end_header(tmp_path):
@@ -163,17 +184,7 @@ def test_container_meta_may_contain_end_header(tmp_path):
     path = tmp_path / "cube.rvc"
     rv.write_container(_random_cube(small_config()), path, meta={"id": "xend_header"})
     assert rv.read_header(path)["meta.id"] == "xend_header"
-    assert rv.read_container(path).samples.shape == (4, 12, 4)
-
-
-def test_container_malformed_truth_names_key(tmp_path):
-    truth = scene_of([breather(1.5, -20.0)], l=4)
-    path = tmp_path / "cube.rvc"
-    rv.write_container(_random_cube(small_config(), truth=truth), path)
-    data = path.read_bytes()
-    path.write_bytes(data.replace(b"truth.person.0.d 1.5\n", b""))
-    with pytest.raises(rv.RVCFormatError, match="'truth.person.0.d'"):
-        rv.read_container(path)
+    assert _read_back(path).shape == (4, 12, 4)
 
 
 def _edit_header(path, edit):
@@ -184,13 +195,9 @@ def _edit_header(path, edit):
     path.write_bytes("\n".join(lines).encode("utf-8") + sep + payload)
 
 
-def _drop_last_stamp(lines):
-    return [line.rpartition(",")[0] if line.startswith("slow_time ") else line
-            for line in lines]
-
-
 def _last_stamp(text):
-    return lambda lines: [line.rpartition(",")[0] + "," + text
+    """An edit that replaces the last stamp by ``text``, or drops it for ``""``."""
+    return lambda lines: [line.rpartition(",")[0] + "," * bool(text) + text
                           if line.startswith("slow_time ") else line for line in lines]
 
 
@@ -202,18 +209,22 @@ def _last_stamp(text):
      "header m=5 inconsistent with m_r*m_t=4"),
     (lambda lines: [line for line in lines if not line.startswith("slow_time ")],
      "header lacks the slow_time vector"),
-    (_drop_last_stamp, "slow_time has 3 entries, header promises 4"),
+    (_last_stamp(""), "slow_time has 3 entries, header promises 4"),
     (_last_stamp("abc"), "bad value for config key 'slow_time': 'abc' is not a finite float"),
     (_last_stamp("nan"), "bad value for config key 'slow_time': 'nan' is not a finite float"),
     (_last_stamp("inf"), "bad value for config key 'slow_time': 'inf' is not a finite float"),
     (_last_stamp("0.2"), "slow_time must be strictly increasing"),
+    (lambda lines: ["BOGUS", *lines[1:]], "bad magic 'BOGUS', expected 'RVC1'"),
+    (lambda lines: [line for line in lines if line != "truth.person.0.d 1.5"],
+     "bad or missing header field: missing config key 'truth.person.0.d'"),
 ])
 def test_container_header_rejections(tmp_path, edit, message):
     path = tmp_path / "cube.rvc"
-    rv.write_container(_random_cube(small_config()), path)
+    truth = scene_of([breather(1.5, -20.0)], l=4)
+    rv.write_container(_random_cube(small_config(), truth=truth), path)
     _edit_header(path, edit)
     with pytest.raises(rv.RVCFormatError) as err:
-        rv.read_container(path)
+        rv.ContainerReader(path)
     assert str(err.value) == f"{path}: {message}"
 
 
@@ -223,15 +234,9 @@ def test_read_header_stops_at_end_header(tmp_path):
     path = tmp_path / "cube.rvc"
     rv.write_container(cube, path, meta={"id": "T"})
     payload = cube.samples.nbytes  # 2 MB
-    tracemalloc.start()
-    try:
-        assert rv.read_header(path)["meta.id"] == "T"
-        header_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        rv.read_container(path)
-        container_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    header, header_peak = traced_peak(lambda: rv.read_header(path))
+    assert header["meta.id"] == "T"
+    container_peak = traced_peak(lambda: _read_back(path))[1]
     assert header_peak < payload / 8
     assert container_peak < 1.25 * payload  # the samples, not the file bytes plus a copy
 
@@ -274,23 +279,18 @@ def test_simulated_container_golden_sha256(tmp_path):
     # and it loads: the radar reader takes delta_t, so the header check
     # finds no key left over
     (tmp_path / "legacy.rvc").write_bytes(legacy)
-    fresh, old = rv.read_container(out), rv.read_container(tmp_path / "legacy.rvc")
-    assert (old.config, old.ground_truth) == (fresh.config, fresh.ground_truth)
-    assert old.samples.tobytes() == fresh.samples.tobytes()
+    with rv.ContainerReader(out) as fresh, rv.ContainerReader(tmp_path / "legacy.rvc") as old:
+        assert (old.config, old.ground_truth) == (fresh.config, fresh.ground_truth)
+        assert old.rows(0, old.l).tobytes() == fresh.rows(0, fresh.l).tobytes()
 
 
 def test_write_container_makes_no_payload_copy(tmp_path, walabot):
     # the payload is written from the samples' own buffer
     cube = _random_cube(walabot, l=400)
     path = tmp_path / "big.rvc"
-    tracemalloc.start()
-    try:
-        rv.write_container(cube, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: rv.write_container(cube, path))[1]
     assert peak < cube.samples.nbytes / 10
-    assert np.array_equal(rv.read_container(path).samples, cube.samples)
+    assert np.array_equal(_read_back(path), cube.samples)
 
 
 def test_container_writer_takes_one_row_per_stamp(tmp_path):
@@ -302,7 +302,7 @@ def test_container_writer_takes_one_row_per_stamp(tmp_path):
             with pytest.raises(ValueError, match="cannot append rows of shape"):
                 writer.write(bad)
         writer.write(cube.samples[3:])
-    assert np.array_equal(rv.read_container(path).samples, cube.samples)
+    assert np.array_equal(_read_back(path), cube.samples)
     with pytest.raises(ValueError, match="3 rows written, header promises 4"):
         with rv.ContainerWriter(path, cube.config, cube.slow_time) as writer:
             writer.write(cube.samples[:3])
@@ -318,12 +318,12 @@ def test_a_container_reads_back_only_after_a_clean_close(tmp_path, walabot):
     with pytest.raises(rv.RVCFormatError, match=r"magic 'RVC\?' of a write that never finished"):
         rv.ContainerReader(path)
     writer.close()
-    assert np.array_equal(rv.read_container(path).samples, cube.samples)
+    assert np.array_equal(_read_back(path), cube.samples)
     with pytest.raises(ValueError, match="1 rows written, header promises 2"):
         with rv.ContainerWriter(path, cube.config, cube.slow_time) as writer:
             writer.write(cube.samples[:1])
     with pytest.raises(rv.RVCFormatError, match=r"magic 'RVC\?'"):
-        rv.read_container(path)
+        rv.ContainerReader(path)
 
 
 def test_container_writer_rewrites_written_rows_in_place(tmp_path):
@@ -341,7 +341,7 @@ def test_container_writer_rewrites_written_rows_in_place(tmp_path):
         writer.add_imag(0, imag[:1])
         writer.add_imag(3, imag[3:])
     # each row's noise added once, and none by the calls refused
-    assert np.array_equal(rv.read_container(path).samples, cube.samples)
+    assert np.array_equal(_read_back(path), cube.samples)
 
 
 def test_container_writer_forms_its_header_before_opening_the_file(tmp_path):
@@ -563,7 +563,8 @@ def test_jittered_stamps_load_at_their_f_st(tmp_path, walabot, jitter):
     for seed in range(20):
         scene = rv.Scene(clutter=rv.ClutterModel(seed=seed), l=300, slow_time_jitter=jitter)
         rv.write_container(rv.simulate(scene, walabot), tmp_path / "j.rvc")
-        assert rv.read_container(tmp_path / "j.rvc").config.f_st == 10.0
+        with rv.ContainerReader(tmp_path / "j.rvc") as reader:
+            assert reader.config.f_st == 10.0
 
 
 @pytest.mark.parametrize("f_st", ["1.0", "2.5", "100.0", "1000000000.0"])
@@ -575,7 +576,7 @@ def test_header_f_st_that_the_stamps_contradict_is_data_error(tmp_path, capsys, 
     rv.write_container(cube, path)
     path.write_bytes(path.read_bytes().replace(b"\nf_st 10.0\n", f"\nf_st {f_st}\n".encode(), 1))
     with pytest.raises(rv.DataError, match=f"f_st {f_st} Hz contradicts the slow_time stamps"):
-        rv.read_container(path)
+        rv.ContainerReader(path)
     assert main(["vitals", "--in", str(path), "--out", str(tmp_path / "v.csv")]) == 3
     assert "f_st" in capsys.readouterr().err
     raw = raw_recording_of(rv.simulate(replace(scene, l=4, slow_time_jitter=0.002), walabot))
@@ -638,6 +639,9 @@ def test_raw_dir_roundtrip(tmp_path, walabot):
     np.testing.assert_array_equal(back.profiles, raw.profiles)
     recovered = rv.convert_recording(back, cfg)
     np.testing.assert_allclose(recovered.samples, cube.samples, atol=1e-8)
+    # the CLI converts the directory into a container of the same samples
+    assert main(["convert", "--raw", str(tmp_path / "raw"), "--out", str(tmp_path / "c.rvc")]) == 0
+    assert _read_back(tmp_path / "c.rvc").tobytes() == recovered.samples.tobytes()
 
 
 # the tests of this module's groups of test_cli.CASES, which run the CLI in process

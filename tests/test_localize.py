@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 import radarvitals as rv
-from helpers import breather, filtered_segments, m16_scene, scene_of, small_config
+from helpers import breather, filtered_segments, m16_scene, scene_of, small_config, traced_peak
 
 M16_TRUTH = [rv.PolarLocation(d, np.deg2rad(t)) for d, t in
              [(1.50, -60.0), (2.00, 0.0), (2.15, -30.0), (1.85, 45.0), (3.00, 30.0)]]
@@ -373,12 +372,7 @@ def test_music_spectrum_working_set_is_bounded(walabot):
     cov = rv.smoothed_covariance(filtered_segments(cube)[0], rv.SmoothingSpec(38, 2), 10)
     for grid in (rv.GridSpec(), rv.GridSpec(theta_step=math.pi / 1800)):
         rv.localize._scan_factors.cache_clear()
-        tracemalloc.start()
-        try:
-            spec = rv.music_spectrum(cov, 15, grid, walabot)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        spec, peak = traced_peak(lambda: rv.music_spectrum(cov, 15, grid, walabot))
         tables = rv.localize._scan_factors(walabot, grid, 38, 2)[:5]
         kept = spec.values.nbytes + sum(t.nbytes for t in tables)
         assert peak < kept + 2 * rv.core._BLOCK_BYTES, (grid, peak, kept)
@@ -845,12 +839,7 @@ def test_covariance_working_set_stays_within_the_diagonal_sum_form(estimate, spe
     about 3 times the 242 kB pair sums of the count."""
     samples = _random_samples(np.random.default_rng(13), 10, 137, 8)
     estimate(samples, spec, 10)
-    tracemalloc.start()
-    try:
-        estimate(samples, spec, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: estimate(samples, spec, 10))[1]
     assert peak <= parent_peak, peak
 
 

@@ -6,7 +6,6 @@ import os
 import string
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,7 +23,8 @@ from radarvitals.pipeline import (
     run_pipeline,
 )
 from radarvitals.preprocess import segment_rows, sma_rows
-from helpers import assert_same_text, breather, cumsum_filter, m16_scene, scene_of, table_text
+from helpers import (assert_same_text, breather, cumsum_filter, m16_scene, scene_of, table_text,
+                     traced_peak)
 from test_cli import in_process_tests, raw
 
 
@@ -229,32 +229,10 @@ def test_m16_golden_output(walabot):
                      (golden / "m16_seed7_breathing.csv").read_text(encoding="utf-8"))
 
 
-def test_pipeline_does_not_import_scipy_linalg():
+def test_pipeline_loads_neither_scipy_nor_numpy_ma():
     # the runtime is numpy only: importing scipy.ndimage alone would load 87
-    # scipy modules and add about 0.3 s and 27 MB to every process
-    code = """
-import sys
-import radarvitals as rv
-scene = rv.Scene(
-    persons=(rv.PersonModel(location=rv.PolarLocation(2.0, 0.3)),),
-    clutter=rv.ClutterModel(noise_std=0.1, seed=1),
-    l=264,
-    f_st=10.0,
-)
-result = rv.run_pipeline(rv.simulate(scene, rv.walabot_config(f_st=10.0)))
-assert result.segments and result.tracks
-print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
-"""
-    src = str(Path(rv.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == "[]"
-
-
-def test_pipeline_does_not_load_numpy_ma():
-    # numpy 2 imports numpy.ma (about 15 ms and 1.3 MB) on a first np.unique or
+    # scipy modules and add about 0.3 s and 27 MB to every process. numpy 2
+    # imports numpy.ma (about 15 ms and 1.3 MB) on a first np.unique or
     # np.median; numpy 1.24 imports it with numpy, so compare before and after
     code = """
 import sys
@@ -271,26 +249,21 @@ scene = rv.Scene(
 result = rv.run_pipeline(rv.simulate(scene, rv.walabot_config(f_st=10.0)))
 report = rv.evaluate_result(result, scene)
 assert result.segments and result.tracks and report.median_location_error is not None
-print(sorted(numpy_ma() - loaded))
+print(sorted(numpy_ma() - loaded), [n for n in sys.modules if n.partition(".")[0] == "scipy"])
 """
     src = str(Path(rv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[] []"
 
 
 def test_pipeline_memory_stays_below_the_recording(walabot):
     # each segment is filtered from its own raw rows; no filtered copy of the
     # whole recording is made
     cube = rv.simulate(m16_scene(seed=7), walabot)
-    tracemalloc.start()
-    try:
-        run_pipeline(cube)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: run_pipeline(cube))[1]
     assert peak < cube.samples.nbytes
 
 
@@ -331,7 +304,8 @@ def test_pipeline_matches_the_filtered_segment_rows(walabot):
         assert outcome.order.lam.tobytes() == lam.tobytes()
         for label, det in zip(outcome.track_labels, outcome.detections.detections):
             filt = rv.build_filter(det.location, walabot, window=config.window)
-            expected = rv.extract_displacement(filt, seg, f_c)
+            beamformed = rv.vitals.beamform([filt], seg.samples).T
+            expected = rv.vitals.displacements(beamformed, seg.slow_time, walabot, f_c)[0]
             got = series[index, label]
             np.testing.assert_allclose(got.eta, expected.eta, rtol=0, atol=1e-12)
             assert got.f_st_actual == expected.f_st_actual
@@ -367,8 +341,6 @@ def test_non_finite_sample_is_rejected_at_entry(tmp_path, walabot):
             run_pipeline(cube)
     path = tmp_path / "nan.rvc"
     rv.write_container(cube, path)
-    with pytest.raises(rv.DataError, match=r"\[123, 4, 5\]"):
-        rv.read_container(path)
     with pytest.warns(UserWarning, match="shorter than one segment"):
         assert main(["detect", "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 3
 
@@ -494,24 +466,6 @@ def test_vitals_csv_writes_floats_by_repr():
     assert table_text("vitals", empty) == _vitals_reference(empty) == "track,segment,t_s,eta_m\n"
 
 
-def _vitals_lines(result):
-    """The vitals table by the cell rule applied to every line: both ints
-    formatted on each line, the floats by repr."""
-    lines = ["track,segment,t_s,eta_m"]
-    for track in result.tracks:
-        for (seg, _), series in zip(track.records, track.series):
-            lines += [f"{track.label},{seg},{t!r},{eta!r}"
-                      for t, eta in zip(result.segments[seg].slow_time.tolist(), series.eta.tolist())]
-    return "\n".join(lines) + "\n"
-
-
-def test_vitals_csv_equals_the_per_line_formula(walabot):
-    # write_vitals formats each series' label and segment once, as a prefix
-    result = run_pipeline(rv.simulate(_two_person_scene(864), walabot))
-    assert sum(len(t.series) >= 3 for t in result.tracks) >= 2
-    assert_same_text(table_text("vitals", result), _vitals_lines(result))
-
-
 def test_no_accumulate_first_segment_identical(walabot):
     scene = scene_of([breather(2.0, 10.0, amp=0.0015)], l=664, noise_std=0.1, seed=6)
     cube = rv.simulate(scene, walabot)
@@ -580,18 +534,6 @@ def test_cli_rerun_byte_identical(cli_tables, tmp_path):
                      tables["detections"].read_text(encoding="utf-8"))
 
 
-def test_cli_convert_roundtrip(tmp_path):
-    from helpers import raw_recording_of
-
-    cfg = rv.walabot_config(10.0)
-    cube = rv.simulate(scene_of([breather(1.8, 0.0)], l=2), cfg)
-    rv.write_raw_dir(tmp_path / "raw", raw_recording_of(cube), cfg)
-    out = tmp_path / "conv.rvc"
-    assert main(["convert", "--raw", str(tmp_path / "raw"), "--out", str(out)]) == 0
-    back = rv.read_container(out)
-    np.testing.assert_allclose(back.samples, cube.samples, atol=1e-8)
-
-
 @pytest.fixture(scope="module")
 def cli_tables(tmp_path_factory):
     """All seven CSV tables of one small CLI run on a scene whose id holds a comma."""
@@ -636,13 +578,25 @@ def test_report_reads_back_id_with_comma(cli_tables):
     assert (row["id"], row["obstacle"], row["p"]) == ("a,b", "wood", "1")
 
 
+def test_csv_forms_are_the_tables_the_cli_writes(cli_tables):
+    # the string forms whose digests the benchmark takes
+    rec, tables = cli_tables
+    result = run_pipeline(rec)
+    with rv.ContainerReader(rec) as reader:
+        report = rv.evaluate_result(result, reader.ground_truth)
+    for text, table in ((rv.pipeline.detections_csv(result), "detections"),
+                        (rv.pipeline.breathing_csv(result), "breathing"),
+                        (rv.pipeline.report_csv(report, "a,b", "wood"), "report")):
+        assert text == tables[table].read_text(encoding="utf-8"), table
+
+
 def test_cli_evaluate_reads_truth_header_only(cli_tables, monkeypatch, tmp_path):
     rec, tables = cli_tables
 
-    def no_payload(path):
+    def no_payload(*args):
         raise AssertionError("evaluate read the container payload")
 
-    monkeypatch.setattr(rv.dataio, "read_container", no_payload)
+    monkeypatch.setattr(rv.ContainerReader, "rows", no_payload)
     out = tmp_path / "report.csv"
     assert main(["evaluate", "--in", str(tables["detections"]), "--truth", str(rec),
                  "--breathing", str(tables["breathing"]), "--out", str(out)]) == 0
@@ -655,12 +609,13 @@ def test_cli_dump_spectrum_of_one_segment(cli_tables, tmp_path):
     assert main(["dump-spectrum", "--in", str(rec), "--out", str(out), "--segment", "1"]) == 0
     text = out.read_text(encoding="utf-8")
     # segment 1's spectrum from the stage functions on its raw rows
-    cube, config = rv.read_container(rec), rv.PipelineConfig()
-    raw = cube.samples[config.l_st : 2 * config.l_st + config.w_st - 1]
-    snaps = sma_rows(raw, config.w_st, snapshot_indices(config.l_st, config.n_cov))
+    config = rv.PipelineConfig()
+    with rv.ContainerReader(rec, slice(config.l_st, 2 * config.l_st + config.w_st - 1)) as own:
+        raw = own.rows(0, own.l)
+        snaps = sma_rows(raw, config.w_st, snapshot_indices(config.l_st, config.n_cov))
     cov = rv.smoothed_covariance(snaps, config.music_spec(), len(snaps))
     assert_same_text(text, table_text("spectrum", rv.music_spectrum(cov, config.p_sub, config.grid,
-                                                                    cube.config)))
+                                                                    own.config)))
     assert text != tables["spectrum"].read_text(encoding="utf-8")  # the accumulated one
 
 
@@ -767,14 +722,7 @@ def test_vitals_streams_its_displacement_table(tmp_path, walabot):
     out = tmp_path / "vitals.csv"
     argv = ["vitals", "--in", str(path), "--out", str(out)]
     assert main(argv) == 0  # caches the scan's phase tables
-    peaks = []
-    for run in (lambda: run_pipeline(path), lambda: main(argv)):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(run)[1] for run in (lambda: run_pipeline(path), lambda: main(argv))]
     table = out.stat().st_size
     assert table > 1 << 20
     assert peaks[1] - peaks[0] < table / 4
@@ -816,12 +764,18 @@ def test_a_run_without_vitals_keeps_the_tracks_but_no_series(walabot):
 
 
 @pytest.fixture(scope="module")
-def long_container(tmp_path_factory):
-    """A 4000-sample two-person container: 19 segments in a 70 MB payload."""
-    path = tmp_path_factory.mktemp("long") / "long.rvc"
+def long_cube():
+    """A 4000-sample two-person recording: 19 segments in 70 MB of samples."""
     scene = scene_of([breather(1.5, -20.0), breather(2.5, 25.0, f_b=0.25)], l=4000,
                      noise_std=0.1, seed=3)
-    rv.write_container(rv.simulate(scene, rv.walabot_config(10.0)), path)
+    return rv.simulate(scene, rv.walabot_config(10.0))
+
+
+@pytest.fixture(scope="module")
+def long_container(tmp_path_factory, long_cube):
+    """``long_cube`` in a container."""
+    path = tmp_path_factory.mktemp("long") / "long.rvc"
+    rv.write_container(long_cube, path)
     return path
 
 
@@ -836,70 +790,37 @@ def test_cli_dump_spectrum_of_a_segment_reads_only_its_rows(long_container, tmp_
             "--segment", "0"]
     assert main(argv) == 0
     argv[-1] = "18"
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 0
     assert peak < 2 * segment_bytes
 
 
 def test_cli_dump_spectrum_of_a_segment_matches_the_whole_recording_read(long_container,
-                                                                          tmp_path):
-    cube, config = rv.read_container(long_container), rv.PipelineConfig()
+                                                                          long_cube, tmp_path):
+    config = rv.PipelineConfig()
     for segment in (0, 9, 18):
         out = tmp_path / f"seg{segment}.csv"
         argv = ["dump-spectrum", "--in", str(long_container), "--out", str(out),
                 "--segment", str(segment)]
         assert main(argv) == 0
         rows = slice(segment * config.l_st, (segment + 1) * config.l_st + config.w_st - 1)
-        own = rv.MeasurementCube(cube.samples[rows], cube.slow_time[rows], cube.config)
+        own = rv.MeasurementCube(long_cube.samples[rows], long_cube.slow_time[rows],
+                                 long_cube.config)
         assert_same_text(out.read_bytes().decode(),
                          table_text("spectrum", run_pipeline(own, config).accumulated))
 
 
-def test_container_rows_are_checked_where_read(tmp_path):
-    # a partial read checks the header, every stamp and the payload size in
-    # full, and the samples it reads; a bad sample outside them goes unread
-    cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=8), rv.walabot_config(10.0))
-    cube.samples[5, 3, 2] = np.nan
-    path = tmp_path / "c.rvc"
-    rv.write_container(cube, path)
-    with rv.ContainerReader(path, slice(1, 4)) as part:
-        samples = part.rows(0, part.l)
-        part.check(0, samples)
-        np.testing.assert_array_equal(samples, cube.samples[1:4])
-        np.testing.assert_array_equal(part.slow_time, cube.slow_time[1:4])
-    with pytest.raises(rv.DataError, match=r"sample \[5, 3, 2\] is \(nan"):
-        with rv.ContainerReader(path, slice(4, 8)) as part:
-            part.check(0, part.rows(0, part.l))
-    with pytest.raises(rv.DataError, match="payload holds"):
-        with open(path, "ab") as fh:
-            fh.write(b"\0")
-        rv.ContainerReader(path, slice(1, 4))
-
-
-def test_on_disk_run_holds_one_segment_of_rows(long_container, tmp_path):
+def test_on_disk_run_holds_one_segment_of_rows(long_container, long_cube, tmp_path):
     # a container is read one segment at a time into one reused buffer; the
     # whole-container read took a 70 MB traced peak. The scan's phase
     # tables, computed once per process, are cached by the first run
     config = rv.PipelineConfig()
     segment_bytes = (config.l_st + config.w_st - 1) * 137 * 8 * 16
     short = tmp_path / "short.rvc"
-    cube = rv.read_container(long_container)
-    rv.write_container(rv.MeasurementCube(cube.samples[:2000], cube.slow_time[:2000], cube.config),
-                       short)
-    del cube
+    rv.write_container(rv.MeasurementCube(long_cube.samples[:2000], long_cube.slow_time[:2000],
+                                          long_cube.config), short)
     run_pipeline(short, config)
-    peaks = []
-    for path in (short, long_container):
-        tracemalloc.start()
-        try:
-            run_pipeline(path, config)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(lambda: run_pipeline(path, config))[1] for path in (short, long_container)]
     assert peaks[1] < 3 * segment_bytes
     assert peaks[1] - peaks[0] < 1 << 20
 
@@ -914,10 +835,11 @@ def test_streamed_run_equals_in_memory_run(tmp_path, walabot, l, accumulate):
     scene = scene_of([breather(1.6, -25.0, 0.25, 0.001), breather(2.7, 20.0, 0.35, 0.001)],
                      l=l, noise_std=0.1, seed=5)
     path = tmp_path / "rec.rvc"
-    rv.write_container(rv.simulate(scene, walabot), path)
+    cube = rv.simulate(scene, walabot)
+    rv.write_container(cube, path)
     config = rv.PipelineConfig(accumulate=accumulate)
     streamed = run_pipeline(path, config)
-    in_memory = run_pipeline(rv.read_container(path), config)
+    in_memory = run_pipeline(cube, config)
     assert len(streamed.segments) == (l - config.w_st + 1) // config.l_st
     assert streamed.tracks
     for table in _TABLES:
@@ -1164,9 +1086,9 @@ def test_legacy_radar_keys_read_by_one_rule(tmp_path, capsys):
         assert got == codes, delta_t
         err = capsys.readouterr().err
         if delta_t == "0.08":
-            assert rv.read_container(container).config == cfg
-            assert rv.read_raw_dir(raw_dir)[1] == cfg
-            assert rv.read_container(tmp_path / "sim.rvc").config == cfg
+            with rv.ContainerReader(container) as rec:
+                with rv.ContainerReader(tmp_path / "sim.rvc") as sim:
+                    assert rec.config == sim.config == rv.read_raw_dir(raw_dir)[1] == cfg
         else:
             assert err.count("config key 'delta_t' is 0.05, but only the uniform array") == 3
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 import radarvitals as rv
 from radarvitals import core, preprocess
 from radarvitals.preprocess import segment_count, segment_rows, sma_rows
-from helpers import cumsum_filter, small_config
+from helpers import cumsum_filter, small_config, traced_peak
 
 
 def _random_rows(rng, l):
@@ -96,6 +94,7 @@ def test_segment_is_view_preserving_samples_and_stamps():
     x = np.random.default_rng(2).standard_normal((20, cfg.k, 4)) + 0j
     cube = rv.MeasurementCube(x, np.arange(20) / 10.0, cfg)
     seg = preprocess.segment(cube, 8)
+    assert isinstance(seg, preprocess.SegmentedCube)
     assert len(seg.segments) == 2 and seg.l_st == 8
     for i, part in enumerate(seg.segments):
         assert np.shares_memory(part.samples, cube.samples)
@@ -219,13 +218,7 @@ def _traced_filter(walabot, seed):
     the traced peak of the call."""
     shape = (2000, walabot.k, walabot.m_r * walabot.m_t)
     x = np.random.default_rng(seed).standard_normal(shape) + 0j
-    tracemalloc.start()
-    try:
-        out = sma_rows(x, 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return x, out, peak
+    return x, *traced_peak(lambda: sma_rows(x, 64))
 
 
 def test_sma_rows_working_set_stays_near_its_output(walabot):

@@ -1,6 +1,5 @@
 import importlib
 import os
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import given, strategies as st
 import radarvitals as rv
 from radarvitals.cli import main
 from radarvitals.kvfile import write_kv
-from helpers import breather, scene_of, small_config
+from helpers import breather, scene_of, small_config, traced_peak
 from test_cli import in_process_tests
 
 # the module, which the package's simulate function shadows as an attribute
@@ -250,12 +249,7 @@ def test_simulate_memory_stays_near_the_cube(walabot):
     # the exponential and noise temporaries are bounded by row blocks
     persons = (breather(1.5, -20.0), breather(2.5, 25.0))
     scene = scene_of(persons, l=2000, noise_std=0.1, seed=4)
-    tracemalloc.start()
-    try:
-        cube = rv.simulate(scene, walabot)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cube, peak = traced_peak(lambda: rv.simulate(scene, walabot))
     assert peak < 1.5 * cube.samples.nbytes
 
 
@@ -266,12 +260,7 @@ def test_simulate_forms_the_motion_factor_per_block(walabot):
     block_bytes = rows_per_block * walabot.k * 8 * 16
     scene = scene_of((breather(1.5, -20.0), breather(2.5, 25.0)), l=2000, noise_std=0.1, seed=4)
     assert scene.l > 30 * rows_per_block
-    tracemalloc.start()
-    try:
-        cube = rv.simulate(scene, walabot)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cube, peak = traced_peak(lambda: rv.simulate(scene, walabot))
     assert peak < cube.samples.nbytes + 4 * block_bytes
 
 
@@ -322,13 +311,9 @@ def test_cli_simulate_holds_a_few_blocks_whatever_the_length(walabot, tmp_path, 
     scene = scene_of((breather(1.5, -20.0), breather(2.5, 25.0)), l=l, noise_std=0.1, seed=4)
     write_kv(tmp_path / "scene.kv", rv.scene_to_entries(scene))
     block_bytes = _rows_per_block(walabot) * walabot.k * walabot.m_r * walabot.m_t * 16
-    tracemalloc.start()
-    try:
-        assert main(["simulate", "--scenario", str(tmp_path / "scene.kv"),
-                     "--out", str(tmp_path / "cli.rvc")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(["simulate", "--scenario", str(tmp_path / "scene.kv"),
+                                           "--out", str(tmp_path / "cli.rvc")]))
+    assert code == 0
     assert peak < 6 * block_bytes
 
 

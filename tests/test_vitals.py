@@ -16,6 +16,13 @@ def _cube_from_output(h, phases, cfg, k_total=None):
     return rv.MeasurementCube(samples, np.arange(l) / cfg.f_st, cfg)
 
 
+def _series(filt, cube, f_c):
+    """The displacement series of ``filt``'s output on every snapshot of
+    ``cube``, beamformed and converted as a run converts a segment's."""
+    beamformed = rv.vitals.beamform([filt], cube.samples).T
+    return rv.vitals.displacements(beamformed, cube.slow_time, cube.config, f_c)[0]
+
+
 def test_rect_filter_equals_steering(walabot, derived):
     target = rv.PolarLocation(2.0, np.deg2rad(15.0))
     filt = rv.build_filter(target, walabot, derived, window="rect")
@@ -46,7 +53,7 @@ def test_phase_ramp_unwraps_to_line(walabot, derived):
     slope = 0.9 * np.pi
     phases = slope * np.arange(40)
     cube = _cube_from_output(filt, phases, walabot)
-    series = rv.extract_displacement(filt, cube, derived.f_c)
+    series = _series(filt, cube, derived.f_c)
     scale = -walabot.c / (4 * np.pi * derived.f_c)
     expected = series.eta[0] + scale * slope * np.arange(40)
     assert np.max(np.abs(series.eta - expected)) < 1e-9
@@ -61,7 +68,7 @@ def test_unwrap_roundtrip_property(walabot, derived):
         steps = rng.uniform(-np.pi * 0.98, np.pi * 0.98, l - 1)
         phases = np.concatenate([[rng.uniform(-10, 10)], steps]).cumsum()
         cube = _cube_from_output(filt, phases, walabot)
-        series = rv.extract_displacement(filt, cube, derived.f_c)
+        series = _series(filt, cube, derived.f_c)
         np.testing.assert_allclose(
             np.diff(series.eta) / scale, np.diff(phases), atol=1e-9
         )
@@ -73,7 +80,7 @@ def test_lone_breather_amplitude(walabot, derived):
     amp = 0.004
     cube = rv.simulate(scene_of([breather(2.0, 0.0, f_b=0.3, amp=amp)], l=1000), walabot)
     filt = rv.build_filter(rv.PolarLocation(2.0, 0.0), walabot, derived)
-    series = rv.extract_displacement(filt, cube, derived.f_c)
+    series = _series(filt, cube, derived.f_c)
     eta = series.eta - series.eta.mean()
     measured = (eta.max() - eta.min()) / 2
     assert measured == pytest.approx(amp, rel=0.10)
@@ -82,9 +89,9 @@ def test_lone_breather_amplitude(walabot, derived):
 def test_displacement_scale_invariance(walabot, derived):
     cube = rv.simulate(scene_of([breather(2.0, 10.0)], l=50), walabot)
     filt = rv.build_filter(rv.PolarLocation(2.0, np.deg2rad(10.0)), walabot, derived)
-    a = rv.extract_displacement(filt, cube, derived.f_c)
+    a = _series(filt, cube, derived.f_c)
     scaled = rv.MeasurementCube(cube.samples * 2.5, cube.slow_time, walabot)
-    b = rv.extract_displacement(filt, scaled, derived.f_c)
+    b = _series(filt, scaled, derived.f_c)
     np.testing.assert_allclose(a.eta, b.eta, atol=1e-12)
 
 
@@ -93,7 +100,7 @@ def test_vanishing_output_flagged_and_carried(walabot, derived):
     phases = 0.3 * np.arange(10)
     cube = _cube_from_output(filt, phases, walabot)
     cube.samples[4] = 0.0
-    series = rv.extract_displacement(filt, cube, derived.f_c)
+    series = _series(filt, cube, derived.f_c)
     assert series.unreliable[4] and series.unreliable.sum() == 1
     assert series.eta[4] == series.eta[3]
 
@@ -104,38 +111,41 @@ def test_all_zero_segment_warns(walabot, derived):
         np.zeros((6, walabot.k, 8), dtype=complex), np.arange(6) / 10.0, walabot
     )
     with pytest.warns(UserWarning, match="vanished"):
-        series = rv.extract_displacement(filt, cube, derived.f_c)
+        series = _series(filt, cube, derived.f_c)
     assert np.all(series.eta == 0)
 
 
-def _vanished_at(caught):
-    return [w.filename for w in caught if "vanished" in str(w.message)]
-
-
-def test_vanished_warning_names_the_caller(walabot, derived, monkeypatch):
-    # the warning points at the line that called extract_displacement or
-    # run_pipeline, not at a line inside the package
-    filt = rv.build_filter(rv.PolarLocation(1.5, 0.0), walabot, derived)
-    cube = rv.MeasurementCube(
-        np.zeros((6, walabot.k, 8), dtype=complex), np.arange(6) / 10.0, walabot
-    )
-    with pytest.warns(UserWarning, match="vanished") as caught:
-        rv.extract_displacement(filt, cube, derived.f_c)
-    assert _vanished_at(caught) == [__file__]
-    # every beamformer output zero, so every detection's series vanishes
+def test_vanished_warning_names_the_caller(walabot, monkeypatch):
+    # the warning points at the line that called run_pipeline, not at a line
+    # inside the package; every beamformer output is zero, so every
+    # detection's series vanishes
     monkeypatch.setattr(rv.pipeline, "beamform",
                         lambda filters, raw: np.zeros((len(raw), len(filters)), complex))
     cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=264, noise_std=0.1, seed=1), walabot)
     with pytest.warns(UserWarning, match="vanished") as caught:
         rv.run_pipeline(cube)
-    assert _vanished_at(caught) and set(_vanished_at(caught)) == {__file__}
+    assert {w.filename for w in caught if "vanished" in str(w.message)} == {__file__}
+
+
+def test_extract_displacement_is_displacements_of_the_beamformed_cube(walabot, derived):
+    # the whole-cube form the benchmark times, bit for bit, and its shape check
+    cube = rv.simulate(scene_of([breather(2.0, 10.0)], l=50, noise_std=0.1, seed=2), walabot)
+    filt = rv.build_filter(rv.PolarLocation(2.0, np.deg2rad(10.0)), walabot, derived)
+    want = _series(filt, cube, derived.f_c)
+    for got in (rv.vitals.extract_displacement(filt, cube, derived.f_c),
+                rv.vitals.extract_displacement(filt, cube)):
+        assert got.eta.tobytes() == want.eta.tobytes()
+        assert got.unreliable.tobytes() == want.unreliable.tobytes()
+        assert got.f_st_actual == want.f_st_actual
+    with pytest.raises(ValueError, match=r"incompatible with a 96 x 7 spatial filter"):
+        rv.vitals.extract_displacement(filt[:, :7], cube)
 
 
 def test_f_st_actual_from_stamps(walabot, derived):
     filt = rv.build_filter(rv.PolarLocation(1.5, 0.0), walabot, derived)
     cube = _cube_from_output(filt, np.zeros(11), walabot)
     cube.slow_time = np.arange(11) * 0.095  # 10.526 Hz actual
-    series = rv.extract_displacement(filt, cube, derived.f_c)
+    series = _series(filt, cube, derived.f_c)
     assert series.f_st_actual == pytest.approx(1 / 0.095, rel=1e-9)
 
 
