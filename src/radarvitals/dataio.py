@@ -41,13 +41,19 @@ _HEADER_END = b"end_header\n"
 # simulate draws each interval as 1 / f_st + sigma z with z standard normal,
 # so the mean of n intervals is 1 / f_st + sigma z_bar, z_bar ~ N(0, 1 / n).
 # Over its standard error s / sqrt(n), s the intervals' sample standard
-# deviation, the deviation follows Student's t with n - 1 degrees of freedom,
-# which exceeds 10 with probability 6e-4 at 5 intervals, 2e-6 at 11 and
-# below 1e-18 for the 263 samples of one default segment. A relative 1e-9
-# more admits stamps computed in float64 without jitter. One interval has no
-# spread to scale its deviation by, so the statistic is undefined and the rate
-# is tested from two intervals on.
+# deviation, the deviation follows Student's t with n - 1 degrees of freedom.
+# The threshold at d degrees of freedom is _T_2E6[d - 1] below 10 and
+# _F_ST_SIGMAS from 10 on, which a true f_st exceeds with probability at most
+# 2e-6 at every n: 1.6e-6 at 10 degrees and below 1e-18 for the 263 samples
+# of one default segment. _T_2E6[d - 1] is the two-sided 2e-6 quantile of t
+# with d degrees of freedom, scipy.stats.t.isf(1e-6, d) computed offline.
+# A relative 1e-9 more admits stamps computed in float64 without jitter. One
+# interval has no spread to scale its deviation by, so the statistic is
+# undefined and the rate is tested from two intervals on.
 _F_ST_SIGMAS = 10.0
+_T_2E6 = (318309.8861827435, 707.1057205259339, 103.29946778041935, 41.577854150450975,
+          24.771029720515948, 17.83031450065549, 14.241469651981445, 12.109834665556214,
+          10.7201604099095)
 
 
 class RVCFormatError(DataError):
@@ -55,14 +61,18 @@ class RVCFormatError(DataError):
 
 
 def check_f_st(slow_time: np.ndarray, f_st: float, source: object) -> None:
-    """Raise ``DataError`` naming ``f_st`` when the mean interval of the
-    stamps lies more than ``_F_ST_SIGMAS`` standard errors from 1 / f_st;
-    fewer than two intervals are not tested."""
+    """Raise ``DataError`` naming ``f_st`` when the mean of n intervals of
+    the stamps lies more standard errors from 1 / f_st than the two-sided
+    2e-6 quantile of Student's t at n - 1 degrees of freedom, below 10, or
+    than ``_F_ST_SIGMAS`` from 10 on; fewer than two intervals are not
+    tested."""
     if slow_time.size < 3:
         return
     dt = np.diff(slow_time)
     spread = dt.std(ddof=1) / math.sqrt(dt.size)
-    if not abs(dt.mean() - 1 / f_st) <= _F_ST_SIGMAS * spread + 1e-9 * dt.mean():
+    dof = dt.size - 1
+    sigmas = _T_2E6[dof - 1] if dof <= len(_T_2E6) else _F_ST_SIGMAS
+    if not abs(dt.mean() - 1 / f_st) <= sigmas * spread + 1e-9 * dt.mean():
         raise DataError(f"{source}: f_st {f_st} Hz contradicts the slow_time stamps, "
                         f"whose mean rate is {1 / dt.mean()} Hz")
 
@@ -342,14 +352,19 @@ class ContainerReader(_Payload):
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows [start, stop), read into the reader's one buffer, which the
-        next call overwrites; ``ValueError`` outside [0, ``l``]."""
+        next call overwrites; ``ValueError`` outside [0, ``l``]. The buffer
+        grows to the largest read: ``run_pipeline`` reads one block of
+        ``block_len(k m 16)`` rows at a time (see ``pipeline._raw_segments``)."""
         check_rows(start, stop, self.l, self.path)
         return self._read_rows(self._first + start, self._first + stop)
 
-    def check(self, start: int, rows: np.ndarray, bound: float | None = None) -> None:
+    def check(self, start: int, rows: np.ndarray, bound: float | None = None,
+              stop: int | None = None) -> None:
         """``check_finite`` of ``rows``, read from row ``start``, naming a
-        sample by the path and its row in the recording."""
-        check_finite(rows, self.path, self._first + start, bound)
+        sample by the path and its row in the recording; with ``bound``,
+        naming rows [start, ``stop``)."""
+        check_finite(rows, self.path, self._first + start, bound,
+                     None if stop is None else self._first + stop)
 
     def close(self) -> None:
         self._fh.close()
@@ -367,8 +382,8 @@ def read_container(path: str | os.PathLike) -> MeasurementCube:
     A ``ContainerReader`` checks the header, its slow-time stamps, ``f_st``
     and the payload size in full, then reads the rows straight into the
     sample array, and each sample is checked for finiteness. ``run_pipeline``
-    reads a container through a ``ContainerReader`` one segment at a time;
-    this whole-recording form stays for the benchmark.
+    reads a container through a ``ContainerReader`` one block of rows at a
+    time; this whole-recording form stays for the benchmark.
     """
     with ContainerReader(path) as reader:
         samples = reader.rows(0, reader.l)

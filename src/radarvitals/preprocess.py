@@ -75,17 +75,22 @@ def sma_rows(x: np.ndarray, w_st: int, rows: np.ndarray | None = None) -> np.nda
     one input row at a time, narrower ones by np.cumsum: the same additions
     in the same order.
 
-    Picked rows: ``_running_sums`` adds the input rows one at a time into a
-    single accumulator, up to the last csum index read, and keeps only the
-    sums at the indices r and j - 1 of the picked rows.
+    Picked rows: ``x`` may also be an iterable of blocks, the consecutive
+    rows of one array in order, each read once and not kept, so that rows
+    read into one reused buffer are filtered without holding them all.
+    ``_running_sums`` adds the input rows one at a time into a single
+    accumulator, across the blocks, up to the last csum index read, and
+    keeps only the sums at the indices r and j - 1 and the input rows r of
+    the picked rows.
     """
     if rows is not None:
         rows = np.asarray(rows, dtype=np.intp)
         marks = sorted_unique(np.concatenate([rows - 1, rows + w_st - 1]))
-        sums = _running_sums(x, marks)
+        sums, last = _running_sums([x] if isinstance(x, np.ndarray) else x, marks,
+                                   rows + w_st - 1)
         window = sums[np.searchsorted(marks, rows + w_st - 1)]
         window -= sums[np.searchsorted(marks, rows - 1)]
-        return x[rows + w_st - 1] - _divide(window, w_st, int(np.searchsorted(rows, 1)))
+        return last - _divide(window, w_st, int(np.searchsorted(rows, 1)))
     l, tail = x.shape[0], x.shape[1:]
     no_rows = np.cumsum(x[:0], axis=0)  # the dtypes of the sums and of the output
     out = np.empty((max(l - w_st + 1, 0), *tail), (x[:0] - no_rows / w_st).dtype)
@@ -170,23 +175,43 @@ def _add_rows(acc: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> 
         acc = dst
 
 
-def _running_sums(x: np.ndarray, marks: np.ndarray) -> np.ndarray:
-    """csum[n] over axis 0 for each ascending index n of ``marks``; csum[-1] = +0.
+def _running_sums(blocks, marks: np.ndarray,
+                  picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """csum[n] over axis 0 for each ascending index n of ``marks``, csum[-1] =
+    +0, and the input row x[r] for each index r of ``picks``, ascending and
+    each also a mark, where x is the concatenation of the row blocks of
+    ``blocks``, taken in order until the last mark is reached.
 
     The input rows are added one at a time into an accumulator that starts
     at -0.0 (in both parts of a complex sum), the identity of IEEE addition,
     so each sum is bit-equal to that row of np.cumsum; a reduction that
-    starts from +0 would turn a -0.0 sum into +0.
+    starts from +0 would turn a -0.0 sum into +0. ``IndexError`` when the
+    blocks end before the last mark.
     """
-    acc = np.zeros(x.shape[1:], np.cumsum(x[:0], axis=0).dtype)
-    np.negative(acc, out=acc)
-    sums = np.empty((marks.size, *acc.shape), acc.dtype)
-    start = 0
-    for i, n in enumerate(marks.tolist()):
-        _add_rows(acc, x[start : n + 1])
-        start = n + 1
-        sums[i] = acc if n >= 0 else 0
-    return sums
+    acc = None
+    i = 0  # the next mark
+    start = 0  # the block's first row; rows [0, start) are in acc
+    for x in blocks:
+        if acc is None:
+            acc = np.zeros(x.shape[1:], np.cumsum(x[:0], axis=0).dtype)
+            np.negative(acc, out=acc)
+            sums = np.empty((marks.size, *acc.shape), acc.dtype)
+            picked = np.empty((picks.size, *acc.shape), x.dtype)
+        stop = start + len(x)
+        here = slice(*np.searchsorted(picks, [start, stop]).tolist())
+        picked[here] = x[picks[here] - start]
+        added = start
+        while i < marks.size and (n := int(marks[i])) < stop:
+            if n >= added:
+                _add_rows(acc, x[added - start : n + 1 - start])
+                added = n + 1
+            sums[i] = acc if n >= 0 else 0
+            i += 1
+        if i == marks.size:
+            return sums, picked
+        _add_rows(acc, x[added - start :])
+        start = stop
+    raise IndexError(f"row {marks[-1]} lies past the {start} input rows")
 
 
 def segment_count(l: int, w_st: int, l_st: int | None = None) -> int:

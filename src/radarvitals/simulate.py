@@ -122,9 +122,11 @@ class MeasurementCube:
         check_rows(start, stop, self.l, "recording")
         return self.samples[start:stop]
 
-    def check(self, start: int, rows: np.ndarray, bound: float | None = None) -> None:
-        """``check_finite`` of ``rows``, the samples from row ``start`` on."""
-        check_finite(rows, "recording", start, bound)
+    def check(self, start: int, rows: np.ndarray, bound: float | None = None,
+              stop: int | None = None) -> None:
+        """``check_finite`` of ``rows``, the samples from row ``start`` on;
+        with ``bound``, naming rows [start, ``stop``)."""
+        check_finite(rows, "recording", start, bound, stop)
 
 
 def check_rows(start: int, stop: int, l: int, source: object) -> None:
@@ -134,11 +136,13 @@ def check_rows(start: int, stop: int, l: int, source: object) -> None:
 
 
 def check_finite(samples: np.ndarray, source: object, first_row: int = 0,
-                 bound: float | None = None) -> None:
+                 bound: float | None = None, stop: int | None = None) -> None:
     """Raise ``DataError`` naming the first non-finite sample by its index
     ([l, k, m] for a cube, [sweep, column, bin] for raw profiles), its row
-    counted from ``first_row``; with ``bound``, naming finite samples' rows
-    and the bound their filtered values exceed (``run_pipeline``).
+    counted from ``first_row``; with ``bound``, naming the finite rows
+    [first_row, ``stop``) and the bound their filtered values exceed
+    (``run_pipeline``). ``stop`` defaults to the end of ``samples``: a span
+    read one block at a time is named whole after its blocks are checked.
 
     One sum screens the samples: a nan or inf sample always makes it
     non-finite, so the element-wise scan runs only then (a finite sum that
@@ -151,7 +155,8 @@ def check_finite(samples: np.ndarray, source: object, first_row: int = 0,
         index = [bad[0] + first_row, *bad[1:]]
         raise DataError(f"{source}: sample {index} is {samples[bad]}, not finite")
     if bound is not None:
-        raise DataError(f"{source}: rows [{first_row}, {first_row + len(samples)}) are finite, "
+        stop = first_row + len(samples) if stop is None else stop
+        raise DataError(f"{source}: rows [{first_row}, {stop}) are finite, "
                         f"but their clutter-filtered samples exceed {bound!r} in magnitude, "
                         f"above which the covariance sums may overflow")
 

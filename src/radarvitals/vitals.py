@@ -78,18 +78,25 @@ def extract_displacement(
         )
     if f_c is None:
         f_c = derive_params(cube.config).f_c
-    return displacements(beamform([filt], cube.samples).T, cube.slow_time, cube.config, f_c)[0]
+    ys = beamform(filter_matrix([filt]), cube.samples)
+    return displacements(ys.T, cube.slow_time, cube.config, f_c)[0]
 
 
-def beamform(filters: list[np.ndarray], samples: np.ndarray) -> np.ndarray:
-    """Output of each weight array on each snapshot, (slow time, filter), in one GEMM.
+def filter_matrix(filters: list[np.ndarray]) -> np.ndarray:
+    """The (k0 m, filter) matrix of conjugated weights that ``beamform``
+    applies: column i holds the weights of ``filters[i]``, flattened."""
+    return np.stack([f.ravel() for f in filters], axis=1).conj()
+
+
+def beamform(h: np.ndarray, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Output of each column of ``filter_matrix`` ``h`` on each snapshot,
+    (slow time, filter), in one GEMM, into ``out`` when given.
 
     The first k0 steps of a snapshot are contiguous, so the snapshots enter
     the GEMM as a strided view without a copy.
     """
-    k0 = filters[0].shape[0]
-    h = np.stack([f.ravel() for f in filters], axis=1).conj()
-    return samples[:, :k0].reshape(samples.shape[0], -1) @ h
+    n, _, m = samples.shape
+    return np.matmul(samples[:, : h.shape[0] // m].reshape(n, -1), h, out=out)
 
 
 def displacements(

@@ -11,7 +11,7 @@ import pytest
 import radarvitals as rv
 from radarvitals.pipeline import run_pipeline
 from radarvitals.preprocess import sma_rows
-from radarvitals.vitals import beamform, displacements
+from radarvitals.vitals import beamform, displacements, filter_matrix
 from helpers import (
     breather,
     m16_scene,
@@ -201,8 +201,8 @@ def test_criterion_6_property_suites(walabot):
         ).cumsum()
         samples = np.zeros((l, walabot.k, 8), dtype=complex)
         samples[:, :96, :] = filt[None] * np.exp(1j * phases)[:, None, None]
-        [series] = displacements(beamform([filt], samples).T, np.arange(l) / 10.0, walabot,
-                                 derived.f_c)
+        [series] = displacements(beamform(filter_matrix([filt]), samples).T,
+                                 np.arange(l) / 10.0, walabot, derived.f_c)
         if np.max(np.abs(np.diff(series.eta) / scale - np.diff(phases))) > 1e-9:
             failures.append("unwrap")
 

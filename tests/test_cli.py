@@ -228,6 +228,11 @@ CASES: dict[str, Case | dict[str, Case] | list[Case]] = {
         "simulate two jittered samples": Case(
             "simulate --scenario scene.kv --out x.rvc", 0,
             setup=(text("scene.kv", "l 2\nslow_time_jitter 0.002\nseed 1\n"),)),
+        # two intervals, so one degree of freedom: 10 standard errors refused
+        # this seed's stamps (exit 3), the 2e-6 quantile of t admits them
+        "simulate three jittered samples": Case(
+            "simulate --scenario scene.kv --out x.rvc", 0,
+            setup=(text("scene.kv", "l 3\nslow_time_jitter 0.002\nseed 22\n"),)),
         "convert nan profile sample": convert(
             profiles((1, 2, 7), np.nan), r"data error: raw: profiles: sample \[1, 2, 7\] is \(nan",
             3),

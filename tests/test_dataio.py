@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import tempfile
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import radarvitals as rv
 from radarvitals.cli import main
+from radarvitals.simulate import synthesize_rows
 from helpers import breather, raw_recording_of, scene_of, small_config, traced_peak
 from test_cli import in_process_tests
 
@@ -579,12 +581,36 @@ def test_header_f_st_that_the_stamps_contradict_is_data_error(tmp_path, capsys, 
         rv.ContainerReader(path)
     assert main(["vitals", "--in", str(path), "--out", str(tmp_path / "v.csv")]) == 3
     assert "f_st" in capsys.readouterr().err
-    raw = raw_recording_of(rv.simulate(replace(scene, l=4, slow_time_jitter=0.002), walabot))
+    # 12 stamps: 11 intervals, 10 degrees of freedom, from which the test
+    # allows 10 standard errors; at 4 stamps Student's t with 2 degrees of
+    # freedom allows 707, and 100 Hz or 1 GHz against 10 Hz stamps jittered
+    # by 2 ms lies inside that
+    raw = raw_recording_of(rv.simulate(replace(scene, l=12, slow_time_jitter=0.002), walabot))
     rv.write_raw_dir(tmp_path / "raw", raw, walabot)
     raw_kv = tmp_path / "raw" / "raw.kv"
     raw_kv.write_bytes(raw_kv.read_bytes().replace(b"\nf_st 10.0\n", f"\nf_st {f_st}\n".encode(), 1))
     assert main(["convert", "--raw", str(tmp_path / "raw"), "--out", str(tmp_path / "c.rvc")]) == 3
     assert f"f_st {f_st} Hz contradicts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("l", [3, 4, 5])
+def test_short_jittered_stamps_pass_the_f_st_check(walabot, l):
+    # with 2 to 4 intervals the check's t statistic has 1 to 3 degrees of
+    # freedom; at 10 standard errors it refused 29, 7 and 3 of these 400 seeds
+    # (22, 8 and 233 among them), at the 2e-6 quantiles of t it refuses none
+    for seed in range(400):
+        scene = rv.Scene(clutter=rv.ClutterModel(seed=seed), l=l, slow_time_jitter=0.002)
+        rv.dataio.check_f_st(synthesize_rows(scene, walabot)[0], walabot.f_st, seed)
+
+
+def test_the_f_st_threshold_is_the_2e6_quantile_of_t():
+    # the pasted quantiles fall towards 10 standard errors, the threshold from
+    # 10 degrees of freedom on, where t exceeds 10 with probability 1.6e-6
+    table = rv.dataio._T_2E6
+    assert len(table) == 9 and list(table) == sorted(table, reverse=True)
+    assert table[0] == pytest.approx(1 / math.tan(math.pi * 1e-6))  # Cauchy at 1 degree
+    assert table[1] == pytest.approx(math.sqrt(2 / (4e-6 * (1 - 1e-6)) - 2))  # closed form at 2
+    assert table[-1] > rv.dataio._F_ST_SIGMAS
 
 
 def _cube_at_5_hz_under_f_st_10(walabot, l):

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 import radarvitals as rv
 from radarvitals.cli import main
+from radarvitals.core import block_len
 from radarvitals.kvfile import format_kv, parse_kv, read_kv, write_kv
 from radarvitals.localize import snapshot_indices
 from radarvitals.pipeline import (
@@ -304,7 +305,7 @@ def test_pipeline_matches_the_filtered_segment_rows(walabot):
         assert outcome.order.lam.tobytes() == lam.tobytes()
         for label, det in zip(outcome.track_labels, outcome.detections.detections):
             filt = rv.build_filter(det.location, walabot, window=config.window)
-            beamformed = rv.vitals.beamform([filt], seg.samples).T
+            beamformed = rv.vitals.beamform(rv.vitals.filter_matrix([filt]), seg.samples).T
             expected = rv.vitals.displacements(beamformed, seg.slow_time, walabot, f_c)[0]
             got = series[index, label]
             np.testing.assert_allclose(got.eta, expected.eta, rtol=0, atol=1e-12)
@@ -779,20 +780,25 @@ def long_container(tmp_path_factory, long_cube):
     return path
 
 
-def test_cli_dump_spectrum_of_a_segment_reads_only_its_rows(long_container, tmp_path):
-    # the header and segment 18's 263 raw rows (4.6 MB) rather than the whole
-    # 70 MB payload, which took a 76.3 MB traced peak; segment 0 runs first,
-    # so the scan's phase tables, computed once per process, are cached
+def test_cli_dump_spectrum_of_a_segment_reads_only_its_rows(long_container, long_cube, tmp_path):
+    # the header and segment 18's 263 raw rows, one block of 59 rows (1 MB) at
+    # a time, rather than the whole 70 MB payload, which took a 76.3 MB traced
+    # peak, or the whole 4.6 MB span, which took 6.9 MB. The stages' working
+    # set is that of the same run on an in-memory cube of the span's rows,
+    # which reads views; the CSV's rows add 0.25 MB. Segment 0 runs first, so
+    # the scan's phase tables, computed once per process, are cached
     config = rv.PipelineConfig()
-    segment_bytes = (config.l_st + config.w_st - 1) * 137 * 8 * 16
-    assert os.path.getsize(long_container) > 15 * segment_bytes
+    rows = segment_rows(18, config.w_st, config.l_st)
+    own = rv.MeasurementCube(long_cube.samples[rows], long_cube.slow_time[rows], long_cube.config)
+    assert os.path.getsize(long_container) > 15 * own.samples.nbytes
     argv = ["dump-spectrum", "--in", str(long_container), "--out", str(tmp_path / "s.csv"),
             "--segment", "0"]
     assert main(argv) == 0
     argv[-1] = "18"
+    stages = traced_peak(lambda: run_pipeline(own, config, vitals=False))[1]
     code, peak = traced_peak(lambda: main(argv))
     assert code == 0
-    assert peak < 2 * segment_bytes
+    assert peak < stages + _block_bytes(own.config) + (1 << 19)
 
 
 def test_cli_dump_spectrum_of_a_segment_matches_the_whole_recording_read(long_container,
@@ -810,22 +816,49 @@ def test_cli_dump_spectrum_of_a_segment_matches_the_whole_recording_read(long_co
                          table_text("spectrum", run_pipeline(own, config).accumulated))
 
 
-def test_on_disk_run_holds_one_segment_of_rows(long_container, long_cube, tmp_path):
-    # a container is read one segment at a time into one reused buffer; the
-    # whole-container read took a 70 MB traced peak. The scan's phase
+def _block_bytes(cfg) -> int:
+    """The bytes of the block of rows ``run_pipeline`` reads at a time."""
+    row = cfg.k * cfg.m_r * cfg.m_t * 16
+    return block_len(row) * row
+
+
+def test_on_disk_run_holds_one_block_of_rows(long_container, long_cube, tmp_path):
+    # a container is read one block of 59 rows (1 MB) at a time into one
+    # reused buffer, so an on-disk run holds one block more than the same run
+    # on the in-memory cube, which reads views: the stages' working set. Its
+    # peak grows neither with the recording nor with l_st. Whole 263-row
+    # segments took 4.4 MB more than the cube at l_st 200 and 14.5 MB at 800,
+    # and the whole-container read a 70 MB traced peak. The scan's phase
     # tables, computed once per process, are cached by the first run
-    config = rv.PipelineConfig()
-    segment_bytes = (config.l_st + config.w_st - 1) * 137 * 8 * 16
     short = tmp_path / "short.rvc"
     rv.write_container(rv.MeasurementCube(long_cube.samples[:2000], long_cube.slow_time[:2000],
                                           long_cube.config), short)
-    run_pipeline(short, config)
-    peaks = [traced_peak(lambda: run_pipeline(path, config))[1] for path in (short, long_container)]
-    assert peaks[1] < 3 * segment_bytes
-    assert peaks[1] - peaks[0] < 1 << 20
+    run_pipeline(short)
+    block = _block_bytes(long_cube.config)
+    peaks = {}
+    for l_st in (200, 800):
+        config = rv.PipelineConfig(l_st=l_st)
+        stages = traced_peak(lambda: run_pipeline(long_cube, config))[1]
+        peaks[l_st] = traced_peak(lambda: run_pipeline(long_container, config))[1]
+        assert peaks[l_st] < stages + block + (1 << 17)
+    assert abs(peaks[800] - peaks[200]) < 1 << 20
+    assert peaks[200] - traced_peak(lambda: run_pipeline(short))[1] < 1 << 20
 
 
 _TABLES = ("detections", "vitals", "breathing", "periodogram", "order_diagnostics")
+
+
+def test_row_blocks_cover_a_span_without_a_one_row_block():
+    # numpy forms a GEMM of one row as a matrix-vector product, whose rounding
+    # differs, so a lone last row joins the block before it
+    for size in (1, 2, 3, 59):
+        for n in range(1, 200):
+            blocks = rv.pipeline._row_blocks(slice(7, 7 + n), size)
+            assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+            assert (blocks[0].start, blocks[-1].stop) == (7, 7 + n)
+            lengths = [b.stop - b.start for b in blocks]
+            assert max(lengths) <= max(size, 2) + 1
+            assert n == 1 or min(lengths) >= 2
 
 
 @pytest.mark.parametrize("l, accumulate", [(700, True), (263, True), (700, False)],
@@ -848,10 +881,15 @@ def test_streamed_run_equals_in_memory_run(tmp_path, walabot, l, accumulate):
                      table_text("spectrum", in_memory.accumulated))
 
 
-@pytest.mark.parametrize("row", [410, 690], ids=["overlap", "tail"])
+@pytest.mark.parametrize("row", [410, 690, 318, 376],
+                         ids=["overlap", "tail", "block_start", "block_end"])
 def test_every_sample_row_is_checked(tmp_path, walabot, row):
     # row 410 is read with segment 1 and kept for segment 2; row 690 lies past
-    # the last of the 3 segments of 700 samples
+    # the last of the 3 segments of 700 samples. A container is read in blocks
+    # of 59 rows: segment 1's span [200, 463) in [200, 259), [259, 318),
+    # [318, 377), ..., so 318 is the first row of a later block and 376 the
+    # last of one
+    assert block_len(walabot.k * 8 * 16) == 59
     cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=700, noise_std=0.1, seed=2), walabot)
     cube.samples[row, 4, 5] = np.nan
     path = tmp_path / "nan.rvc"
@@ -988,6 +1026,31 @@ def test_a_finite_overflow_is_a_data_error(two_segments, tmp_path, capsys, value
     assert "Traceback" not in err
 
 
+def test_a_finite_overflow_in_a_later_block_names_the_whole_span(two_segments, tmp_path,
+                                                               capsys):
+    # segment 1's span [200, 463) is read in blocks of 59 rows: rows 376 and
+    # 377 end its third block and start its fourth. Every block is finite, so
+    # the error names the whole span, also from a reader of segment 1's rows
+    # alone, which counts them from its own row 0
+    samples = two_segments.samples.copy()
+    samples[[376, 377], 4, 5] = 1e308
+    bad = rv.MeasurementCube(samples, two_segments.slow_time, two_segments.config)
+    path = tmp_path / "big.rvc"
+    rv.write_container(bad, path)
+    message = (f"rows [200, 463) are finite, but their clutter-filtered samples exceed "
+               f"{_screen_bound(bad.config)!r} in magnitude, above which the covariance sums "
+               f"may overflow")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source, name in ((bad, "recording"), (path, path)):
+            with pytest.raises(rv.DataError) as info:
+                run_pipeline(source)
+            assert str(info.value) == f"{name}: {message}"
+        assert main(["dump-spectrum", "--in", str(path), "--out", str(tmp_path / "s.csv"),
+                     "--segment", "1"]) == 3
+    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+
+
 def test_the_screen_bound_keeps_the_covariance_finite(two_segments):
     # the two samples at 1e150 pass the screen; so does every row alternating
     # at +-(1 + 1j) c with c the bound, the same in every [k, m]: the clutter
@@ -1022,9 +1085,9 @@ def test_a_finite_recording_is_checked_by_the_screen(walabot, tmp_path, monkeypa
     checked = []
     real = rv.dataio.check_finite
 
-    def counting(samples, source, first_row=0, bound=None):
+    def counting(samples, source, first_row=0, bound=None, stop=None):
         checked.append((first_row, len(samples)))
-        real(samples, source, first_row, bound)
+        real(samples, source, first_row, bound, stop)
 
     # a cube checks by the name in its own module, a container reader by dataio's
     for module in (sys.modules["radarvitals.simulate"], rv.dataio):

@@ -151,6 +151,16 @@ def test_sma_rows_is_bit_equal_to_one_cumsum(l, w_frac, k, m, block, seed, wide)
     x[:, -1, -1] = complex(-0.0, -0.0)
     expected = cumsum_filter(x, w)
     rows = np.flatnonzero(rng.random(l - w + 1) < 0.3)
+    # picked rows fed as row blocks, one-row blocks included, as a reader's
+    # one buffer serves them: each block is overwritten before the next
+    cuts = np.sort(rng.choice(np.arange(1, l), size=min(4, l - 1), replace=False))
+    buffer = np.empty_like(x)
+
+    def blocks():
+        for block in np.split(x, cuts):
+            buffer[: len(block)] = block
+            yield buffer[: len(block)]
+
     with pytest.MonkeyPatch.context() as mp:
         # blocks of `block` rows: the filter's budget covers four arrays of
         # a block's rows (input, new sums, the sums w_st rows back, output)
@@ -160,12 +170,14 @@ def test_sma_rows_is_bit_equal_to_one_cumsum(l, w_frac, k, m, block, seed, wide)
         picked = sma_rows(x, w, rows)
         flat = sma_rows(x.reshape(l, -1), w, rows)
         series = sma_rows(x[:, 0, 0], w, rows)
+        streamed = sma_rows(blocks(), w, rows)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
     assert picked.shape == (rows.size, k, m)
     assert picked.tobytes() == expected[rows].tobytes()
     assert flat.tobytes() == expected[rows].tobytes()
     assert series.tobytes() == expected[rows, 0, 0].tobytes()
+    assert streamed.tobytes() == expected[rows].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])

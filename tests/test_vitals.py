@@ -19,7 +19,7 @@ def _cube_from_output(h, phases, cfg, k_total=None):
 def _series(filt, cube, f_c):
     """The displacement series of ``filt``'s output on every snapshot of
     ``cube``, beamformed and converted as a run converts a segment's."""
-    beamformed = rv.vitals.beamform([filt], cube.samples).T
+    beamformed = rv.vitals.beamform(rv.vitals.filter_matrix([filt]), cube.samples).T
     return rv.vitals.displacements(beamformed, cube.slow_time, cube.config, f_c)[0]
 
 
@@ -119,8 +119,8 @@ def test_vanished_warning_names_the_caller(walabot, monkeypatch):
     # the warning points at the line that called run_pipeline, not at a line
     # inside the package; every beamformer output is zero, so every
     # detection's series vanishes
-    monkeypatch.setattr(rv.pipeline, "beamform",
-                        lambda filters, raw: np.zeros((len(raw), len(filters)), complex))
+    monkeypatch.setattr(rv.pipeline, "filter_matrix",
+                        lambda filters: 0 * rv.vitals.filter_matrix(filters))
     cube = rv.simulate(scene_of([breather(2.0, 0.0)], l=264, noise_std=0.1, seed=1), walabot)
     with pytest.warns(UserWarning, match="vanished") as caught:
         rv.run_pipeline(cube)
